@@ -1,9 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(q) = Q[t]/(Phi_N(t)).
 
-The generator q is the class of t, a primitive N-th root of unity.  Elements
-are reduced coefficient vectors of length phi(N) over Q, so equality is
-coefficientwise and every operation is exact.  Field elements are immutable;
-the only mutable state in this module is memoisation.
+The generator q is the class of t, a primitive N-th root of unity.  An
+element is stored as phi(N) integer numerators over one positive integer
+denominator, the layout of FLINT/ANTIC's nf_elem: the value is
+sum(num[i] * q^i) / den.  The pair is kept in normal form, den > 0 and
+gcd(den, *num) = 1, so equality is a plain comparison of integers and zero is
+((0, ..., 0), 1).  Phi_N is monic with integer coefficients, so reducing a
+product modulo Phi_N never leaves the integers: a product is one integer
+convolution, one integer reduction and one gcd.  Field elements are
+immutable; the only mutable state in this module is memoisation.
 
 Order 1 is allowed (Phi_1 = t - 1, the field is plain Q); the odd-order
 convention for quantum-group work is enforced by the callers that need it.
@@ -14,8 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-
-Rational = Fraction
+from math import gcd, lcm
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -24,15 +28,6 @@ _Q1 = Fraction(1)
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n // 2 + 1) if n % d == 0]
     out.append(n)
-    return out
-
-
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
     return out
 
 
@@ -71,10 +66,18 @@ _TERM_RE = re.compile(
     r"^(?:(?P<rat>-?\d+(?:/\d+)?)(?:\*(?P<qa>q(?:\^(?P<ea>-?\d+))?))?"
     r"|(?P<sign>-?)(?P<qb>q(?:\^(?P<eb>-?\d+))?))$"
 )
+# split a literal before each sign that starts a term; a '-' right after
+# '^' belongs to a negative exponent
+_TERM_SPLIT_RE = re.compile(r"\+|(?<!\^)(?=-)")
 
 
 class CyclotomicField:
-    """Q[t]/(Phi_N(t)) with exact Fraction coefficients."""
+    """Q[t]/(Phi_N(t)); its elements are integer numerators over one denominator.
+
+    ``_red[m]`` lists the nonzero coefficients of t^(degree+m) mod Phi_N as
+    (index, integer) pairs, one row per power a product or a raw q-power can
+    reach.
+    """
 
     __slots__ = ("order", "modulus", "degree", "_red", "_qpow", "zero", "one")
 
@@ -84,43 +87,49 @@ class CyclotomicField:
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.degree = len(self.modulus) - 1
-        # reduction rows: _red[m] = coefficients of t^(degree+m) mod Phi_N
-        self._red: list[tuple[Fraction, ...]] = []
+        self._red: list[tuple[tuple[int, int], ...]] = []
         self._build_reductions()
-        self.zero = CyclotomicNumber(self, (_Q0,) * self.degree)
-        self.one = self.from_rational(_Q1)
+        self.zero = CyclotomicNumber(self, (0,) * self.degree, 1)
+        self.one = self.from_rational(1)
         self._qpow: dict[int, CyclotomicNumber] = {}
 
     def _build_reductions(self) -> None:
         d = self.degree
         # t^d = -(lower part of modulus); modulus is monic
-        row = [-Fraction(c) for c in self.modulus[:d]]
-        self._red.append(tuple(row))
+        base = [-c for c in self.modulus[:d]]
+        row = base
+        rows = [row]
         # each next power: shift and reduce the overflow coefficient;
         # enough rows for both products of reduced elements and raw
         # q-powers up to t^(order-1) (the degree can be much smaller
         # than the order, e.g. phi(6) = 2)
         for _ in range(max(d, self.order) - 1):
             top = row[-1]
-            row = [_Q0] + row[:-1]
+            row = [0] + row[:-1]
             if top:
-                base = self._red[0]
                 row = [row[i] + top * base[i] for i in range(d)]
-            self._red.append(tuple(row))
+            rows.append(row)
+        self._red = [tuple((i, c) for i, c in enumerate(r) if c) for r in rows]
 
     # -- constructors ---------------------------------------------------
 
     def element(self, coeffs) -> "CyclotomicNumber":
+        """The element sum(coeffs[i] * q^i); coefficients are anything
+        Fraction accepts, and lists longer than the degree are reduced."""
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            cs = self._reduce(cs)
-        cs.extend([_Q0] * (self.degree - len(cs)))
-        return CyclotomicNumber(self, tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        if len(num) > self.degree:
+            num = self._reduce(num)
+        num.extend([0] * (self.degree - len(num)))
+        return _normalised(self, num, den)
 
     def from_rational(self, c) -> "CyclotomicNumber":
-        return CyclotomicNumber(
-            self, (Fraction(c),) + (_Q0,) * (self.degree - 1)
-        )
+        rest = (0,) * (self.degree - 1)
+        if isinstance(c, int):
+            return CyclotomicNumber(self, (int(c),) + rest, 1)
+        c = Fraction(c)
+        return CyclotomicNumber(self, (c.numerator,) + rest, c.denominator)
 
     def q_power(self, k: int) -> "CyclotomicNumber":
         """q^k with the exponent normalised into [0, N)."""
@@ -135,28 +144,26 @@ class CyclotomicField:
     def q(self) -> "CyclotomicNumber":
         return self.q_power(1)
 
-    def _reduce(self, cs: list[Fraction]) -> list[Fraction]:
+    def _reduce(self, cs: list[int]) -> list[int]:
         d = self.degree
-        out = list(cs[:d])
-        out.extend([_Q0] * (d - len(out)))
+        out = cs[:d]
+        out.extend([0] * (d - len(out)))
+        red = self._red
         for m in range(d, len(cs)):
             c = cs[m]
             if c:
-                row = self._red[m - d]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
+                for i, r in red[m - d]:
+                    out[i] += c * r
         return out
 
     # -- parsing --------------------------------------------------------
 
     def parse(self, text: str) -> "CyclotomicNumber":
-        """Inverse of str(): accepts e.g. "1/2 - 3*q + q^2"."""
-        s = text.strip()
+        """Inverse of str(): accepts e.g. "1/2 - 3*q + q^2" and "2*q^-1"."""
+        s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty cyclotomic literal")
-        s = s.replace("-", "+-").replace(" ", "")
-        parts = [p for p in s.split("+") if p]
+        parts = [p for p in _TERM_SPLIT_RE.split(s) if p]
         coeffs = [_Q0] * max(self.degree, self.order)
         for part in parts:
             m = _TERM_RE.match(part)
@@ -171,10 +178,7 @@ class CyclotomicField:
             else:
                 c = Fraction(-1 if m.group("sign") == "-" else 1)
                 e = int(m.group("eb") or 1)
-            e %= self.order
-            if e >= len(coeffs):
-                coeffs.extend([_Q0] * (e + 1 - len(coeffs)))
-            coeffs[e] += c
+            coeffs[e % self.order] += c
         return self.element(coeffs)
 
     # -- misc -----------------------------------------------------------
@@ -194,14 +198,36 @@ def field(order: int) -> CyclotomicField:
     return CyclotomicField(order)
 
 
+def _normalised(fld: CyclotomicField, num: list[int], den: int) -> "CyclotomicNumber":
+    # den > 0 on entry; divide out the common factor of den and all numerators
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return CyclotomicNumber(fld, tuple(num), den)
+
+
 class CyclotomicNumber:
-    """An element of a CyclotomicField; immutable and hashable."""
+    """An element of a CyclotomicField; immutable and hashable.
 
-    __slots__ = ("field", "coeffs")
+    ``num`` is a tuple of phi(N) ints and ``den`` a positive int, with
+    gcd(den, *num) = 1; the constructor trusts its caller to pass that
+    normal form.  ``coeffs`` gives the same value as a tuple of Fractions.
+    """
 
-    def __init__(self, fld: CyclotomicField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, fld: CyclotomicField, num: tuple, den: int):
         self.field = fld
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates on 1, q, ..., q^(phi(N)-1) as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- coercion ---------------------------------------------------------
 
@@ -215,35 +241,50 @@ class CyclotomicNumber:
         return None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def as_rational(self) -> Fraction:
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        # an operand of the same field object needs no coercion
+        o = other if (type(other) is CyclotomicNumber
+                      and other.field is self.field) else self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        da, db = self.den, o.den
+        if da == db:
+            return _normalised(self.field,
+                               [x + y for x, y in zip(self.num, o.num)], da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _normalised(self.field,
+                           [x * sa + y * sb for x, y in zip(self.num, o.num)],
+                           da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.field, tuple(-a for a in self.coeffs))
+        return CyclotomicNumber(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if (type(other) is CyclotomicNumber
+                      and other.field is self.field) else self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        da, db = self.den, o.den
+        if da == db:
+            return _normalised(self.field,
+                               [x - y for x, y in zip(self.num, o.num)], da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _normalised(self.field,
+                           [x * sa - y * sb for x, y in zip(self.num, o.num)],
+                           da * sa)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -252,29 +293,18 @@ class CyclotomicNumber:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if (type(other) is CyclotomicNumber
+                      and other.field is self.field) else self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        d = self.field.degree
-        conv = [_Q0] * (2 * d - 1)
-        for i, ai in enumerate(a):
+        fld = self.field
+        b = o.num
+        conv = [0] * (2 * fld.degree - 1)
+        for i, ai in enumerate(self.num):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        if d == 1:
-            return CyclotomicNumber(self.field, (conv[0],))
-        out = conv[:d]
-        red = self.field._red
-        for m in range(d, 2 * d - 1):
-            c = conv[m]
-            if c:
-                row = red[m - d]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CyclotomicNumber(self.field, tuple(out))
+                for j, bj in enumerate(b, i):
+                    conv[j] += ai * bj
+        return _normalised(fld, fld._reduce(conv), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -326,13 +356,17 @@ class CyclotomicNumber:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if (type(other) is CyclotomicNumber
+                      and other.field is self.field) else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        # a rational element equals its int or Fraction, so hashes like it
+        if any(self.num[1:]):
+            return hash((self.field.order, self.num, self.den))
+        return hash(Fraction(self.num[0], self.den))
 
     # -- canonical serialization --------------------------------------------
 

@@ -64,6 +64,12 @@ def test_minpoly_command(tmp_path):
     assert "minimal polynomial" in text
 
 
+def test_minpoly_accepts_negative_exponent(tmp_path):
+    code, text = run(tmp_path, "minpoly", "--N", "3", "--gamma", "q^-1")
+    assert code == 0
+    assert "minimal polynomial" in text
+
+
 def test_export_family_round_trip(tmp_path):
     code, text = run(tmp_path, "export", "--N", "3", "--what", "family",
                      "--family", "L1", "--r", "3", "--xi", "2",

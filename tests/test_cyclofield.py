@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,9 @@ def test_parse_and_str_round_trip_examples():
         v = f.parse(text)
         assert f.parse(str(v)) == v
     assert str(f.parse("q^7")) == str(f.q_power(2))
+    assert f.parse("q^-1") == f.q_power(-1)
+    assert f.parse("2*q^-1") == 2 * f.q_power(-1)
+    assert f.parse("1 - q^-2") == f.one - f.q_power(-2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,6 +121,15 @@ def test_str_parse_round_trip_property(coeffs):
 def test_q_power_law_property(a, b):
     f = field(7)
     assert f.q_power(a) * f.q_power(b) == f.q_power(a + b)
+
+
+def test_hash_agrees_with_equality():
+    assert {field(5).one: 1}.get(1) == 1
+    half = Fraction(1, 2)
+    assert hash(field(7).from_rational(half)) == hash(half)
+    assert {half: "h"}[field(7).from_rational(half)] == "h"
+    f = field(5)
+    assert hash(f.parse("1/2 + q")) == hash(f.q + half)
 
 
 def test_field_mismatch_is_rejected():
@@ -179,3 +192,95 @@ def test_gaussian_binomial_specialises_to_binomial():
     for m in range(7):
         for r in range(m + 1):
             assert q_binomial(m, r, one).as_rational() == comb(m, r)
+
+
+# -- reference arithmetic: integer polynomials modulo PHI_ORACLE ------------
+
+REF_ORDERS = (1, 2, 3, 4, 5, 6, 7, 9, 12)
+
+
+def ref_reduce(nums, phi):
+    """Remainder of an integer polynomial modulo the monic phi, padded to
+    deg(phi) coefficients."""
+    d = len(phi) - 1
+    out = list(nums) + [0] * max(d - len(nums), 0)
+    for m in range(len(out) - 1, d - 1, -1):
+        c = out[m]
+        if c:
+            for i, p in enumerate(phi):
+                out[m - d + i] -= c * p
+    return out[:d]
+
+
+def ref_mul(a, b):
+    (na, da), (nb, db) = a, b
+    out = [0] * max(len(na) + len(nb) - 1, 0)
+    for i, x in enumerate(na):
+        for j, y in enumerate(nb):
+            out[i + j] += x * y
+    return out, da * db
+
+
+def ref_add(a, b, sign=1):
+    (na, da), (nb, db) = a, b
+    n = max(len(na), len(nb))
+    na = list(na) + [0] * (n - len(na))
+    nb = list(nb) + [0] * (n - len(nb))
+    return [x * db + sign * y * da for x, y in zip(na, nb)], da * db
+
+
+def ref_coeffs(a, phi):
+    nums, den = a
+    return tuple(Fraction(c, den) for c in ref_reduce(nums, phi))
+
+
+@st.composite
+def operands(draw, fld):
+    """A field element built through the public constructors, paired with
+    (integer numerators, denominator) for the reference."""
+    kind = draw(st.sampled_from(("zero", "rational", "monomial", "dense")))
+    den = draw(st.integers(min_value=1, max_value=30))
+    small = st.integers(min_value=-99, max_value=99)
+    if kind == "zero":
+        return fld.zero, ([], 1)
+    if kind == "rational":
+        c = draw(small)
+        return fld.from_rational(Fraction(c, den)), ([c], den)
+    if kind == "monomial":
+        c = draw(small.filter(bool))
+        k = draw(st.integers(min_value=0, max_value=fld.order - 1))
+        return fld.q_power(k) * Fraction(c, den), ([0] * k + [c], den)
+    nums = draw(st.lists(small, min_size=fld.degree, max_size=fld.degree))
+    return fld.element([Fraction(c, den) for c in nums]), (nums, den)
+
+
+def assert_normal_form(v, fld):
+    assert len(v.num) == fld.degree
+    assert all(type(c) is int for c in v.num) and type(v.den) is int
+    assert v.den > 0 and gcd(v.den, *v.num) == 1
+    assert fld.parse(str(v)) == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_integer_reference(data):
+    order = data.draw(st.sampled_from(REF_ORDERS))
+    fld, phi = field(order), PHI_ORACLE[order]
+    a, ra = data.draw(operands(fld))
+    b, rb = data.draw(operands(fld))
+    assert a.coeffs == ref_coeffs(ra, phi)
+    results = (
+        (a * b, ref_mul(ra, rb)),
+        (a + b, ref_add(ra, rb)),
+        (a - b, ref_add(ra, rb, -1)),
+        (-a, ([-c for c in ra[0]], ra[1])),
+    )
+    for got, want in results:
+        assert_normal_form(got, fld)
+        assert got.coeffs == ref_coeffs(want, phi)
+        assert got == fld.element(got.coeffs)
+    if not a.is_zero():
+        inv = a.inverse()
+        assert_normal_form(inv, fld)
+        one = (1,) + (0,) * (fld.degree - 1)
+        assert ref_coeffs(ref_mul(ra, (inv.num, inv.den)), phi) == one
