@@ -29,7 +29,7 @@ from .exactlinalg import (
     minimal_polynomial_of_element,
     squarefree_check,
 )
-from .reporting import Check, VerificationError, VerificationReport
+from .reporting import Check, VerificationReport
 from .hopfcore import (
     ComoduleAlgebra,
     ConvForm,

@@ -25,8 +25,6 @@ from .hopfcore import (
     dumps_sorted,
     form_to_json,
     hopf_to_json,
-    vec_add_into,
-    vec_scale,
     verify_comodule_algebra,
     verify_hopf,
     verify_hopf_2cocycle,
@@ -36,10 +34,6 @@ from . import comodzoo, polyid, uqsl2
 
 SUITES = ("hopf-axioms", "cocycle", "deformation", "families", "minpoly",
           "chebyshev", "morita", "filtration")
-
-
-def _parse_coeff(fld, text):
-    return fld.parse(text)
 
 
 def _zoo_tuples(N, small):
@@ -344,16 +338,12 @@ def cmd_minpoly(args) -> int:
     N = args.N
     uqsl2.check_order(N)
     fld = field(N)
-    alpha = _parse_coeff(fld, args.alpha)
-    beta = _parse_coeff(fld, args.beta)
-    gamma = _parse_coeff(fld, args.gamma)
+    alpha = fld.parse(args.alpha)
+    beta = fld.parse(args.beta)
+    gamma = fld.parse(args.gamma)
     rep = comodzoo.verify_min_pol_lemma(N, alpha, beta, gamma)
     uq = uqsl2.build_uq(N)
-    gen = uqsl2.uq_generators(N)
-    Z = {}
-    for name, coef in (("Et", alpha), ("F", beta), ("Kinv", gamma)):
-        for k, c in vec_scale(gen[name], coef).items():
-            vec_add_into(Z, k, c)
+    Z = uqsl2.uq_z_element(N, alpha, beta, gamma)
     minp = minimal_polynomial_of_element(uq.algebra, Z)
     payload = {
         "N": N,
@@ -391,7 +381,7 @@ def cmd_export(args) -> int:
         for name in ("xi", "zeta", "eta", "alpha", "beta"):
             raw = getattr(args, name)
             if raw is not None:
-                kw[name] = _parse_coeff(fld, raw)
+                kw[name] = fld.parse(raw)
         p = comodzoo.zoo_params(args.family, N, r=args.r, **kw)
         A = comodzoo.deform_family(p) if args.deformed \
             else comodzoo.build_family(p)

@@ -14,7 +14,8 @@ delta(Y) = y (x) 1 + g^{-1} (x) Y, delta(W) = (alpha x + beta y) (x) 1
 + g^{-1} (x) W.  Deforming by the cocycle sigma gives the A-versions over
 u_q; the same coaction tables serve both sides.
 
-Builders are cached per parameter tuple; treat results as immutable.
+Builders are cached per parameter tuple and their results are read-only:
+the tables and the coaction are held as mapping proxies.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclofield import CyclotomicNumber, field, q_int
+from .cyclofield import CyclotomicNumber, field
 from .exactlinalg import (
     Matrix,
     Poly,
@@ -36,7 +37,6 @@ from .exactlinalg import (
 )
 from .hopfcore import (
     ComoduleAlgebra,
-    FiniteAlgebra,
     check_comodule_algebra_morphism,
     conjugate_comodule_algebra,
     costable_closure,
@@ -57,7 +57,8 @@ from .uqsl2 import (
     build_uq,
     check_order,
     monomial_index,
-    uq_generators,
+    skew_pbw_algebra,
+    uq_z_element,
 )
 
 _FAMILIES = ("L0", "L1", "L2", "L3", "L3N", "L4")
@@ -174,15 +175,21 @@ def zoo_params(family: str, N: int, r: int = None, xi=None, zeta=None,
     return FamilyParams(family=family, N=N, r=r, **kwargs)
 
 
+def _pbw_shape(params: FamilyParams) -> tuple:
+    """(nx, ny, r) of the member's skew-PBW basis X^a Y^b G^c; L4 is the
+    X-only shape (N, 1, 1) with W in place of X."""
+    N, f = params.N, params.family
+    nx = N if f in ("L1", "L3", "L3N", "L4") else 1
+    ny = N if f in ("L2", "L3", "L3N") else 1
+    return nx, ny, params.r
+
+
 def family_basis_exponents(params: FamilyParams):
     """Exponent tuples of the monomial basis, in index order."""
-    N, r, f = params.N, params.r, params.family
-    if f == "L4":
-        return [(a,) for a in range(N)]
-    x_max = N if f in ("L1", "L3", "L3N") else 1
-    y_max = N if f in ("L2", "L3", "L3N") else 1
-    return [(a, b, c)
-            for a in range(x_max) for b in range(y_max) for c in range(r)]
+    nx, ny, r = _pbw_shape(params)
+    if params.family == "L4":
+        return [(a,) for a in range(nx)]
+    return [(a, b, c) for a in range(nx) for b in range(ny) for c in range(r)]
 
 
 def _family_label(f, exp):
@@ -200,90 +207,39 @@ def _family_label(f, exp):
 @lru_cache(maxsize=None)
 def build_family(params: FamilyParams) -> ComoduleAlgebra:
     """The undeformed family member as a comodule algebra over gr(u_q)."""
-    N, r, f = params.N, params.r, params.family
+    N, f = params.N, params.family
     fld = field(N)
+    zero, one = fld.zero, fld.one
     H = build_gr_uq(N)
-    exps = family_basis_exponents(params)
-    labels = [_family_label(f, e) for e in exps]
+    nx, ny, r = _pbw_shape(params)
+    labels = [_family_label(f, e) for e in family_basis_exponents(params)]
+    alg, steps = skew_pbw_algebra(N, nx, ny, r, params.xi or zero,
+                                  params.zeta or zero, params.eta or zero,
+                                  labels)
 
-    if f == "L4":
-        alg = _build_l4_algebra(params, fld, labels)
-        coaction = _extend_coaction(H, alg, _l4_generator_coactions(params, H, alg))
-        return ComoduleAlgebra(alg, H, coaction, _params_dict(params))
-
-    x_max = N if f in ("L1", "L3", "L3N") else 1
-    y_max = N if f in ("L2", "L3", "L3N") else 1
-    index = {e: i for i, e in enumerate(exps)}
-    lam_x_exp = 2 * N // r
-    xi = params.xi or fld.zero
-    zeta = params.zeta or fld.zero
-    eta = params.eta
-    q2 = fld.q_power(2)
-
-    def mul_by_g(v):
-        return {index[(a, b, (c + 1) % r)]: coef
-                for (a, b, c), coef in _as_exps(v, exps)}
-
-    def mul_by_y(v):
-        out: dict = {}
-        for (a, b, c), coef in _as_exps(v, exps):
-            coef = coef * fld.q_power(-lam_x_exp * c)
-            if b + 1 < N:
-                vec_add_into(out, index[(a, b + 1, c)], coef)
-            else:
-                vec_add_into(out, index[(a, 0, c)], coef * zeta)
-        return out
-
-    def mul_by_x(v):
-        out: dict = {}
-        for (a, b, c), coef in _as_exps(v, exps):
-            base = coef * fld.q_power(lam_x_exp * c)
-            main = base * fld.q_power(-2 * b)
-            if a + 1 < N:
-                vec_add_into(out, index[(a + 1, b, c)], main)
-            else:
-                vec_add_into(out, index[(0, b, c)], main * xi)
-            if eta is not None and not eta.is_zero() and b >= 1:
-                extra = base * eta * fld.q_power(-2) * q_int(b, q2)
-                vec_add_into(out, index[(a, b - 1, (c - 2) % r)], extra)
-        return out
-
-    table: dict = {}
-    for i, (a1, b1, c1) in enumerate(exps):
-        for j, (a2, b2, c2) in enumerate(exps):
-            v = {i: fld.one}
-            for _ in range(a2):
-                v = mul_by_x(v)
-            for _ in range(b2):
-                v = mul_by_y(v)
-            for _ in range(c2):
-                v = mul_by_g(v)
-            if v:
-                table[(i, j)] = tuple(sorted(v.items()))
-    alg = FiniteAlgebra(fld, labels, table, {index[exps[0]]: fld.one})
-    assert exps[0] == (0, 0, 0)
-
+    # coactions of the generators X (or W), Y and G, by basis index
+    ginv = monomial_index(N, 0, 0, N - 1)
     gens = {}
-    if x_max > 1:
-        gens[index[(1, 0, 0)]] = {
-            (monomial_index(N, 1, 0, 0), index[(0, 0, 0)]): fld.one,
-            (monomial_index(N, 0, 0, N - 1), index[(1, 0, 0)]): fld.one,
-        }
-    if y_max > 1:
-        gens[index[(0, 1, 0)]] = {
-            (monomial_index(N, 0, 1, 0), index[(0, 0, 0)]): fld.one,
-            (monomial_index(N, 0, 0, N - 1), index[(0, 1, 0)]): fld.one,
-        }
-    if r > 1:
-        gens[index[(0, 0, 1)]] = {
-            (monomial_index(N, 0, 0, N // r), index[(0, 0, 1)]): fld.one,
-        }
-    coaction = _extend_coaction(H, alg, gens, exps=exps)
+    if f == "L4":
+        gens[1] = {(h, 0): c for h, c in
+                   ((monomial_index(N, 1, 0, 0), params.alpha),
+                    (monomial_index(N, 0, 1, 0), params.beta))
+                   if not c.is_zero()}
+        gens[1][(ginv, 1)] = one
+    else:
+        if nx > 1:
+            gens[ny * r] = {(monomial_index(N, 1, 0, 0), 0): one,
+                            (ginv, ny * r): one}
+        if ny > 1:
+            gens[r] = {(monomial_index(N, 0, 1, 0), 0): one, (ginv, r): one}
+        if r > 1:
+            gens[1] = {(monomial_index(N, 0, 0, N // r), 1): one}
+    # delta(e_m) = delta(e_p) delta(e_s) along the builder's steps
+    deltas = [{(monomial_index(N, 0, 0, 0), 0): one}]
+    for m, p, s in steps:
+        deltas.append(t2_mul(H.algebra, alg, deltas[p], gens[s]))
+    coaction = {m: tuple(sorted(d.items())) for m, d in enumerate(deltas)}
     return ComoduleAlgebra(alg, H, coaction, _params_dict(params))
-
-
-def _as_exps(v: dict, exps):
-    return [(exps[i], c) for i, c in v.items()]
 
 
 def _params_dict(params: FamilyParams) -> dict:
@@ -293,77 +249,6 @@ def _params_dict(params: FamilyParams) -> dict:
         if val is not None:
             out[name] = val
     return out
-
-
-def _build_l4_algebra(params, fld, labels) -> FiniteAlgebra:
-    N = params.N
-    xi = params.xi
-    table: dict = {}
-    for a in range(N):
-        for b in range(N):
-            if a + b < N:
-                table[(a, b)] = ((a + b, fld.one),)
-            else:
-                ent = xi if not xi.is_zero() else None
-                if ent is not None:
-                    table[(a, b)] = ((a + b - N, xi),)
-    return FiniteAlgebra(fld, labels, table, {0: fld.one})
-
-
-def _l4_generator_coactions(params, H, alg) -> dict:
-    N = params.N
-    fld = alg.field
-    ten: dict = {}
-    if not params.alpha.is_zero():
-        ten[(monomial_index(N, 1, 0, 0), 0)] = params.alpha
-    if not params.beta.is_zero():
-        ten[(monomial_index(N, 0, 1, 0), 0)] = params.beta
-    ten[(monomial_index(N, 0, 0, N - 1), 1)] = fld.one
-    return {1: ten}
-
-
-def _extend_coaction(H, alg: FiniteAlgebra, generator_tensors: dict,
-                     exps=None) -> dict:
-    """Multiplicative extension of the coaction from generator values.
-
-    generator_tensors maps a generator's basis index to its coaction tensor;
-    each basis monomial is the ordered product of generators given by its
-    exponent tuple (or its W-power for the one-generator family)."""
-    fld = alg.field
-    unit_t = {}
-    for h, c in H.algebra.unit_vec().items():
-        for a, d in alg.unit_vec().items():
-            unit_t[(h, a)] = c * d
-    coaction: dict = {}
-    if exps is None:
-        # one generator, basis index a = exponent of W
-        gen = generator_tensors[1]
-        cur = dict(unit_t)
-        for a in range(alg.dim):
-            coaction[a] = tuple(sorted(cur.items()))
-            cur = t2_mul(H.algebra, alg, cur, gen)
-        return coaction
-    for i, e in enumerate(exps):
-        cur = dict(unit_t)
-        reps = []
-        # exponent tuple is (x-power, y-power, g-power) in normal order
-        for gen_idx, count in zip(
-                (_exp_gen_index(exps, 0), _exp_gen_index(exps, 1),
-                 _exp_gen_index(exps, 2)), e):
-            if count and gen_idx is not None:
-                reps.extend([gen_idx] * count)
-        for gi in reps:
-            cur = t2_mul(H.algebra, alg, cur, generator_tensors[gi])
-        coaction[i] = tuple(sorted(cur.items()))
-    return coaction
-
-
-def _exp_gen_index(exps, slot):
-    target = tuple(1 if s == slot else 0 for s in range(3))
-    for i, e in enumerate(exps):
-        if e == target:
-            return i
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -676,12 +561,7 @@ def embed_A4_into_uq(N: int, u, v, alpha=1) -> VerificationReport:
     A = deform_family(params)
     uq = build_uq(N)
     R = regular_comodule_algebra(uq)
-    gen = uq_generators(N)
-    Z: dict = {}
-    for vecname, coef in (("Et", params.alpha), ("F", params.beta),
-                          ("Kinv", u + v)):
-        for k, c in vec_scale(gen[vecname], coef).items():
-            vec_add_into(Z, k, c)
+    Z = uq_z_element(N, params.alpha, params.beta, u + v)
 
     # powers of W in the deformed product, as combinations of the W^a basis
     W = {1: fld.one}
@@ -727,11 +607,7 @@ def verify_min_pol_lemma(N: int, alpha, beta, gamma) -> VerificationReport:
     beta = _coerce(fld, beta)
     gamma = _coerce(fld, gamma)
     uq = build_uq(N)
-    gen = uq_generators(N)
-    Z: dict = {}
-    for vecname, coef in (("Et", alpha), ("F", beta), ("Kinv", gamma)):
-        for k, c in vec_scale(gen[vecname], coef).items():
-            vec_add_into(Z, k, c)
+    Z = uq_z_element(N, alpha, beta, gamma)
     t_val = alpha * beta / (fld.one - fld.q_power(2))
     const = power_sum_P(N, fld).eval_scalars(gamma, t_val)
     formula = phi_polynomial(alpha, beta, const, N)

@@ -33,12 +33,6 @@ class Matrix:
             m.entries[i][i] = fld.one
         return m
 
-    def column(self, j):
-        return [r[j] for r in self.entries]
-
-    def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.cols)])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -159,12 +153,6 @@ class Subspace:
 
     def contains_subspace(self, other) -> bool:
         return all(self.contains(row) for row in other.basis)
-
-    def sum_with(self, other) -> "Subspace":
-        assert other.ambient_dim == self.ambient_dim
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim, list(self.basis) + list(other.basis)
-        )
 
     def __eq__(self, other):
         return (

@@ -6,15 +6,17 @@ Everything is held as sparse structure constants over a cyclotomic field:
 * tensors in H (x) H or H (x) A are dicts keyed by index pairs,
 * multilinear forms on H live in ConvForm and multiply by convolution.
 
-Structures are treated as immutable once built; verifiers never mutate
-their arguments and report failures with explicit witnesses instead of
-raising.
+Built structures are read-only: multiplication, comultiplication, counit,
+antipode, coaction and form tables are held as mapping proxies.  Verifiers
+never mutate their arguments and report failures with explicit witnesses
+instead of raising.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from types import MappingProxyType
 
 from .cyclofield import CyclotomicField, CyclotomicNumber
 from .exactlinalg import Matrix, Subspace, kernel_of_sparse_columns, rank
@@ -23,6 +25,14 @@ from .reporting import VerificationReport
 # ---------------------------------------------------------------------------
 # sparse vector helpers
 # ---------------------------------------------------------------------------
+
+
+def read_only(table):
+    """A read-only view of a dict, without a copy; a view is returned as
+    it is, so a table shared between structures is wrapped once."""
+    if isinstance(table, MappingProxyType):
+        return table
+    return MappingProxyType(table)
 
 
 def vec_add_into(acc: dict, key, c) -> None:
@@ -77,18 +87,15 @@ def vec_str(v: dict, labels=None) -> str:
 class FiniteAlgebra:
     """Associative unital algebra given by a sparse multiplication table."""
 
-    __slots__ = ("field", "dim", "labels", "mul", "unit", "_index")
+    __slots__ = ("field", "dim", "labels", "mul", "unit")
 
     def __init__(self, fld: CyclotomicField, labels, mul, unit):
         self.field = fld
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.mul = mul  # dict (i, j) -> tuple of (k, coeff); missing = 0
+        # (i, j) -> tuple of (k, coeff); missing = 0
+        self.mul = read_only(mul)
         self.unit = {k: c for k, c in unit.items() if not c.is_zero()}
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-
-    def index(self, label) -> int:
-        return self._index[label]
 
     def basis_vec(self, i) -> dict:
         return {i: self.field.one}
@@ -117,9 +124,6 @@ class FiniteAlgebra:
             out = self.mul_vec(out, a)
         return out
 
-    def describe(self, v: dict) -> str:
-        return vec_str(v, self.labels)
-
 
 class FiniteCoalgebra:
     """Coalgebra given by sparse comultiplication and counit tables."""
@@ -130,8 +134,9 @@ class FiniteCoalgebra:
         self.field = fld
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.comul = comul  # dict i -> tuple of (j, k, coeff)
-        self.counit = {k: c for k, c in counit.items() if not c.is_zero()}
+        self.comul = read_only(comul)  # i -> tuple of (j, k, coeff)
+        self.counit = read_only(
+            {k: c for k, c in counit.items() if not c.is_zero()})
 
     def comul_vec(self, v: dict) -> dict:
         out: dict = {}
@@ -161,7 +166,9 @@ class HopfAlgebraData:
         assert algebra.labels == coalgebra.labels
         self.algebra = algebra
         self.coalgebra = coalgebra
-        self.antipode = antipode  # dict i -> dict j -> coeff
+        # i -> (j -> coeff)
+        self.antipode = read_only({i: read_only(v)
+                                   for i, v in antipode.items()})
         self.degrees = tuple(degrees) if degrees is not None else None
         self.grouplikes = tuple(self._scan_grouplikes())
         self._comul_reverse = None
@@ -335,13 +342,12 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     # bialgebra: Delta and counit are algebra maps, Delta(1) = 1 x 1
     one = alg.unit_vec()
     d1 = co.comul_vec(one)
-    t_one = t2_mul(alg, alg, d1, d1)  # placeholder to keep shapes honest
     unit_tensor: dict = {}
     for i, c in one.items():
         for j, d in one.items():
             vec_add_into(unit_tensor, (i, j), c * d)
     rep.add("bialgebra-unit", "comultiplication-of-unit",
-            vec_eq(d1, unit_tensor) and vec_eq(t_one, unit_tensor),
+            vec_eq(d1, unit_tensor),
             None if vec_eq(d1, unit_tensor) else
             {"delta_1": vec_str(d1), "expected": vec_str(unit_tensor)})
     rep.add("bialgebra-counit-unit", "counit-of-unit",
@@ -420,7 +426,8 @@ class ConvForm:
     def __init__(self, hopf: HopfAlgebraData, arity: int, coords: dict):
         self.hopf = hopf
         self.arity = arity
-        self.coords = {k: c for k, c in coords.items() if not c.is_zero()}
+        self.coords = read_only(
+            {k: c for k, c in coords.items() if not c.is_zero()})
 
     @classmethod
     def unit(cls, hopf, arity):
@@ -739,8 +746,11 @@ class CocycleDeformedMultiplier:
                  sigma_inv: ConvForm):
         assert sigma.arity == 2 and sigma_inv.arity == 2
         self.H = H
-        self.sigma = sigma.coords
-        self.sigma_inv = sigma_inv.coords
+        # plain copies (N^3 entries for the cocycle of gr(u_q)): every
+        # basis product looks them up many times, and a lookup through the
+        # read-only proxy costs about 5% of build_uq(5)
+        self.sigma = dict(sigma.coords)
+        self.sigma_inv = dict(sigma_inv.coords)
         sigL = {a for a, b in self.sigma}
         sigR = {b for a, b in self.sigma}
         invL = {a for a, b in self.sigma_inv}
@@ -866,7 +876,7 @@ class ComoduleAlgebra:
                  coaction: dict, params=None):
         self.algebra = algebra
         self.over = over
-        self.coaction = coaction
+        self.coaction = read_only(coaction)
         self.params = dict(params or {})
 
     @property
@@ -1078,10 +1088,8 @@ def coinvariants(A: ComoduleAlgebra) -> Subspace:
     return kernel_of_sparse_columns(A.field, cols, A.dim)
 
 
-def costable_closure(V: Subspace, A: ComoduleAlgebra,
-                     kind="right-ideal") -> Subspace:
+def costable_closure(V: Subspace, A: ComoduleAlgebra) -> Subspace:
     """Smallest H-costable right ideal containing V (monotone, idempotent)."""
-    assert kind == "right-ideal"
     fld = A.field
     current = V
     while True:

@@ -118,9 +118,6 @@ class MultiPoly:
             other = self._coerce(other)
         return self.names == other.names and self.terms == other.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def compose(self, values) -> "MultiPoly":
         """Substitute a MultiPoly (or scalar) for every variable.
 

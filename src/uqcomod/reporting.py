@@ -68,19 +68,6 @@ class VerificationReport:
     def to_json(self, include_timings=False) -> str:
         return json.dumps(self.as_dict(include_timings), sort_keys=True, indent=2)
 
-    def raise_on_failure(self, context=""):
-        bad = self.failures()
-        if bad:
-            first = bad[0]
-            raise VerificationError(
-                f"{context or 'verification'} failed: {first.claim_id} "
-                f"witness={first.witness!r} ({len(bad)} failing checks)"
-            )
-
     def __repr__(self):
         s = self.summary()
         return f"<VerificationReport {s['passed']}/{s['total']} passed>"
-
-
-class VerificationError(RuntimeError):
-    pass

@@ -7,6 +7,10 @@ The graded algebra gr(u_q) has PBW basis x^i y^j g^k (0 <= i, j, k < N) with
     Delta(g) = g (x) g,  Delta(x) = x (x) 1 + g^-1 (x) x,
     Delta(y) = y (x) 1 + g^-1 (x) y.
 
+Its product is the one skew-PBW builder, skew_pbw_algebra, at
+xi = zeta = eta = 0 and r = N; the comodule-algebra families of comodzoo are
+the other instances of that builder.
+
 The deforming 2-cocycle is sigma = exp_{q^2}(xi1 (x) xi2) for the dual
 skew-primitive functionals xi1, xi2; deforming by it recovers u_q with
 Et = x, F = y, K = g (and E = (q - q^-1)^{-1} K Et in the usual generators).
@@ -16,8 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclofield import CyclotomicField, field, q_factorial, q_binomial
-from .exactlinalg import Matrix
+from .cyclofield import field, q_binomial, q_factorial, q_int
 from .hopfcore import (
     CocycleDeformedMultiplier,
     ConvForm,
@@ -27,7 +30,6 @@ from .hopfcore import (
     convolution,
     convolution_inverse,
     deform_hopf,
-    solve_antipode,
     t2_mul,
     vec_add_into,
     vec_eq,
@@ -56,11 +58,94 @@ def index_triple(N: int, idx: int) -> tuple:
     return i, j, k
 
 
+def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
+                     labels):
+    """The algebra on the basis X^a Y^b G^c (a < nx, b < ny, c < r) with
+
+        X^N = xi,  Y^N = zeta,  G^r = 1,  G X = q^{2N/r} X G,
+        G Y = q^{-2N/r} Y G,  X Y - q^2 Y X = -eta G^{-2},
+
+    where nx and ny are 1 (no such generator) or N, and r divides N.  The
+    basis index of X^a Y^b G^c is (a ny + b) r + c.
+
+    Returns (algebra, steps).  steps lists (m, p, s) for every basis index
+    m > 0 in increasing order, with e_m = e_p e_s and e_s one of the
+    generators X, Y, G; each row of the table is filled along these steps
+    by e_i e_m = (e_i e_p) e_s, from the products e_k e_s tabulated once.
+    """
+    fld = field(N)
+    one = fld.one
+    lam = 2 * N // r
+    dim = nx * ny * r
+
+    def index(a, b, c):
+        return (a * ny + b) * r + c
+
+    def times_x(a, b, c):
+        # Y^b X = q^{-2b} X Y^b + eta q^{-2} [b]_{q^2} Y^{b-1} G^{-2}
+        main = fld.q_power(lam * c - 2 * b)
+        terms = [(index(a + 1, b, c), main) if a + 1 < nx
+                 else (index(0, b, c), main * xi)]
+        if b:
+            terms.append((index(a, b - 1, (c - 2) % r),
+                          eta * fld.q_power(lam * c - 2)
+                          * q_int(b, fld.q_power(2))))
+        return terms
+
+    def times_y(a, b, c):
+        k = fld.q_power(-lam * c)
+        return [(index(a, b + 1, c), k) if b + 1 < ny
+                else (index(a, 0, c), k * zeta)]
+
+    def times_g(a, b, c):
+        return [(index(a, b, (c + 1) % r), one)]
+
+    exps = [(a, b, c) for a in range(nx) for b in range(ny) for c in range(r)]
+    gens = {}
+    if nx > 1:
+        gens[index(1, 0, 0)] = times_x
+    if ny > 1:
+        gens[index(0, 1, 0)] = times_y
+    if r > 1:
+        gens[index(0, 0, 1)] = times_g
+    # e_k e_s for every basis element and generator; unit factors are
+    # stored as `one` itself so that the fill loop can skip them
+    right = {s: [tuple((t, one if d == one else d) for t, d in times(*e)
+                       if not d.is_zero()) for e in exps]
+             for s, times in gens.items()}
+    steps = []
+    for m, (a, b, c) in enumerate(exps[1:], 1):
+        if c:
+            steps.append((m, m - 1, index(0, 0, 1)))
+        elif b:
+            steps.append((m, m - r, index(0, 1, 0)))
+        else:
+            steps.append((m, m - ny * r, index(1, 0, 0)))
+
+    mul: dict = {}
+    for i in range(dim):
+        row = [((i, one),)] + [()] * (dim - 1)
+        mul[(i, 0)] = row[0]
+        for m, p, s in steps:
+            prev = row[p]
+            if not prev:
+                continue
+            rs = right[s]
+            out: dict = {}
+            for k, c in prev:
+                for t, d in rs[k]:
+                    vec_add_into(out, t, c if d is one else c * d)
+            if out:
+                row[m] = mul[(i, m)] = tuple(sorted(out.items()))
+    return FiniteAlgebra(fld, labels, mul, {0: one}), tuple(steps)
+
+
 @lru_cache(maxsize=None)
 def build_gr_uq(N: int) -> HopfAlgebraData:
     """Associated graded Hopf algebra on the basis x^i y^j g^k.
 
-    Cached per N; treat the result as immutable.
+    The product is skew_pbw_algebra at xi = zeta = eta = 0 and r = N.
+    Cached per N; the result is read-only.
     """
     check_order(N)
     fld = field(N)
@@ -73,26 +158,8 @@ def build_gr_uq(N: int) -> HopfAlgebraData:
             for k in range(N):
                 labels.append(f"x{i}y{j}g{k}")
                 degrees.append(i + j)
-
-    mul: dict = {}
-    for i1 in range(N):
-        for j1 in range(N):
-            for k1 in range(N):
-                a = monomial_index(N, i1, j1, k1)
-                for i2 in range(N):
-                    if i1 + i2 >= N:
-                        continue
-                    for j2 in range(N):
-                        if j1 + j2 >= N:
-                            continue
-                        for k2 in range(N):
-                            b = monomial_index(N, i2, j2, k2)
-                            c = fld.q_power(2 * (k1 * i2 - k1 * j2 - j1 * i2))
-                            out = monomial_index(
-                                N, i1 + i2, j1 + j2, (k1 + k2) % N)
-                            mul[(a, b)] = ((out, c),)
-    unit = {monomial_index(N, 0, 0, 0): fld.one}
-    alg = FiniteAlgebra(fld, labels, mul, unit)
+    alg, _ = skew_pbw_algebra(N, N, N, N, fld.zero, fld.zero, fld.zero,
+                              labels)
 
     comul: dict = {}
     counit: dict = {}
@@ -282,14 +349,21 @@ def uq_generators(N: int) -> dict:
     }
 
 
+def uq_z_element(N: int, alpha, beta, gamma) -> dict:
+    """Z = alpha Et + beta F + gamma K^{-1} in u_q, for field elements
+    alpha, beta, gamma."""
+    gen = uq_generators(N)
+    Z: dict = {}
+    for name, coef in (("Et", alpha), ("F", beta), ("Kinv", gamma)):
+        for k, c in vec_scale(gen[name], coef).items():
+            vec_add_into(Z, k, c)
+    return Z
+
+
 def on_demand_uq_multiplier(N: int) -> CocycleDeformedMultiplier:
     """Deformed products without tabulating the whole algebra (for N = 7)."""
     return CocycleDeformedMultiplier(build_gr_uq(N), build_sigma(N),
                                      build_sigma_inverse(N))
-
-
-def _comul_of_vec(H: HopfAlgebraData, v: dict) -> dict:
-    return H.coalgebra.comul_vec(v)
 
 
 def _tensor_vec(a: dict, b: dict) -> dict:
@@ -321,12 +395,6 @@ def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
     def mulv(a, b):
         return mult.mul_vec(a, b)
 
-    def powv(a, n):
-        out = dict(one)
-        for _ in range(n):
-            out = mulv(out, a)
-        return out
-
     def check(claim, anchor, lhs, rhs):
         ok = vec_eq(lhs, rhs)
         rep.add(claim, anchor, ok,
@@ -334,9 +402,9 @@ def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
                                  "rhs": vec_str(rhs, H.labels)})
 
     zero: dict = {}
-    check("uq-Et-nilpotent", "relation-Et^N", powv(Et, N), zero)
-    check("uq-F-nilpotent", "relation-F^N", powv(F, N), zero)
-    check("uq-K-order", "relation-K^N", powv(K, N), one)
+    check("uq-Et-nilpotent", "relation-Et^N", mult.pow_vec(Et, N), zero)
+    check("uq-F-nilpotent", "relation-F^N", mult.pow_vec(F, N), zero)
+    check("uq-K-order", "relation-K^N", mult.pow_vec(K, N), one)
     check("uq-K-Et", "relation-KEt", mulv(K, Et), vec_scale(mulv(Et, K), q2))
     check("uq-K-F", "relation-KF", mulv(K, F),
           vec_scale(mulv(F, K), fld.q_power(-2)))
@@ -346,19 +414,20 @@ def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
           vec_sub(one, kinv2))
 
     check("uq-K-E", "relation-KE", mulv(K, E), vec_scale(mulv(E, K), q2))
-    check("uq-E-nilpotent", "relation-E^N", powv(E, N), zero)
+    check("uq-E-nilpotent", "relation-E^N", mult.pow_vec(E, N), zero)
     coef = (qs - qs.inverse()).inverse()
     check("uq-E-F", "relation-EF",
           vec_sub(mulv(E, F), mulv(F, E)),
           vec_scale(vec_sub(K, Kinv), coef))
 
     # comultiplication on generators (the coalgebra is undeformed)
-    check("uq-comul-K", "coproduct-K", _comul_of_vec(H, K), _tensor_vec(K, K))
-    check("uq-comul-Et", "coproduct-Et", _comul_of_vec(H, Et),
+    check("uq-comul-K", "coproduct-K", H.coalgebra.comul_vec(K),
+          _tensor_vec(K, K))
+    check("uq-comul-Et", "coproduct-Et", H.coalgebra.comul_vec(Et),
           _tensor_sum(_tensor_vec(Et, one), _tensor_vec(Kinv, Et)))
-    check("uq-comul-F", "coproduct-F", _comul_of_vec(H, F),
+    check("uq-comul-F", "coproduct-F", H.coalgebra.comul_vec(F),
           _tensor_sum(_tensor_vec(F, one), _tensor_vec(Kinv, F)))
-    check("uq-comul-E", "coproduct-E", _comul_of_vec(H, E),
+    check("uq-comul-E", "coproduct-E", H.coalgebra.comul_vec(E),
           _tensor_sum(_tensor_vec(E, K), _tensor_vec(one, E)))
 
     # antipode on generators, forced by the axiom, then the closed forms
@@ -370,7 +439,7 @@ def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
         eps = H.coalgebra.counit_vec(v)
         left: dict = {}
         right: dict = {}
-        for (i, j), c in _comul_of_vec(H, v).items():
+        for (i, j), c in H.coalgebra.comul_vec(v).items():
             t = mulv(vec_scale(s_of_leg(i), c), {j: fld.one})
             for m, d in t.items():
                 vec_add_into(left, m, d)
@@ -511,9 +580,9 @@ def closed_comultiplication_report(N: int) -> VerificationReport:
     alg = H.algebra
     rep = VerificationReport({"N": N})
     gen = gr_generators(N)
-    dx = _comul_of_vec(H, gen["x"])
-    dy = _comul_of_vec(H, gen["y"])
-    dg = _comul_of_vec(H, gen["g"])
+    dx = H.coalgebra.comul_vec(gen["x"])
+    dy = H.coalgebra.comul_vec(gen["y"])
+    dg = H.coalgebra.comul_vec(gen["g"])
     unit_t = _tensor_vec(gen["one"], gen["one"])
 
     bad = []

@@ -1,15 +1,21 @@
-"""Byte-for-byte output of the default report and the zoo description.
+"""Byte-for-byte output of the default report, the zoo description and
+the exported structure constants.
 
 The files under tests/golden/ were written by
 
     uqcomod verify --N 3 --format json --output tests/golden/verify_n3.json
     uqcomod classify --output tests/golden/classify.txt
 
-with the Fraction-tuple field representation.  A change to the internals
-(field, linear algebra, builders) must reproduce them exactly; a change to
-a claim must regenerate them and say so.
+and the sha256 digests below are of the stdout of `uqcomod export ...
+--format json`, written before the three table builders were merged into
+one skew-PBW builder.  The verify report records only pass or fail, so the
+digests are what pins every structure constant and coaction coefficient.
+A change to the internals (field, linear algebra, builders) must reproduce
+all of them exactly; a change to a claim or a table must regenerate them
+and say so.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -27,3 +33,29 @@ def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name
     assert main(argv + ["--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+FAMILY = ["--what", "family", "--family"]
+L3N = FAMILY + ["L3N", "--xi", "1", "--zeta", "2", "--eta", "q"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--N", "3", "--what", "gr-uq"],
+     "0a411d5662b690d42c17d4ca569476741ebacff52701a164cc3ff844ab6329af"),
+    (["--N", "5", "--what", "gr-uq"],
+     "d67ecd217aaf98bf64fbcffb4fc2bd132643cbfbf2ccb1346a8312bdcb871216"),
+    (["--N", "3"] + FAMILY + ["L1", "--xi", "2"],
+     "83028adb38d465888353a41e7efeb018d759912f18347b906387223ef54bce4b"),
+    (["--N", "3"] + L3N,
+     "a5454ea2438bc88d14c73550c2b0929c671d2bd0923f67eac30bf0d2c2a7d398"),
+    (["--N", "3"] + L3N + ["--deformed"],
+     "ce031a6874dbe6250938596697e2f13834c1be2e1a76fd3c2404c99b32bc4db9"),
+    (["--N", "3"] + FAMILY + ["L4", "--alpha", "1", "--beta", "1", "--xi", "2"],
+     "84acecbb2e9f6c35303642fb978f1b599cd86e51912e23837844e08d74e1f2f6"),
+    (["--N", "5"] + L3N,
+     "45584f70933030b9b1d0a01636082c9965f8d1d7bd2382e8eec5d32b23c56b80"),
+])
+def test_export_matches_digest(capsys, argv, digest):
+    assert main(["export"] + argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,11 +2,13 @@
 
 import pytest
 
+from uqcomod.comodzoo import build_family, zoo_params
 from uqcomod.cyclofield import field, q_factorial
 from uqcomod.hopfcore import (
     ConvForm,
     convolution,
     convolution_inverse,
+    regular_comodule_algebra,
     solve_antipode,
     verify_hopf,
 )
@@ -202,3 +204,48 @@ def test_uq_comultiplication_is_undeformed(gr3, uq3):
 def test_uq_antipode_solves(uq3):
     S = solve_antipode(uq3.algebra, uq3.coalgebra)
     assert S == uq3.antipode
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_gr_table_matches_closed_form(N):
+    # (x^i1 y^j1 g^k1)(x^i2 y^j2 g^k2)
+    #   = q^{2(k1 i2 - k1 j2 - j1 i2)} x^{i1+i2} y^{j1+j2} g^{k1+k2},
+    # and 0 once i1 + i2 >= N or j1 + j2 >= N
+    fld = field(N)
+    want = {}
+    for a in range(N ** 3):
+        i1, j1, k1 = index_triple(N, a)
+        for b in range(N ** 3):
+            i2, j2, k2 = index_triple(N, b)
+            if i1 + i2 < N and j1 + j2 < N:
+                c = fld.q_power(2 * (k1 * i2 - k1 * j2 - j1 * i2))
+                out = monomial_index(N, i1 + i2, j1 + j2, (k1 + k2) % N)
+                want[(a, b)] = ((out, c),)
+    assert build_gr_uq(N).algebra.mul == want
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_gr_is_the_family_member_L3_at_r_N(N):
+    H = build_gr_uq(N)
+    L = build_family(zoo_params("L3", N, r=N, xi=0, zeta=0))
+    assert L.algebra.mul == H.algebra.mul
+    R = regular_comodule_algebra(H)
+    assert {i: dict(ent) for i, ent in L.coaction.items()} \
+        == {i: dict(ent) for i, ent in R.coaction.items()}
+
+
+def test_cached_builders_are_read_only():
+    gr = build_gr_uq(3)
+    x = monomial_index(3, 1, 0, 0)
+    A = build_family(zoo_params("L1", 3, r=3, xi=2))
+    with pytest.raises(TypeError):
+        gr.algebra.mul[(0, 0)] = ()
+    with pytest.raises(TypeError):
+        gr.antipode[x] = {}
+    with pytest.raises(TypeError):
+        gr.antipode[x][x] = gr.field.one
+    with pytest.raises(TypeError):
+        build_sigma(3).coords[(x, x)] = gr.field.one
+    with pytest.raises(TypeError):
+        A.coaction[0] = ()
+    assert verify_hopf(build_gr_uq(3)).ok
