@@ -29,6 +29,7 @@ from .cyclofield import CyclotomicNumber, field
 from .exactlinalg import (
     Matrix,
     Poly,
+    SparseEchelon,
     Subspace,
     minimal_polynomial_of_element,
     solve,
@@ -385,48 +386,50 @@ class LoewyFiltration:
         return self.spaces[-1].dim == self.comodule.dim
 
     def respects_products(self) -> bool:
-        """A_m A_n inside A_{m+n} (the filtered-algebra property)."""
+        """A_m A_n inside A_{m+n} (the filtered-algebra property).
+
+        Running the layers through one echelon gives a basis adapted to the
+        filtration, b of degree k when A_k is the first layer holding b; it
+        is enough that b_i b_j lies in A_{deg i + deg j} for every pair.
+        """
         A = self.comodule
-        top = len(self.spaces) - 1
-        for m, sm in enumerate(self.spaces):
-            for n, sn in enumerate(self.spaces):
-                target = self.spaces[min(m + n, top)]
-                for u in sm.basis:
-                    du = {i: c for i, c in enumerate(u) if not c.is_zero()}
-                    for w in sn.basis:
-                        dw = {i: c for i, c in enumerate(w)
-                              if not c.is_zero()}
-                        prod = A.algebra.mul_vec(du, dw)
-                        dense = [A.field.zero] * A.dim
-                        for k, c in prod.items():
-                            dense[k] = c
-                        if not target.contains(dense):
-                            return False
-        return True
+        ech = SparseEchelon(A.field)
+        basis, layers = [], []
+        for k, space in enumerate(self.spaces):
+            for row in space.basis:
+                b = ech.add(dict(enumerate(row)))
+                if b is not None:
+                    basis.append((k, b))
+            if ech.rank != space.dim:
+                raise ValueError("the layers of a filtration must be nested")
+            layers.append(SparseEchelon(A.field, ech.rows))
+        top = len(layers) - 1
+        mul = A.algebra.mul_vec
+        return not any(layers[min(m + n, top)].reduce(mul(u, w))
+                       for m, u in basis for n, w in basis)
 
 
 def loewy_filtration(A: ComoduleAlgebra) -> LoewyFiltration:
-    degs = A.over.degrees
-    assert degs is not None, "the Hopf algebra carries no degree data"
-    spaces = []
-    for n in range(max(degs) + 1):
-        cols = []
-        for i in range(A.dim):
-            cols.append({key: c for key, c in A.coaction.get(i, ())
-                         if degs[key[0]] > n})
-        spaces.append(kernel_of_sparse_columns(A.field, cols, A.dim))
+    spaces = [socle(A)]
+    for n in range(1, max(A.over.degrees) + 1):
         if spaces[-1].dim == A.dim:
             break
+        spaces.append(_loewy_layer(A, n))
     return LoewyFiltration(A, spaces)
 
 
 def socle(A: ComoduleAlgebra) -> Subspace:
     """delta^{-1}(H_0 (x) A), the bottom Loewy layer."""
+    return _loewy_layer(A, 0)
+
+
+def _loewy_layer(A: ComoduleAlgebra, n: int) -> Subspace:
+    """delta^{-1}(H_n (x) A)."""
     degs = A.over.degrees
-    cols = []
-    for i in range(A.dim):
-        cols.append({key: c for key, c in A.coaction.get(i, ())
-                     if degs[key[0]] > 0})
+    if degs is None:
+        raise ValueError("the Hopf algebra carries no degree data")
+    cols = [{key: c for key, c in A.coaction.get(i, ()) if degs[key[0]] > n}
+            for i in range(A.dim)]
     return kernel_of_sparse_columns(A.field, cols, A.dim)
 
 
@@ -439,19 +442,14 @@ def morita_invariant_d(A: ComoduleAlgebra) -> tuple:
 
 def coefficient_coalgebra(A: ComoduleAlgebra) -> Subspace:
     """Span in H of all H-legs of the coaction (the coefficient coalgebra)."""
-    H = A.over
-    fld = A.field
-    vectors = []
+    ech = SparseEchelon(A.field)
     for i in range(A.dim):
         per_a: dict = {}
         for (h, a), c in A.coaction.get(i, ()):
             per_a.setdefault(a, {})[h] = c
         for comp in per_a.values():
-            dense = [fld.zero] * H.dim
-            for h, c in comp.items():
-                dense[h] = c
-            vectors.append(dense)
-    return Subspace.from_vectors(fld, H.dim, vectors)
+            ech.add(comp)
+    return ech.subspace(A.over.dim)
 
 
 def _weight_spaces_of_socle(A: ComoduleAlgebra, soc: Subspace):
@@ -463,11 +461,8 @@ def _weight_spaces_of_socle(A: ComoduleAlgebra, soc: Subspace):
     for g0 in H.grouplikes:
         cols = []
         for row in soc.basis:
-            col: dict = {}
             v = {i: c for i, c in enumerate(row) if not c.is_zero()}
-            for i, c in v.items():
-                for (h, a), d in A.coaction.get(i, ()):
-                    vec_add_into(col, (h, a), c * d)
+            col = A.coact_vec(v)
             for a, c in v.items():
                 vec_add_into(col, (g0, a), -c)
             cols.append(col)
@@ -512,8 +507,7 @@ def is_right_H_simple(A: ComoduleAlgebra, seed=0, probes=4) -> dict:
             for row in soc.basis:
                 c = fld.from_rational(rng.randrange(-3, 4))
                 combo = [x + c * y for x, y in zip(combo, row)]
-            if any(not e.is_zero() for e in combo):
-                candidates.append(combo)
+            candidates.append(combo)
 
     for v in candidates:
         if all(e.is_zero() for e in v):

@@ -22,7 +22,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 _Q0 = Fraction(0)
-_Q1 = Fraction(1)
 
 
 def _divisors(n: int) -> list[int]:
@@ -311,20 +310,34 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        # extended Euclid in Q[t] against the (irreducible) modulus
-        r0 = [Fraction(c) for c in self.field.modulus]
-        r1 = _poly_trim(list(self.coeffs))
-        s0 = [_Q0]
-        s1 = [_Q1]
-        while True:
-            assert r1, "modulus not coprime to element"
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return self.field.element([c * inv for c in s1])
-            q_, r_ = _poly_divmod(r0, r1)
-            s_ = _poly_sub(s0, _poly_mul_frac(q_, s1))
-            r0, r1 = r1, _poly_trim(r_)
-            s0, s1 = s1, s_
+        # extended Euclid in Z[t] against the monic modulus, keeping
+        # s * num = r (mod Phi_N) for both pairs; pseudo-division and
+        # content removal keep every coefficient an integer.  A rational
+        # element is already a constant r1 and skips the loop.
+        fld = self.field
+        r0, s0 = list(fld.modulus), []
+        r1, s1 = _poly_trim(list(self.num)), [1]
+        while len(r1) > 1:
+            lead = r1[-1]
+            while len(r0) >= len(r1):
+                g = gcd(lead, r0[-1])
+                a, b = lead // g, r0[-1] // g
+                shift = len(r0) - len(r1)
+                r0 = _poly_trim(_poly_axpy(a, r0, b, r1, shift))
+                s0 = _poly_axpy(a, s0, b, s1, shift)
+            if not r0:
+                raise ZeroDivisionError(
+                    f"{self} shares a factor with the modulus {fld.modulus}")
+            g = gcd(*r0, *s0)
+            r0, r1 = r1, [x // g for x in r0]
+            s0, s1 = s1, [x // g for x in s0]
+        # s1 * num = r1[0] (mod Phi_N), so 1/self = den * s1 / r1[0]; the
+        # cofactor s1 has degree below phi(N)
+        c = r1[0]
+        scale = self.den if c > 0 else -self.den
+        out = [scale * x for x in _poly_trim(s1)]
+        out.extend([0] * (fld.degree - len(out)))
+        return _normalised(fld, out, abs(c))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -391,42 +404,19 @@ class CyclotomicNumber:
         return f"<{self} in Q(q_{self.field.order})>"
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
+def _poly_trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [_Q0] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            f = c / lead
-            quot[i - dd] = f
-            for j in range(dd + 1):
-                num[i - dd + j] -= f * den[j]
-    return quot, num[:dd]
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_Q0] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
+def _poly_axpy(a: int, p: list[int], b: int, r: list[int], shift: int) -> list[int]:
+    """a * p - b * t^shift * r, on ascending integer coefficient lists."""
+    out = [a * x for x in p]
+    out.extend([0] * (len(r) + shift - len(out)))
+    for i, x in enumerate(r, shift):
+        out[i] -= b * x
     return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_Q0] * (n - len(a))
-    b = b + [_Q0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact linear algebra over a cyclotomic field.
 
-Dense matrices with CyclotomicNumber entries, reduced row echelon form,
-kernels, canonical subspaces, univariate polynomials (for minimal-polynomial
-and squarefree work).  Everything is exact; no pivot thresholds.
+Dense matrices, one incremental sparse echelon behind RREF, rank, solve,
+kernels, canonical subspaces and minimal polynomials, and univariate
+polynomials for squarefree work.  Everything is exact; no pivot thresholds.
 """
 
 from __future__ import annotations
@@ -44,77 +44,146 @@ class Matrix:
         return f"<Matrix {self.rows}x{self.cols} over Q(q_{self.field.order})>"
 
 
-def _rref_rows(fld, rows):
-    """In-place RREF on a list of row lists; returns pivot column tuple."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if not f.is_zero():
-                    ri, rr = rows[i], rows[r]
-                    rows[i] = [a - f * b for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(pivots)
+class SparseEchelon:
+    """An incremental reduced echelon basis on sparse vectors {key: coeff}.
+
+    Each row is keyed by its pivot, the smallest key it holds; it has 1
+    there and 0 at every other pivot, so the rows in pivot order are the
+    canonical RREF basis.  Rows are replaced, never changed in place, so
+    an echelon made from another's ``rows`` is a snapshot of its span.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, fld, rows=None):
+        self.field = fld
+        self.rows = dict(rows or {})  # pivot -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: dict) -> dict:
+        """v less its part along the rows: empty exactly when v is in the
+        span.  Zero coefficients in v are dropped."""
+        out = {k: c for k, c in v.items() if not c.is_zero()}
+        rows = self.rows
+        for p, f in list(out.items()):
+            row = rows.get(p)
+            if row is not None:
+                _sub_row(out, f, row, p)
+        return out
+
+    def add(self, v: dict):
+        """Add v to the span; the new row, or None when v was in the span."""
+        r = self.reduce(v)
+        if not r:
+            return None
+        p = min(r)
+        inv = r.pop(p).inverse()
+        row = {k: c * inv for k, c in r.items()}
+        row[p] = self.field.one
+        rows = self.rows
+        for q, old in rows.items():
+            f = old.get(p)
+            if f is not None:
+                old = dict(old)
+                _sub_row(old, f, row, p)
+                rows[q] = old
+        rows[p] = row
+        return row
+
+    def subspace(self, ambient_dim: int) -> "Subspace":
+        """The span, on keys 0 .. ambient_dim - 1, as a canonical Subspace."""
+        z = self.field.zero
+        basis = []
+        for p in sorted(self.rows):
+            dense = [z] * ambient_dim
+            for k, c in self.rows[p].items():
+                dense[k] = c
+            basis.append(tuple(dense))
+        return Subspace(self.field, ambient_dim, tuple(basis))
+
+
+def vec_add_into(acc: dict, key, c) -> None:
+    got = acc.get(key)
+    if got is None:
+        if not c.is_zero():
+            acc[key] = c
+    else:
+        s = got + c
+        if s.is_zero():
+            del acc[key]
+        else:
+            acc[key] = s
+
+
+def _sub_row(out: dict, f, row: dict, pivot) -> None:
+    # out -= f * row in place, where out[pivot] == f and row[pivot] == 1
+    del out[pivot]
+    nf = -f
+    for k, c in row.items():
+        if k != pivot:
+            vec_add_into(out, k, nf * c)
+
+
+def _row_echelon(fld, ncols, rows) -> SparseEchelon:
+    ech = SparseEchelon(fld)
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"vector of length {len(row)} in F^{ncols}")
+        ech.add(dict(enumerate(row)))
+    return ech
 
 
 def rref(m: Matrix):
-    rows = [list(r) for r in m.entries]
-    pivots = _rref_rows(m.field, rows)
-    return Matrix(m.field, rows), pivots
+    """The reduced row echelon form of m, zero rows last, and its pivots."""
+    ech = _row_echelon(m.field, m.cols, m.entries)
+    basis = list(ech.subspace(m.cols).basis)
+    basis += [[m.field.zero] * m.cols] * (m.rows - len(basis))
+    return Matrix(m.field, basis), tuple(sorted(ech.rows))
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = rref(m)
-    return len(pivots)
+    return _row_echelon(m.field, m.cols, m.entries).rank
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Right kernel {x : m x = 0} as a canonical subspace of F^cols."""
-    red, pivots = rref(m)
-    fld = m.field
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [fld.zero] * m.cols
-        v[fc] = fld.one
-        for r, pc in enumerate(pivots):
-            e = red.entries[r][fc]
-            if not e.is_zero():
-                v[pc] = -e
-        basis.append(v)
-    return Subspace.from_vectors(fld, m.cols, basis)
+    return kernel_of_sparse_columns(
+        m.field, [dict(enumerate(col)) for col in zip(*m.entries)], m.cols)
 
 
 def solve(m: Matrix, b) -> list | None:
     """One solution of m x = b (free variables set to 0), or None."""
-    fld = m.field
-    rows = [list(r) + [bv] for r, bv in zip(m.entries, b)]
-    if not rows:
-        return []
-    pivots = _rref_rows(fld, rows)
-    if m.cols in pivots:
+    n = m.cols
+    rows = _row_echelon(m.field, n + 1,
+                        [list(r) + [bv] for r, bv in zip(m.entries, b)]).rows
+    if n in rows:
         return None
-    x = [fld.zero] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.cols]
+    x = [m.field.zero] * n
+    for p, row in rows.items():
+        x[p] = row.get(n, x[p])
     return x
+
+
+def kernel_of_sparse_columns(fld, columns, ncols) -> "Subspace":
+    """Kernel of the map e_j -> columns[j], columns as dicts keyed by any
+    hashable row label.
+
+    Each column, keyed (0, label number), is tagged with (1, j): 1 and
+    added to one echelon.  A row whose pivot is a tag has no image part, so
+    it is a kernel vector, and those rows are the kernel's RREF basis.
+    """
+    labels: dict = {}
+    ech = SparseEchelon(fld)
+    for j, col in enumerate(columns):
+        v = {(0, labels.setdefault(k, len(labels))): c for k, c in col.items()}
+        v[(1, j)] = fld.one
+        ech.add(v)
+    rows = {p[1]: {j: c for (_, j), c in row.items()}
+            for p, row in ech.rows.items() if p[0] == 1}
+    return SparseEchelon(fld, rows).subspace(ncols)
 
 
 class Subspace:
@@ -129,27 +198,15 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, fld, ambient_dim, vectors):
-        rows = [list(v) for v in vectors]
-        for r in rows:
-            assert len(r) == ambient_dim
-        if rows:
-            _rref_rows(fld, rows)
-        rows = [tuple(r) for r in rows if any(not e.is_zero() for e in r)]
-        return cls(fld, ambient_dim, tuple(rows))
+        return _row_echelon(fld, ambient_dim, vectors).subspace(ambient_dim)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
-        v = list(vec)
-        assert len(v) == self.ambient_dim
-        for row in self.basis:
-            pc = next(i for i, e in enumerate(row) if not e.is_zero())
-            f = v[pc]
-            if not f.is_zero():
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(e.is_zero() for e in v)
+        return _row_echelon(self.field, self.ambient_dim,
+                            self.basis + (tuple(vec),)).rank == self.dim
 
     def contains_subspace(self, other) -> bool:
         return all(self.contains(row) for row in other.basis)
@@ -166,23 +223,6 @@ class Subspace:
 
     def __repr__(self):
         return f"<Subspace dim {self.dim} of F^{self.ambient_dim}>"
-
-
-def kernel_of_sparse_columns(fld, columns, ncols) -> Subspace:
-    """Kernel of the map e_j -> columns[j], columns as dicts keyed by any
-    hashable row label.  Only rows that actually occur are materialised."""
-    used = sorted({k for col in columns for k in col}, key=repr)
-    index = {k: i for i, k in enumerate(used)}
-    z = fld.zero
-    entries = [[z] * ncols for _ in used]
-    for j, col in enumerate(columns):
-        for k, c in col.items():
-            entries[index[k]][j] = c
-    if not used:
-        return Subspace.from_vectors(
-            fld, ncols, [[fld.one if i == j else z for i in range(ncols)] for j in range(ncols)]
-        )
-    return kernel(Matrix(fld, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -329,32 +369,19 @@ def minimal_polynomial_of_element(alg, w: dict) -> Poly:
     """Monic minimal polynomial of w in a finite-dimensional algebra.
 
     alg must expose field, dim, unit_vec() and mul_vec(a, b) on sparse dicts.
-    Found as the first linear dependence among 1, w, w^2, ...
+    Found as the first linear dependence among 1, w, w^2, ...: w^k, keyed
+    (0, i) and tagged with (1, k): 1, is reduced against the earlier powers,
+    and once only tags are left they are the coefficients, 1 at T^k.
     """
     fld = alg.field
-    dim = alg.dim
-    echelon = []  # (pivot index, dense row, combination)
+    ech = SparseEchelon(fld)
     p = alg.unit_vec()
-    for k in range(dim + 1):
-        v = [fld.zero] * dim
-        for i, c in p.items():
-            v[i] = c
-        combo = [fld.zero] * (k + 1)
-        combo[k] = fld.one
-        for pc, row, cb in echelon:
-            f = v[pc]
-            if not f.is_zero():
-                v = [a - f * b for a, b in zip(v, row)]
-                combo = [
-                    a - f * (cb[i] if i < len(cb) else fld.zero)
-                    for i, a in enumerate(combo)
-                ]
-        pivot = next((i for i, e in enumerate(v) if not e.is_zero()), None)
-        if pivot is None:
-            return Poly(fld, combo)  # monic: leading coefficient untouched
-        inv = v[pivot].inverse()
-        echelon.append(
-            (pivot, [e * inv for e in v], [c * inv for c in combo])
-        )
+    for k in range(alg.dim + 1):
+        v = {(0, i): c for i, c in p.items()}
+        v[(1, k)] = fld.one
+        r = ech.reduce(v)
+        if min(r)[0] == 1:
+            return Poly(fld, [r.get((1, j), fld.zero) for j in range(k + 1)])
+        ech.add(r)
         p = alg.mul_vec(p, w)
-    raise AssertionError("no dependence found below dim+1 powers")
+    raise ArithmeticError("no dependence found below dim+1 powers")

@@ -19,7 +19,8 @@ import random
 from types import MappingProxyType
 
 from .cyclofield import CyclotomicField, CyclotomicNumber
-from .exactlinalg import Matrix, Subspace, kernel_of_sparse_columns, rank
+from .exactlinalg import (Matrix, SparseEchelon, Subspace,
+                          kernel_of_sparse_columns, rank, vec_add_into)
 from .reporting import VerificationReport
 
 # ---------------------------------------------------------------------------
@@ -33,19 +34,6 @@ def read_only(table):
     if isinstance(table, MappingProxyType):
         return table
     return MappingProxyType(table)
-
-
-def vec_add_into(acc: dict, key, c) -> None:
-    got = acc.get(key)
-    if got is None:
-        if not c.is_zero():
-            acc[key] = c
-    else:
-        s = got + c
-        if s.is_zero():
-            del acc[key]
-        else:
-            acc[key] = s
 
 
 def vec_scale(v: dict, c) -> dict:
@@ -1079,9 +1067,7 @@ def coinvariants(A: ComoduleAlgebra) -> Subspace:
     unit_h = A.over.algebra.unit_vec()
     cols = []
     for i in range(A.dim):
-        col: dict = {}
-        for (h, a), c in A.coaction.get(i, ()):
-            vec_add_into(col, (h, a), c)
+        col = dict(A.coaction.get(i, ()))
         for h, c in unit_h.items():
             vec_add_into(col, (h, i), -c)
         cols.append(col)
@@ -1089,35 +1075,28 @@ def coinvariants(A: ComoduleAlgebra) -> Subspace:
 
 
 def costable_closure(V: Subspace, A: ComoduleAlgebra) -> Subspace:
-    """Smallest H-costable right ideal containing V (monotone, idempotent)."""
-    fld = A.field
-    current = V
-    while True:
-        new_vecs = [list(row) for row in current.basis]
-        for row in current.basis:
-            v = {i: c for i, c in enumerate(row) if not c.is_zero()}
-            # right multiplication by every basis element
-            for b in range(A.dim):
-                prod = A.algebra.mul_vec(v, A.algebra.basis_vec(b))
-                if prod:
-                    dense = [fld.zero] * A.dim
-                    for k, c in prod.items():
-                        dense[k] = c
-                    new_vecs.append(dense)
-            # functional pieces of the coaction, one per H-leg
-            per_h: dict = {}
-            for i, c in v.items():
-                for (h, a), d in A.coaction.get(i, ()):
-                    vec_add_into(per_h.setdefault(h, {}), a, c * d)
-            for w in per_h.values():
-                dense = [fld.zero] * A.dim
-                for k, c in w.items():
-                    dense[k] = c
-                new_vecs.append(dense)
-        bigger = Subspace.from_vectors(fld, A.dim, new_vecs)
-        if bigger.dim == current.dim:
-            return bigger
-        current = bigger
+    """Smallest H-costable right ideal containing V (monotone, idempotent).
+
+    A worklist over one incremental echelon: each new basis row is expanded
+    once, by right multiplication with every basis element and by each H-leg
+    of its coaction, and each of those candidates is reduced once.
+    """
+    alg, dim = A.algebra, A.dim
+    ech = SparseEchelon(A.field)
+    todo = [ech.add(dict(enumerate(row))) for row in V.basis]
+    while todo and ech.rank < dim:
+        v = todo.pop()
+        per_h: dict = {}
+        for (h, a), c in A.coact_vec(v).items():
+            per_h.setdefault(h, {})[a] = c
+        candidates = [alg.mul_vec(v, alg.basis_vec(b)) for b in range(dim)]
+        for w in candidates + list(per_h.values()):
+            row = ech.add(w)
+            if row is not None:
+                todo.append(row)
+                if ech.rank == dim:
+                    break
+    return ech.subspace(dim)
 
 
 def regular_comodule_algebra(H: HopfAlgebraData) -> ComoduleAlgebra:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 
 class Check:
@@ -30,18 +31,27 @@ class Check:
 
 
 class VerificationReport:
-    """An ordered list of checks plus the configuration that produced them."""
+    """An ordered list of checks plus the configuration that produced them.
+
+    A check's elapsed_ms is the time since the report's previous check, or
+    since the report was made or last extended: the work that decided it.
+    """
 
     def __init__(self, config=None):
         self.config = dict(config or {})
         self.checks: list[Check] = []
+        self._since = time.perf_counter()
 
-    def add(self, claim_id, anchor, ok, witness=None, elapsed_ms=None):
-        self.checks.append(Check(claim_id, anchor, ok, witness, elapsed_ms))
+    def add(self, claim_id, anchor, ok, witness=None):
+        now = time.perf_counter()
+        self.checks.append(Check(claim_id, anchor, ok, witness,
+                                 round((now - self._since) * 1000, 3)))
+        self._since = now
         return ok
 
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)
+        self._since = time.perf_counter()
         return self
 
     @property

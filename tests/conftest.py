@@ -41,6 +41,27 @@ def random_scalar(fld, rng, span=3):
     return out
 
 
+def dense_rref(rows):
+    """Reference for the echelon: the nonzero rows of the reduced row
+    echelon form, as tuples, by dense Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows))
+                   if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and not f.is_zero():
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows[:r])
+
+
 @pytest.fixture()
 def rng():
     return random.Random(20260815)

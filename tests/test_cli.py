@@ -32,6 +32,16 @@ def test_bad_subcommand_exits_via_argparse():
         main(["frobnicate"])
 
 
+def test_timings_give_every_claim_a_number(tmp_path):
+    code, text = run(tmp_path, "verify", "--N", "3", "--suites", "chebyshev",
+                     "--format", "json", "--timings")
+    assert code == 0
+    claims = json.loads(text)["claims"]
+    assert len(claims) == 18
+    for c in claims:
+        assert isinstance(c["elapsed_ms"], float) and c["elapsed_ms"] >= 0
+
+
 def test_single_suite_passes(tmp_path):
     code, text = run(tmp_path, "verify", "--N", "3", "--suites", "cocycle")
     assert code == 0

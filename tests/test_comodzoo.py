@@ -1,11 +1,14 @@
 """The comodule-algebra zoo: presentations, invariants, equivalences."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from uqcomod.comodzoo import (
     FamilyParams,
+    LoewyFiltration,
+    _weight_spaces_of_socle,
     build_family,
     classify,
     coefficient_coalgebra,
@@ -28,13 +31,20 @@ from uqcomod.comodzoo import (
     zoo_params,
 )
 from uqcomod.cyclofield import field
+from uqcomod.exactlinalg import Subspace
 from uqcomod.hopfcore import (
+    ComoduleAlgebra,
+    HopfAlgebraData,
     check_comodule_algebra_morphism,
     coinvariants,
+    costable_closure,
     direct_sum_comodule_algebras,
+    vec_add_into,
     verify_comodule_algebra,
 )
 from uqcomod.uqsl2 import monomial_index
+
+from conftest import dense_rref, random_scalar
 
 
 def zoo_sample(N):
@@ -149,6 +159,37 @@ def test_loewy_filtration_small_members():
             assert F.respects_products()
 
 
+def test_products_check_rejects_a_shifted_filtration():
+    p = zoo_params("L3N", 3, xi=1, zeta=2, eta="q")
+    for build in (build_family, deform_family):
+        F = loewy_filtration(build(p))
+        # A_1 put at degree 0: A_1 A_1 is not inside A_1
+        shifted = LoewyFiltration(F.comodule, (F.spaces[1],) + F.spaces[1:])
+        assert not shifted.respects_products()
+        # A_2 put at degree 1: A_2 A_2 is inside A_4 but not inside A_3
+        dropped = LoewyFiltration(F.comodule, F.spaces[:1] + F.spaces[2:])
+        assert not dropped.respects_products()
+        swapped = LoewyFiltration(F.comodule, (F.spaces[1], F.spaces[0]))
+        with pytest.raises(ValueError):
+            swapped.respects_products()
+
+
+def test_loewy_filtration_needs_degree_data():
+    A = build_family(zoo_params("L1", 3, r=3, xi=2))
+    H = A.over
+    bare = HopfAlgebraData(H.algebra, H.coalgebra, H.antipode)
+    with pytest.raises(ValueError):
+        loewy_filtration(ComoduleAlgebra(A.algebra, bare, A.coaction))
+
+
+def test_filtration_and_simplicity_of_the_big_member_at_order_five():
+    A = build_family(zoo_params("L3N", 5, xi=1, zeta=2, eta="q"))
+    assert loewy_filtration(A).respects_products()
+    got = is_right_H_simple(A)
+    assert got["simple"], got
+    assert got["method"] == "socle-weights"
+
+
 def test_deformation_preserves_coaction_and_filtration():
     p = zoo_params("L3N", 3, xi=1, zeta=2, eta="q")
     A, D = build_family(p), deform_family(p)
@@ -201,6 +242,69 @@ def test_direct_sum_is_not_right_H_simple():
     got = is_right_H_simple(S)
     assert not got["simple"]
     assert got["witness"]["ideal_dim"] < S.dim
+
+
+def reference_costable_closure(V, A):
+    """Round-based closure: each round multiplies every basis row by every
+    basis element, takes every H-leg of its coaction and puts the whole
+    span into RREF again (dense), until the dimension stops growing."""
+    fld = A.field
+    current = V
+    while True:
+        new_vecs = [list(row) for row in current.basis]
+        for row in current.basis:
+            v = {i: c for i, c in enumerate(row) if not c.is_zero()}
+            for b in range(A.dim):
+                prod = A.algebra.mul_vec(v, A.algebra.basis_vec(b))
+                new_vecs.append([prod.get(k, fld.zero) for k in range(A.dim)])
+            per_h: dict = {}
+            for i, c in v.items():
+                for (h, a), d in A.coaction.get(i, ()):
+                    vec_add_into(per_h.setdefault(h, {}), a, c * d)
+            for w in per_h.values():
+                new_vecs.append([w.get(k, fld.zero) for k in range(A.dim)])
+        bigger = Subspace(fld, A.dim, dense_rref(new_vecs))
+        if bigger.dim == current.dim:
+            return bigger
+        current = bigger
+
+
+def test_costable_closure_matches_round_based_reference():
+    fld = field(3)
+    rng = random.Random(7)
+    members = [build(p)
+               for p in (zoo_params("L1", 3, r=3, xi=2),
+                         zoo_params("L1", 3, r=3, xi=0),
+                         zoo_params("L4", 3, alpha=1, beta=1, xi=2),
+                         zoo_params("L3N", 3, xi=1, zeta=2, eta="q"))
+               for build in (build_family, deform_family)]
+    L0 = build_family(zoo_params("L0", 3, r=3))
+    members.append(direct_sum_comodule_algebras(L0, L0))
+    for A in members:
+        seeds = [[v] for _, vs in _weight_spaces_of_socle(A, socle(A))
+                 for v in vs]
+        # the last basis vector (X^2 G^2 in L1 with X^3 = 0 takes two
+        # steps), a random vector, a random pair, a random vector on the
+        # first half of the basis (the left summand of the direct sum) and
+        # the sum of that half (there an idempotent, which needs the legs)
+        seeds.append([[fld.one if i == A.dim - 1 else fld.zero
+                       for i in range(A.dim)]])
+        seeds.append([[random_scalar(fld, rng) for _ in range(A.dim)]])
+        seeds.append([[random_scalar(fld, rng) if rng.random() < 0.2
+                       else fld.zero for _ in range(A.dim)]
+                      for _ in range(2)])
+        seeds.append([[random_scalar(fld, rng) if 2 * i < A.dim
+                       else fld.zero for i in range(A.dim)]])
+        seeds.append([[fld.one if 2 * i < A.dim else fld.zero
+                       for i in range(A.dim)]])
+        dims = set()
+        for vecs in seeds:
+            V = Subspace.from_vectors(fld, A.dim, vecs)
+            got = costable_closure(V, A)
+            assert got == reference_costable_closure(V, A), A.params
+            dims.add(got.dim)
+        if A.params["family"] == "direct-sum":
+            assert dims == {A.dim // 2, A.dim}
 
 
 def test_socle_of_group_member_is_everything():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqcomod.cyclofield import (
+    CyclotomicField,
     CyclotomicNumber,
     cyclotomic_polynomial,
     field,
@@ -82,6 +83,13 @@ def test_division_and_inverse():
         assert (a / a) == f.one
     with pytest.raises(ZeroDivisionError):
         f.zero.inverse()
+
+
+def test_inverse_rejects_a_factor_shared_with_the_modulus():
+    f = CyclotomicField(3)  # a private copy, not the cached field(3)
+    f.modulus = (-1, 0, 1)  # t^2 - 1 = (t - 1)(t + 1) is reducible
+    with pytest.raises(ZeroDivisionError):
+        (f.q - f.one).inverse()
 
 
 def test_q_power_normalisation():

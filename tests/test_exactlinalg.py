@@ -11,6 +11,7 @@ from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import (
     Matrix,
     Poly,
+    SparseEchelon,
     Subspace,
     kernel,
     kernel_of_sparse_columns,
@@ -22,7 +23,7 @@ from uqcomod.exactlinalg import (
     squarefree_check,
 )
 
-from conftest import random_scalar
+from conftest import dense_rref, random_scalar
 
 
 def mat(fld, rows):
@@ -82,6 +83,68 @@ def test_subspace_canonical_and_contains():
     assert s.contains([f.from_rational(c) for c in (1, 3, 4)])
     assert not s.contains([f.from_rational(c) for c in (0, 0, 1)])
     assert s.contains_subspace(s2)
+
+
+def test_subspace_rejects_vectors_of_the_wrong_length():
+    f = field(1)
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(f, 3, [[f.one, f.zero]])
+    s = Subspace.from_vectors(f, 2, [[f.one, f.zero]])
+    with pytest.raises(ValueError):
+        s.contains([f.one])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=6),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2 ** 30))
+def test_sparse_echelon_matches_dense_rref(nr, nc, seed):
+    f = field(3)
+    rng = random.Random(seed)
+    vecs = []
+    for _ in range(nr):
+        if vecs and rng.random() < 0.3:  # a combination of earlier rows
+            a, b = rng.choice(vecs), rng.choice(vecs)
+            c = random_scalar(f, rng, span=2)
+            vecs.append([x + c * y for x, y in zip(a, b)])
+        else:
+            vecs.append([random_scalar(f, rng, span=1)
+                         if rng.random() < 0.6 else f.zero
+                         for _ in range(nc)])
+    ech = SparseEchelon(f)
+    snapshots, added = [], 0
+    for i, v in enumerate(vecs):
+        snapshots.append((SparseEchelon(f, ech.rows), dense_rref(vecs[:i])))
+        row = ech.add(dict(enumerate(v)))
+        if row is not None:
+            added += 1
+            assert row[min(row)] == f.one
+    want = dense_rref(vecs)
+    assert ech.subspace(nc).basis == want
+    assert ech.rank == len(want) == added
+    for snap, span in snapshots:
+        assert snap.subspace(nc).basis == span
+    S = Subspace.from_vectors(f, nc, vecs)
+    assert S.basis == want
+    if vecs:
+        m = Matrix(f, vecs)
+        red, pivots = rref(m)
+        assert tuple(red.entries[:len(want)]) == tuple(map(list, want))
+        assert all(e.is_zero() for row in red.entries[len(want):]
+                   for e in row)
+        assert pivots == tuple(min(i for i, e in enumerate(row)
+                                   if not e.is_zero()) for row in want)
+        K = kernel(m)
+        assert K.dim + len(want) == nc
+        assert K.basis == dense_rref(K.basis)
+        for x in K.basis:
+            for row in vecs:
+                assert sum((a * b for a, b in zip(row, x)), f.zero).is_zero()
+    probe = [random_scalar(f, rng, span=1) for _ in range(nc)]
+    for v in vecs + [probe]:
+        in_span = len(dense_rref(vecs + [v])) == len(want)
+        assert (not ech.reduce(dict(enumerate(v)))) == in_span
+        assert S.contains(v) == in_span
 
 
 def test_kernel_of_sparse_columns_with_odd_labels():
