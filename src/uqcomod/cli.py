@@ -57,10 +57,15 @@ def _zoo_tuples(N, small):
     return tuples
 
 
-def suite_hopf_axioms(N, mode, sample_count, seed) -> VerificationReport:
-    gens = [uqsl2.monomial_index(N, 1, 0, 0),
+def _gr_generators(N):
+    """Basis indices of x, y and g, which every sampled plan checks first."""
+    return [uqsl2.monomial_index(N, 1, 0, 0),
             uqsl2.monomial_index(N, 0, 1, 0),
             uqsl2.monomial_index(N, 0, 0, 1)]
+
+
+def suite_hopf_axioms(N, mode, sample_count, seed) -> VerificationReport:
+    gens = _gr_generators(N)
     rep = verify_hopf(uqsl2.build_gr_uq(N), mode=mode,
                       sample_count=sample_count, seed=seed,
                       always_indices=gens)
@@ -77,7 +82,8 @@ def suite_hopf_axioms(N, mode, sample_count, seed) -> VerificationReport:
 def suite_cocycle(N, mode, sample_count, seed) -> VerificationReport:
     sigma = uqsl2.build_sigma(N)
     rep = verify_hopf_2cocycle(sigma, mode=mode,
-                               sample_count=sample_count, seed=seed)
+                               sample_count=sample_count, seed=seed,
+                               always_indices=_gr_generators(N))
     closed = uqsl2.sigma_closed_coords(N)
     rep.add("sigma-closed-coordinates", "cocycle-exponential-form",
             sigma.coords == closed, None)
@@ -392,6 +398,13 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="uqcomod",
@@ -414,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of: " + ",".join(SUITES))
     v.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
                    default="auto")
-    v.add_argument("--sample-count", type=int, default=10000)
+    v.add_argument("--sample-count", type=_positive_int, default=10000)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 

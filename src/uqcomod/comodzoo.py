@@ -675,9 +675,10 @@ def semisimplicity_A4(params: FamilyParams) -> dict:
     t_val = params.alpha * params.beta / (fld.one - fld.q_power(2))
     disc = params.xi ** 2 - fld.from_rational(4) * t_val ** N
     closed = not disc.is_zero()
-    assert sf == closed, (
-        "squarefree test and closed criterion disagree at "
-        + params.label())
+    if sf != closed:
+        raise ArithmeticError(
+            "squarefree test and closed criterion disagree at "
+            + params.label())
     return {"semisimple": sf, "squarefree": sf,
             "criterion_nonzero": closed, "params": params.label()}
 

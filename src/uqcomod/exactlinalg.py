@@ -18,8 +18,8 @@ class Matrix:
         self.entries = [list(r) for r in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
-        for r in self.entries:
-            assert len(r) == self.cols, "ragged matrix"
+        if any(len(r) != self.cols for r in self.entries):
+            raise ValueError("ragged matrix")
 
     @classmethod
     def zeros(cls, fld, rows, cols):
@@ -277,7 +277,8 @@ class Poly:
         return Poly(self.field, out)
 
     def divmod(self, other):
-        assert not other.is_zero(), "division by zero polynomial"
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
         dd = other.degree
         lead = other.coeffs[-1]

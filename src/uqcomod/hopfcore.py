@@ -14,6 +14,7 @@ instead of raising.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from types import MappingProxyType
@@ -226,8 +227,55 @@ def t2_mul(alg1: FiniteAlgebra, alg2: FiniteAlgebra, A: dict, B: dict) -> dict:
     return out
 
 
-def _sample_tuples(rng, dim, arity, count):
-    return [tuple(rng.randrange(dim) for _ in range(arity)) for _ in range(count)]
+def tensor_vec(a: dict, b: dict) -> dict:
+    """a (x) b, keys are (i, j) pairs."""
+    out: dict = {}
+    for i, c in a.items():
+        for j, d in b.items():
+            vec_add_into(out, (i, j), c * d)
+    return out
+
+
+def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
+    """The index tuples a verifier checks, as a list.
+
+    "exhaustive" gives every tuple over range(dim) in lexicographic order;
+    "sampled" gives every tuple over `always` first, then `sample_count`
+    tuples drawn from random.Random(seed).  An unknown mode, or a sampled
+    plan with no tuples (which would pass vacuously), raises ValueError.
+    """
+    if mode == "exhaustive":
+        return list(itertools.product(range(dim), repeat=arity))
+    if mode != "sampled":
+        raise ValueError(
+            f"unknown check mode {mode!r}; use 'exhaustive' or 'sampled'")
+    rng = random.Random(seed)
+    plan = list(itertools.product(always, repeat=arity))
+    plan += [tuple(rng.randrange(dim) for _ in range(arity))
+             for _ in range(sample_count)]
+    if not plan:
+        raise ValueError("a sampled check needs at least one tuple")
+    return plan
+
+
+def _apply(images, terms) -> dict:
+    """f(sum c e_m) over (m, c) terms, for the linear map f(e_m) = images[m]."""
+    out: dict = {}
+    for m, c in terms:
+        for k, d in images[m].items():
+            vec_add_into(out, k, c * d)
+    return out
+
+
+def _product_failures(alg: FiniteAlgebra, pairs, images, mul):
+    """[label_i, label_j] for each planned pair (i, j) where the linear map
+    f(e_m) = images[m] has f(e_i e_j) != mul(f(e_i), f(e_j))."""
+    bad = []
+    for i, j in pairs:
+        if not vec_eq(_apply(images, alg.mul_basis(i, j)),
+                      mul(images[i], images[j])):
+            bad.append([alg.labels[i], alg.labels[j]])
+    return bad
 
 
 def _witness(labels, tup, lhs, rhs):
@@ -257,14 +305,7 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
     rep.add("algebra-unit", "unital-multiplication", not bad,
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
-    if mode == "exhaustive":
-        triples = [(i, j, k) for i in range(alg.dim)
-                   for j in range(alg.dim) for k in range(alg.dim)]
-    else:
-        rng = random.Random(seed)
-        triples = [(i, j, k) for i in always_indices
-                   for j in always_indices for k in always_indices]
-        triples += _sample_tuples(rng, alg.dim, 3, sample_count)
+    triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
     bad = []
     for (i, j, k) in triples:
         ij = {m: c for m, c in alg.mul_basis(i, j)}
@@ -330,10 +371,7 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     # bialgebra: Delta and counit are algebra maps, Delta(1) = 1 x 1
     one = alg.unit_vec()
     d1 = co.comul_vec(one)
-    unit_tensor: dict = {}
-    for i, c in one.items():
-        for j, d in one.items():
-            vec_add_into(unit_tensor, (i, j), c * d)
+    unit_tensor = tensor_vec(one, one)
     rep.add("bialgebra-unit", "comultiplication-of-unit",
             vec_eq(d1, unit_tensor),
             None if vec_eq(d1, unit_tensor) else
@@ -341,24 +379,15 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     rep.add("bialgebra-counit-unit", "counit-of-unit",
             co.counit_vec(one) == alg.field.one, None)
 
-    if mode == "exhaustive":
-        pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
-    else:
-        rng = random.Random(seed + 1)
-        pairs = [(i, j) for i in always_indices for j in always_indices]
-        pairs += _sample_tuples(rng, alg.dim, 2, n_pairs)
-    bad_mult, bad_counit = [], []
-    for (i, j) in pairs:
-        prod = {m: c for m, c in alg.mul_basis(i, j)}
-        lhs = co.comul_vec(prod)
-        rhs = t2_mul(alg, alg, co.comul_vec(alg.basis_vec(i)),
-                     co.comul_vec(alg.basis_vec(j)))
-        if not vec_eq(lhs, rhs):
-            bad_mult.append([labels[i], labels[j]])
-        ei = co.counit.get(i, alg.field.zero)
-        ej = co.counit.get(j, alg.field.zero)
-        if co.counit_vec(prod) != ei * ej:
-            bad_counit.append([labels[i], labels[j]])
+    pairs = check_plan(alg.dim, 2, mode, n_pairs, seed + 1, always_indices)
+    bad_mult = _product_failures(
+        alg, pairs, [co.comul_vec(alg.basis_vec(i)) for i in range(alg.dim)],
+        lambda a, b: t2_mul(alg, alg, a, b))
+    zero = alg.field.zero
+    bad_counit = [
+        [labels[i], labels[j]] for i, j in pairs
+        if co.counit_vec(dict(alg.mul_basis(i, j)))
+        != co.counit.get(i, zero) * co.counit.get(j, zero)]
     rep.add("bialgebra-multiplicativity", "comultiplication-algebra-map",
             not bad_mult, {"examples": bad_mult[:3], "failing": len(bad_mult),
                            "checked": len(pairs)} if bad_mult else None)
@@ -530,8 +559,7 @@ def convolution(f: ConvForm, g: ConvForm) -> ConvForm:
     return ConvForm(f.hopf, f.arity, out)
 
 
-def convolution_inverse(sigma: ConvForm, check="full", sample_count=2000,
-                        seed=0) -> ConvForm:
+def convolution_inverse(sigma: ConvForm) -> ConvForm:
     """Inverse of a form that differs from the unit by a nilpotent part.
 
     With nu = unit - sigma, requires nu^N = 0 (N = field order) and returns
@@ -553,33 +581,14 @@ def convolution_inverse(sigma: ConvForm, check="full", sample_count=2000,
             f"form is not unit plus nilpotent: nu^{N} is nonzero at "
             f"{tuple(H.labels[i] for i in key)}"
         )
-    if check == "full":
-        pairs = None
-    else:
-        rng = random.Random(seed)
-        pairs = _sample_tuples(rng, H.dim, sigma.arity, sample_count)
-    _check_two_sided_inverse(sigma, total, unit, pairs)
+    if convolution(sigma, total) != unit or convolution(total, sigma) != unit:
+        raise ValueError("convolution inverse failed the two-sided law")
     return total
 
 
-def _check_two_sided_inverse(sigma, inv, unit, pairs):
-    left = convolution(sigma, inv)
-    right = convolution(inv, sigma)
-    if pairs is None:
-        ok = left == unit and right == unit
-    else:
-        z = sigma.hopf.field.zero
-        ok = all(
-            left.coords.get(t, z) == unit.coords.get(t, z)
-            and right.coords.get(t, z) == unit.coords.get(t, z)
-            for t in pairs
-        )
-    if not ok:
-        raise ValueError("convolution inverse failed the two-sided law")
-
-
 def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
-                         sample_count=10000, seed=0) -> VerificationReport:
+                         sample_count=10000, seed=0,
+                         always_indices=()) -> VerificationReport:
     """Unitality and the 2-cocycle identity
 
     sigma(a1, b1) sigma(a2 b2, c) = sigma(b1, c1) sigma(a, b2 c2).
@@ -604,13 +613,7 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
     rep.add("cocycle-unital", "cocycle-unitality", not bad,
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
-    if mode == "exhaustive":
-        triples = [(a, b, c) for a in range(alg.dim)
-                   for b in range(alg.dim) for c in range(alg.dim)]
-    else:
-        rng = random.Random(seed)
-        triples = _sample_tuples(rng, alg.dim, 3, sample_count)
-
+    triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
     sig = sigma.coords
     comul = co.comul
     mul = alg.mul
@@ -922,29 +925,16 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
 
     # unit colinear
     du = A.coact_vec(alg.unit_vec())
-    target: dict = {}
-    for h, c in H.algebra.unit_vec().items():
-        for a, d in alg.unit_vec().items():
-            vec_add_into(target, (h, a), c * d)
+    target = tensor_vec(H.algebra.unit_vec(), alg.unit_vec())
     rep.add("comodule-unit", "coaction-of-unit", vec_eq(du, target),
             None if vec_eq(du, target) else
             {"delta_1": vec_str(du), "expected": vec_str(target)})
 
     # multiplicativity of the coaction
-    if mode == "exhaustive":
-        pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
-    else:
-        rng = random.Random(seed)
-        pairs = _sample_tuples(rng, alg.dim, 2, sample_count)
-    bad = []
-    for (i, j) in pairs:
-        prod = {m: c for m, c in alg.mul_basis(i, j)}
-        lhs = A.coact_vec(prod)
-        rhs = t2_mul(H.algebra, alg,
-                     A.coact_vec(alg.basis_vec(i)),
-                     A.coact_vec(alg.basis_vec(j)))
-        if not vec_eq(lhs, rhs):
-            bad.append([labels[i], labels[j]])
+    pairs = check_plan(alg.dim, 2, mode, sample_count, seed)
+    bad = _product_failures(
+        alg, pairs, [A.coact_vec(alg.basis_vec(i)) for i in range(alg.dim)],
+        lambda a, b: t2_mul(H.algebra, alg, a, b))
     rep.add("comodule-multiplicativity", "coaction-algebra-map", not bad,
             {"examples": bad[:3], "failing": len(bad),
              "checked": len(pairs)} if bad else None)
@@ -1011,38 +1001,24 @@ def check_comodule_algebra_morphism(f: Matrix, A: ComoduleAlgebra,
     assert f.rows == B.dim and f.cols == A.dim
     assert A.over is B.over or A.over.labels == B.over.labels
     rep = VerificationReport({"source": dict(A.params), "target": dict(B.params)})
-    fld = A.field
 
-    def image(vec: dict) -> dict:
-        out: dict = {}
-        for i, c in vec.items():
-            for j in range(B.dim):
-                e = f.entries[j][i]
-                if not e.is_zero():
-                    vec_add_into(out, j, c * e)
-        return out
-
-    ok = vec_eq(image(A.algebra.unit_vec()), B.algebra.unit_vec())
+    # images[i] = f(e_i), column i of f
+    images = [{j: f.entries[j][i] for j in range(B.dim)
+               if not f.entries[j][i].is_zero()} for i in range(A.dim)]
+    ok = vec_eq(_apply(images, A.algebra.unit.items()), B.algebra.unit_vec())
     rep.add("morphism-unital", "algebra-map-unit", ok, None)
 
-    bad = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = {m: c for m, c in A.algebra.mul_basis(i, j)}
-            lhs = image(prod)
-            rhs = B.algebra.mul_vec(image(A.algebra.basis_vec(i)),
-                                    image(A.algebra.basis_vec(j)))
-            if not vec_eq(lhs, rhs):
-                bad.append([A.labels[i], A.labels[j]])
+    bad = _product_failures(A.algebra, check_plan(A.dim, 2, "exhaustive"),
+                            images, B.algebra.mul_vec)
     rep.add("morphism-multiplicative", "algebra-map-products", not bad,
             {"examples": bad[:3], "failing": len(bad)} if bad else None)
 
     bad = []
     for i in range(A.dim):
-        lhs = B.coact_vec(image(A.algebra.basis_vec(i)))
+        lhs = B.coact_vec(images[i])
         rhs: dict = {}
         for (h, a), c in A.coaction.get(i, ()):
-            for j, d in image({a: fld.one}).items():
+            for j, d in images[a].items():
                 vec_add_into(rhs, (h, j), c * d)
         if not vec_eq(lhs, rhs):
             bad.append(A.labels[i])

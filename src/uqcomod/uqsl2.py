@@ -27,10 +27,11 @@ from .hopfcore import (
     FiniteAlgebra,
     FiniteCoalgebra,
     HopfAlgebraData,
+    check_plan,
     convolution,
-    convolution_inverse,
     deform_hopf,
     t2_mul,
+    tensor_vec,
     vec_add_into,
     vec_eq,
     vec_scale,
@@ -271,18 +272,10 @@ def sigma_closed_coords(N: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def build_sigma_inverse(N: int, method: str = "closed") -> ConvForm:
-    """Convolution inverse of sigma.
-
-    method "closed" uses the inverse power series of exp_{q^2} and then
-    verifies the two-sided law by convolution; "series" runs the generic
-    geometric-series inversion.
-    """
+def build_sigma_inverse(N: int) -> ConvForm:
+    """Convolution inverse of sigma, from the inverse power series of
+    exp_{q^2}; the two-sided law is then verified by convolution."""
     sigma = build_sigma(N)
-    if method == "series":
-        return convolution_inverse(sigma)
-    if method != "closed":
-        raise ValueError("method must be 'closed' or 'series'")
     H = sigma.hopf
     fld = H.field
     lam = fld.q_power(2)
@@ -366,14 +359,6 @@ def on_demand_uq_multiplier(N: int) -> CocycleDeformedMultiplier:
                                      build_sigma_inverse(N))
 
 
-def _tensor_vec(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for i, c in a.items():
-        for j, d in b.items():
-            vec_add_into(out, (i, j), c * d)
-    return out
-
-
 def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
     """Check the defining relations of u_q in both generator systems.
 
@@ -422,13 +407,13 @@ def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
 
     # comultiplication on generators (the coalgebra is undeformed)
     check("uq-comul-K", "coproduct-K", H.coalgebra.comul_vec(K),
-          _tensor_vec(K, K))
+          tensor_vec(K, K))
     check("uq-comul-Et", "coproduct-Et", H.coalgebra.comul_vec(Et),
-          _tensor_sum(_tensor_vec(Et, one), _tensor_vec(Kinv, Et)))
+          _tensor_sum(tensor_vec(Et, one), tensor_vec(Kinv, Et)))
     check("uq-comul-F", "coproduct-F", H.coalgebra.comul_vec(F),
-          _tensor_sum(_tensor_vec(F, one), _tensor_vec(Kinv, F)))
+          _tensor_sum(tensor_vec(F, one), tensor_vec(Kinv, F)))
     check("uq-comul-E", "coproduct-E", H.coalgebra.comul_vec(E),
-          _tensor_sum(_tensor_vec(E, K), _tensor_vec(one, E)))
+          _tensor_sum(tensor_vec(E, K), tensor_vec(one, E)))
 
     # antipode on generators, forced by the axiom, then the closed forms
     S = {"K": dict(Kinv), "Kinv": dict(K),
@@ -497,8 +482,6 @@ def verify_dual_relations(N: int, mode="exhaustive", sample_count=4000,
                           seed=0) -> VerificationReport:
     """Relations among alpha, xi1, xi2 in the convolution algebra, their
     powers in closed form, and their behaviour on products."""
-    import random as _random
-
     H = build_gr_uq(N)
     fld = H.field
     lam = fld.q_power(2)
@@ -541,12 +524,7 @@ def verify_dual_relations(N: int, mode="exhaustive", sample_count=4000,
 
     # product rules: alpha is an algebra character, xi1 and xi2 are
     # skew-primitive with respect to alpha
-    if mode == "exhaustive":
-        pairs = [(a, b) for a in range(H.dim) for b in range(H.dim)]
-    else:
-        rng = _random.Random(seed)
-        pairs = [(rng.randrange(H.dim), rng.randrange(H.dim))
-                 for _ in range(sample_count)]
+    pairs = check_plan(H.dim, 2, mode, sample_count, seed)
     bad = []
     alg = H.algebra
     for (a, b) in pairs:
@@ -583,7 +561,7 @@ def closed_comultiplication_report(N: int) -> VerificationReport:
     dx = H.coalgebra.comul_vec(gen["x"])
     dy = H.coalgebra.comul_vec(gen["y"])
     dg = H.coalgebra.comul_vec(gen["g"])
-    unit_t = _tensor_vec(gen["one"], gen["one"])
+    unit_t = tensor_vec(gen["one"], gen["one"])
 
     bad = []
     for i in range(N):

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+import uqcomod.cli as cli
 from uqcomod.cli import SUITES, build_parser, main
 from uqcomod.comodzoo import build_family, zoo_params
-from uqcomod.hopfcore import comodule_from_json, dumps_sorted, comodule_to_json
-from uqcomod.uqsl2 import build_gr_uq
+from uqcomod.hopfcore import (comodule_from_json, comodule_to_json,
+                              dumps_sorted, verify_hopf_2cocycle)
+from uqcomod.uqsl2 import build_gr_uq, monomial_index
 
 
 def run(tmp_path, *argv):
@@ -25,6 +27,39 @@ def test_even_order_is_rejected(tmp_path, capsys):
 def test_unknown_suite_is_rejected(tmp_path, capsys):
     code = main(["verify", "--N", "3", "--suites", "bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sample_count_below_one_is_an_argparse_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--N", "3", "--suites", "cocycle",
+              "--sample-count", count])
+    assert exc.value.code == 2
+    assert "--sample-count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["1", "3"])
+def test_families_with_fewer_than_four_samples_is_rejected(count, capsys):
+    # sample_count // 4 = 0 pairs per member: a vacuous check, refused
+    code = main(["verify", "--N", "3", "--suites", "families",
+                 "--mode", "sampled", "--sample-count", count])
+    assert code == 2
+    assert "at least one tuple" in capsys.readouterr().err
+
+
+def test_cocycle_suite_samples_the_generators_first(monkeypatch):
+    seen = []
+
+    def spy(sigma, **kw):
+        seen.append(kw)
+        return verify_hopf_2cocycle(sigma, **kw)
+
+    monkeypatch.setattr(cli, "verify_hopf_2cocycle", spy)
+    assert main(["verify", "--N", "3", "--suites", "cocycle",
+                 "--mode", "sampled", "--sample-count", "10"]) == 0
+    x, y, g = (monomial_index(3, 1, 0, 0), monomial_index(3, 0, 1, 0),
+               monomial_index(3, 0, 0, 1))
+    assert [kw["always_indices"] for kw in seen] == [[x, y, g]]
 
 
 def test_bad_subcommand_exits_via_argparse():

@@ -1,10 +1,15 @@
 """The comodule-algebra zoo: presentations, invariants, equivalences."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import uqcomod.comodzoo as comodzoo
 from uqcomod.comodzoo import (
     FamilyParams,
     LoewyFiltration,
@@ -352,6 +357,47 @@ def test_semisimplicity_both_sides():
     assert semisimplicity_A4(
         zoo_params("L4", 3, alpha=1, beta=1, xi=2))["semisimple"]
     assert not semisimplicity_A4(l4_params_from_uv(3, "q", "q"))["semisimple"]
+
+
+def test_semisimplicity_cross_check_raises(monkeypatch):
+    monkeypatch.setattr(comodzoo, "squarefree_check", lambda phi: False)
+    with pytest.raises(ArithmeticError, match="disagree"):
+        semisimplicity_A4(zoo_params("L4", 3, alpha=1, beta=1, xi=2))
+
+
+_OPTIMIZED_CHECKS = """
+import uqcomod.comodzoo as comodzoo
+from uqcomod.cyclofield import field
+from uqcomod.exactlinalg import Matrix, Poly
+
+f = field(3)
+comodzoo.squarefree_check = lambda phi: False
+cases = [
+    (ValueError, lambda: Matrix(f, [[f.one, f.one], [f.one]])),
+    (ZeroDivisionError,
+     lambda: Poly.from_rationals(f, [1, 1]).divmod(Poly(f, []))),
+    (ArithmeticError, lambda: comodzoo.semisimplicity_A4(
+        comodzoo.zoo_params("L4", 3, alpha=1, beta=1, xi=2))),
+]
+for exc, call in cases:
+    try:
+        call()
+    except exc:
+        continue
+    raise SystemExit("no " + exc.__name__ + " under -O")
+print("debug" if __debug__ else "optimized")
+"""
+
+
+def test_load_bearing_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "optimized"
 
 
 def test_l4_params_from_uv_chart():

@@ -170,6 +170,14 @@ def test_poly_divmod_and_gcd():
     assert g == Poly.from_rationals(f, [1, 1])
 
 
+def test_ragged_matrix_and_zero_divisor_raise():
+    f = field(1)
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(f, [[f.one, f.one], [f.one]])
+    with pytest.raises(ZeroDivisionError):
+        Poly.from_rationals(f, [1, 1]).divmod(Poly(f, []))
+
+
 def test_squarefree_check_oracles():
     f = field(1)
     # (t+1)^2 (t-2) = t^3 - 3t - 2
