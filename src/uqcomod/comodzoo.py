@@ -574,7 +574,8 @@ def embed_A4_into_uq(N: int, u, v, alpha=1) -> VerificationReport:
     for a in range(N):
         e_a = [fld.one if i == a else fld.zero for i in range(N)]
         coords = solve(P, e_a)
-        assert coords is not None, "star powers of W do not span"
+        if coords is None:
+            raise ArithmeticError("star powers of W do not span")
         img: dict = {}
         for b, c in enumerate(coords):
             if not c.is_zero():

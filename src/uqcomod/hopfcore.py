@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections.abc import Sequence
 from types import MappingProxyType
 
 from .cyclofield import CyclotomicField, CyclotomicNumber
@@ -151,8 +152,11 @@ class HopfAlgebraData:
 
     def __init__(self, algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra,
                  antipode: dict, degrees=None):
-        assert algebra.dim == coalgebra.dim
-        assert algebra.labels == coalgebra.labels
+        if algebra.dim != coalgebra.dim:
+            raise ValueError(f"algebra of dimension {algebra.dim} with a "
+                             f"coalgebra of dimension {coalgebra.dim}")
+        if algebra.labels != coalgebra.labels:
+            raise ValueError("algebra and coalgebra label different bases")
         self.algebra = algebra
         self.coalgebra = coalgebra
         # i -> (j -> coeff)
@@ -236,16 +240,59 @@ def tensor_vec(a: dict, b: dict) -> dict:
     return out
 
 
-def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
-    """The index tuples a verifier checks, as a list.
+class ExhaustivePlan(Sequence):
+    """Every tuple over range(dim) of one arity, in lexicographic order.
 
-    "exhaustive" gives every tuple over range(dim) in lexicographic order;
-    "sampled" gives every tuple over `always` first, then `sample_count`
-    tuples drawn from random.Random(seed).  An unknown mode, or a sampled
-    plan with no tuples (which would pass vacuously), raises ValueError.
+    Tuples are made on demand, so the plan holds no list: it has a length,
+    takes indices and slices, and can be iterated any number of times.
+    """
+
+    __slots__ = ("dim", "arity")
+
+    def __init__(self, dim: int, arity: int):
+        self.dim = dim
+        self.arity = arity
+
+    def __len__(self):
+        return self.dim ** self.arity
+
+    def __iter__(self):
+        return itertools.product(range(self.dim), repeat=self.arity)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        n = len(self)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("plan index out of range")
+        digits = []
+        for _ in range(self.arity):
+            k, d = divmod(k, self.dim)
+            digits.append(d)
+        return tuple(reversed(digits))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
+    """The index tuples a verifier checks, as a sized sequence.
+
+    "exhaustive" gives every tuple over range(dim) in lexicographic order,
+    made lazily (ExhaustivePlan); "sampled" gives a list of every tuple over
+    `always` first, then `sample_count` tuples drawn from
+    random.Random(seed).  An unknown mode, or a sampled plan with no tuples
+    (which would pass vacuously), raises ValueError.
     """
     if mode == "exhaustive":
-        return list(itertools.product(range(dim), repeat=arity))
+        return ExhaustivePlan(dim, arity)
     if mode != "sampled":
         raise ValueError(
             f"unknown check mode {mode!r}; use 'exhaustive' or 'sampled'")
@@ -463,7 +510,7 @@ class ConvForm:
 
     @classmethod
     def tensor(cls, f: "ConvForm", g: "ConvForm"):
-        assert f.hopf is g.hopf
+        _same_hopf(f, g)
         coords: dict = {}
         for kf, cf in f.coords.items():
             for kg, cg in g.coords.items():
@@ -471,11 +518,11 @@ class ConvForm:
         return cls(f.hopf, f.arity + g.arity, coords)
 
     def __call__(self, *idx):
-        assert len(idx) == self.arity
+        self._check_arity(idx)
         return self.coords.get(tuple(idx), self.hopf.field.zero)
 
     def eval_vecs(self, *vecs) -> CyclotomicNumber:
-        assert len(vecs) == self.arity
+        self._check_arity(vecs)
         out = self.hopf.field.zero
         for key, c in self.coords.items():
             term = c
@@ -490,11 +537,19 @@ class ConvForm:
                 out = out + term
         return out
 
+    def _check_arity(self, args):
+        if len(args) != self.arity:
+            raise ValueError(f"a form of arity {self.arity} takes "
+                             f"{self.arity} arguments, not {len(args)}")
+
     def is_zero(self) -> bool:
         return not self.coords
 
     def __add__(self, other):
-        assert other.hopf is self.hopf and other.arity == self.arity
+        _same_hopf(self, other)
+        if other.arity != self.arity:
+            raise ValueError(
+                f"adding forms of arity {self.arity} and {other.arity}")
         out = dict(self.coords)
         for k, c in other.coords.items():
             vec_add_into(out, k, c)
@@ -528,12 +583,23 @@ class ConvForm:
         return f"<ConvForm arity {self.arity}, {len(self.coords)} terms>"
 
 
+def _same_hopf(f, g):
+    if not isinstance(f, ConvForm) or not isinstance(g, ConvForm):
+        raise TypeError("expected two ConvForm arguments")
+    if f.hopf is not g.hopf:
+        raise ValueError("forms on different Hopf data")
+
+
+def _require_bilinear(form):
+    if not isinstance(form, ConvForm):
+        raise TypeError(f"expected a ConvForm, not {type(form).__name__}")
+    if form.arity != 2:
+        raise ValueError(f"expected a bilinear form, not arity {form.arity}")
+
+
 def convolution(f: ConvForm, g: ConvForm) -> ConvForm:
     """(f*g)(h) = f(h_(1)) g(h_(2)) slotwise, driven by both supports."""
-    if not isinstance(f, ConvForm) or not isinstance(g, ConvForm):
-        raise TypeError("convolution needs two ConvForm arguments")
-    if f.hopf is not g.hopf:
-        raise ValueError("convolution across different Hopf data")
+    _same_hopf(f, g)
     if f.arity != g.arity:
         raise ValueError(f"convolution kind mismatch: arity {f.arity} vs {g.arity}")
     rev = f.hopf.comul_reverse()
@@ -593,7 +659,7 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
 
     sigma(a1, b1) sigma(a2 b2, c) = sigma(b1, c1) sigma(a, b2 c2).
     """
-    assert sigma.arity == 2
+    _require_bilinear(sigma)
     H = sigma.hopf
     alg, co = H.algebra, H.coalgebra
     labels = alg.labels
@@ -726,68 +792,171 @@ def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra) -> dict:
     return S
 
 
+class _Products:
+    """Field products for one deformation.
+
+    A factor stored as field.one itself skips its multiply, and each
+    distinct pair of values is multiplied once: the coefficients of sigma,
+    of the coproducts and of the skew-PBW tables are q-powers times
+    q-factorials, so few distinct products occur (about 700 among the
+    49 000 that deform_hopf makes for u_q at N = 5).
+    """
+
+    __slots__ = ("one", "_memo")
+
+    def __init__(self, fld: CyclotomicField):
+        self.one = fld.one
+        self._memo: dict = {}
+
+    def __call__(self, a, b):
+        one = self.one
+        if a is one:
+            return b
+        if b is one:
+            return a
+        key = (a.num, a.den, b.num, b.den)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = a * b
+        return got
+
+    def unit(self, c):
+        """c, or field.one itself if c equals one."""
+        return self.one if c == self.one else c
+
+
+def factor_form(form: ConvForm):
+    """Slices of a bilinear form: form(h1, h2) = sum_n alpha_n(h1) beta_n(h2).
+
+    Rows of the coordinate matrix (h1 fixed) that are scalar multiples of
+    one another share a slice n: beta_n is the first such row divided by
+    its lead coefficient (the one at the smallest h2), and alpha_n(h1) is
+    the lead coefficient of row h1.  Only lead coefficients are inverted,
+    and any form factors this way.  Returns (alpha, beta, count) with
+    alpha[h1] and beta[h2] tuples of (n, coefficient); unit coefficients
+    are stored as field.one itself.
+    """
+    _require_bilinear(form)
+    times = _Products(form.hopf.field)
+    rows: dict = {}
+    for (h1, h2), c in sorted(form.coords.items()):
+        rows.setdefault(h1, []).append((h2, c))
+    slices: dict = {}
+    alpha: dict = {}
+    beta: dict = {}
+    for h1, row in rows.items():
+        lead = times.unit(row[0][1])
+        if lead is not times.one:
+            inv = lead.inverse()
+            row = [(h2, times(c, inv)) for h2, c in row]
+        norm = tuple((h2, times.unit(c)) for h2, c in row)
+        n = slices.get(norm)
+        if n is None:
+            n = slices[norm] = len(slices)
+            for h2, c in norm:
+                beta.setdefault(h2, []).append((n, c))
+        alpha[h1] = ((n, lead),)
+    return alpha, {h: tuple(v) for h, v in beta.items()}, len(slices)
+
+
+def _contracted_legs(terms, sides, times: _Products) -> dict:
+    """{p: ((a, c), ...)}, the sum of c f_1(h_1) ... f_k(h_k) e_a over the
+    terms (hs, a, c), hs = (h_1, ..., h_k).  sides[s] = (factors, count)
+    from factor_form gives the slices f of argument slot s; the slice label
+    p combines the slots' slices as a mixed-radix int."""
+    acc: dict = {}
+    for hs, a, c in terms:
+        parts = [(0, c)]
+        for (factors, count), h in zip(sides, hs):
+            fs = factors.get(h)
+            if fs is None:
+                parts = ()
+                break
+            parts = [(p * count + n, times(x, f))
+                     for p, x in parts for n, f in fs]
+        for p, x in parts:
+            vec_add_into(acc.setdefault(p, {}), a, x)
+    return {p: tuple((a, times.unit(x)) for a, x in sorted(v.items()))
+            for p, v in acc.items() if v}
+
+
+def _slice_product(mul, left: dict, right: dict, times: _Products) -> dict:
+    """sum_p left[p] right[p] in the table mul, for the contracted legs of
+    two basis elements."""
+    out: dict = {}
+    for p, lv in left.items():
+        rv = right.get(p)
+        if rv is None:
+            continue
+        for k, ck in lv:
+            for m, cm in rv:
+                ent = mul.get((k, m))
+                if not ent:
+                    continue
+                c = times(ck, cm)
+                for t, ct in ent:
+                    vec_add_into(out, t, times(c, ct))
+    return out
+
+
+def _slice_table(mul, left, right, times: _Products) -> dict:
+    """Every product e_i * e_j = sum_p left[i][p] right[j][p], as a table."""
+    table: dict = {}
+    for i, li in enumerate(left):
+        for j, rj in enumerate(right):
+            out = _slice_product(mul, li, rj, times)
+            if out:
+                table[(i, j)] = tuple(sorted(out.items()))
+    return table
+
+
+def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
+                    sigma_inv: ConvForm, times: _Products):
+    """Contracted legs of every basis element for
+    a *_sigma b = sigma(a1, b1) a2 b2 sigma^{-1}(a3, b3), from one pass over
+    its Delta^2 terms: left[i][p] = sum c alpha_n(a1) alpha'_m(a3) e_a2 and
+    right[i][p] = sum c beta_n(a1) beta'_m(a3) e_a2, p = (n, m)."""
+    a_sig, b_sig, n_sig = factor_form(sigma)
+    a_inv, b_inv, n_inv = factor_form(sigma_inv)
+    comul = H.coalgebra.comul
+    left, right = [], []
+    for i in range(H.dim):
+        d2 = [((a1, a3), a2, times(c, d))
+              for a, a3, c in comul.get(i, ())
+              for a1, a2, d in comul.get(a, ())]
+        left.append(_contracted_legs(d2, ((a_sig, n_sig), (a_inv, n_inv)),
+                                     times))
+        right.append(_contracted_legs(d2, ((b_sig, n_sig), (b_inv, n_inv)),
+                                      times))
+    return left, right
+
+
 class CocycleDeformedMultiplier:
     """On-demand products a *_sigma b = sigma(a1,b1) a2 b2 sigma^{-1}(a3,b3).
 
-    Useful at sizes where tabulating the full deformed multiplication is
-    wasteful; pair products are memoised.
+    The set-up factors sigma and sigma^{-1} into slices (factor_form) and
+    contracts every basis element's Delta^2 legs with them once; each
+    product is then a sum over slice pairs of products in H's table, the
+    same slice kernel that deform_hopf tabulates.  Pair products are
+    memoised, so the multiplier suits sizes where only some products are
+    needed (the relation report of u_q at N = 7).
     """
 
     def __init__(self, H: HopfAlgebraData, sigma: ConvForm,
                  sigma_inv: ConvForm):
-        assert sigma.arity == 2 and sigma_inv.arity == 2
         self.H = H
-        # plain copies (N^3 entries for the cocycle of gr(u_q)): every
-        # basis product looks them up many times, and a lookup through the
-        # read-only proxy costs about 5% of build_uq(5)
-        self.sigma = dict(sigma.coords)
-        self.sigma_inv = dict(sigma_inv.coords)
-        sigL = {a for a, b in self.sigma}
-        sigR = {b for a, b in self.sigma}
-        invL = {a for a, b in self.sigma_inv}
-        invR = {b for a, b in self.sigma_inv}
-        comul = H.coalgebra.comul
-        d2 = []
-        for i in range(H.dim):
-            terms = []
-            for j, k, c in comul.get(i, ()):
-                for j1, j2, d in comul.get(j, ()):
-                    terms.append((j1, j2, k, c * d))
-            d2.append(terms)
-        self._left = [
-            tuple(t for t in terms if t[0] in sigL and t[2] in invL)
-            for terms in d2
-        ]
-        self._right = [
-            tuple(t for t in terms if t[0] in sigR and t[2] in invR)
-            for terms in d2
-        ]
+        self._times = _Products(H.field)
+        self._left, self._right = _two_sided_legs(H, sigma, sigma_inv,
+                                                  self._times)
         self._memo: dict = {}
 
     def basis_product(self, i: int, j: int) -> dict:
         got = self._memo.get((i, j))
-        if got is not None:
-            return got
-        sig = self.sigma
-        sinv = self.sigma_inv
-        mul = self.H.algebra.mul
-        out: dict = {}
-        for a1, a2, a3, ca in self._left[i]:
-            for b1, b2, b3, cb in self._right[j]:
-                s = sig.get((a1, b1))
-                if s is None:
-                    continue
-                t = sinv.get((a3, b3))
-                if t is None:
-                    continue
-                ent = mul.get((a2, b2))
-                if not ent:
-                    continue
-                c = ca * cb * s * t
-                for k, ck in ent:
-                    vec_add_into(out, k, c * ck)
-        self._memo[(i, j)] = out
-        return out
+        if got is None:
+            got = self._memo[(i, j)] = _slice_product(
+                self.H.algebra.mul, self._left[i], self._right[j],
+                self._times)
+        return got
 
     def mul_vec(self, a: dict, b: dict) -> dict:
         out: dict = {}
@@ -830,16 +999,13 @@ class CocycleDeformedMultiplier:
 def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv=None,
                 labels=None) -> HopfAlgebraData:
     """Full cocycle deformation: new multiplication table, same coalgebra,
-    antipode recomputed from the antipode linear system."""
+    antipode recomputed from the antipode linear system.  Every product is
+    the sigma formula, evaluated by the slice kernel."""
     if sigma_inv is None:
         sigma_inv = convolution_inverse(sigma)
-    mult = CocycleDeformedMultiplier(H, sigma, sigma_inv)
-    table: dict = {}
-    for i in range(H.dim):
-        for j in range(H.dim):
-            ent = mult.basis_product(i, j)
-            if ent:
-                table[(i, j)] = tuple(sorted(ent.items()))
+    times = _Products(H.field)
+    left, right = _two_sided_legs(H, sigma, sigma_inv, times)
+    table = _slice_table(H.algebra.mul, left, right, times)
     alg = FiniteAlgebra(H.field, labels or H.labels, table,
                         H.algebra.unit_vec())
     co = H.coalgebra
@@ -943,30 +1109,22 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
 
 def deform_comodule_algebra(A: ComoduleAlgebra, sigma: ConvForm,
                             over: HopfAlgebraData) -> ComoduleAlgebra:
-    """a *_sigma b = sigma(a_(-1), b_(-1)) a_(0) b_(0); coaction unchanged."""
-    assert sigma.arity == 2
-    sig = sigma.coords
+    """a *_sigma b = sigma(a_(-1), b_(-1)) a_(0) b_(0); coaction unchanged.
+
+    The slice kernel of deform_hopf with one-sided legs: left[i][n] =
+    sum c alpha_n(h) e_a and right[i][n] = sum c beta_n(h) e_a over the
+    coaction terms c e_h (x) e_a of e_i."""
+    alpha, beta, count = factor_form(sigma)
     alg = A.algebra
-    table: dict = {}
+    times = _Products(alg.field)
+    left, right = [], []
     for i in range(alg.dim):
-        di = A.coaction.get(i, ())
-        for j in range(alg.dim):
-            dj = A.coaction.get(j, ())
-            out: dict = {}
-            for (h1, a1), c1 in di:
-                for (h2, a2), c2 in dj:
-                    s = sig.get((h1, h2))
-                    if s is None:
-                        continue
-                    ent = alg.mul.get((a1, a2))
-                    if not ent:
-                        continue
-                    c = c1 * c2 * s
-                    for k, ck in ent:
-                        vec_add_into(out, k, c * ck)
-            if out:
-                table[(i, j)] = tuple(sorted(out.items()))
-    new_alg = FiniteAlgebra(alg.field, alg.labels, table, alg.unit_vec())
+        terms = [((h,), a, c) for (h, a), c in A.coaction.get(i, ())]
+        left.append(_contracted_legs(terms, ((alpha, count),), times))
+        right.append(_contracted_legs(terms, ((beta, count),), times))
+    new_alg = FiniteAlgebra(alg.field, alg.labels,
+                            _slice_table(alg.mul, left, right, times),
+                            alg.unit_vec())
     return ComoduleAlgebra(new_alg, over, A.coaction, A.params)
 
 
@@ -998,8 +1156,12 @@ def check_comodule_algebra_morphism(f: Matrix, A: ComoduleAlgebra,
     expect is "bijective" for isomorphism candidates or "injective" for
     embeddings into a larger comodule algebra.
     """
-    assert f.rows == B.dim and f.cols == A.dim
-    assert A.over is B.over or A.over.labels == B.over.labels
+    if f.rows != B.dim or f.cols != A.dim:
+        raise ValueError(f"a {f.rows}x{f.cols} matrix cannot map a "
+                         f"{A.dim}-dimensional algebra to a "
+                         f"{B.dim}-dimensional one")
+    if A.over is not B.over and A.over.labels != B.over.labels:
+        raise ValueError("comodule algebras over different Hopf algebras")
     rep = VerificationReport({"source": dict(A.params), "target": dict(B.params)})
 
     # images[i] = f(e_i), column i of f
@@ -1088,7 +1250,9 @@ def direct_sum_comodule_algebras(A: ComoduleAlgebra,
                                  B: ComoduleAlgebra) -> ComoduleAlgebra:
     """Componentwise product and blockwise coaction (a test counterexample:
     the result is never right H-simple)."""
-    assert A.over is B.over
+    if A.over is not B.over:
+        raise ValueError("direct sum of comodule algebras over different "
+                         "Hopf algebras")
     fld = A.field
     labels = [f"l.{s}" for s in A.labels] + [f"r.{s}" for s in B.labels]
     off = A.dim

@@ -199,7 +199,8 @@ def chebyshev_T(n: int, fld=None) -> Poly:
     """Chebyshev polynomial of the first kind, exact coefficients.
 
     Returns the closed form (n/2) sum_k (-1)^k/(n-k) C(n-k,k) (2z)^{n-2k}
-    after asserting it against the three-term recurrence.
+    after checking it against the three-term recurrence (ArithmeticError
+    if they disagree).
     """
     assert n >= 0
     if fld is None:
@@ -219,7 +220,9 @@ def chebyshev_T(n: int, fld=None) -> Poly:
             * Fraction(2) ** (n - 2 * k)
         coeffs[n - 2 * k] = fld.from_rational(c)
     closed = Poly(fld, coeffs)
-    assert closed == cur, f"Chebyshev closed form disagrees at n={n}"
+    if closed != cur:
+        raise ArithmeticError(
+            f"Chebyshev closed form disagrees with the recurrence at n={n}")
     return closed
 
 
@@ -268,7 +271,8 @@ def product_identity_sides(n: int, fld: CyclotomicField, omega_power: int):
     for k in range(n):
         w = fld.q_power(omega_power * k)
         seen.add(str(w))
-    assert len(seen) == n, "omega is not a primitive n-th root of unity"
+    if len(seen) != n:
+        raise ArithmeticError("omega is not a primitive n-th root of unity")
 
     lhs = MultiPoly.constant(fld, names, 1)
     for k in range(n):

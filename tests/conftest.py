@@ -3,6 +3,7 @@ import random
 import pytest
 
 from uqcomod.cyclofield import field
+from uqcomod.exactlinalg import vec_add_into
 from uqcomod.uqsl2 import build_gr_uq, build_sigma, build_sigma_inverse, build_uq
 
 
@@ -65,3 +66,52 @@ def dense_rref(rows):
 @pytest.fixture()
 def rng():
     return random.Random(20260815)
+
+
+def reference_deformed_table(A, sigma, sigma_inv=None):
+    """Reference for the slice kernel: each deformed basis product by the
+    nested loop over the legs of both factors, with one form lookup per
+    pair of legs.
+
+    With sigma_inv, A is Hopf data and a * b = sigma(a1, b1) a2 b2
+    sigma_inv(a3, b3) over Delta^2; without, A is a comodule algebra and
+    a * b = sigma(a_(-1), b_(-1)) a_(0) b_(0) over the coaction.  Legs
+    outside the forms' supports are dropped before the pair loop.
+    """
+    if sigma_inv is None:
+        forms = (sigma.coords,)
+        legs = [[((h,), a, c) for (h, a), c in A.coaction.get(i, ())]
+                for i in range(A.dim)]
+    else:
+        forms = (sigma.coords, sigma_inv.coords)
+        comul = A.coalgebra.comul
+        legs = [[((a1, a3), a2, c * d) for a, a3, c in comul.get(i, ())
+                 for a1, a2, d in comul.get(a, ())] for i in range(A.dim)]
+    rows = [{h for h, _ in f} for f in forms]
+    cols = [{k for _, k in f} for f in forms]
+    left = [[t for t in ts if all(h in r for h, r in zip(t[0], rows))]
+            for ts in legs]
+    right = [[t for t in ts if all(k in c for k, c in zip(t[0], cols))]
+             for ts in legs]
+    mul = A.algebra.mul
+    table = {}
+    for i in range(A.dim):
+        for j in range(A.dim):
+            out = {}
+            for hs, a, ca in left[i]:
+                for ks, b, cb in right[j]:
+                    ent = mul.get((a, b))
+                    if not ent:
+                        continue
+                    c = ca * cb
+                    for f, h, k in zip(forms, hs, ks):
+                        s = f.get((h, k))
+                        if s is None:
+                            break
+                        c = c * s
+                    else:
+                        for t, ct in ent:
+                            vec_add_into(out, t, c * ct)
+            if out:
+                table[(i, j)] = tuple(sorted(out.items()))
+    return table

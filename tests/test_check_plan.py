@@ -5,7 +5,10 @@ The pinned witnesses below were recorded before the verifiers shared
 checking the same tuples.
 """
 
+import collections
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -41,6 +44,28 @@ def test_exhaustive_plan_is_every_tuple_in_order():
     assert plan[:3] == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
     # sample count, seed and generators do not touch an exhaustive plan
     assert check_plan(4, 3, "exhaustive", 5, 9, (1, 2)) == plan
+
+
+def test_exhaustive_plan_is_lazy_sized_and_reiterable():
+    plan = check_plan(125, 3, "exhaustive")
+    assert len(plan) == 125 ** 3
+    assert plan[0] == (0, 0, 0) and plan[-1] == (124, 124, 124)
+    assert plan[125 ** 2 + 7] == (1, 0, 7)
+    assert list(itertools.islice(plan, 3)) == [(0, 0, 0), (0, 0, 1),
+                                               (0, 0, 2)]
+    small = check_plan(5, 2, "exhaustive")
+    assert list(small) == list(small) == sorted(small)
+    assert [small[k] for k in range(len(small))] == list(small)
+    # the plan that used to be a 1 953 125-tuple list, made and run through
+    tracemalloc.start()
+    try:
+        plan = check_plan(125, 3, "exhaustive")
+        tail = collections.deque(plan, maxlen=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(tail) == [(124, 124, 124)]
+    assert peak < 1_000_000
 
 
 def test_sampled_plan_puts_always_first_then_the_seeded_draws():

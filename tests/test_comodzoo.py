@@ -365,12 +365,32 @@ def test_semisimplicity_cross_check_raises(monkeypatch):
         semisimplicity_A4(zoo_params("L4", 3, alpha=1, beta=1, xi=2))
 
 
+def test_star_powers_that_do_not_span_raise(monkeypatch):
+    monkeypatch.setattr(comodzoo, "solve", lambda P, e: None)
+    with pytest.raises(ArithmeticError, match="do not span"):
+        embed_A4_into_uq(3, 1, 2)
+
+
 _OPTIMIZED_CHECKS = """
 import uqcomod.comodzoo as comodzoo
+import uqcomod.polyid as polyid
+from uqcomod import hopfcore as hc
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import Matrix, Poly
+from uqcomod.uqsl2 import build_gr_uq, build_sigma
 
 f = field(3)
+H = build_gr_uq(3)
+sigma = build_sigma(3)
+R = hc.regular_comodule_algebra(H)
+eps1 = hc.ConvForm.unit(H, 1)
+zlabels = [f"z{i}" for i in range(27)]
+relabelled = hc.FiniteCoalgebra(f, zlabels, H.coalgebra.comul,
+                                H.coalgebra.counit)
+other = hc.HopfAlgebraData(
+    hc.FiniteAlgebra(f, zlabels, H.algebra.mul, H.algebra.unit),
+    relabelled, H.antipode)
+shorter = hc.FiniteCoalgebra(f, H.labels[:26], {}, {})
 comodzoo.squarefree_check = lambda phi: False
 cases = [
     (ValueError, lambda: Matrix(f, [[f.one, f.one], [f.one]])),
@@ -378,6 +398,23 @@ cases = [
      lambda: Poly.from_rationals(f, [1, 1]).divmod(Poly(f, []))),
     (ArithmeticError, lambda: comodzoo.semisimplicity_A4(
         comodzoo.zoo_params("L4", 3, alpha=1, beta=1, xi=2))),
+    (ArithmeticError, lambda: polyid.product_identity_sides(4, field(4), 2)),
+    (ValueError, lambda: hc.HopfAlgebraData(H.algebra, relabelled, {})),
+    (ValueError, lambda: hc.HopfAlgebraData(H.algebra, shorter, {})),
+    (ValueError, lambda: hc.check_comodule_algebra_morphism(
+        Matrix.zeros(f, 26, 27), R, R)),
+    (ValueError, lambda: hc.check_comodule_algebra_morphism(
+        Matrix.identity(f, 27), R, hc.regular_comodule_algebra(other))),
+    (ValueError, lambda: hc.ConvForm.tensor(
+        eps1, hc.ConvForm.unit(other, 1))),
+    (ValueError, lambda: eps1(0, 0)),
+    (ValueError, lambda: eps1.eval_vecs({0: f.one}, {0: f.one})),
+    (ValueError, lambda: eps1 + sigma),
+    (ValueError, lambda: hc.verify_hopf_2cocycle(eps1)),
+    (ValueError, lambda: hc.deform_comodule_algebra(R, eps1, H)),
+    (TypeError, lambda: hc.deform_hopf(H, sigma, "not a form")),
+    (ValueError, lambda: hc.direct_sum_comodule_algebras(
+        R, hc.regular_comodule_algebra(other))),
 ]
 for exc, call in cases:
     try:

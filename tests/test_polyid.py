@@ -1,9 +1,11 @@
 """Polynomial identities feeding the minimal-polynomial machinery."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import uqcomod.polyid as polyid
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import Poly
 from uqcomod.polyid import (
@@ -104,8 +106,14 @@ def test_consistency_for_odd_orders():
 
 
 def test_product_identity_rejects_non_primitive_root():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError, match="primitive"):
         product_identity_sides(4, field(4), 2)  # q^2 has order 2, not 4
+
+
+def test_chebyshev_closed_form_is_checked_against_the_recurrence(monkeypatch):
+    monkeypatch.setattr(polyid, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(ArithmeticError, match="Chebyshev closed form"):
+        chebyshev_T(4)
 
 
 def test_compose_into_other_variables():
