@@ -23,7 +23,6 @@ from .cyclofield import (
     q_int,
 )
 from .exactlinalg import (
-    Matrix,
     Poly,
     Subspace,
     minimal_polynomial_of_element,
@@ -77,7 +76,6 @@ from .comodzoo import (
 )
 from .polyid import (
     MultiPoly,
-    chebyshev_T,
     min_poly_coefficient,
     phi_polynomial,
     power_sum_P,

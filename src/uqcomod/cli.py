@@ -97,11 +97,7 @@ def suite_cocycle(N, mode, sample_count, seed) -> VerificationReport:
 
 
 def suite_deformation(N, mode, sample_count, seed) -> VerificationReport:
-    if N <= 5:
-        rep = uqsl2.uq_relation_report(N, multiplier=uqsl2.build_uq(N).algebra)
-    else:
-        rep = uqsl2.uq_relation_report(N)
-    return rep
+    return uqsl2.uq_relation_report(N)
 
 
 def suite_families(N, mode, sample_count, seed) -> VerificationReport:
@@ -200,18 +196,18 @@ def suite_morita(N, mode, sample_count, seed) -> VerificationReport:
     src = zp("L3N", N, xi=1, zeta=2, eta=eta * fld.q_power(2))
     dst = zp("L3N", N, xi=1, zeta=2, eta=eta)
     for deformed in (False, True):
-        m, A, B = comodzoo.diagonal_family_map(
+        images, A, B = comodzoo.diagonal_family_map(
             src, dst, g_scale=fld.q_power(1), deformed=deformed)
-        sub = check_comodule_algebra_morphism(m, A, B)
+        sub = check_comodule_algebra_morphism(images, A, B)
         rep.add(f"morita-eta-rotation-map-{'deformed' if deformed else 'plain'}",
                 "eta-rotation-isomorphism", sub.ok,
                 None if sub.ok else [c.claim_id for c in sub.failures()])
     src = zp("L4", N, alpha=2, beta=2, xi=lam ** N * fld.one)
     dst = zp("L4", N, alpha=1, beta=1, xi=1)
     for deformed in (False, True):
-        m, A, B = comodzoo.diagonal_family_map(src, dst, w_scale=lam,
-                                               deformed=deformed)
-        sub = check_comodule_algebra_morphism(m, A, B)
+        images, A, B = comodzoo.diagonal_family_map(src, dst, w_scale=lam,
+                                                    deformed=deformed)
+        sub = check_comodule_algebra_morphism(images, A, B)
         rep.add(f"morita-L4-rescale-map-{'deformed' if deformed else 'plain'}",
                 "rescaling-isomorphism", sub.ok,
                 None if sub.ok else [c.claim_id for c in sub.failures()])

@@ -27,14 +27,13 @@ from functools import lru_cache
 
 from .cyclofield import CyclotomicNumber, field
 from .exactlinalg import (
-    Matrix,
     Poly,
     SparseEchelon,
     Subspace,
+    kernel_of_sparse_columns,
     minimal_polynomial_of_element,
     solve,
     squarefree_check,
-    kernel_of_sparse_columns,
 )
 from .hopfcore import (
     ComoduleAlgebra,
@@ -45,6 +44,7 @@ from .hopfcore import (
     regular_comodule_algebra,
     t2_mul,
     vec_add_into,
+    vec_combine,
     vec_eq,
     vec_scale,
     vec_str,
@@ -125,7 +125,8 @@ def _coerce(fld, value, default=None):
     if value is None:
         return None
     if isinstance(value, CyclotomicNumber):
-        assert value.field == fld, "coefficient from the wrong field"
+        if value.field != fld:
+            raise ValueError("coefficient from the wrong field")
         return value
     if isinstance(value, str):
         return fld.parse(value)
@@ -397,7 +398,7 @@ class LoewyFiltration:
         basis, layers = [], []
         for k, space in enumerate(self.spaces):
             for row in space.basis:
-                b = ech.add(dict(enumerate(row)))
+                b = ech.add(row)
                 if b is not None:
                     basis.append((k, b))
             if ech.rank != space.dim:
@@ -455,25 +456,17 @@ def coefficient_coalgebra(A: ComoduleAlgebra) -> Subspace:
 def _weight_spaces_of_socle(A: ComoduleAlgebra, soc: Subspace):
     """Grouplike weight decomposition of the socle; returns a list of
     (grouplike index, list of ambient weight vectors)."""
-    H = A.over
-    fld = A.field
+    basis = soc.basis
     out = []
-    for g0 in H.grouplikes:
+    for g0 in A.over.grouplikes:
         cols = []
-        for row in soc.basis:
-            v = {i: c for i, c in enumerate(row) if not c.is_zero()}
+        for v in basis:
             col = A.coact_vec(v)
             for a, c in v.items():
                 vec_add_into(col, (g0, a), -c)
             cols.append(col)
-        ker = kernel_of_sparse_columns(fld, cols, soc.dim)
-        vecs = []
-        for t in ker.basis:
-            dense = [fld.zero] * A.dim
-            for coef, row in zip(t, soc.basis):
-                if not coef.is_zero():
-                    dense = [x + coef * y for x, y in zip(dense, row)]
-            vecs.append(dense)
+        ker = kernel_of_sparse_columns(A.field, cols, soc.dim)
+        vecs = [vec_combine(basis, t.items()) for t in ker.basis]
         if vecs:
             out.append((g0, vecs))
     return out
@@ -500,17 +493,16 @@ def is_right_H_simple(A: ComoduleAlgebra, seed=0, probes=4) -> dict:
     method = "socle-weights"
     if not multiplicity_free:
         method = "probed"
-        candidates.extend(list(row) for row in soc.basis)
+        basis = soc.basis
+        candidates.extend(basis)
         rng = random.Random(seed)
         for _ in range(probes):
-            combo = [fld.zero] * A.dim
-            for row in soc.basis:
-                c = fld.from_rational(rng.randrange(-3, 4))
-                combo = [x + c * y for x, y in zip(combo, row)]
-            candidates.append(combo)
+            candidates.append(vec_combine(basis, [
+                (j, fld.from_rational(rng.randrange(-3, 4)))
+                for j in range(len(basis))]))
 
     for v in candidates:
-        if all(e.is_zero() for e in v):
+        if not v:
             continue
         closure = costable_closure(
             Subspace.from_vectors(fld, A.dim, [v]), A)
@@ -518,9 +510,7 @@ def is_right_H_simple(A: ComoduleAlgebra, seed=0, probes=4) -> dict:
             return {"simple": False, "method": method,
                     "socle_dim": soc.dim,
                     "witness": {"ideal_dim": closure.dim,
-                                "generator": vec_str(
-                                    {i: c for i, c in enumerate(v)
-                                     if not c.is_zero()}, A.labels)}}
+                                "generator": vec_str(v, A.labels)}}
     return {"simple": True, "method": method, "socle_dim": soc.dim,
             "witness": None}
 
@@ -537,7 +527,8 @@ def l4_params_from_uv(N: int, u, v, alpha=1) -> FamilyParams:
     u = _coerce(fld, u)
     v = _coerce(fld, v)
     alpha = _coerce(fld, alpha)
-    assert not alpha.is_zero()
+    if alpha.is_zero():
+        raise ValueError("the (u, v) chart needs alpha != 0")
     beta = u * v * (fld.one - fld.q_power(2)) / alpha
     xi = u ** N + v ** N
     return zoo_params("L4", N, alpha=alpha, beta=beta, xi=xi)
@@ -557,34 +548,24 @@ def embed_A4_into_uq(N: int, u, v, alpha=1) -> VerificationReport:
     R = regular_comodule_algebra(uq)
     Z = uq_z_element(N, params.alpha, params.beta, u + v)
 
-    # powers of W in the deformed product, as combinations of the W^a basis
+    # W^b in the deformed product maps to Z^b; the basis vector W^a maps to
+    # sum x_b Z^b for the x solving sum x_b W^b = W^a
     W = {1: fld.one}
     star_powers = [A.algebra.unit_vec()]
     for _ in range(N - 1):
         star_powers.append(A.algebra.mul_vec(star_powers[-1], W))
-    P = Matrix.zeros(fld, N, N)
-    for b, vec in enumerate(star_powers):
-        for a, c in vec.items():
-            P.entries[a][b] = c
     zpow = [uq.algebra.unit_vec()]
     for _ in range(N - 1):
         zpow.append(uq.algebra.mul_vec(zpow[-1], Z))
 
-    fmat = Matrix.zeros(fld, uq.dim, N)
+    images = []
     for a in range(N):
-        e_a = [fld.one if i == a else fld.zero for i in range(N)]
-        coords = solve(P, e_a)
+        coords = solve(fld, star_powers, {a: fld.one})
         if coords is None:
             raise ArithmeticError("star powers of W do not span")
-        img: dict = {}
-        for b, c in enumerate(coords):
-            if not c.is_zero():
-                for k, d in vec_scale(zpow[b], c).items():
-                    vec_add_into(img, k, d)
-        for k, c in img.items():
-            fmat.entries[k][a] = c
+        images.append(vec_combine(zpow, coords.items()))
 
-    rep = check_comodule_algebra_morphism(fmat, A, R, expect="injective")
+    rep = check_comodule_algebra_morphism(images, A, R, expect="injective")
     rep.config["params"] = params.label()
     phi = phi_polynomial(params.alpha, params.beta, params.xi, N)
     minp = minimal_polynomial_of_element(uq.algebra, Z)
@@ -668,7 +649,9 @@ def one_dim_reps_A4(N: int, u, v, alpha=1) -> VerificationReport:
 def semisimplicity_A4(params: FamilyParams) -> dict:
     """Squarefreeness of phi versus the closed discriminant-style criterion
     xi^2 != 4 alpha^N beta^N (1-q^2)^{-N}; the two must agree."""
-    assert params.family == "L4"
+    if params.family != "L4":
+        raise ValueError(f"semisimplicity_A4 needs an L4 member, not "
+                         f"{params.label()}")
     N = params.N
     fld = field(N)
     phi = phi_polynomial(params.alpha, params.beta, params.xi, N)
@@ -695,7 +678,8 @@ def morita_equivalent_params(p1: FamilyParams, p2: FamilyParams) -> bool:
     Works on normalised parameters; members of different (normalised)
     families are never equivalent.
     """
-    assert p1.N == p2.N
+    if p1.N != p2.N:
+        raise ValueError("members over different orders N")
     N = p1.N
     fld = field(N)
     a, b = p1.normalized(), p2.normalized()
@@ -733,25 +717,25 @@ def morita_equivalent_params(p1: FamilyParams, p2: FamilyParams) -> bool:
 def diagonal_family_map(src: FamilyParams, dst: FamilyParams,
                         x_scale=None, y_scale=None, g_scale=None,
                         w_scale=None, deformed=False):
-    """Matrix of the monomial map X^a Y^b G^c -> sx^a sy^b sg^c X^a Y^b G^c
-    (or W^a -> sw^a W^a) between two members with the same basis shape.
+    """The monomial map X^a Y^b G^c -> sx^a sy^b sg^c X^a Y^b G^c (or
+    W^a -> sw^a W^a) between two members with the same basis shape.
 
-    Returns (matrix, A_src, A_dst) ready for the morphism checker."""
+    Returns (images, A_src, A_dst) ready for the morphism checker."""
     build = deform_family if deformed else build_family
     A, B = build(src), build(dst)
-    assert family_basis_exponents(src) == family_basis_exponents(dst)
-    fld = A.field
-    one = fld.one
     exps = family_basis_exponents(src)
-    m = Matrix.zeros(fld, B.dim, A.dim)
+    if exps != family_basis_exponents(dst):
+        raise ValueError("a monomial map needs two members of one basis shape")
+    one = A.field.one
+    images = []
     for i, e in enumerate(exps):
         if len(e) == 1:
             s = (w_scale or one) ** e[0]
         else:
             s = ((x_scale or one) ** e[0]) * ((y_scale or one) ** e[1]) \
                 * ((g_scale or one) ** e[2])
-        m.entries[i][i] = s
-    return m, A, B
+        images.append({i: s})
+    return images, A, B
 
 
 def conjugation_invariance_report(params: FamilyParams, power: int,
@@ -772,19 +756,14 @@ def conjugation_invariance_report(params: FamilyParams, power: int,
                          beta=params.beta * fld.q_power(-2 * power),
                          xi=params.xi)
         B = build(rot)
-        m = Matrix.identity(fld, B.dim)
-        rep = check_comodule_algebra_morphism(
-            m, ComoduleAlgebra(conj.algebra, conj.over, conj.coaction,
-                               conj.params), B)
+        images = [{i: fld.one} for i in range(B.dim)]
     else:
-        m, _, B = diagonal_family_map(
+        images, _, B = diagonal_family_map(
             params, params,
             x_scale=fld.q_power(2 * power),
             y_scale=fld.q_power(-2 * power),
             deformed=deformed)
-        src = ComoduleAlgebra(conj.algebra, conj.over, conj.coaction,
-                              conj.params)
-        rep = check_comodule_algebra_morphism(m, src, B)
+    rep = check_comodule_algebra_morphism(images, conj, B)
     rep.config["conjugating_power"] = power
     return rep
 

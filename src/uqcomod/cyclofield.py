@@ -41,7 +41,8 @@ def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
             quot[i - dd] = c
             for j, dj in enumerate(den):
                 num[i - dd + j] -= c * dj
-    assert all(c == 0 for c in num), "inexact cyclotomic division"
+    if any(num):
+        raise ArithmeticError("inexact cyclotomic division")
     return quot
 
 

@@ -1,47 +1,17 @@
 """Exact linear algebra over a cyclotomic field.
 
-Dense matrices, one incremental sparse echelon behind RREF, rank, solve,
-kernels, canonical subspaces and minimal polynomials, and univariate
-polynomials for squarefree work.  Everything is exact; no pivot thresholds.
+One sparse-vector layer: vectors are dicts {key: coeff} with no zero
+coefficients, a linear map is the list of its basis images, and one
+incremental echelon serves RREF, rank, solve, kernels, canonical subspaces
+and minimal polynomials.  Univariate polynomials serve squarefree work.
+Everything is exact; no pivot thresholds.
 """
 
 from __future__ import annotations
 
-from .cyclofield import CyclotomicField, CyclotomicNumber
+from types import MappingProxyType
 
-
-class Matrix:
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, fld: CyclotomicField, entries):
-        self.field = fld
-        self.entries = [list(r) for r in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(r) != self.cols for r in self.entries):
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def zeros(cls, fld, rows, cols):
-        z = fld.zero
-        return cls(fld, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, fld, n):
-        m = cls.zeros(fld, n, n)
-        for i in range(n):
-            m.entries[i][i] = fld.one
-        return m
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.entries == other.entries
-            and self.field == other.field
-        )
-
-    def __repr__(self):
-        return f"<Matrix {self.rows}x{self.cols} over Q(q_{self.field.order})>"
+from .cyclofield import CyclotomicNumber
 
 
 class SparseEchelon:
@@ -66,13 +36,7 @@ class SparseEchelon:
     def reduce(self, v: dict) -> dict:
         """v less its part along the rows: empty exactly when v is in the
         span.  Zero coefficients in v are dropped."""
-        out = {k: c for k, c in v.items() if not c.is_zero()}
-        rows = self.rows
-        for p, f in list(out.items()):
-            row = rows.get(p)
-            if row is not None:
-                _sub_row(out, f, row, p)
-        return out
+        return _reduce(self.rows, v)
 
     def add(self, v: dict):
         """Add v to the span; the new row, or None when v was in the span."""
@@ -95,14 +59,7 @@ class SparseEchelon:
 
     def subspace(self, ambient_dim: int) -> "Subspace":
         """The span, on keys 0 .. ambient_dim - 1, as a canonical Subspace."""
-        z = self.field.zero
-        basis = []
-        for p in sorted(self.rows):
-            dense = [z] * ambient_dim
-            for k, c in self.rows[p].items():
-                dense[k] = c
-            basis.append(tuple(dense))
-        return Subspace(self.field, ambient_dim, tuple(basis))
+        return Subspace(self.field, ambient_dim, self.rows)
 
 
 def vec_add_into(acc: dict, key, c) -> None:
@@ -118,6 +75,16 @@ def vec_add_into(acc: dict, key, c) -> None:
             acc[key] = s
 
 
+def _reduce(rows, v: dict) -> dict:
+    # one pass suffices: a row is 0 at every other pivot
+    out = {k: c for k, c in v.items() if not c.is_zero()}
+    for p, f in list(out.items()):
+        row = rows.get(p)
+        if row is not None:
+            _sub_row(out, f, row, p)
+    return out
+
+
 def _sub_row(out: dict, f, row: dict, pivot) -> None:
     # out -= f * row in place, where out[pivot] == f and row[pivot] == 1
     del out[pivot]
@@ -127,99 +94,128 @@ def _sub_row(out: dict, f, row: dict, pivot) -> None:
             vec_add_into(out, k, nf * c)
 
 
-def _row_echelon(fld, ncols, rows) -> SparseEchelon:
+def _check_keys(v: dict, n: int) -> None:
+    for k in v:
+        if k not in range(n):
+            raise ValueError(f"key {k!r} of a vector in F^{n}")
+
+
+def _echelon(fld, vectors) -> SparseEchelon:
     ech = SparseEchelon(fld)
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"vector of length {len(row)} in F^{ncols}")
-        ech.add(dict(enumerate(row)))
+    for v in vectors:
+        ech.add(v)
     return ech
 
 
-def rref(m: Matrix):
-    """The reduced row echelon form of m, zero rows last, and its pivots."""
-    ech = _row_echelon(m.field, m.cols, m.entries)
-    basis = list(ech.subspace(m.cols).basis)
-    basis += [[m.field.zero] * m.cols] * (m.rows - len(basis))
-    return Matrix(m.field, basis), tuple(sorted(ech.rows))
-
-
-def rank(m: Matrix) -> int:
-    return _row_echelon(m.field, m.cols, m.entries).rank
-
-
-def kernel(m: Matrix) -> "Subspace":
-    """Right kernel {x : m x = 0} as a canonical subspace of F^cols."""
-    return kernel_of_sparse_columns(
-        m.field, [dict(enumerate(col)) for col in zip(*m.entries)], m.cols)
-
-
-def solve(m: Matrix, b) -> list | None:
-    """One solution of m x = b (free variables set to 0), or None."""
-    n = m.cols
-    rows = _row_echelon(m.field, n + 1,
-                        [list(r) + [bv] for r, bv in zip(m.entries, b)]).rows
-    if n in rows:
-        return None
-    x = [m.field.zero] * n
-    for p, row in rows.items():
-        x[p] = row.get(n, x[p])
-    return x
-
-
-def kernel_of_sparse_columns(fld, columns, ncols) -> "Subspace":
-    """Kernel of the map e_j -> columns[j], columns as dicts keyed by any
-    hashable row label.
-
-    Each column, keyed (0, label number), is tagged with (1, j): 1 and
-    added to one echelon.  A row whose pivot is a tag has no image part, so
-    it is a kernel vector, and those rows are the kernel's RREF basis.
-    """
+def _tagged_echelon(fld, columns):
+    """One echelon of the columns of the map e_j -> columns[j], columns as
+    dicts keyed by any hashable row label: column j, keyed (0, label
+    number), is tagged with (1, j): 1.  Image keys sort before tags, so a
+    row whose pivot is a tag has no image part.  Returns the echelon and
+    the label numbering."""
     labels: dict = {}
     ech = SparseEchelon(fld)
     for j, col in enumerate(columns):
         v = {(0, labels.setdefault(k, len(labels))): c for k, c in col.items()}
         v[(1, j)] = fld.one
         ech.add(v)
+    return ech, labels
+
+
+# rref and kernel have no caller in the package: they are kept, as thin
+# delegations, because perfbench/tracer.py wraps them by name.
+
+def rref(fld, vectors):
+    """The canonical RREF rows of the span of the vectors, in pivot order,
+    and their pivots."""
+    rows = _echelon(fld, vectors).rows
+    pivots = tuple(sorted(rows))
+    return [rows[p] for p in pivots], pivots
+
+
+def kernel(fld, columns, ncols) -> "Subspace":
+    """Kernel of the map e_j -> columns[j]; see kernel_of_sparse_columns."""
+    return kernel_of_sparse_columns(fld, columns, ncols)
+
+
+def rank(fld, vectors) -> int:
+    return _echelon(fld, vectors).rank
+
+
+def solve(fld, columns, b: dict) -> dict | None:
+    """One x with sum_j x[j] columns[j] = b, as a sparse vector, or None.
+
+    b, reduced on the tagged echelon of the columns, keeps an image part
+    exactly when it is not in their span; otherwise its tags are -x."""
+    ech, labels = _tagged_echelon(fld, columns)
+    v = {}
+    for k, c in b.items():
+        if k not in labels:
+            if c.is_zero():
+                continue
+            return None
+        v[(0, labels[k])] = c
+    r = ech.reduce(v)
+    if any(tag == 0 for tag, _ in r):
+        return None
+    return {j: -c for (_, j), c in r.items()}
+
+
+def kernel_of_sparse_columns(fld, columns, ncols) -> "Subspace":
+    """Kernel of the map e_j -> columns[j], columns as dicts keyed by any
+    hashable row label: the rows of the tagged echelon whose pivot is a tag
+    are kernel vectors, and together they are the kernel's RREF basis."""
+    ech, _ = _tagged_echelon(fld, columns)
     rows = {p[1]: {j: c for (_, j), c in row.items()}
             for p, row in ech.rows.items() if p[0] == 1}
-    return SparseEchelon(fld, rows).subspace(ncols)
+    return Subspace(fld, ncols, rows)
 
 
 class Subspace:
-    """A subspace of F^n held by its canonical (RREF) basis."""
+    """A subspace of F^n held by its canonical RREF rows, sparse vectors
+    keyed by pivot: a frozen SparseEchelon snapshot.  The mapping is
+    read-only, and rows are shared, never changed in place."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "rows")
 
-    def __init__(self, fld, ambient_dim, canonical_basis):
+    def __init__(self, fld, ambient_dim, rows):
         self.field = fld
         self.ambient_dim = ambient_dim
-        self.basis = canonical_basis  # tuple of tuples, already RREF
+        self.rows = MappingProxyType(dict(rows))  # pivot -> row, canonical
 
     @classmethod
     def from_vectors(cls, fld, ambient_dim, vectors):
-        return _row_echelon(fld, ambient_dim, vectors).subspace(ambient_dim)
+        ech = SparseEchelon(fld)
+        for v in vectors:
+            _check_keys(v, ambient_dim)
+            ech.add(v)
+        return ech.subspace(ambient_dim)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def contains(self, vec) -> bool:
-        return _row_echelon(self.field, self.ambient_dim,
-                            self.basis + (tuple(vec),)).rank == self.dim
+    @property
+    def basis(self) -> tuple:
+        """The canonical rows in pivot order."""
+        return tuple(self.rows[p] for p in sorted(self.rows))
+
+    def contains(self, vec: dict) -> bool:
+        _check_keys(vec, self.ambient_dim)
+        return not _reduce(self.rows, vec)
 
     def contains_subspace(self, other) -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return all(self.contains(row) for row in other.rows.values())
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(sorted(self.rows))))
 
     def __repr__(self):
         return f"<Subspace dim {self.dim} of F^{self.ambient_dim}>"

@@ -21,8 +21,8 @@ from collections.abc import Sequence
 from types import MappingProxyType
 
 from .cyclofield import CyclotomicField, CyclotomicNumber
-from .exactlinalg import (Matrix, SparseEchelon, Subspace,
-                          kernel_of_sparse_columns, rank, vec_add_into)
+from .exactlinalg import (SparseEchelon, Subspace, kernel_of_sparse_columns,
+                          rank, vec_add_into)
 from .reporting import VerificationReport
 
 # ---------------------------------------------------------------------------
@@ -48,6 +48,16 @@ def vec_sub(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
         vec_add_into(out, k, -c)
+    return out
+
+
+def vec_combine(images, terms) -> dict:
+    """f(sum c e_m) over the (m, c) terms, for the linear map
+    f(e_m) = images[m]."""
+    out: dict = {}
+    for m, c in terms:
+        for k, d in images[m].items():
+            vec_add_into(out, k, c * d)
     return out
 
 
@@ -305,21 +315,12 @@ def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
     return plan
 
 
-def _apply(images, terms) -> dict:
-    """f(sum c e_m) over (m, c) terms, for the linear map f(e_m) = images[m]."""
-    out: dict = {}
-    for m, c in terms:
-        for k, d in images[m].items():
-            vec_add_into(out, k, c * d)
-    return out
-
-
 def _product_failures(alg: FiniteAlgebra, pairs, images, mul):
     """[label_i, label_j] for each planned pair (i, j) where the linear map
     f(e_m) = images[m] has f(e_i e_j) != mul(f(e_i), f(e_j))."""
     bad = []
     for i, j in pairs:
-        if not vec_eq(_apply(images, alg.mul_basis(i, j)),
+        if not vec_eq(vec_combine(images, alg.mul_basis(i, j)),
                       mul(images[i], images[j])):
             bad.append([alg.labels[i], alg.labels[j]])
     return bad
@@ -880,31 +881,25 @@ def _contracted_legs(terms, sides, times: _Products) -> dict:
             for p, v in acc.items() if v}
 
 
-def _slice_product(mul, left: dict, right: dict, times: _Products) -> dict:
-    """sum_p left[p] right[p] in the table mul, for the contracted legs of
-    two basis elements."""
-    out: dict = {}
-    for p, lv in left.items():
-        rv = right.get(p)
-        if rv is None:
-            continue
-        for k, ck in lv:
-            for m, cm in rv:
-                ent = mul.get((k, m))
-                if not ent:
-                    continue
-                c = times(ck, cm)
-                for t, ct in ent:
-                    vec_add_into(out, t, times(c, ct))
-    return out
-
-
 def _slice_table(mul, left, right, times: _Products) -> dict:
-    """Every product e_i * e_j = sum_p left[i][p] right[j][p], as a table."""
+    """Every product e_i * e_j = sum_p left[i][p] right[j][p] in the table
+    mul, for the contracted legs of the basis elements, as a table."""
     table: dict = {}
     for i, li in enumerate(left):
         for j, rj in enumerate(right):
-            out = _slice_product(mul, li, rj, times)
+            out: dict = {}
+            for p, lv in li.items():
+                rv = rj.get(p)
+                if rv is None:
+                    continue
+                for k, ck in lv:
+                    for m, cm in rv:
+                        ent = mul.get((k, m))
+                        if not ent:
+                            continue
+                        c = times(ck, cm)
+                        for t, ct in ent:
+                            vec_add_into(out, t, times(c, ct))
             if out:
                 table[(i, j)] = tuple(sorted(out.items()))
     return table
@@ -929,71 +924,6 @@ def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
         right.append(_contracted_legs(d2, ((b_sig, n_sig), (b_inv, n_inv)),
                                       times))
     return left, right
-
-
-class CocycleDeformedMultiplier:
-    """On-demand products a *_sigma b = sigma(a1,b1) a2 b2 sigma^{-1}(a3,b3).
-
-    The set-up factors sigma and sigma^{-1} into slices (factor_form) and
-    contracts every basis element's Delta^2 legs with them once; each
-    product is then a sum over slice pairs of products in H's table, the
-    same slice kernel that deform_hopf tabulates.  Pair products are
-    memoised, so the multiplier suits sizes where only some products are
-    needed (the relation report of u_q at N = 7).
-    """
-
-    def __init__(self, H: HopfAlgebraData, sigma: ConvForm,
-                 sigma_inv: ConvForm):
-        self.H = H
-        self._times = _Products(H.field)
-        self._left, self._right = _two_sided_legs(H, sigma, sigma_inv,
-                                                  self._times)
-        self._memo: dict = {}
-
-    def basis_product(self, i: int, j: int) -> dict:
-        got = self._memo.get((i, j))
-        if got is None:
-            got = self._memo[(i, j)] = _slice_product(
-                self.H.algebra.mul, self._left[i], self._right[j],
-                self._times)
-        return got
-
-    def mul_vec(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                ent = self.basis_product(i, j)
-                if ent:
-                    c = ca * cb
-                    for k, ck in ent.items():
-                        vec_add_into(out, k, c * ck)
-        return out
-
-    def pow_vec(self, a: dict, n: int) -> dict:
-        out = self.H.algebra.unit_vec()
-        for _ in range(n):
-            out = self.mul_vec(out, a)
-        return out
-
-    # facade so the multiplier can stand in for a FiniteAlgebra in
-    # minimal-polynomial and antipode computations
-    @property
-    def field(self):
-        return self.H.field
-
-    @property
-    def dim(self):
-        return self.H.dim
-
-    @property
-    def labels(self):
-        return self.H.labels
-
-    def unit_vec(self) -> dict:
-        return self.H.algebra.unit_vec()
-
-    def basis_vec(self, i) -> dict:
-        return {i: self.H.field.one}
 
 
 def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv=None,
@@ -1131,7 +1061,8 @@ def deform_comodule_algebra(A: ComoduleAlgebra, sigma: ConvForm,
 def conjugate_comodule_algebra(A: ComoduleAlgebra, g_idx: int) -> ComoduleAlgebra:
     """Same algebra, coaction conjugated: a -> g a_(-1) g^{-1} (x) a_(0)."""
     H = A.over
-    assert g_idx in H.grouplikes, "conjugation needs a grouplike index"
+    if g_idx not in H.grouplikes:
+        raise ValueError("conjugation needs a grouplike index")
     halg = H.algebra
     gvec = halg.basis_vec(g_idx)
     ginv = _invert_grouplike(halg, g_idx)
@@ -1148,26 +1079,27 @@ def conjugate_comodule_algebra(A: ComoduleAlgebra, g_idx: int) -> ComoduleAlgebr
     return ComoduleAlgebra(A.algebra, H, coaction, params)
 
 
-def check_comodule_algebra_morphism(f: Matrix, A: ComoduleAlgebra,
+def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
                                     B: ComoduleAlgebra,
                                     expect="bijective") -> VerificationReport:
-    """f maps A to B; columns of f are images of A's basis vectors.
+    """The linear map f: A -> B with f(e_i) = images[i], a sparse vector
+    of B, is a colinear algebra map of the expected kind.
 
     expect is "bijective" for isomorphism candidates or "injective" for
     embeddings into a larger comodule algebra.
     """
-    if f.rows != B.dim or f.cols != A.dim:
-        raise ValueError(f"a {f.rows}x{f.cols} matrix cannot map a "
-                         f"{A.dim}-dimensional algebra to a "
-                         f"{B.dim}-dimensional one")
+    if len(images) != A.dim:
+        raise ValueError(f"{len(images)} images cannot map a "
+                         f"{A.dim}-dimensional algebra")
+    if any(k not in range(B.dim) for v in images for k in v):
+        raise ValueError(f"an image has a key outside the "
+                         f"{B.dim}-dimensional target")
     if A.over is not B.over and A.over.labels != B.over.labels:
         raise ValueError("comodule algebras over different Hopf algebras")
     rep = VerificationReport({"source": dict(A.params), "target": dict(B.params)})
 
-    # images[i] = f(e_i), column i of f
-    images = [{j: f.entries[j][i] for j in range(B.dim)
-               if not f.entries[j][i].is_zero()} for i in range(A.dim)]
-    ok = vec_eq(_apply(images, A.algebra.unit.items()), B.algebra.unit_vec())
+    ok = vec_eq(vec_combine(images, A.algebra.unit.items()),
+                B.algebra.unit_vec())
     rep.add("morphism-unital", "algebra-map-unit", ok, None)
 
     bad = _product_failures(A.algebra, check_plan(A.dim, 2, "exhaustive"),
@@ -1187,7 +1119,7 @@ def check_comodule_algebra_morphism(f: Matrix, A: ComoduleAlgebra,
     rep.add("morphism-colinear", "comodule-map", not bad,
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
-    r = rank(f)
+    r = rank(B.field, images)
     if expect == "bijective":
         ok = r == A.dim and A.dim == B.dim
     elif expect == "injective":
@@ -1220,8 +1152,8 @@ def costable_closure(V: Subspace, A: ComoduleAlgebra) -> Subspace:
     of its coaction, and each of those candidates is reduced once.
     """
     alg, dim = A.algebra, A.dim
-    ech = SparseEchelon(A.field)
-    todo = [ech.add(dict(enumerate(row))) for row in V.basis]
+    ech = SparseEchelon(A.field, V.rows)
+    todo = list(V.basis)
     while todo and ech.rank < dim:
         v = todo.pop()
         per_h: dict = {}

@@ -1,9 +1,8 @@
 """Polynomial identities behind the semisimplicity analysis.
 
-Three ingredients:
+Two ingredients:
 
 * P_n(s, t), the power-sum polynomials with P_n(u+v, uv) = u^n + v^n,
-* Chebyshev polynomials of the first kind (sanity anchor for P_n),
 * the degree-N minimal polynomial
       phi(T) = sum_k (N/(N-k)) C(N-k, k) (alpha beta / (q^2-1))^k T^{N-2k} - xi
   together with the factorisation
@@ -50,7 +49,8 @@ class MultiPoly:
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            assert other.names == self.names
+            if other.names != self.names:
+                raise ValueError("polynomials in different variables")
             return other
         return MultiPoly.constant(self.field, self.names, other)
 
@@ -103,7 +103,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        assert n >= 0
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
         out = MultiPoly.constant(self.field, self.names, 1)
         base = self
         while n:
@@ -125,7 +126,9 @@ class MultiPoly:
         tuple than this one; they only have to agree with each other, and
         the result is expressed in their variables."""
         vals = list(values)
-        assert len(vals) == len(self.names)
+        if len(vals) != len(self.names):
+            raise ValueError(f"{len(vals)} values for {len(self.names)} "
+                             "variables")
         names = self.names
         for v in vals:
             if isinstance(v, MultiPoly):
@@ -133,7 +136,8 @@ class MultiPoly:
                 break
         vals = [v if isinstance(v, MultiPoly)
                 else MultiPoly.constant(self.field, names, v) for v in vals]
-        assert all(v.names == names for v in vals)
+        if any(v.names != names for v in vals):
+            raise ValueError("substituted polynomials in different variables")
         out = MultiPoly(self.field, names, {})
         for e, c in self.terms.items():
             term = MultiPoly.constant(self.field, names, c)
@@ -144,7 +148,9 @@ class MultiPoly:
         return out
 
     def eval_scalars(self, *values) -> CyclotomicNumber:
-        assert len(values) == len(self.names)
+        if len(values) != len(self.names):
+            raise ValueError(f"{len(values)} values for {len(self.names)} "
+                             "variables")
         vals = [v if isinstance(v, CyclotomicNumber)
                 else self.field.from_rational(v) for v in values]
         out = self.field.zero
@@ -181,7 +187,8 @@ class MultiPoly:
 
 def power_sum_P(n: int, fld=None) -> MultiPoly:
     """P_n(s, t) with P_n(u+v, uv) = u^n + v^n; P_1 = s, P_2 = s^2 - 2t."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("power sums start at n = 1")
     if fld is None:
         fld = field(1)
     names = ("s", "t")
@@ -195,40 +202,10 @@ def power_sum_P(n: int, fld=None) -> MultiPoly:
     return cur
 
 
-def chebyshev_T(n: int, fld=None) -> Poly:
-    """Chebyshev polynomial of the first kind, exact coefficients.
-
-    Returns the closed form (n/2) sum_k (-1)^k/(n-k) C(n-k,k) (2z)^{n-2k}
-    after checking it against the three-term recurrence (ArithmeticError
-    if they disagree).
-    """
-    assert n >= 0
-    if fld is None:
-        fld = field(1)
-    two = fld.from_rational(2)
-    t0 = Poly.from_rationals(fld, [1])
-    t1 = Poly.from_rationals(fld, [0, 1])
-    if n == 0:
-        return t0
-    cur, prev = t1, t0
-    z = t1
-    for _ in range(n - 1):
-        prev, cur = cur, z * cur * two - prev
-    coeffs = [fld.zero] * (n + 1)
-    for k in range(n // 2 + 1):
-        c = Fraction(n, 2) * Fraction((-1) ** k, n - k) * comb(n - k, k) \
-            * Fraction(2) ** (n - 2 * k)
-        coeffs[n - 2 * k] = fld.from_rational(c)
-    closed = Poly(fld, coeffs)
-    if closed != cur:
-        raise ArithmeticError(
-            f"Chebyshev closed form disagrees with the recurrence at n={n}")
-    return closed
-
-
 def min_poly_coefficient(n: int, k: int) -> Fraction:
     """The coefficient n/(n-k) * C(n-k, k) (an integer for 0 <= 2k <= n)."""
-    assert 0 <= 2 * k <= n
+    if not 0 <= 2 * k <= n:
+        raise ValueError(f"no coefficient at n = {n}, k = {k}")
     return Fraction(n, n - k) * comb(n - k, k)
 
 
@@ -291,13 +268,15 @@ def product_identity_sides(n: int, fld: CyclotomicField, omega_power: int):
 
 def verify_chebyshev_identity(n: int) -> bool:
     """Product identity over Q(omega) with omega = q (primitive n-th root)."""
-    assert n >= 2
+    if n < 2:
+        raise ValueError("the product identity needs n >= 2")
     lhs, rhs = product_identity_sides(n, field(n), 1)
     return lhs == rhs
 
 
 def verify_min_pol_formula_consistency(N: int) -> bool:
     """Product identity over Q(q) with omega = q^2, the form used by phi."""
-    assert N >= 3 and N % 2 == 1
+    if N < 3 or N % 2 == 0:
+        raise ValueError("the order N must be odd and at least 3")
     lhs, rhs = product_identity_sides(N, field(N), 2)
     return lhs == rhs

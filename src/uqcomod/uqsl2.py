@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .cyclofield import field, q_binomial, q_factorial, q_int
 from .hopfcore import (
-    CocycleDeformedMultiplier,
     ConvForm,
     FiniteAlgebra,
     FiniteCoalgebra,
@@ -313,9 +312,10 @@ def build_uq(N: int) -> HopfAlgebraData:
     Generators in the deformed algebra: Et = x, F = y, K = g. Builds the
     complete multiplication table by deform_hopf's slice kernel, each
     product exactly the sigma formula: about 0.5 s at N = 5 and 5 s at
-    N = 7 (dimension 343, 78 MB peak) on a 2-vCPU host.  The
-    defining relations are checked before returning (AssertionError if
-    one fails).
+    N = 7 (dimension 343, 75 MB peak) on a 2-vCPU host.  Every suite
+    and report at N = 7 reads this one table.  The defining relations are
+    checked on the fresh table before it is cached (AssertionError if one
+    fails).
     """
     H = build_gr_uq(N)
     sigma = build_sigma(N)
@@ -356,24 +356,18 @@ def uq_z_element(N: int, alpha, beta, gamma) -> dict:
     return Z
 
 
-def on_demand_uq_multiplier(N: int) -> CocycleDeformedMultiplier:
-    """Deformed products on demand, through the slice kernel, without
-    tabulating the whole algebra: the relation report needs only a few."""
-    return CocycleDeformedMultiplier(build_gr_uq(N), build_sigma(N),
-                                     build_sigma_inverse(N))
-
-
 def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
     """Check the defining relations of u_q in both generator systems.
 
-    Products are taken in the deformed algebra; by default an on-demand
-    multiplier is used, so this stays cheap even at N = 7 where the full
-    deformed table is not materialised.
+    Products are taken by multiplier, any object with mul_vec and pow_vec:
+    by default the table of build_uq(N).  build_uq passes its fresh table
+    before caching it, and a corrupted table can be passed to see the
+    report fail.
     """
     check_order(N)
     H = build_gr_uq(N)
     fld = H.field
-    mult = multiplier if multiplier is not None else on_demand_uq_multiplier(N)
+    mult = multiplier if multiplier is not None else build_uq(N).algebra
     gen = uq_generators(N)
     one, Et, F, K, Kinv, E = (gen[k] for k in
                               ("one", "Et", "F", "K", "Kinv", "E"))

@@ -63,6 +63,23 @@ def dense_rref(rows):
     return tuple(tuple(row) for row in rows[:r])
 
 
+def sparse(row):
+    """A dense row as a sparse vector {index: coefficient}."""
+    return {i: c for i, c in enumerate(row) if not c.is_zero()}
+
+
+def dense(v, n, fld):
+    """A sparse vector as a dense tuple of length n."""
+    return tuple(v.get(i, fld.zero) for i in range(n))
+
+
+def dense_subspace(fld, n, rows):
+    """The Subspace whose canonical rows are the dense RREF rows given."""
+    from uqcomod.exactlinalg import Subspace
+
+    return Subspace(fld, n, {min(v): v for v in map(sparse, rows)})
+
+
 @pytest.fixture()
 def rng():
     return random.Random(20260815)

@@ -49,7 +49,7 @@ from uqcomod.hopfcore import (
 )
 from uqcomod.uqsl2 import monomial_index
 
-from conftest import dense_rref, random_scalar
+from conftest import dense, dense_rref, dense_subspace, random_scalar, sparse
 
 
 def zoo_sample(N):
@@ -130,14 +130,13 @@ def test_normalized_folds():
 
 def test_fold_is_an_actual_isomorphism():
     # L1 at r = 1 and L4(1, 0; xi) have identical bases; the identity
-    # matrix must be an isomorphism of comodule algebras, plain and deformed
-    from uqcomod.exactlinalg import Matrix
+    # map must be an isomorphism of comodule algebras, plain and deformed
     p = zoo_params("L1", 3, r=1, xi=2)
     q = p.normalized()
     for build in (build_family, deform_family):
         A, B = build(p), build(q)
-        m = Matrix.identity(A.field, A.dim)
-        rep = check_comodule_algebra_morphism(m, A, B)
+        identity = [{i: A.field.one} for i in range(A.dim)]
+        rep = check_comodule_algebra_morphism(identity, A, B)
         assert rep.ok, [c.claim_id for c in rep.failures()]
 
 
@@ -223,12 +222,10 @@ def test_coefficient_coalgebra_separates_L1_from_L2():
     C1 = coefficient_coalgebra(build_family(zoo_params("L1", N, r=N, xi=2)))
     C2 = coefficient_coalgebra(build_family(zoo_params("L2", N, r=N, zeta=1)))
     fld = field(N)
-    x_dense = [fld.zero] * N ** 3
-    x_dense[monomial_index(N, 1, 0, 0)] = fld.one
-    y_dense = [fld.zero] * N ** 3
-    y_dense[monomial_index(N, 0, 1, 0)] = fld.one
-    assert C1.contains(x_dense) and not C1.contains(y_dense)
-    assert C2.contains(y_dense) and not C2.contains(x_dense)
+    x = {monomial_index(N, 1, 0, 0): fld.one}
+    y = {monomial_index(N, 0, 1, 0): fld.one}
+    assert C1.contains(x) and not C1.contains(y)
+    assert C2.contains(y) and not C2.contains(x)
 
 
 def test_right_H_simplicity_proved_on_honest_members():
@@ -256,19 +253,18 @@ def reference_costable_closure(V, A):
     fld = A.field
     current = V
     while True:
-        new_vecs = [list(row) for row in current.basis]
-        for row in current.basis:
-            v = {i: c for i, c in enumerate(row) if not c.is_zero()}
+        new_vecs = [dense(v, A.dim, fld) for v in current.basis]
+        for v in current.basis:
             for b in range(A.dim):
                 prod = A.algebra.mul_vec(v, A.algebra.basis_vec(b))
-                new_vecs.append([prod.get(k, fld.zero) for k in range(A.dim)])
+                new_vecs.append(dense(prod, A.dim, fld))
             per_h: dict = {}
             for i, c in v.items():
                 for (h, a), d in A.coaction.get(i, ()):
                     vec_add_into(per_h.setdefault(h, {}), a, c * d)
             for w in per_h.values():
-                new_vecs.append([w.get(k, fld.zero) for k in range(A.dim)])
-        bigger = Subspace(fld, A.dim, dense_rref(new_vecs))
+                new_vecs.append(dense(w, A.dim, fld))
+        bigger = dense_subspace(fld, A.dim, dense_rref(new_vecs))
         if bigger.dim == current.dim:
             return bigger
         current = bigger
@@ -289,19 +285,20 @@ def test_costable_closure_matches_round_based_reference():
         seeds = [[v] for _, vs in _weight_spaces_of_socle(A, socle(A))
                  for v in vs]
         # the last basis vector (X^2 G^2 in L1 with X^3 = 0 takes two
-        # steps), a random vector, a random pair, a random vector on the
-        # first half of the basis (the left summand of the direct sum) and
-        # the sum of that half (there an idempotent, which needs the legs)
-        seeds.append([[fld.one if i == A.dim - 1 else fld.zero
-                       for i in range(A.dim)]])
-        seeds.append([[random_scalar(fld, rng) for _ in range(A.dim)]])
-        seeds.append([[random_scalar(fld, rng) if rng.random() < 0.2
-                       else fld.zero for _ in range(A.dim)]
+        # steps), the first and last together (in the direct sum one in
+        # each summand, where each alone generates only its half), a random
+        # vector, a random pair, a random vector on the first half of the
+        # basis (the left summand of the direct sum) and the sum of that
+        # half (there an idempotent, which needs the legs)
+        seeds.append([{A.dim - 1: fld.one}])
+        seeds.append([{0: fld.one}, {A.dim - 1: fld.one}])
+        seeds.append([sparse(random_scalar(fld, rng) for _ in range(A.dim))])
+        seeds.append([sparse(random_scalar(fld, rng) if rng.random() < 0.2
+                             else fld.zero for _ in range(A.dim))
                       for _ in range(2)])
-        seeds.append([[random_scalar(fld, rng) if 2 * i < A.dim
-                       else fld.zero for i in range(A.dim)]])
-        seeds.append([[fld.one if 2 * i < A.dim else fld.zero
-                       for i in range(A.dim)]])
+        seeds.append([sparse(random_scalar(fld, rng) if 2 * i < A.dim
+                             else fld.zero for i in range(A.dim))])
+        seeds.append([{i: fld.one for i in range(A.dim) if 2 * i < A.dim}])
         dims = set()
         for vecs in seeds:
             V = Subspace.from_vectors(fld, A.dim, vecs)
@@ -366,7 +363,7 @@ def test_semisimplicity_cross_check_raises(monkeypatch):
 
 
 def test_star_powers_that_do_not_span_raise(monkeypatch):
-    monkeypatch.setattr(comodzoo, "solve", lambda P, e: None)
+    monkeypatch.setattr(comodzoo, "solve", lambda fld, columns, b: None)
     with pytest.raises(ArithmeticError, match="do not span"):
         embed_A4_into_uq(3, 1, 2)
 
@@ -376,7 +373,8 @@ import uqcomod.comodzoo as comodzoo
 import uqcomod.polyid as polyid
 from uqcomod import hopfcore as hc
 from uqcomod.cyclofield import field
-from uqcomod.exactlinalg import Matrix, Poly
+from uqcomod.cyclofield import _int_poly_div_exact
+from uqcomod.exactlinalg import Poly, Subspace
 from uqcomod.uqsl2 import build_gr_uq, build_sigma
 
 f = field(3)
@@ -392,8 +390,17 @@ other = hc.HopfAlgebraData(
     relabelled, H.antipode)
 shorter = hc.FiniteCoalgebra(f, H.labels[:26], {}, {})
 comodzoo.squarefree_check = lambda phi: False
+zp = comodzoo.zoo_params
+st = ("s", "t")
+P2 = polyid.power_sum_P(2, f)
+s_var = polyid.MultiPoly.variable(f, st, "s")
+u_var = polyid.MultiPoly.variable(f, ("u",), "u")
+v_var = polyid.MultiPoly.variable(f, ("v",), "v")
+identity = [{i: f.one} for i in range(27)]
 cases = [
-    (ValueError, lambda: Matrix(f, [[f.one, f.one], [f.one]])),
+    (ValueError, lambda: Subspace.from_vectors(f, 2, [{0: f.one, 2: f.one}])),
+    (ValueError, lambda: Subspace.from_vectors(f, 2, [{0: f.one}]).contains(
+        {-1: f.one})),
     (ZeroDivisionError,
      lambda: Poly.from_rationals(f, [1, 1]).divmod(Poly(f, []))),
     (ArithmeticError, lambda: comodzoo.semisimplicity_A4(
@@ -402,9 +409,29 @@ cases = [
     (ValueError, lambda: hc.HopfAlgebraData(H.algebra, relabelled, {})),
     (ValueError, lambda: hc.HopfAlgebraData(H.algebra, shorter, {})),
     (ValueError, lambda: hc.check_comodule_algebra_morphism(
-        Matrix.zeros(f, 26, 27), R, R)),
+        identity[:26], R, R)),
     (ValueError, lambda: hc.check_comodule_algebra_morphism(
-        Matrix.identity(f, 27), R, hc.regular_comodule_algebra(other))),
+        identity[:26] + [{27: f.one}], R, R)),
+    (ValueError, lambda: hc.check_comodule_algebra_morphism(
+        identity, R, hc.regular_comodule_algebra(other))),
+    (ValueError, lambda: hc.conjugate_comodule_algebra(R, 99)),
+    (ValueError, lambda: comodzoo._coerce(f, field(5).one)),
+    (ValueError, lambda: comodzoo.l4_params_from_uv(3, 1, 2, alpha=0)),
+    (ValueError, lambda: comodzoo.semisimplicity_A4(zp("L1", 3, r=3, xi=1))),
+    (ValueError, lambda: comodzoo.morita_equivalent_params(
+        zp("L0", 3, r=3), zp("L0", 5, r=5))),
+    (ValueError, lambda: comodzoo.diagonal_family_map(
+        zp("L1", 3, r=3, xi=1), zp("L4", 3, alpha=1, beta=1, xi=1))),
+    (ValueError, lambda: s_var + u_var),
+    (ValueError, lambda: s_var ** -1),
+    (ValueError, lambda: P2.compose([s_var])),
+    (ValueError, lambda: P2.compose([u_var, v_var])),
+    (ValueError, lambda: P2.eval_scalars(1)),
+    (ValueError, lambda: polyid.power_sum_P(0, f)),
+    (ValueError, lambda: polyid.min_poly_coefficient(4, 3)),
+    (ValueError, lambda: polyid.verify_chebyshev_identity(1)),
+    (ValueError, lambda: polyid.verify_min_pol_formula_consistency(4)),
+    (ArithmeticError, lambda: _int_poly_div_exact([1, 1], [0, 1])),
     (ValueError, lambda: hc.ConvForm.tensor(
         eps1, hc.ConvForm.unit(other, 1))),
     (ValueError, lambda: eps1(0, 0)),
@@ -484,9 +511,9 @@ def test_eta_rotation_isomorphism():
     src = zoo_params("L3N", 3, xi=1, zeta=2, eta=fld.q * fld.q_power(2))
     dst = zoo_params("L3N", 3, xi=1, zeta=2, eta=fld.q)
     for deformed in (False, True):
-        m, A, B = diagonal_family_map(src, dst, g_scale=fld.q_power(1),
-                                      deformed=deformed)
-        rep = check_comodule_algebra_morphism(m, A, B)
+        images, A, B = diagonal_family_map(src, dst, g_scale=fld.q_power(1),
+                                           deformed=deformed)
+        rep = check_comodule_algebra_morphism(images, A, B)
         assert rep.ok, (deformed, [c.claim_id for c in rep.failures()])
 
 
@@ -496,9 +523,9 @@ def test_l4_rescaling_isomorphism():
     src = zoo_params("L4", 3, alpha=2, beta=2, xi=lam ** 3)
     dst = zoo_params("L4", 3, alpha=1, beta=1, xi=1)
     for deformed in (False, True):
-        m, A, B = diagonal_family_map(src, dst, w_scale=lam,
-                                      deformed=deformed)
-        rep = check_comodule_algebra_morphism(m, A, B)
+        images, A, B = diagonal_family_map(src, dst, w_scale=lam,
+                                           deformed=deformed)
+        rep = check_comodule_algebra_morphism(images, A, B)
         assert rep.ok, (deformed, [c.claim_id for c in rep.failures()])
 
 

@@ -15,8 +15,10 @@ from conftest import random_scalar, reference_deformed_table
 from uqcomod.cli import _zoo_tuples
 from uqcomod.comodzoo import build_family, deform_family
 from uqcomod.hopfcore import (
-    CocycleDeformedMultiplier,
     ConvForm,
+    _Products,
+    _slice_table,
+    _two_sided_legs,
     deform_comodule_algebra,
     deform_hopf,
     factor_form,
@@ -95,11 +97,11 @@ def test_kernel_matches_the_nested_loop_on_forms_of_another_shape():
     sigma, inv = _perturbed_forms(3)
     assert factor_form(sigma)[2] > 3
     want = reference_deformed_table(H, sigma, inv)
-    mult = CocycleDeformedMultiplier(H, sigma, inv)
-    got = {(i, j): tuple(sorted(mult.basis_product(i, j).items()))
-           for i in range(H.dim) for j in range(H.dim)
-           if mult.basis_product(i, j)}
-    assert got == want
+    # deform_hopf would also solve for an antipode, which these forms need
+    # not allow, so the two-sided kernel is run on its own
+    times = _Products(H.field)
+    left, right = _two_sided_legs(H, sigma, inv, times)
+    assert _slice_table(H.algebra.mul, left, right, times) == want
     R = regular_comodule_algebra(H)
     assert dict(deform_comodule_algebra(R, sigma, H).algebra.mul) \
         == reference_deformed_table(R, sigma)
@@ -111,6 +113,6 @@ def test_deformation_rejects_a_form_that_is_not_bilinear():
     with pytest.raises(ValueError, match="bilinear"):
         deform_comodule_algebra(R, ConvForm.unit(H, 1), H)
     with pytest.raises(ValueError, match="bilinear"):
-        CocycleDeformedMultiplier(H, build_sigma(3), ConvForm.unit(H, 3))
+        deform_hopf(H, build_sigma(3), ConvForm.unit(H, 3))
     with pytest.raises(TypeError):
         deform_hopf(H, build_sigma(3), "not a form")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import (
-    Matrix,
     Poly,
     SparseEchelon,
     Subspace,
@@ -23,40 +22,44 @@ from uqcomod.exactlinalg import (
     squarefree_check,
 )
 
-from conftest import dense_rref, random_scalar
+from conftest import dense, dense_rref, random_scalar, sparse
 
 
-def mat(fld, rows):
-    return Matrix(fld, [[fld.from_rational(c) if not hasattr(c, "field")
-                         else c for c in row] for row in rows])
+def vec(fld, row):
+    """A row of rationals as a sparse vector."""
+    return sparse([fld.from_rational(c) for c in row])
 
 
 def test_rank_oracles():
     f = field(3)
     q = f.q
-    assert rank(mat(f, [[1, 0], [0, 1]])) == 2
-    assert rank(mat(f, [[0, 0], [0, 0]])) == 0
+    assert rank(f, [vec(f, [1, 0]), vec(f, [0, 1])]) == 2
+    assert rank(f, [vec(f, [0, 0]), {}]) == 0
     # [[1, q], [q^2, 1]] has determinant 1 - q^3 = 0
-    m = Matrix(f, [[f.one, q], [q * q, f.one]])
-    assert rank(m) == 1
+    assert rank(f, [{0: f.one, 1: q}, {0: q * q, 1: f.one}]) == 1
 
 
 def test_solve_and_kernel():
     f = field(1)
-    m = mat(f, [[1, 2], [3, 4]])
-    b = [f.from_rational(5), f.from_rational(11)]
-    x = solve(m, b)
+    # the columns of [[1, 2], [3, 4]]
+    cols = [vec(f, [1, 3]), vec(f, [2, 4])]
+    b = vec(f, [5, 11])
+    x = solve(f, cols, b)
     assert x is not None
-    got = [sum((m.entries[i][j] * x[j] for j in range(2)), f.zero)
-           for i in range(2)]
+    got = {}
+    for j, c in x.items():
+        for k, d in cols[j].items():
+            got[k] = got.get(k, f.zero) + c * d
     assert got == b
-    # inconsistent system
-    m2 = mat(f, [[1, 1], [1, 1]])
-    assert solve(m2, [f.one, f.zero]) is None
-    ker = kernel(m2)
+    # inconsistent system: [[1, 1], [1, 1]] x = (1, 0)
+    cols2 = [vec(f, [1, 1]), vec(f, [1, 1])]
+    assert solve(f, cols2, {0: f.one}) is None
+    assert solve(f, cols2, {5: f.one}) is None  # a row no column touches
+    assert solve(f, cols2, {}) == {}
+    ker = kernel(f, cols2, 2)
     assert ker.dim == 1
     v = ker.basis[0]
-    assert (v[0] + v[1]).is_zero()
+    assert (v.get(0, f.zero) + v.get(1, f.zero)).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,32 +69,42 @@ def test_solve_and_kernel():
 def test_rank_nullity_property(nr, nc, seed):
     f = field(3)
     rng = random.Random(seed)
-    m = Matrix(f, [[random_scalar(f, rng, span=2) for _ in range(nc)]
-                   for _ in range(nr)])
-    assert rank(m) + kernel(m).dim == nc
+    rows = [[random_scalar(f, rng, span=2) for _ in range(nc)]
+            for _ in range(nr)]
+    cols = [sparse(col) for col in zip(*rows)]
+    assert rank(f, map(sparse, rows)) + kernel(f, cols, nc).dim == nc
+    assert rank(f, cols) == rank(f, map(sparse, rows))
 
 
 def test_subspace_canonical_and_contains():
     f = field(1)
-    vecs = [[f.from_rational(c) for c in row]
-            for row in ([1, 2, 3], [2, 4, 6], [0, 1, 1])]
+    vecs = [vec(f, row) for row in ([1, 2, 3], [2, 4, 6], [0, 1, 1])]
     s = Subspace.from_vectors(f, 3, vecs)
     assert s.dim == 2
     # canonicalisation is idempotent
-    s2 = Subspace.from_vectors(f, 3, [list(r) for r in s.basis])
-    assert s == s2
-    assert s.contains([f.from_rational(c) for c in (1, 3, 4)])
-    assert not s.contains([f.from_rational(c) for c in (0, 0, 1)])
+    s2 = Subspace.from_vectors(f, 3, s.basis)
+    assert s == s2 and hash(s) == hash(s2)
+    assert s.contains(vec(f, [1, 3, 4]))
+    assert not s.contains(vec(f, [0, 0, 1]))
+    assert s.contains({})
     assert s.contains_subspace(s2)
+    assert s != Subspace.from_vectors(f, 3, vecs[:2])
+    # rows are read-only
+    with pytest.raises(TypeError):
+        s.rows[0] = {0: f.one}
 
 
 def test_subspace_rejects_vectors_of_the_wrong_length():
     f = field(1)
     with pytest.raises(ValueError):
-        Subspace.from_vectors(f, 3, [[f.one, f.zero]])
-    s = Subspace.from_vectors(f, 2, [[f.one, f.zero]])
+        Subspace.from_vectors(f, 3, [{0: f.one, 3: f.one}])
     with pytest.raises(ValueError):
-        s.contains([f.one])
+        Subspace.from_vectors(f, 3, [{-1: f.one}])
+    s = Subspace.from_vectors(f, 2, [{0: f.one}])
+    with pytest.raises(ValueError):
+        s.contains({2: f.one})
+    with pytest.raises(ValueError):
+        s.contains({(0, 1): f.one})
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,40 +124,47 @@ def test_sparse_echelon_matches_dense_rref(nr, nc, seed):
             vecs.append([random_scalar(f, rng, span=1)
                          if rng.random() < 0.6 else f.zero
                          for _ in range(nc)])
+    def as_dense(space):
+        return tuple(dense(row, nc, f) for row in space.basis)
+
     ech = SparseEchelon(f)
     snapshots, added = [], 0
     for i, v in enumerate(vecs):
         snapshots.append((SparseEchelon(f, ech.rows), dense_rref(vecs[:i])))
-        row = ech.add(dict(enumerate(v)))
+        row = ech.add(sparse(v))
         if row is not None:
             added += 1
             assert row[min(row)] == f.one
     want = dense_rref(vecs)
-    assert ech.subspace(nc).basis == want
+    assert as_dense(ech.subspace(nc)) == want
     assert ech.rank == len(want) == added
     for snap, span in snapshots:
-        assert snap.subspace(nc).basis == span
-    S = Subspace.from_vectors(f, nc, vecs)
-    assert S.basis == want
-    if vecs:
-        m = Matrix(f, vecs)
-        red, pivots = rref(m)
-        assert tuple(red.entries[:len(want)]) == tuple(map(list, want))
-        assert all(e.is_zero() for row in red.entries[len(want):]
-                   for e in row)
-        assert pivots == tuple(min(i for i, e in enumerate(row)
-                                   if not e.is_zero()) for row in want)
-        K = kernel(m)
-        assert K.dim + len(want) == nc
-        assert K.basis == dense_rref(K.basis)
-        for x in K.basis:
-            for row in vecs:
-                assert sum((a * b for a, b in zip(row, x)), f.zero).is_zero()
+        assert as_dense(snap.subspace(nc)) == span
+    S = Subspace.from_vectors(f, nc, map(sparse, vecs))
+    assert as_dense(S) == want
+    red, pivots = rref(f, map(sparse, vecs))
+    assert tuple(dense(row, nc, f) for row in red) == want
+    assert pivots == tuple(min(i for i, e in enumerate(row)
+                               if not e.is_zero()) for row in want)
+    K = kernel(f, [sparse(col) for col in zip(*vecs)] if vecs
+               else [{}] * nc, nc)
+    assert K.dim + len(want) == nc
+    assert as_dense(K) == dense_rref(as_dense(K))
+    for x in K.basis:
+        for row in vecs:
+            assert sum((row[j] * c for j, c in x.items()), f.zero).is_zero()
     probe = [random_scalar(f, rng, span=1) for _ in range(nc)]
     for v in vecs + [probe]:
         in_span = len(dense_rref(vecs + [v])) == len(want)
-        assert (not ech.reduce(dict(enumerate(v)))) == in_span
-        assert S.contains(v) == in_span
+        assert (not ech.reduce(sparse(v))) == in_span
+        assert S.contains(sparse(v)) == in_span
+        # v is solvable against the rows as columns exactly in the span
+        x = solve(f, map(sparse, vecs), sparse(v))
+        assert (x is not None) == in_span
+        if x is not None:
+            got = [sum((vecs[j][k] * c for j, c in x.items()), f.zero)
+                   for k in range(nc)]
+            assert got == list(v)
 
 
 def test_kernel_of_sparse_columns_with_odd_labels():
@@ -156,7 +176,8 @@ def test_kernel_of_sparse_columns_with_odd_labels():
     # column 2 is zero and col1 = 2 col0
     assert ker.dim == 2
     for v in ker.basis:
-        assert (v[0] + f.from_rational(2) * v[1]).is_zero()
+        assert (v.get(0, f.zero)
+                + f.from_rational(2) * v.get(1, f.zero)).is_zero()
 
 
 def test_poly_divmod_and_gcd():
@@ -170,10 +191,10 @@ def test_poly_divmod_and_gcd():
     assert g == Poly.from_rationals(f, [1, 1])
 
 
-def test_ragged_matrix_and_zero_divisor_raise():
+def test_out_of_range_key_and_zero_divisor_raise():
     f = field(1)
-    with pytest.raises(ValueError, match="ragged"):
-        Matrix(f, [[f.one, f.one], [f.one]])
+    with pytest.raises(ValueError, match="F\\^2"):
+        Subspace.from_vectors(f, 2, [{0: f.one}, {2: f.one}])
     with pytest.raises(ZeroDivisionError):
         Poly.from_rationals(f, [1, 1]).divmod(Poly(f, []))
 
@@ -230,7 +251,6 @@ def test_minimal_polynomial_nilpotent_and_unit():
 
 def test_rref_reports_pivots():
     f = field(1)
-    m = mat(f, [[0, 1, 2], [0, 2, 4]])
-    red, pivots = rref(m)
+    red, pivots = rref(f, [vec(f, [0, 1, 2]), vec(f, [0, 2, 4])])
     assert list(pivots) == [1]
-    assert red.entries[0][1] == f.one
+    assert red == [vec(f, [0, 1, 2])]

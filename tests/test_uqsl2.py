@@ -23,7 +23,6 @@ from uqcomod.uqsl2 import (
     gr_generators,
     index_triple,
     monomial_index,
-    on_demand_uq_multiplier,
     q_exponential,
     sigma_closed_coords,
     uq_generators,
@@ -147,9 +146,12 @@ def test_closed_comultiplication_report():
 
 
 def test_uq_relations_table_and_on_demand():
+    # the default multiplier is the table of build_uq
     for N in (3, 5):
         rep = uq_relation_report(N)
         assert rep.ok, (N, [c.claim_id for c in rep.failures()])
+        assert rep.as_dict() == uq_relation_report(
+            N, multiplier=build_uq(N).algebra).as_dict()
 
 
 def test_uq_is_a_hopf_algebra(uq3):
@@ -183,16 +185,6 @@ def test_uq_generator_powers(uq3):
     assert alg.pow_vec(gens["Et"], 3) == {}
     assert alg.pow_vec(gens["F"], 3) == {}
     assert alg.pow_vec(gens["E"], 3) == {}
-
-
-def test_on_demand_multiplier_agrees_with_table(uq3):
-    mult = on_demand_uq_multiplier(3)
-    gens = uq_generators(3)
-    for a in ("Et", "F", "K"):
-        for b in ("Et", "F", "K"):
-            want = uq3.algebra.mul_vec(gens[a], gens[b])
-            got = mult.mul_vec(gens[a], gens[b])
-            assert got == want, (a, b)
 
 
 def test_uq_comultiplication_is_undeformed(gr3, uq3):
