@@ -37,6 +37,7 @@ from .exactlinalg import (
 )
 from .hopfcore import (
     ComoduleAlgebra,
+    _Products,
     check_comodule_algebra_morphism,
     conjugate_comodule_algebra,
     costable_closure,
@@ -238,8 +239,9 @@ def build_family(params: FamilyParams) -> ComoduleAlgebra:
             gens[1] = {(monomial_index(N, 0, 0, N // r), 1): one}
     # delta(e_m) = delta(e_p) delta(e_s) along the builder's steps
     deltas = [{(monomial_index(N, 0, 0, 0), 0): one}]
+    times = _Products(fld)
     for m, p, s in steps:
-        deltas.append(t2_mul(H.algebra, alg, deltas[p], gens[s]))
+        deltas.append(t2_mul(H.algebra, alg, deltas[p], gens[s], times))
     coaction = {m: tuple(sorted(d.items())) for m, d in enumerate(deltas)}
     return ComoduleAlgebra(alg, H, coaction, _params_dict(params))
 

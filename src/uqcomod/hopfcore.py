@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from collections.abc import Sequence
 from types import MappingProxyType
@@ -51,13 +52,50 @@ def vec_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def vec_combine(images, terms) -> dict:
+class _Products:
+    """Field products for one check or one build.
+
+    A factor stored as field.one itself skips its multiply, and each
+    distinct pair of values is multiplied once.  The structure constants
+    that the verifiers and the deformation kernel multiply (sigma, the
+    coproducts, the skew-PBW tables) are q-powers times q-factorials, so
+    few distinct products occur: about 700 among the 49 000 that
+    deform_hopf makes for u_q at N = 5.  The memo is keyed on the full
+    (num, den) of both operands, so every product is exact.  Create one
+    per call: the memo grows with the distinct pairs it has seen.
+    """
+
+    __slots__ = ("one", "_memo")
+
+    def __init__(self, fld: CyclotomicField):
+        self.one = fld.one
+        self._memo: dict = {}
+
+    def __call__(self, a, b):
+        one = self.one
+        if a is one:
+            return b
+        if b is one:
+            return a
+        key = (a.num, a.den, b.num, b.den)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = a * b
+        return got
+
+    def unit(self, c):
+        """c, or field.one itself if c equals one."""
+        return self.one if c == self.one else c
+
+
+def vec_combine(images, terms, times=operator.mul) -> dict:
     """f(sum c e_m) over the (m, c) terms, for the linear map
-    f(e_m) = images[m]."""
+    f(e_m) = images[m]; times multiplies the coefficients (a _Products
+    memo where they are structure constants)."""
     out: dict = {}
     for m, c in terms:
         for k, d in images[m].items():
-            vec_add_into(out, k, c * d)
+            vec_add_into(out, k, times(c, d))
     return out
 
 
@@ -198,13 +236,6 @@ class HopfAlgebraData:
                         and self.coalgebra.counit.get(i) == one:
                     yield i
 
-    def antipode_vec(self, v: dict) -> dict:
-        out: dict = {}
-        for i, c in v.items():
-            for j, d in self.antipode.get(i, {}).items():
-                vec_add_into(out, j, c * d)
-        return out
-
     def comul_reverse(self):
         """dict (j, k) -> tuple of (i, c) with Delta(e_i) containing c*(e_j x e_k)."""
         if self._comul_reverse is None:
@@ -221,7 +252,8 @@ class HopfAlgebraData:
 # ---------------------------------------------------------------------------
 
 
-def t2_mul(alg1: FiniteAlgebra, alg2: FiniteAlgebra, A: dict, B: dict) -> dict:
+def t2_mul(alg1: FiniteAlgebra, alg2: FiniteAlgebra, A: dict, B: dict,
+           times: _Products) -> dict:
     """Multiply two elements of alg1 (x) alg2, keys are (i, j) pairs."""
     out: dict = {}
     m1, m2 = alg1.mul, alg2.mul
@@ -233,11 +265,11 @@ def t2_mul(alg1: FiniteAlgebra, alg2: FiniteAlgebra, A: dict, B: dict) -> dict:
             e2 = m2.get((j1, j2))
             if not e2:
                 continue
-            c = c1 * c2
+            c = times(c1, c2)
             for k1, d1 in e1:
-                cd = c * d1
+                cd = times(c, d1)
                 for k2, d2 in e2:
-                    vec_add_into(out, (k1, k2), cd * d2)
+                    vec_add_into(out, (k1, k2), times(cd, d2))
     return out
 
 
@@ -315,12 +347,13 @@ def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
     return plan
 
 
-def _product_failures(alg: FiniteAlgebra, pairs, images, mul):
+def _product_failures(alg: FiniteAlgebra, pairs, images, mul,
+                      times: _Products):
     """[label_i, label_j] for each planned pair (i, j) where the linear map
     f(e_m) = images[m] has f(e_i e_j) != mul(f(e_i), f(e_j))."""
     bad = []
     for i, j in pairs:
-        if not vec_eq(vec_combine(images, alg.mul_basis(i, j)),
+        if not vec_eq(vec_combine(images, alg.mul_basis(i, j), times),
                       mul(images[i], images[j])):
             bad.append([alg.labels[i], alg.labels[j]])
     return bad
@@ -354,12 +387,19 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
     triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
+    mul = alg.mul
+    times = _Products(alg.field)
     bad = []
     for (i, j, k) in triples:
-        ij = {m: c for m, c in alg.mul_basis(i, j)}
-        jk = {m: c for m, c in alg.mul_basis(j, k)}
-        lhs = alg.mul_vec(ij, alg.basis_vec(k))
-        rhs = alg.mul_vec(alg.basis_vec(i), jk)
+        # (e_i e_j) e_k and e_i (e_j e_k), read from the table rows
+        lhs: dict = {}
+        for m, c in mul.get((i, j), ()):
+            for t, d in mul.get((m, k), ()):
+                vec_add_into(lhs, t, times(c, d))
+        rhs: dict = {}
+        for m, c in mul.get((j, k), ()):
+            for t, d in mul.get((i, m), ()):
+                vec_add_into(rhs, t, times(c, d))
         if not vec_eq(lhs, rhs):
             bad.append(_witness(labels, (i, j, k), lhs, rhs))
     rep.add("algebra-associativity", "associative-multiplication", not bad,
@@ -371,15 +411,16 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
 def verify_coalgebra(co: FiniteCoalgebra) -> VerificationReport:
     rep = VerificationReport({"dim": co.dim})
     labels = co.labels
+    times = _Products(co.field)
     bad = []
     for i in range(co.dim):
         lhs: dict = {}
         rhs: dict = {}
         for j, k, c in co.comul.get(i, ()):
             for j1, j2, d in co.comul.get(j, ()):
-                vec_add_into(lhs, (j1, j2, k), c * d)
+                vec_add_into(lhs, (j1, j2, k), times(c, d))
             for k1, k2, d in co.comul.get(k, ()):
-                vec_add_into(rhs, (j, k1, k2), c * d)
+                vec_add_into(rhs, (j, k1, k2), times(c, d))
         if not vec_eq(lhs, rhs):
             bad.append(labels[i])
     rep.add("coalgebra-coassociativity", "coassociative-comultiplication",
@@ -392,10 +433,10 @@ def verify_coalgebra(co: FiniteCoalgebra) -> VerificationReport:
         for j, k, c in co.comul.get(i, ()):
             ej = co.counit.get(j)
             if ej is not None:
-                vec_add_into(left, k, c * ej)
+                vec_add_into(left, k, times(c, ej))
             ek = co.counit.get(k)
             if ek is not None:
-                vec_add_into(right, j, c * ek)
+                vec_add_into(right, j, times(c, ek))
         target = {i: co.field.one}
         if not vec_eq(left, target) or not vec_eq(right, target):
             bad.append(labels[i])
@@ -427,15 +468,16 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     rep.add("bialgebra-counit-unit", "counit-of-unit",
             co.counit_vec(one) == alg.field.one, None)
 
+    times = _Products(alg.field)
     pairs = check_plan(alg.dim, 2, mode, n_pairs, seed + 1, always_indices)
     bad_mult = _product_failures(
         alg, pairs, [co.comul_vec(alg.basis_vec(i)) for i in range(alg.dim)],
-        lambda a, b: t2_mul(alg, alg, a, b))
+        lambda a, b: t2_mul(alg, alg, a, b, times), times)
     zero = alg.field.zero
     bad_counit = [
         [labels[i], labels[j]] for i, j in pairs
         if co.counit_vec(dict(alg.mul_basis(i, j)))
-        != co.counit.get(i, zero) * co.counit.get(j, zero)]
+        != times(co.counit.get(i, zero), co.counit.get(j, zero))]
     rep.add("bialgebra-multiplicativity", "comultiplication-algebra-map",
             not bad_mult, {"examples": bad_mult[:3], "failing": len(bad_mult),
                            "checked": len(pairs)} if bad_mult else None)
@@ -443,7 +485,9 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
             not bad_counit, {"examples": bad_counit[:3],
                              "failing": len(bad_counit)} if bad_counit else None)
 
-    # antipode axioms on every basis element
+    # antipode axioms on every basis element: S(e_j) e_k and e_j S(e_k)
+    # are read from the table rows (m, k) and (j, m)
+    mul = alg.mul
     bad = []
     for i in range(alg.dim):
         eps = co.counit.get(i, alg.field.zero)
@@ -451,14 +495,14 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
         left: dict = {}
         right: dict = {}
         for j, k, c in co.comul.get(i, ()):
-            sj = H.antipode_vec({j: c})
-            left_term = alg.mul_vec(sj, alg.basis_vec(k))
-            for m, d in left_term.items():
-                vec_add_into(left, m, d)
-            sk = H.antipode_vec({k: c})
-            right_term = alg.mul_vec(alg.basis_vec(j), sk)
-            for m, d in right_term.items():
-                vec_add_into(right, m, d)
+            for m, s in H.antipode.get(j, {}).items():
+                cs = times(c, s)
+                for t, d in mul.get((m, k), ()):
+                    vec_add_into(left, t, times(cs, d))
+            for m, s in H.antipode.get(k, {}).items():
+                cs = times(c, s)
+                for t, d in mul.get((j, m), ()):
+                    vec_add_into(right, t, times(cs, d))
         if not vec_eq(left, target) or not vec_eq(right, target):
             bad.append({"element": labels[i],
                         "m(S x id)Delta": vec_str(left, labels),
@@ -684,6 +728,7 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
     sig = sigma.coords
     comul = co.comul
     mul = alg.mul
+    times = _Products(H.field)
     bad = []
     for (a, b, c) in triples:
         lhs = zero
@@ -699,9 +744,9 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
                 for m, cm in ent:
                     s2 = sig.get((m, c))
                     if s2 is not None:
-                        acc = acc + cm * s2
+                        acc = acc + times(cm, s2)
                 if not acc.is_zero():
-                    lhs = lhs + ca * cb * s1 * acc
+                    lhs = lhs + times(times(times(ca, cb), s1), acc)
         rhs = zero
         for b1, b2, cb in comul.get(b, ()):
             for c1, c2, cc in comul.get(c, ()):
@@ -715,9 +760,9 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
                 for m, cm in ent:
                     s2 = sig.get((a, m))
                     if s2 is not None:
-                        acc = acc + cm * s2
+                        acc = acc + times(cm, s2)
                 if not acc.is_zero():
-                    rhs = rhs + cb * cc * s1 * acc
+                    rhs = rhs + times(times(times(cb, cc), s1), acc)
         if lhs != rhs:
             bad.append({"triple": [labels[a], labels[b], labels[c]],
                         "lhs": str(lhs), "rhs": str(rhs)})
@@ -744,15 +789,20 @@ def _invert_grouplike(alg: FiniteAlgebra, idx: int) -> dict:
     raise ValueError(f"basis element {alg.labels[idx]} is not of finite order")
 
 
-def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra) -> dict:
+def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra,
+                   times: _Products | None = None) -> dict:
     """Solve m (S x id) Delta = unit counit for S on a pointed-style basis.
 
     Works whenever every Delta(e_m) = e_m (x) B_m + sum (solved) (x) (...)
     with B_m a scalar multiple of an invertible grouplike-type basis element;
     elements are processed by a worklist until all columns are solved.
+    times is the product memo of the caller's build (a new one if None).
     """
     fld = alg.field
     dim = alg.dim
+    mul = alg.mul
+    if times is None:
+        times = _Products(fld)
     unit = alg.unit_vec()
     S: dict = {}
 
@@ -778,9 +828,11 @@ def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra) -> dict:
             (bidx, bcoef), = bvec.items()
             rhs = vec_scale(unit, co.counit.get(m, fld.zero))
             for a, b, c in rest_first:
-                term = alg.mul_vec(vec_scale(S[a], c), alg.basis_vec(b))
-                for k, v in term.items():
-                    vec_add_into(rhs, k, -v)
+                # minus c S(e_a) e_b, read from the table rows (., b)
+                for k, s in S[a].items():
+                    cs = times(c, s)
+                    for t, d in mul.get((k, b), ()):
+                        vec_add_into(rhs, t, -times(cs, d))
             binv = vec_scale(_invert_grouplike(alg, bidx), bcoef.inverse())
             S[m] = alg.mul_vec(rhs, binv)
             pending.discard(m)
@@ -791,39 +843,6 @@ def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra) -> dict:
                 + ", ".join(alg.labels[m] for m in sorted(pending))
             )
     return S
-
-
-class _Products:
-    """Field products for one deformation.
-
-    A factor stored as field.one itself skips its multiply, and each
-    distinct pair of values is multiplied once: the coefficients of sigma,
-    of the coproducts and of the skew-PBW tables are q-powers times
-    q-factorials, so few distinct products occur (about 700 among the
-    49 000 that deform_hopf makes for u_q at N = 5).
-    """
-
-    __slots__ = ("one", "_memo")
-
-    def __init__(self, fld: CyclotomicField):
-        self.one = fld.one
-        self._memo: dict = {}
-
-    def __call__(self, a, b):
-        one = self.one
-        if a is one:
-            return b
-        if b is one:
-            return a
-        key = (a.num, a.den, b.num, b.den)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = a * b
-        return got
-
-    def unit(self, c):
-        """c, or field.one itself if c equals one."""
-        return self.one if c == self.one else c
 
 
 def factor_form(form: ConvForm):
@@ -941,7 +960,7 @@ def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv=None,
     co = H.coalgebra
     if labels is not None:
         co = FiniteCoalgebra(H.field, labels, co.comul, co.counit)
-    antipode = solve_antipode(alg, co)
+    antipode = solve_antipode(alg, co, times)
     return HopfAlgebraData(alg, co, antipode, degrees=H.degrees)
 
 
@@ -994,6 +1013,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
     rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim,
                               "params": {k: str(v) for k, v in A.params.items()}})
 
+    times = _Products(alg.field)
     # coassociativity and counit of the coaction, every basis element
     bad_co, bad_eps = [], []
     comul = H.coalgebra.comul
@@ -1004,12 +1024,12 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
         eps: dict = {}
         for (h, a), c in A.coaction.get(i, ()):
             for h1, h2, d in comul.get(h, ()):
-                vec_add_into(lhs, (h1, h2, a), c * d)
+                vec_add_into(lhs, (h1, h2, a), times(c, d))
             for (h2, a2), d in A.coaction.get(a, ()):
-                vec_add_into(rhs, (h, h2, a2), c * d)
+                vec_add_into(rhs, (h, h2, a2), times(c, d))
             e = counit.get(h)
             if e is not None:
-                vec_add_into(eps, a, c * e)
+                vec_add_into(eps, a, times(c, e))
         if not vec_eq(lhs, rhs):
             bad_co.append(labels[i])
         if not vec_eq(eps, {i: alg.field.one}):
@@ -1030,7 +1050,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
     pairs = check_plan(alg.dim, 2, mode, sample_count, seed)
     bad = _product_failures(
         alg, pairs, [A.coact_vec(alg.basis_vec(i)) for i in range(alg.dim)],
-        lambda a, b: t2_mul(H.algebra, alg, a, b))
+        lambda a, b: t2_mul(H.algebra, alg, a, b, times), times)
     rep.add("comodule-multiplicativity", "coaction-algebra-map", not bad,
             {"examples": bad[:3], "failing": len(bad),
              "checked": len(pairs)} if bad else None)
@@ -1103,7 +1123,7 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
     rep.add("morphism-unital", "algebra-map-unit", ok, None)
 
     bad = _product_failures(A.algebra, check_plan(A.dim, 2, "exhaustive"),
-                            images, B.algebra.mul_vec)
+                            images, B.algebra.mul_vec, _Products(A.field))
     rep.add("morphism-multiplicative", "algebra-map-products", not bad,
             {"examples": bad[:3], "failing": len(bad)} if bad else None)
 

@@ -26,6 +26,7 @@ from .hopfcore import (
     FiniteAlgebra,
     FiniteCoalgebra,
     HopfAlgebraData,
+    _Products,
     check_plan,
     convolution,
     deform_hopf,
@@ -560,6 +561,7 @@ def closed_comultiplication_report(N: int) -> VerificationReport:
     dy = H.coalgebra.comul_vec(gen["y"])
     dg = H.coalgebra.comul_vec(gen["g"])
     unit_t = tensor_vec(gen["one"], gen["one"])
+    times = _Products(fld)
 
     bad = []
     for i in range(N):
@@ -571,11 +573,11 @@ def closed_comultiplication_report(N: int) -> VerificationReport:
                     vec_add_into(want, (jj, kk), c)
                 got = dict(unit_t)
                 for _ in range(i):
-                    got = t2_mul(alg, alg, got, dx)
+                    got = t2_mul(alg, alg, got, dx, times)
                 for _ in range(j):
-                    got = t2_mul(alg, alg, got, dy)
+                    got = t2_mul(alg, alg, got, dy, times)
                 for _ in range(k):
-                    got = t2_mul(alg, alg, got, dg)
+                    got = t2_mul(alg, alg, got, dg, times)
                 if not vec_eq(got, want):
                     bad.append(H.labels[m])
     rep.add("gr-comultiplication-closed-form", "closed-coproduct-vs-product",

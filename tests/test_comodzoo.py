@@ -39,6 +39,7 @@ from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import Subspace
 from uqcomod.hopfcore import (
     ComoduleAlgebra,
+    FiniteAlgebra,
     HopfAlgebraData,
     check_comodule_algebra_morphism,
     coinvariants,
@@ -307,6 +308,65 @@ def test_costable_closure_matches_round_based_reference():
             dims.add(got.dim)
         if A.params["family"] == "direct-sum":
             assert dims == {A.dim // 2, A.dim}
+
+
+def mixed_basis(A, p, r):
+    """A on the basis with e_p and e_r replaced by e_p + e_r and e_p - e_r."""
+    fld = A.field
+    one, half = fld.one, fld.one / 2
+    new = {p: {p: one, r: one}, r: {p: one, r: -one}}  # f_i over the e_k
+    old = {p: {p: half, r: half}, r: {p: half, r: -half}}  # e_k over the f_i
+
+    def over_f(v):
+        out: dict = {}
+        for k, c in v.items():
+            for i, d in old.get(k, {k: one}).items():
+                vec_add_into(out, i, c * d)
+        return out
+
+    mul = {}
+    for i in range(A.dim):
+        for j in range(A.dim):
+            prod = over_f(A.algebra.mul_vec(new.get(i, {i: one}),
+                                            new.get(j, {j: one})))
+            if prod:
+                mul[(i, j)] = tuple(sorted(prod.items()))
+    coaction = {}
+    for i in range(A.dim):
+        legs: dict = {}
+        for (h, a), c in A.coact_vec(new.get(i, {i: one})).items():
+            legs.setdefault(h, {})[a] = c
+        coaction[i] = tuple(sorted(((h, b), c) for h, v in legs.items()
+                                   for b, c in over_f(v).items()))
+    alg = FiniteAlgebra(fld, A.labels, mul, over_f(A.algebra.unit))
+    return ComoduleAlgebra(alg, A.over, coaction, A.params)
+
+
+def test_socle_weight_vectors_have_their_weight():
+    L1 = build_family(zoo_params("L1", 3, r=3, xi=2))
+    # G1 and G2 span socle lines of different weights; on the basis
+    # G1 + G2, G1 - G2 each weight vector combines two canonical socle rows
+    mixed = mixed_basis(L1, L1.labels.index("X0G1"), L1.labels.index("X0G2"))
+    assert verify_comodule_algebra(mixed).ok
+    members = [build(p)
+               for p in (zoo_params("L1", 3, r=3, xi=2),
+                         zoo_params("L4", 3, alpha=1, beta=1, xi=2))
+               for build in (build_family, deform_family)]
+    combined = 0
+    for A in members + [mixed]:
+        soc = socle(A)
+        weights = _weight_spaces_of_socle(A, soc)
+        assert sum(len(vs) for _, vs in weights) == soc.dim
+        for g, vs in weights:
+            assert Subspace.from_vectors(A.field, A.dim, vs).dim == len(vs)
+            for v in vs:
+                assert soc.contains(v)
+                assert A.coact_vec(v) == {(g, a): c for a, c in v.items()}
+                # v is sum t_k row_k over the canonical rows, and its
+                # entry at the pivot of row k is t_k
+                combined += len(soc.rows.keys() & v.keys()) > 1
+    assert combined == 2  # the two weight vectors of the mixed basis
+    assert is_right_H_simple(mixed) == is_right_H_simple(L1)
 
 
 def test_socle_of_group_member_is_everything():

@@ -4,6 +4,8 @@ The deliberate-corruption tests double as the mutation-sensitivity battery:
 every broken table must be caught by a verifier with a concrete witness.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from uqcomod.cyclofield import field
@@ -13,6 +15,7 @@ from uqcomod.hopfcore import (
     FiniteAlgebra,
     FiniteCoalgebra,
     HopfAlgebraData,
+    _Products,
     algebra_from_json,
     algebra_to_json,
     coinvariants,
@@ -70,15 +73,26 @@ def test_solve_antipode_recovers_group_inversion():
 
 
 def test_corrupted_multiplication_is_caught():
-    # deliberate corruption: e1 * e2 rescaled, which breaks associativity
+    # deliberate corruption: e1 * e2 rescaled, which breaks associativity.
+    # Halving keeps the numerators and changes only the denominator, so a
+    # product memo keyed on numerators alone would take it for the original.
     H = cyclic_group_hopf(3)
-    mul = dict(H.algebra.mul)
-    mul[(1, 2)] = ((0, H.field.from_rational(2)),)
-    bad = FiniteAlgebra(H.field, H.labels, mul, dict(H.algebra.unit))
-    rep = verify_algebra(bad)
-    assert not rep.ok
-    bad_checks = rep.failures()
-    assert any(c.witness for c in bad_checks)
+    (k, coef), = H.algebra.mul[(1, 2)]
+    for scale in (2, Fraction(1, 2)):
+        mul = dict(H.algebra.mul)
+        mul[(1, 2)] = ((k, coef * scale),)
+        bad = FiniteAlgebra(H.field, H.labels, mul, dict(H.algebra.unit))
+        rep = verify_algebra(bad)
+        assert not rep.ok
+        bad_checks = rep.failures()
+        assert any(c.witness for c in bad_checks)
+        # e1 e2 = scale e0 breaks Delta(ab) = Delta(a) Delta(b) at (e1, e2)
+        # alone, and m(id x S)Delta = eps 1 at e1 and m(S x id)Delta at e2
+        rep = verify_hopf(HopfAlgebraData(bad, H.coalgebra, H.antipode,
+                                          degrees=H.degrees))
+        failing = {c.claim_id: c.witness["failing"] for c in rep.failures()}
+        assert failing["bialgebra-multiplicativity"] == 1
+        assert failing["hopf-antipode"] == 2
 
 
 def test_corrupted_comultiplication_is_caught():
@@ -188,15 +202,27 @@ def test_regular_comodule_algebra_and_coinvariants():
 
 
 def test_corrupted_coaction_is_caught():
-    # deliberate corruption: delta(e1) points at the wrong group element
+    # deliberate corruptions: delta(e1) points at the wrong group element;
+    # delta(e1) halved, which keeps the numerators of its coefficient
     H = cyclic_group_hopf(3)
     R = regular_comodule_algebra(H)
-    coaction = dict(R.coaction)
-    coaction[1] = (((2, 1), H.field.one),)
-    bad = ComoduleAlgebra(R.algebra, H, coaction, R.params)
-    rep = verify_comodule_algebra(bad)
-    assert not rep.ok
-    assert any(c.witness for c in rep.failures())
+    one = H.field.one
+    for leg in (((2, 1), one), ((1, 1), one / 2)):
+        coaction = dict(R.coaction)
+        coaction[1] = (leg,)
+        bad = ComoduleAlgebra(R.algebra, H, coaction, R.params)
+        rep = verify_comodule_algebra(bad)
+        assert not rep.ok
+        assert any(c.witness for c in rep.failures())
+    # with delta(e1) = 1/2 e1 (x) e1, delta(e_i e_j) and delta(e_i) delta(e_j)
+    # differ where exactly one of them holds the 1/2 (e_i e_j = e1, or e1 a
+    # factor) or the two hold 1 and 1/4: at (e1, e1), (e1, e2), (e2, e1)
+    # and (e2, e2)
+    mult, = [c for c in rep.failures()
+             if c.claim_id == "comodule-multiplicativity"]
+    assert mult.witness["failing"] == 4
+    assert mult.witness["examples"] == [["e1", "e1"], ["e1", "e2"],
+                                        ["e2", "e1"]]
 
 
 def test_costable_closure_monotone_idempotent():
@@ -247,12 +273,33 @@ def test_deform_comodule_by_unit_cocycle_is_identity():
     assert D.algebra.mul == R.algebra.mul
 
 
+def test_product_memo_is_exact():
+    fld = field(5)
+    q = fld.q
+    a, b = 1 + 2 * q, q * q - 3
+    half = Fraction(1, 2)
+    times = _Products(fld)
+    pairs = [
+        # the same numerators over other denominators
+        (a, b), (a * half, b), (a, b * half), (a * half, b * half),
+        (b * half, a), (b, a * half),
+        # the same denominators over other numerators
+        (a + q, b), (a, b + q), (a * half + q, b),
+        # field.one itself, and a one that is not that object
+        (fld.one, a), (a, fld.one), (fld.from_rational(1), a * half),
+        (b * half, fld.from_rational(1)), (fld.one, fld.one),
+    ]
+    for x, y in pairs * 2:
+        assert times(x, y) == x * y, (x, y)
+    assert times(fld.one, a) is a and times(a, fld.one) is a
+
+
 def test_t2_mul_matches_componentwise_products():
     H = cyclic_group_hopf(3)
     fld = H.field
     a = {(0, 1): fld.one, (1, 0): fld.from_rational(2)}
     b = {(1, 1): fld.one}
-    out = t2_mul(H.algebra, H.algebra, a, b)
+    out = t2_mul(H.algebra, H.algebra, a, b, _Products(fld))
     assert out == {(1, 2): fld.one, (2, 1): fld.from_rational(2)}
 
 
