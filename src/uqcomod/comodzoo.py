@@ -20,7 +20,6 @@ the tables and the coaction are held as mapping proxies.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -474,47 +473,31 @@ def _weight_spaces_of_socle(A: ComoduleAlgebra, soc: Subspace):
     return out
 
 
-def is_right_H_simple(A: ComoduleAlgebra, seed=0, probes=4) -> dict:
-    """Decide (or probe) whether A has no proper nonzero H-costable right
-    ideal.
+def is_right_H_simple(A: ComoduleAlgebra) -> dict:
+    """Decide whether A has no proper nonzero H-costable right ideal.
 
-    If the socle is multiplicity-free over the grouplikes the answer is
-    proved: every weight line generates a costable right ideal, and any
-    nonzero costable ideal meets the socle in a weight line.  Otherwise the
-    verdict comes from probing socle vectors; a proper closure found either
-    way is a definitive no.
+    Each grouplike weight vector of the socle generates a costable right
+    ideal, and a proper one is a definitive no.  If none is proper and the
+    socle is multiplicity-free over the grouplikes, the yes is proved: any
+    nonzero costable ideal meets the socle in a weight line.  Otherwise
+    the verdict is None, with method "undecided".
     """
-    fld = A.field
     soc = socle(A)
     weights = _weight_spaces_of_socle(A, soc)
-    weight_dim = sum(len(vs) for _, vs in weights)
-    multiplicity_free = weight_dim == soc.dim and all(
-        len(vs) == 1 for _, vs in weights)
-
-    candidates = [v for _, vs in weights for v in vs]
-    method = "socle-weights"
-    if not multiplicity_free:
-        method = "probed"
-        basis = soc.basis
-        candidates.extend(basis)
-        rng = random.Random(seed)
-        for _ in range(probes):
-            candidates.append(vec_combine(basis, [
-                (j, fld.from_rational(rng.randrange(-3, 4)))
-                for j in range(len(basis))]))
-
-    for v in candidates:
-        if not v:
-            continue
-        closure = costable_closure(
-            Subspace.from_vectors(fld, A.dim, [v]), A)
-        if closure.dim < A.dim:
-            return {"simple": False, "method": method,
-                    "socle_dim": soc.dim,
-                    "witness": {"ideal_dim": closure.dim,
-                                "generator": vec_str(v, A.labels)}}
-    return {"simple": True, "method": method, "socle_dim": soc.dim,
-            "witness": None}
+    for _, vs in weights:
+        for v in vs:
+            closure = costable_closure(
+                Subspace.from_vectors(A.field, A.dim, [v]), A)
+            if closure.dim < A.dim:
+                return {"simple": False, "method": "socle-weights",
+                        "socle_dim": soc.dim,
+                        "witness": {"ideal_dim": closure.dim,
+                                    "generator": vec_str(v, A.labels)}}
+    multiplicity_free = all(len(vs) == 1 for _, vs in weights) \
+        and len(weights) == soc.dim
+    return {"simple": True if multiplicity_free else None,
+            "method": "socle-weights" if multiplicity_free else "undecided",
+            "socle_dim": soc.dim, "witness": None}
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,6 @@ class Subspace:
         _check_keys(vec, self.ambient_dim)
         return not _reduce(self.rows, vec)
 
-    def contains_subspace(self, other) -> bool:
-        return all(self.contains(row) for row in other.rows.values())
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

@@ -18,7 +18,6 @@ import itertools
 import json
 import operator
 import random
-from collections.abc import Sequence
 from types import MappingProxyType
 
 from .cyclofield import CyclotomicField, CyclotomicNumber
@@ -282,11 +281,11 @@ def tensor_vec(a: dict, b: dict) -> dict:
     return out
 
 
-class ExhaustivePlan(Sequence):
+class ExhaustivePlan:
     """Every tuple over range(dim) of one arity, in lexicographic order.
 
-    Tuples are made on demand, so the plan holds no list: it has a length,
-    takes indices and slices, and can be iterated any number of times.
+    Tuples are made on demand, so the plan holds no list: it has a length
+    and can be iterated any number of times.
     """
 
     __slots__ = ("dim", "arity")
@@ -301,31 +300,9 @@ class ExhaustivePlan(Sequence):
     def __iter__(self):
         return itertools.product(range(self.dim), repeat=self.arity)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        n = len(self)
-        if k < 0:
-            k += n
-        if not 0 <= k < n:
-            raise IndexError("plan index out of range")
-        digits = []
-        for _ in range(self.arity):
-            k, d = divmod(k, self.dim)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
 
 def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
-    """The index tuples a verifier checks, as a sized sequence.
+    """The index tuples a verifier checks, as a sized iterable.
 
     "exhaustive" gives every tuple over range(dim) in lexicographic order,
     made lazily (ExhaustivePlan); "sampled" gives a list of every tuple over
@@ -697,12 +674,50 @@ def convolution_inverse(sigma: ConvForm) -> ConvForm:
     return total
 
 
+def _cocycle_sides(sigma: ConvForm, times: _Products):
+    """The function (a, b, c) -> (sigma(a.b, c), sigma(a, b.c)) on basis
+    indices, for the one-sided twist a.b = sigma(a1, b1) a2 b2 of H over
+    itself.  sigma is linear in each slot, so these are the two sides
+    sigma(a1, b1) sigma(a2 b2, c) and sigma(b1, c1) sigma(a, b2 c2) of the
+    2-cocycle identity.  The slice kernel of the deformations builds each
+    twist row once, when a triple first needs it."""
+    H = sigma.hopf
+    mul = H.algebra.mul
+    zero = H.field.zero
+    sig = sigma.coords
+    left, right = _one_sided_legs(regular_comodule_algebra(H), sigma, times)
+    rows: dict = {}
+
+    def twist(i, j):
+        row = rows.get((i, j))
+        if row is None:
+            row = rows[(i, j)] = _slice_row(mul, left[i], right[j], times)
+        return row
+
+    def sides(a, b, c):
+        lhs = zero
+        for m, t in twist(a, b).items():
+            s = sig.get((m, c))
+            if s is not None:
+                lhs = lhs + times(t, s)
+        rhs = zero
+        for m, t in twist(b, c).items():
+            s = sig.get((a, m))
+            if s is not None:
+                rhs = rhs + times(t, s)
+        return lhs, rhs
+
+    return sides
+
+
 def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
                          sample_count=10000, seed=0,
                          always_indices=()) -> VerificationReport:
     """Unitality and the 2-cocycle identity
 
-    sigma(a1, b1) sigma(a2 b2, c) = sigma(b1, c1) sigma(a, b2 c2).
+    sigma(a1, b1) sigma(a2 b2, c) = sigma(b1, c1) sigma(a, b2 c2),
+
+    with both sides read off rows of the one-sided twist (_cocycle_sides).
     """
     _require_bilinear(sigma)
     H = sigma.hopf
@@ -725,44 +740,10 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
     triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
-    sig = sigma.coords
-    comul = co.comul
-    mul = alg.mul
-    times = _Products(H.field)
+    sides = _cocycle_sides(sigma, _Products(H.field))
     bad = []
     for (a, b, c) in triples:
-        lhs = zero
-        for a1, a2, ca in comul.get(a, ()):
-            for b1, b2, cb in comul.get(b, ()):
-                s1 = sig.get((a1, b1))
-                if s1 is None:
-                    continue
-                ent = mul.get((a2, b2))
-                if not ent:
-                    continue
-                acc = zero
-                for m, cm in ent:
-                    s2 = sig.get((m, c))
-                    if s2 is not None:
-                        acc = acc + times(cm, s2)
-                if not acc.is_zero():
-                    lhs = lhs + times(times(times(ca, cb), s1), acc)
-        rhs = zero
-        for b1, b2, cb in comul.get(b, ()):
-            for c1, c2, cc in comul.get(c, ()):
-                s1 = sig.get((b1, c1))
-                if s1 is None:
-                    continue
-                ent = mul.get((b2, c2))
-                if not ent:
-                    continue
-                acc = zero
-                for m, cm in ent:
-                    s2 = sig.get((a, m))
-                    if s2 is not None:
-                        acc = acc + times(cm, s2)
-                if not acc.is_zero():
-                    rhs = rhs + times(times(times(cb, cc), s1), acc)
+        lhs, rhs = sides(a, b, c)
         if lhs != rhs:
             bad.append({"triple": [labels[a], labels[b], labels[c]],
                         "lhs": str(lhs), "rhs": str(rhs)})
@@ -900,25 +881,31 @@ def _contracted_legs(terms, sides, times: _Products) -> dict:
             for p, v in acc.items() if v}
 
 
+def _slice_row(mul, li, rj, times: _Products) -> dict:
+    """The product e_i * e_j = sum_p li[p] rj[p] in the table mul, for the
+    contracted legs li of e_i and rj of e_j, as a sparse vector."""
+    out: dict = {}
+    for p, lv in li.items():
+        rv = rj.get(p)
+        if rv is None:
+            continue
+        for k, ck in lv:
+            for m, cm in rv:
+                ent = mul.get((k, m))
+                if not ent:
+                    continue
+                c = times(ck, cm)
+                for t, ct in ent:
+                    vec_add_into(out, t, times(c, ct))
+    return out
+
+
 def _slice_table(mul, left, right, times: _Products) -> dict:
-    """Every product e_i * e_j = sum_p left[i][p] right[j][p] in the table
-    mul, for the contracted legs of the basis elements, as a table."""
+    """Every product e_i * e_j of _slice_row, as a table."""
     table: dict = {}
     for i, li in enumerate(left):
         for j, rj in enumerate(right):
-            out: dict = {}
-            for p, lv in li.items():
-                rv = rj.get(p)
-                if rv is None:
-                    continue
-                for k, ck in lv:
-                    for m, cm in rv:
-                        ent = mul.get((k, m))
-                        if not ent:
-                            continue
-                        c = times(ck, cm)
-                        for t, ct in ent:
-                            vec_add_into(out, t, times(c, ct))
+            out = _slice_row(mul, li, rj, times)
             if out:
                 table[(i, j)] = tuple(sorted(out.items()))
     return table
@@ -1057,21 +1044,28 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
     return rep
 
 
+def _one_sided_legs(A: ComoduleAlgebra, sigma: ConvForm, times: _Products):
+    """Contracted legs of every basis element for the one-sided twist
+    a * b = sigma(a_(-1), b_(-1)) a_(0) b_(0): left[i][n] = sum c alpha_n(h)
+    e_a and right[i][n] = sum c beta_n(h) e_a over the coaction terms
+    c e_h (x) e_a of e_i."""
+    alpha, beta, count = factor_form(sigma)
+    left, right = [], []
+    for i in range(A.dim):
+        terms = [((h,), a, c) for (h, a), c in A.coaction.get(i, ())]
+        left.append(_contracted_legs(terms, ((alpha, count),), times))
+        right.append(_contracted_legs(terms, ((beta, count),), times))
+    return left, right
+
+
 def deform_comodule_algebra(A: ComoduleAlgebra, sigma: ConvForm,
                             over: HopfAlgebraData) -> ComoduleAlgebra:
     """a *_sigma b = sigma(a_(-1), b_(-1)) a_(0) b_(0); coaction unchanged.
 
-    The slice kernel of deform_hopf with one-sided legs: left[i][n] =
-    sum c alpha_n(h) e_a and right[i][n] = sum c beta_n(h) e_a over the
-    coaction terms c e_h (x) e_a of e_i."""
-    alpha, beta, count = factor_form(sigma)
+    The slice kernel of deform_hopf with the legs of _one_sided_legs."""
     alg = A.algebra
     times = _Products(alg.field)
-    left, right = [], []
-    for i in range(alg.dim):
-        terms = [((h,), a, c) for (h, a), c in A.coaction.get(i, ())]
-        left.append(_contracted_legs(terms, ((alpha, count),), times))
-        right.append(_contracted_legs(terms, ((beta, count),), times))
+    left, right = _one_sided_legs(A, sigma, times)
     new_alg = FiniteAlgebra(alg.field, alg.labels,
                             _slice_table(alg.mul, left, right, times),
                             alg.unit_vec())

@@ -52,13 +52,6 @@ def monomial_index(N: int, i: int, j: int, k: int) -> int:
     return (i * N + j) * N + k
 
 
-def index_triple(N: int, idx: int) -> tuple:
-    k = idx % N
-    j = (idx // N) % N
-    i = idx // (N * N)
-    return i, j, k
-
-
 def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
                      labels):
     """The algebra on the basis X^a Y^b G^c (a < nx, b < ny, c < r) with

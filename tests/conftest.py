@@ -4,6 +4,8 @@ import pytest
 
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import vec_add_into
+from uqcomod.hopfcore import (ConvForm, FiniteAlgebra, FiniteCoalgebra,
+                              HopfAlgebraData)
 from uqcomod.uqsl2 import build_gr_uq, build_sigma, build_sigma_inverse, build_uq
 
 
@@ -85,6 +87,28 @@ def rng():
     return random.Random(20260815)
 
 
+def cyclic_group_hopf(n, fld=None):
+    """The group algebra k[Z/n] with its usual Hopf structure."""
+    if fld is None:
+        fld = field(1)
+    one = fld.one
+    labels = [f"e{i}" for i in range(n)]
+    mul = {(i, j): (((i + j) % n, one),) for i in range(n) for j in range(n)}
+    alg = FiniteAlgebra(fld, labels, mul, {0: one})
+    comul = {i: ((i, i, one),) for i in range(n)}
+    counit = {i: one for i in range(n)}
+    co = FiniteCoalgebra(fld, labels, comul, counit)
+    antipode = {i: {(-i) % n: one} for i in range(n)}
+    return HopfAlgebraData(alg, co, antipode, degrees=[0] * n)
+
+
+def bicharacter_form(H, n):
+    """sigma(e_i, e_j) = omega^{ij} on k[Z/n] over Q(omega)."""
+    fld = H.field
+    coords = {(i, j): fld.q_power(i * j) for i in range(n) for j in range(n)}
+    return ConvForm(H, 2, coords)
+
+
 def reference_deformed_table(A, sigma, sigma_inv=None):
     """Reference for the slice kernel: each deformed basis product by the
     nested loop over the legs of both factors, with one form lookup per
@@ -132,3 +156,32 @@ def reference_deformed_table(A, sigma, sigma_inv=None):
             if out:
                 table[(i, j)] = tuple(sorted(out.items()))
     return table
+
+
+def reference_cocycle_sides(sigma, a, b, c):
+    """Reference for the cocycle kernel: the two sides
+    sigma(a1, b1) sigma(a2 b2, c) and sigma(b1, c1) sigma(a, b2 c2) of the
+    2-cocycle identity, by the loop over Delta(a) (x) Delta(b) and
+    Delta(b) (x) Delta(c) with a2 b2 and b2 c2 read from the table."""
+    H = sigma.hopf
+    comul, mul, sig = H.coalgebra.comul, H.algebra.mul, sigma.coords
+    lhs = rhs = H.field.zero
+    for a1, a2, ca in comul.get(a, ()):
+        for b1, b2, cb in comul.get(b, ()):
+            s1 = sig.get((a1, b1))
+            if s1 is None:
+                continue
+            for m, cm in mul.get((a2, b2), ()):
+                s2 = sig.get((m, c))
+                if s2 is not None:
+                    lhs = lhs + ca * cb * s1 * cm * s2
+    for b1, b2, cb in comul.get(b, ()):
+        for c1, c2, cc in comul.get(c, ()):
+            s1 = sig.get((b1, c1))
+            if s1 is None:
+                continue
+            for m, cm in mul.get((b2, c2), ()):
+                s2 = sig.get((a, m))
+                if s2 is not None:
+                    rhs = rhs + cb * cc * s1 * cm * s2
+    return lhs, rhs

@@ -38,24 +38,22 @@ def _failures(rep):
 
 
 def test_exhaustive_plan_is_every_tuple_in_order():
-    plan = check_plan(4, 3, "exhaustive")
-    assert len(plan) == 64
+    assert len(check_plan(4, 3, "exhaustive")) == 64
+    plan = list(check_plan(4, 3, "exhaustive"))
     assert plan == sorted(plan) and len(set(plan)) == 64
     assert plan[:3] == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
     # sample count, seed and generators do not touch an exhaustive plan
-    assert check_plan(4, 3, "exhaustive", 5, 9, (1, 2)) == plan
+    assert list(check_plan(4, 3, "exhaustive", 5, 9, (1, 2))) == plan
 
 
 def test_exhaustive_plan_is_lazy_sized_and_reiterable():
     plan = check_plan(125, 3, "exhaustive")
     assert len(plan) == 125 ** 3
-    assert plan[0] == (0, 0, 0) and plan[-1] == (124, 124, 124)
-    assert plan[125 ** 2 + 7] == (1, 0, 7)
+    assert next(itertools.islice(plan, 125 ** 2 + 7, None)) == (1, 0, 7)
     assert list(itertools.islice(plan, 3)) == [(0, 0, 0), (0, 0, 1),
                                                (0, 0, 2)]
     small = check_plan(5, 2, "exhaustive")
     assert list(small) == list(small) == sorted(small)
-    assert [small[k] for k in range(len(small))] == list(small)
     # the plan that used to be a 1 953 125-tuple list, made and run through
     tracemalloc.start()
     try:

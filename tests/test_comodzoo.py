@@ -48,7 +48,7 @@ from uqcomod.hopfcore import (
     vec_add_into,
     verify_comodule_algebra,
 )
-from uqcomod.uqsl2 import monomial_index
+from uqcomod.uqsl2 import build_gr_uq, monomial_index
 
 from conftest import dense, dense_rref, dense_subspace, random_scalar, sparse
 
@@ -245,6 +245,25 @@ def test_direct_sum_is_not_right_H_simple():
     got = is_right_H_simple(S)
     assert not got["simple"]
     assert got["witness"]["ideal_dim"] < S.dim
+
+
+def test_right_H_simplicity_is_undecided_without_a_proof():
+    # Q(q)[t]/(t^2 - 2) with the trivial coaction 1 (x) a over gr(u_q):
+    # its socle is all of it, one weight of multiplicity 2, and neither
+    # weight vector generates a proper ideal, so nothing is proved
+    N = 3
+    fld = field(N)
+    one, two = fld.one, fld.from_rational(2)
+    mul = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),),
+           (1, 1): ((0, two),)}
+    alg = FiniteAlgebra(fld, ["1", "t"], mul, {0: one})
+    gr = build_gr_uq(N)
+    unit_h, = gr.algebra.unit
+    A = ComoduleAlgebra(alg, gr, {i: (((unit_h, i), one),) for i in (0, 1)})
+    assert verify_comodule_algebra(A).ok
+    got = is_right_H_simple(A)
+    assert got["simple"] is None and got["method"] == "undecided", got
+    assert got["socle_dim"] == 2
 
 
 def reference_costable_closure(V, A):

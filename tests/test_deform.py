@@ -4,19 +4,25 @@
 sigma^{-1}(a3, b3), and the one-sided sigma(a_(-1), b_(-1)) a_(0) b_(0), one
 basis pair at a time.  The kernel factors each form into slices and contracts
 every basis element's legs once; its tables must equal the reference entry
-for entry, also for forms that are not of sigma's shape.
+for entry, also for forms that are not of sigma's shape.  The 2-cocycle check
+reads its two sides off rows of the one-sided twist, and
+`reference_cocycle_sides` (conftest) evaluates them over Delta (x) Delta.
 """
 
+import itertools
 import random
 
 import pytest
 
-from conftest import random_scalar, reference_deformed_table
+from conftest import (bicharacter_form, cyclic_group_hopf, random_scalar,
+                      reference_cocycle_sides, reference_deformed_table)
 from uqcomod.cli import _zoo_tuples
 from uqcomod.comodzoo import build_family, deform_family
+from uqcomod.cyclofield import field
 from uqcomod.hopfcore import (
     ConvForm,
     _Products,
+    _cocycle_sides,
     _slice_table,
     _two_sided_legs,
     deform_comodule_algebra,
@@ -105,6 +111,27 @@ def test_kernel_matches_the_nested_loop_on_forms_of_another_shape():
     R = regular_comodule_algebra(H)
     assert dict(deform_comodule_algebra(R, sigma, H).algebra.mul) \
         == reference_deformed_table(R, sigma)
+
+
+def test_cocycle_sides_match_the_coproduct_loop():
+    sigma = build_sigma(3)
+    perturbed = _perturbed_forms(3)[0]
+    Z3 = cyclic_group_hopf(3, field(3))
+    chi = bicharacter_form(Z3, 3)
+    coords = dict(chi.coords)
+    coords[(1, 1)] = Z3.field.from_rational(2)
+    # (form, triples whose two sides differ)
+    cases = [(sigma, 0), (perturbed, 271), (chi, 0),
+             (ConvForm(Z3, 2, coords), 4)]
+    assert factor_form(perturbed)[2] > 3
+    for form, want_failing in cases:
+        sides = _cocycle_sides(form, _Products(form.hopf.field))
+        failing = 0
+        for a, b, c in itertools.product(range(form.hopf.dim), repeat=3):
+            got = sides(a, b, c)
+            assert got == reference_cocycle_sides(form, a, b, c), (a, b, c)
+            failing += got[0] != got[1]
+        assert failing == want_failing
 
 
 def test_deformation_rejects_a_form_that_is_not_bilinear():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import bicharacter_form, cyclic_group_hopf
 from uqcomod.cyclofield import field
 from uqcomod.hopfcore import (
     ComoduleAlgebra,
@@ -42,21 +43,6 @@ from uqcomod.hopfcore import (
     conjugate_comodule_algebra,
 )
 from uqcomod.exactlinalg import Subspace
-
-
-def cyclic_group_hopf(n, fld=None):
-    """The group algebra k[Z/n] with its usual Hopf structure."""
-    if fld is None:
-        fld = field(1)
-    one = fld.one
-    labels = [f"e{i}" for i in range(n)]
-    mul = {(i, j): (((i + j) % n, one),) for i in range(n) for j in range(n)}
-    alg = FiniteAlgebra(fld, labels, mul, {0: one})
-    comul = {i: ((i, i, one),) for i in range(n)}
-    counit = {i: one for i in range(n)}
-    co = FiniteCoalgebra(fld, labels, comul, counit)
-    antipode = {i: {(-i) % n: one} for i in range(n)}
-    return HopfAlgebraData(alg, co, antipode, degrees=[0] * n)
 
 
 def test_cyclic_group_is_a_hopf_algebra():
@@ -117,13 +103,6 @@ def test_corrupted_antipode_is_caught():
     fails = [c for c in rep.failures()]
     assert fails and any("antipode" in c.claim_id for c in fails)
     assert any(c.witness for c in fails)
-
-
-def bicharacter_form(H, n):
-    """sigma(e_i, e_j) = omega^{ij} on k[Z/n] over Q(omega)."""
-    fld = H.field
-    coords = {(i, j): fld.q_power(i * j) for i in range(n) for j in range(n)}
-    return ConvForm(H, 2, coords)
 
 
 def test_bicharacter_is_a_cocycle_but_not_unipotent():
@@ -232,7 +211,7 @@ def test_costable_closure_monotone_idempotent():
     v = {0: fld.one}  # the unit: generates everything
     V = Subspace.from_vectors(fld, 3, [v])
     C = costable_closure(V, R)
-    assert C.contains_subspace(V)
+    assert all(C.contains(r) for r in V.basis)
     assert C.dim == 3
     again = costable_closure(C, R)
     assert again == C

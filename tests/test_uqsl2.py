@@ -21,7 +21,6 @@ from uqcomod.uqsl2 import (
     check_order,
     closed_comultiplication_report,
     gr_generators,
-    index_triple,
     monomial_index,
     q_exponential,
     sigma_closed_coords,
@@ -39,12 +38,17 @@ def test_check_order_rejects_bad_input():
     check_order(7)
 
 
+def _exponents(N, idx):
+    """(i, j, k) with idx = monomial_index(N, i, j, k)."""
+    return idx // (N * N), idx // N % N, idx % N
+
+
 def test_monomial_index_round_trip():
     N = 5
     for i in range(N):
         for j in range(N):
             for k in range(N):
-                assert index_triple(N, monomial_index(N, i, j, k)) == (i, j, k)
+                assert _exponents(N, monomial_index(N, i, j, k)) == (i, j, k)
 
 
 def test_gr_is_a_hopf_algebra(gr3):
@@ -205,9 +209,9 @@ def test_gr_table_matches_closed_form(N):
     fld = field(N)
     want = {}
     for a in range(N ** 3):
-        i1, j1, k1 = index_triple(N, a)
+        i1, j1, k1 = _exponents(N, a)
         for b in range(N ** 3):
-            i2, j2, k2 = index_triple(N, b)
+            i2, j2, k2 = _exponents(N, b)
             if i1 + i2 < N and j1 + j2 < N:
                 c = fld.q_power(2 * (k1 * i2 - k1 * j2 - j1 * i2))
                 out = monomial_index(N, i1 + i2, j1 + j2, (k1 + k2) % N)
