@@ -38,6 +38,82 @@ def read_only(table):
     return MappingProxyType(table)
 
 
+class _Rows(dict):
+    """A multiplication table (i, j) -> tuple of (k, coeff) whose missing
+    rows read as (), the zero row.
+
+    With fill, a table over range(dim)^2 computes row (i, j) as fill(i, j)
+    on its first read and keeps it, so a hit stays a plain dict lookup.
+    Every whole-table view (iteration, keys, values, items, len, ==, repr)
+    first completes the table: it fills every row, drops the zero rows and
+    keeps the others in row-major order, exactly the table an eager build
+    makes.  get and `in` read through __missing__ too, so no read of any
+    kind can see a row that is merely not yet computed.
+    """
+
+    __slots__ = ("_fill", "_dim")
+
+    def __init__(self, rows=(), fill=None, dim=0):
+        super().__init__(rows)
+        self._fill = fill
+        self._dim = dim
+
+    def __missing__(self, key):
+        fill = self._fill
+        if fill is None:
+            return ()
+        i, j = key
+        if not (0 <= i < self._dim and 0 <= j < self._dim):
+            return ()
+        row = self[key] = fill(i, j)
+        return row
+
+    def _complete(self):
+        if self._fill is not None:
+            rows = [(key, self[key]) for key in
+                    itertools.product(range(self._dim), repeat=2)]
+            dict.clear(self)
+            dict.update(self, [(key, row) for key, row in rows if row])
+            self._fill = None
+        return self
+
+    def get(self, key, default=None):
+        return self[key] or default
+
+    def __contains__(self, key):
+        return bool(self[key])
+
+    def __iter__(self):
+        return dict.__iter__(self._complete())
+
+    def __reversed__(self):
+        return dict.__reversed__(self._complete())
+
+    def __len__(self):
+        return dict.__len__(self._complete())
+
+    def keys(self):
+        return dict.keys(self._complete())
+
+    def values(self):
+        return dict.values(self._complete())
+
+    def items(self):
+        return dict.items(self._complete())
+
+    def __eq__(self, other):
+        if isinstance(other, _Rows):
+            other._complete()
+        return dict.__eq__(self._complete(), other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __repr__(self):
+        return dict.__repr__(self._complete())
+
+
 def vec_scale(v: dict, c) -> dict:
     if c.is_zero():
         return {}
@@ -130,7 +206,10 @@ class FiniteAlgebra:
         self.field = fld
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        # (i, j) -> tuple of (k, coeff); missing = 0
+        # (i, j) -> tuple of (k, coeff); missing = 0.  A view is another
+        # algebra's table, already a _Rows.
+        if not isinstance(mul, (_Rows, MappingProxyType)):
+            mul = _Rows(mul)
         self.mul = read_only(mul)
         self.unit = {k: c for k, c in unit.items() if not c.is_zero()}
 
@@ -141,14 +220,14 @@ class FiniteAlgebra:
         return dict(self.unit)
 
     def mul_basis(self, i, j):
-        return self.mul.get((i, j), ())
+        return self.mul[(i, j)]
 
     def mul_vec(self, a: dict, b: dict) -> dict:
         out: dict = {}
         mul = self.mul
         for i, ca in a.items():
             for j, cb in b.items():
-                ent = mul.get((i, j))
+                ent = mul[(i, j)]
                 if ent:
                     c = ca * cb
                     for k, ck in ent:
@@ -258,10 +337,10 @@ def t2_mul(alg1: FiniteAlgebra, alg2: FiniteAlgebra, A: dict, B: dict,
     m1, m2 = alg1.mul, alg2.mul
     for (i1, j1), c1 in A.items():
         for (i2, j2), c2 in B.items():
-            e1 = m1.get((i1, i2))
+            e1 = m1[(i1, i2)]
             if not e1:
                 continue
-            e2 = m2.get((j1, j2))
+            e2 = m2[(j1, j2)]
             if not e2:
                 continue
             c = times(c1, c2)
@@ -370,12 +449,12 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
     for (i, j, k) in triples:
         # (e_i e_j) e_k and e_i (e_j e_k), read from the table rows
         lhs: dict = {}
-        for m, c in mul.get((i, j), ()):
-            for t, d in mul.get((m, k), ()):
+        for m, c in mul[(i, j)]:
+            for t, d in mul[(m, k)]:
                 vec_add_into(lhs, t, times(c, d))
         rhs: dict = {}
-        for m, c in mul.get((j, k), ()):
-            for t, d in mul.get((i, m), ()):
+        for m, c in mul[(j, k)]:
+            for t, d in mul[(i, m)]:
                 vec_add_into(rhs, t, times(c, d))
         if not vec_eq(lhs, rhs):
             bad.append(_witness(labels, (i, j, k), lhs, rhs))
@@ -474,11 +553,11 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
         for j, k, c in co.comul.get(i, ()):
             for m, s in H.antipode.get(j, {}).items():
                 cs = times(c, s)
-                for t, d in mul.get((m, k), ()):
+                for t, d in mul[(m, k)]:
                     vec_add_into(left, t, times(cs, d))
             for m, s in H.antipode.get(k, {}).items():
                 cs = times(c, s)
-                for t, d in mul.get((j, m), ()):
+                for t, d in mul[(j, m)]:
                     vec_add_into(right, t, times(cs, d))
         if not vec_eq(left, target) or not vec_eq(right, target):
             bad.append({"element": labels[i],
@@ -679,29 +758,22 @@ def _cocycle_sides(sigma: ConvForm, times: _Products):
     indices, for the one-sided twist a.b = sigma(a1, b1) a2 b2 of H over
     itself.  sigma is linear in each slot, so these are the two sides
     sigma(a1, b1) sigma(a2 b2, c) and sigma(b1, c1) sigma(a, b2 c2) of the
-    2-cocycle identity.  The slice kernel of the deformations builds each
-    twist row once, when a triple first needs it."""
+    2-cocycle identity.  The twist's rows come from the deformations' slice
+    table, each computed when a triple first needs it."""
     H = sigma.hopf
-    mul = H.algebra.mul
     zero = H.field.zero
     sig = sigma.coords
     left, right = _one_sided_legs(regular_comodule_algebra(H), sigma, times)
-    rows: dict = {}
-
-    def twist(i, j):
-        row = rows.get((i, j))
-        if row is None:
-            row = rows[(i, j)] = _slice_row(mul, left[i], right[j], times)
-        return row
+    twist = _slice_table(H.algebra.mul, left, right, times)
 
     def sides(a, b, c):
         lhs = zero
-        for m, t in twist(a, b).items():
+        for m, t in twist[(a, b)]:
             s = sig.get((m, c))
             if s is not None:
                 lhs = lhs + times(t, s)
         rhs = zero
-        for m, t in twist(b, c).items():
+        for m, t in twist[(b, c)]:
             s = sig.get((a, m))
             if s is not None:
                 rhs = rhs + times(t, s)
@@ -786,6 +858,7 @@ def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra,
         times = _Products(fld)
     unit = alg.unit_vec()
     S: dict = {}
+    grouplike_inverses: dict = {}
 
     pending = set(range(dim))
     while pending:
@@ -810,11 +883,15 @@ def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra,
             rhs = vec_scale(unit, co.counit.get(m, fld.zero))
             for a, b, c in rest_first:
                 # minus c S(e_a) e_b, read from the table rows (., b)
+                neg_c = -c
                 for k, s in S[a].items():
-                    cs = times(c, s)
-                    for t, d in mul.get((k, b), ()):
-                        vec_add_into(rhs, t, -times(cs, d))
-            binv = vec_scale(_invert_grouplike(alg, bidx), bcoef.inverse())
+                    cs = times(neg_c, s)
+                    for t, d in mul[(k, b)]:
+                        vec_add_into(rhs, t, times(cs, d))
+            ginv = grouplike_inverses.get(bidx)
+            if ginv is None:
+                ginv = grouplike_inverses[bidx] = _invert_grouplike(alg, bidx)
+            binv = vec_scale(ginv, bcoef.inverse())
             S[m] = alg.mul_vec(rhs, binv)
             pending.discard(m)
             progress = True
@@ -891,7 +968,7 @@ def _slice_row(mul, li, rj, times: _Products) -> dict:
             continue
         for k, ck in lv:
             for m, cm in rv:
-                ent = mul.get((k, m))
+                ent = mul[(k, m)]
                 if not ent:
                     continue
                 c = times(ck, cm)
@@ -900,15 +977,13 @@ def _slice_row(mul, li, rj, times: _Products) -> dict:
     return out
 
 
-def _slice_table(mul, left, right, times: _Products) -> dict:
-    """Every product e_i * e_j of _slice_row, as a table."""
-    table: dict = {}
-    for i, li in enumerate(left):
-        for j, rj in enumerate(right):
-            out = _slice_row(mul, li, rj, times)
-            if out:
-                table[(i, j)] = tuple(sorted(out.items()))
-    return table
+def _slice_table(mul, left, right, times: _Products) -> _Rows:
+    """The products e_i * e_j of _slice_row as a table whose rows are
+    computed on first read."""
+    def fill(i, j):
+        return tuple(sorted(_slice_row(mul, left[i], right[j], times).items()))
+
+    return _Rows(fill=fill, dim=len(left))
 
 
 def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,

@@ -7,10 +7,15 @@ every basis element's legs once; its tables must equal the reference entry
 for entry, also for forms that are not of sigma's shape.  The 2-cocycle check
 reads its two sides off rows of the one-sided twist, and
 `reference_cocycle_sides` (conftest) evaluates them over Delta (x) Delta.
+
+The kernel's tables compute each row on its first read.  Rows read in any
+order must equal the reference, and every whole-table view must first
+complete the table, so that it lists exactly the reference's nonzero rows.
 """
 
 import itertools
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -18,6 +23,7 @@ from conftest import (bicharacter_form, cyclic_group_hopf, random_scalar,
                       reference_cocycle_sides, reference_deformed_table)
 from uqcomod.cli import _zoo_tuples
 from uqcomod.comodzoo import build_family, deform_family
+from uqcomod import hopfcore
 from uqcomod.cyclofield import field
 from uqcomod.hopfcore import (
     ConvForm,
@@ -39,11 +45,21 @@ from uqcomod.uqsl2 import (
 )
 
 
+def _assert_rows_match(mul, dim, want, seed):
+    """Every row of a table not yet completed, read in a shuffled order,
+    equals the reference row; then the whole table equals the reference."""
+    keys = list(itertools.product(range(dim), repeat=2))
+    random.Random(seed).shuffle(keys)
+    for key in keys:
+        assert mul[key] == want.get(key, ()), key
+    assert dict(mul) == want
+
+
 @pytest.mark.parametrize("N", [3, 5])
 def test_deform_hopf_matches_the_nested_loop(N):
     H, sigma, inv = build_gr_uq(N), build_sigma(N), build_sigma_inverse(N)
     want = reference_deformed_table(H, sigma, inv)
-    assert dict(deform_hopf(H, sigma, inv).algebra.mul) == want
+    _assert_rows_match(deform_hopf(H, sigma, inv).algebra.mul, H.dim, want, N)
     assert dict(build_uq(N).algebra.mul) == want
 
 
@@ -51,7 +67,106 @@ def test_deform_hopf_matches_the_nested_loop(N):
 def test_deformed_family_members_match_the_nested_loop(N):
     for p in _zoo_tuples(N, small=N == 3):
         want = reference_deformed_table(build_family(p), build_sigma(N))
+        if N == 3:
+            fresh = deform_family.__wrapped__(p).algebra
+            _assert_rows_match(fresh.mul, fresh.dim, want, 11)
         assert dict(deform_family(p).algebra.mul) == want, p.label()
+
+
+def test_build_uq_computes_only_the_rows_it_reads(monkeypatch):
+    calls = []
+    slice_row = hopfcore._slice_row
+
+    def counting(mul, li, rj, times):
+        calls.append(1)
+        return slice_row(mul, li, rj, times)
+
+    monkeypatch.setattr(hopfcore, "_slice_row", counting)
+    uq = build_uq.__wrapped__(5)
+    built = len(calls)
+    # the antipode solve and the relation report read under a quarter
+    assert 0 < built < 125 ** 2 // 4
+    for key in itertools.product(range(8), repeat=2):
+        uq.algebra.mul[key]
+    again = len(calls)
+    for key in itertools.product(range(8), repeat=2):
+        uq.algebra.mul[key]
+    assert len(calls) == again
+
+
+def _fresh_table():
+    """The deformed table of u_q(3) (dimension 27) with no row computed
+    yet, as a read-only view and as its raw storage, and the reference."""
+    H, sigma, inv = build_gr_uq(3), build_sigma(3), build_sigma_inverse(3)
+    times = _Products(H.field)
+    left, right = _two_sided_legs(H, sigma, inv, times)
+    rows = _slice_table(H.algebra.mul, left, right, times)
+    return MappingProxyType(rows), rows, reference_deformed_table(H, sigma, inv)
+
+
+def _row_major(table):
+    return [(key, table[key]) for key in sorted(table)]
+
+
+@pytest.mark.parametrize("view", [
+    lambda mul: list(mul.items()),
+    lambda mul: list(mul.keys()),
+    lambda mul: list(mul.values()),
+    len,
+    list,
+    lambda mul: list(reversed(mul)),
+    dict,
+    lambda mul: mul.copy(),
+    lambda mul: mul == {},
+    lambda mul: mul != {},
+    repr,
+])
+def test_whole_table_views_complete_the_table(view):
+    mul, rows, want = _fresh_table()
+    zero = next(key for key in itertools.product(range(27), repeat=2)
+                if key not in want)
+    assert mul[zero] == () and mul[(1, 1)] == want[(1, 1)]
+    assert dict.__len__(rows) == 2  # read rows are kept, () included
+    view(mul)
+    assert list(dict.items(rows)) == _row_major(want)
+    assert list(mul.items()) == _row_major(want)
+    assert len(mul) == len(want) and list(mul) == sorted(want)
+    assert dict(mul) == want and mul == want and want == mul
+    assert not mul != want and not want != mul
+
+
+def test_get_and_in_read_rows_as_the_complete_table_does():
+    mul, rows, want = _fresh_table()
+    keys = list(itertools.product(range(27), repeat=2))
+    random.Random(5).shuffle(keys)
+    for key in keys:
+        assert mul.get(key) == want.get(key)
+        assert mul.get(key, ()) == want.get(key, ())
+        assert (key in mul) == (key in want)
+    assert dict.__len__(rows) == 27 ** 2
+    # two lazy tables compare by their complete contents
+    assert _fresh_table()[1] == rows and not _fresh_table()[1] != rows
+
+
+def test_keys_outside_the_basis_read_as_the_zero_row():
+    mul, rows, want = _fresh_table()
+    last = max(i for i, _ in want)
+    j = next(j for i, j in sorted(want) if i == last)
+    outside = [(-1, j), (j, -1), (-27, 0), (27, 0), (0, 27), (27, 27)]
+    for table in (mul, build_gr_uq(3).algebra.mul):
+        for key in outside:
+            assert table[key] == ()
+            assert table.get(key) is None
+            assert key not in table
+    assert dict.__len__(rows) == 0
+    assert dict(mul) == want
+
+
+def test_deformed_tables_are_read_only():
+    for alg in (build_uq(3).algebra,
+                deform_family(_zoo_tuples(3, True)[0]).algebra):
+        with pytest.raises(TypeError):
+            alg.mul[(0, 0)] = ()
 
 
 def _perturbed_forms(N):
