@@ -1,10 +1,13 @@
-"""Byte-for-byte output of the default report, the zoo description and
-the exported structure constants.
+"""Byte-for-byte output of the default report, a sampled N = 5 report, the
+zoo description and the exported structure constants.
 
 The files under tests/golden/ were written by
 
     uqcomod verify --N 3 --format json --output tests/golden/verify_n3.json
     uqcomod classify --output tests/golden/classify.txt
+    uqcomod verify --N 5 --suites hopf-axioms,cocycle,deformation,families,\
+minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
+        --output tests/golden/verify_n5.json
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
 --format json`, written before the three table builders were merged into
@@ -28,6 +31,10 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("argv, name", [
     (["verify", "--N", "3", "--format", "json"], "verify_n3.json"),
     (["classify"], "classify.txt"),
+    # sampled plans at N = 5 (the morita suite, 72 s there, is left out)
+    (["verify", "--N", "5", "--suites", "hopf-axioms,cocycle,deformation,"
+      "families,minpoly,chebyshev,filtration", "--sample-count", "200",
+      "--seed", "1", "--format", "json"], "verify_n5.json"),
 ])
 def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name

@@ -81,16 +81,83 @@ def test_corrupted_multiplication_is_caught():
         assert failing["hopf-antipode"] == 2
 
 
+def _antipode_witness(element, left, right, expected="0"):
+    return {"examples": [{"element": element, "m(S x id)Delta": left,
+                          "m(id x S)Delta": right, "expected": expected}],
+            "failing": 1}
+
+
+# gr(3) with x = x1y0g0, y = x0y1g0 and 1 = x0y0g0
+_X_COASSOC = {"elements": ["x1y0g0", "x1y1g0", "x1y1g1", "x1y2g0", "x1y2g2"],
+              "failing": 10}
+_X_COUNIT = {"elements": ["x1y0g0"], "failing": 1}
+_X_MULT = {"examples": [["x0y0g1", "x1y0g0"], ["x0y0g1", "x1y0g2"],
+                        ["x0y0g2", "x1y0g0"]],
+           "failing": 55, "checked": 729}
+
+
+def _comul_failures(H, label, terms, keep=True):
+    """{claim_id: witness} of verify_hopf once Delta(label) is set to (or,
+    with keep, increased by) the terms a (x) b."""
+    ix = H.labels.index
+    comul = dict(H.coalgebra.comul)
+    added = tuple((ix(a), ix(b), H.field.one) for a, b in terms)
+    comul[ix(label)] = (comul[ix(label)] if keep else ()) + added
+    co = FiniteCoalgebra(H.field, H.labels, comul, dict(H.coalgebra.counit))
+    rep = verify_hopf(HopfAlgebraData(H.algebra, co, H.antipode,
+                                      degrees=H.degrees))
+    return {c.claim_id: c.witness for c in rep.failures()}
+
+
 def test_corrupted_comultiplication_is_caught():
     # deliberate corruption: Delta(e1) = e1 (x) e0 violates the counit axiom
     H = cyclic_group_hopf(3)
-    comul = dict(H.coalgebra.comul)
-    comul[1] = ((1, 0, H.field.one),)
-    co = FiniteCoalgebra(H.field, H.labels, comul, dict(H.coalgebra.counit))
-    bad = HopfAlgebraData(H.algebra, co, H.antipode, degrees=H.degrees)
-    rep = verify_hopf(bad)
-    assert not rep.ok
-    assert any(c.witness for c in rep.failures())
+    assert _comul_failures(H, "e1", [("e1", "e0")], keep=False) == {
+        "coalgebra-counit": {"elements": ["e1"], "failing": 1},
+        "bialgebra-multiplicativity": {
+            "examples": [["e1", "e1"], ["e1", "e2"], ["e2", "e1"]],
+            "failing": 4, "checked": 9},
+        "hopf-antipode": _antipode_witness("e1", "(1)*e2", "(1)*e1",
+                                           "(1)*e0"),
+    }
+
+
+@pytest.mark.parametrize("label, terms, expected", [
+    # Delta(x) + y (x) 1 breaks only the right counit, (id x eps)Delta = id
+    ("x1y0g0", [("x0y1g0", "x0y0g0")], {
+        "coalgebra-coassociativity": _X_COASSOC,
+        "coalgebra-counit": _X_COUNIT,
+        "bialgebra-multiplicativity": _X_MULT,
+        "hopf-antipode": _antipode_witness("x1y0g0", "(-q)*x0y1g1",
+                                           "(1)*x0y1g0"),
+    }),
+    # Delta(x) + 1 (x) y breaks only the left counit, (eps x id)Delta = id
+    ("x1y0g0", [("x0y0g0", "x0y1g0")], {
+        "coalgebra-coassociativity": _X_COASSOC,
+        "coalgebra-counit": _X_COUNIT,
+        "bialgebra-multiplicativity": _X_MULT,
+        "hopf-antipode": _antipode_witness("x1y0g0", "(1)*x0y1g0",
+                                           "(-q)*x0y1g1"),
+    }),
+    # Delta(1) + x (x) y breaks Delta(1) = 1 (x) 1 but keeps both counits
+    ("x0y0g0", [("x1y0g0", "x0y1g0")], {
+        "coalgebra-coassociativity": {
+            "elements": ["x0y0g0", "x0y1g0", "x0y1g1", "x0y2g0", "x0y2g2"],
+            "failing": 15},
+        "bialgebra-unit": {"delta_1": "(1)*(0, 0) + (1)*(9, 3)",
+                           "expected": "(1)*(0, 0)"},
+        "bialgebra-multiplicativity": {
+            "examples": [["x0y0g0", "x0y0g0"], ["x0y0g0", "x0y0g1"],
+                         ["x0y0g0", "x0y0g2"]],
+            "failing": 55, "checked": 729},
+        "hopf-antipode": _antipode_witness(
+            "x0y0g0", "(1)*x0y0g0 + (-1)*x1y1g1",
+            "(1)*x0y0g0 + (-q)*x1y1g1", "(1)*x0y0g0"),
+    }),
+], ids=["right-counit", "left-counit", "unit"])
+def test_corrupted_gr_comultiplication_is_caught(gr3, label, terms, expected):
+    # the whole failure map is pinned, witnesses included
+    assert _comul_failures(gr3, label, terms) == expected
 
 
 def test_corrupted_antipode_is_caught():
