@@ -219,9 +219,6 @@ class FiniteAlgebra:
     def unit_vec(self) -> dict:
         return dict(self.unit)
 
-    def mul_basis(self, i, j):
-        return self.mul[(i, j)]
-
     def mul_vec(self, a: dict, b: dict) -> dict:
         out: dict = {}
         mul = self.mul
@@ -409,7 +406,7 @@ def _product_failures(alg: FiniteAlgebra, pairs, images, mul,
     f(e_m) = images[m] has f(e_i e_j) != mul(f(e_i), f(e_j))."""
     bad = []
     for i, j in pairs:
-        if not vec_eq(vec_combine(images, alg.mul_basis(i, j), times),
+        if not vec_eq(vec_combine(images, alg.mul[(i, j)], times),
                       mul(images[i], images[j])):
             bad.append([alg.labels[i], alg.labels[j]])
     return bad
@@ -464,46 +461,15 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
     return rep
 
 
-def verify_coalgebra(co: FiniteCoalgebra) -> VerificationReport:
-    rep = VerificationReport({"dim": co.dim})
-    labels = co.labels
-    times = _Products(co.field)
-    bad = []
-    for i in range(co.dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        for j, k, c in co.comul.get(i, ()):
-            for j1, j2, d in co.comul.get(j, ()):
-                vec_add_into(lhs, (j1, j2, k), times(c, d))
-            for k1, k2, d in co.comul.get(k, ()):
-                vec_add_into(rhs, (j, k1, k2), times(c, d))
-        if not vec_eq(lhs, rhs):
-            bad.append(labels[i])
-    rep.add("coalgebra-coassociativity", "coassociative-comultiplication",
-            not bad, {"elements": bad[:5], "failing": len(bad)} if bad else None)
-
-    bad = []
-    for i in range(co.dim):
-        left: dict = {}
-        right: dict = {}
-        for j, k, c in co.comul.get(i, ()):
-            ej = co.counit.get(j)
-            if ej is not None:
-                vec_add_into(left, k, times(c, ej))
-            ek = co.counit.get(k)
-            if ek is not None:
-                vec_add_into(right, j, times(c, ek))
-        target = {i: co.field.one}
-        if not vec_eq(left, target) or not vec_eq(right, target):
-            bad.append(labels[i])
-    rep.add("coalgebra-counit", "counit-axiom", not bad,
-            {"elements": bad[:5], "failing": len(bad)} if bad else None)
-    return rep
-
-
 def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
                 seed=0, always_indices=()) -> VerificationReport:
-    """Associativity, coassociativity, bialgebra compatibility, antipode."""
+    """Associativity, the coalgebra and bialgebra axioms, the antipode.
+
+    Coassociativity, the left counit, Delta(1) = 1 (x) 1 and the
+    multiplicativity of Delta are the coaction axioms of H as a comodule
+    algebra over itself (regular_comodule_algebra), read from the kernel of
+    verify_comodule_algebra; the right counit and the counit as an algebra
+    map are checked here."""
     alg, co = H.algebra, H.coalgebra
     labels = alg.labels
     rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim})
@@ -511,28 +477,38 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     n_assoc = sample_count // 2
     n_pairs = sample_count - n_assoc
     rep.extend(verify_algebra(alg, mode, n_assoc, seed, always_indices))
-    rep.extend(verify_coalgebra(co))
-
-    # bialgebra: Delta and counit are algebra maps, Delta(1) = 1 x 1
-    one = alg.unit_vec()
-    d1 = co.comul_vec(one)
-    unit_tensor = tensor_vec(one, one)
-    rep.add("bialgebra-unit", "comultiplication-of-unit",
-            vec_eq(d1, unit_tensor),
-            None if vec_eq(d1, unit_tensor) else
-            {"delta_1": vec_str(d1), "expected": vec_str(unit_tensor)})
-    rep.add("bialgebra-counit-unit", "counit-of-unit",
-            co.counit_vec(one) == alg.field.one, None)
 
     times = _Products(alg.field)
     pairs = check_plan(alg.dim, 2, mode, n_pairs, seed + 1, always_indices)
-    bad_mult = _product_failures(
-        alg, pairs, [co.comul_vec(alg.basis_vec(i)) for i in range(alg.dim)],
-        lambda a, b: t2_mul(alg, alg, a, b, times), times)
+    bad_co, bad_left, delta_1, bad_mult = _coaction_failures(
+        regular_comodule_algebra(H), pairs, times)
+    rep.add("coalgebra-coassociativity", "coassociative-comultiplication",
+            not bad_co,
+            {"elements": bad_co[:5], "failing": len(bad_co)} if bad_co else None)
+
+    # the right counit, (id x eps)Delta = id, is not a left-coaction axiom
+    bad = []
+    for i in range(alg.dim):
+        right: dict = {}
+        for j, k, c in co.comul.get(i, ()):
+            ek = co.counit.get(k)
+            if ek is not None:
+                vec_add_into(right, j, times(c, ek))
+        if labels[i] in bad_left or not vec_eq(right, {i: alg.field.one}):
+            bad.append(labels[i])
+    rep.add("coalgebra-counit", "counit-axiom", not bad,
+            {"elements": bad[:5], "failing": len(bad)} if bad else None)
+
+    one = alg.unit_vec()
+    rep.add("bialgebra-unit", "comultiplication-of-unit", delta_1 is None,
+            delta_1)
+    rep.add("bialgebra-counit-unit", "counit-of-unit",
+            co.counit_vec(one) == alg.field.one, None)
+
     zero = alg.field.zero
     bad_counit = [
         [labels[i], labels[j]] for i, j in pairs
-        if co.counit_vec(dict(alg.mul_basis(i, j)))
+        if co.counit_vec(dict(alg.mul[(i, j)]))
         != times(co.counit.get(i, zero), co.counit.get(j, zero))]
     rep.add("bialgebra-multiplicativity", "comultiplication-algebra-map",
             not bad_mult, {"examples": bad_mult[:3], "failing": len(bad_mult),
@@ -1007,13 +983,12 @@ def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
     return left, right
 
 
-def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv=None,
+def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv: ConvForm,
                 labels=None) -> HopfAlgebraData:
-    """Full cocycle deformation: new multiplication table, same coalgebra,
-    antipode recomputed from the antipode linear system.  Every product is
-    the sigma formula, evaluated by the slice kernel."""
-    if sigma_inv is None:
-        sigma_inv = convolution_inverse(sigma)
+    """Full cocycle deformation by sigma with convolution inverse sigma_inv:
+    new multiplication table, same coalgebra, antipode recomputed from the
+    antipode linear system.  Every product is the sigma formula, evaluated
+    by the slice kernel."""
     times = _Products(H.field)
     left, right = _two_sided_legs(H, sigma, sigma_inv, times)
     table = _slice_table(H.algebra.mul, left, right, times)
@@ -1067,19 +1042,19 @@ class ComoduleAlgebra:
         return out
 
 
-def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
-                            sample_count=10000, seed=0) -> VerificationReport:
+def _coaction_failures(A: ComoduleAlgebra, pairs, times: _Products):
+    """The coaction axioms of A, as (coassociativity, counit, unit,
+    multiplicativity): the labels of the basis elements failing
+    (Delta x id)delta = (id x delta)delta, those failing
+    (eps x id)delta = id, the witness of delta(1) != 1 (x) 1 (None when it
+    holds), and [label_a, label_b] for each planned pair (a, b) failing
+    delta(ab) = delta(a) delta(b)."""
     H = A.over
     alg = A.algebra
     labels = alg.labels
-    rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim,
-                              "params": {k: str(v) for k, v in A.params.items()}})
-
-    times = _Products(alg.field)
-    # coassociativity and counit of the coaction, every basis element
-    bad_co, bad_eps = [], []
     comul = H.coalgebra.comul
     counit = H.coalgebra.counit
+    bad_co, bad_eps = [], []
     for i in range(alg.dim):
         lhs: dict = {}
         rhs: dict = {}
@@ -1096,23 +1071,31 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
             bad_co.append(labels[i])
         if not vec_eq(eps, {i: alg.field.one}):
             bad_eps.append(labels[i])
+
+    du = A.coact_vec(alg.unit_vec())
+    target = tensor_vec(H.algebra.unit_vec(), alg.unit_vec())
+    unit = None if vec_eq(du, target) else {"delta_1": vec_str(du),
+                                            "expected": vec_str(target)}
+
+    bad_mult = _product_failures(
+        alg, pairs, [A.coact_vec(alg.basis_vec(i)) for i in range(alg.dim)],
+        lambda a, b: t2_mul(H.algebra, alg, a, b, times), times)
+    return bad_co, bad_eps, unit, bad_mult
+
+
+def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
+                            sample_count=10000, seed=0) -> VerificationReport:
+    alg = A.algebra
+    rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim,
+                              "params": {k: str(v) for k, v in A.params.items()}})
+    pairs = check_plan(alg.dim, 2, mode, sample_count, seed)
+    bad_co, bad_eps, unit, bad = _coaction_failures(A, pairs,
+                                                    _Products(alg.field))
     rep.add("comodule-coassociativity", "coaction-coassociativity", not bad_co,
             {"elements": bad_co[:5], "failing": len(bad_co)} if bad_co else None)
     rep.add("comodule-counit", "coaction-counit", not bad_eps,
             {"elements": bad_eps[:5], "failing": len(bad_eps)} if bad_eps else None)
-
-    # unit colinear
-    du = A.coact_vec(alg.unit_vec())
-    target = tensor_vec(H.algebra.unit_vec(), alg.unit_vec())
-    rep.add("comodule-unit", "coaction-of-unit", vec_eq(du, target),
-            None if vec_eq(du, target) else
-            {"delta_1": vec_str(du), "expected": vec_str(target)})
-
-    # multiplicativity of the coaction
-    pairs = check_plan(alg.dim, 2, mode, sample_count, seed)
-    bad = _product_failures(
-        alg, pairs, [A.coact_vec(alg.basis_vec(i)) for i in range(alg.dim)],
-        lambda a, b: t2_mul(H.algebra, alg, a, b, times), times)
+    rep.add("comodule-unit", "coaction-of-unit", unit is None, unit)
     rep.add("comodule-multiplicativity", "coaction-algebra-map", not bad,
             {"examples": bad[:3], "failing": len(bad),
              "checked": len(pairs)} if bad else None)

@@ -522,7 +522,7 @@ def verify_dual_relations(N: int, mode="exhaustive", sample_count=4000,
     bad = []
     alg = H.algebra
     for (a, b) in pairs:
-        prod = {m: c for m, c in alg.mul_basis(a, b)}
+        prod = dict(alg.mul[(a, b)])
         va, vb = alg.basis_vec(a), alg.basis_vec(b)
         if alpha.eval_vecs(prod) != alpha.eval_vecs(va) * alpha.eval_vecs(vb):
             bad.append(("alpha", H.labels[a], H.labels[b]))
