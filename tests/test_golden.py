@@ -10,8 +10,9 @@ minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --output tests/golden/verify_n5.json
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
---format json`, written before the three table builders were merged into
-one skew-PBW builder.  The verify report records only pass or fail, so the
+--format json`.  The first seven were written before the three table
+builders were merged into one skew-PBW builder, the last three before
+gr(u_q)'s antipode was solved instead of built in closed form.  The verify report records only pass or fail, so the
 digests are what pins every structure constant and coaction coefficient.
 A change to the internals (field, linear algebra, builders) must reproduce
 all of them exactly; a change to a claim or a table must regenerate them
@@ -61,6 +62,14 @@ L3N = FAMILY + ["L3N", "--xi", "1", "--zeta", "2", "--eta", "q"]
      "84acecbb2e9f6c35303642fb978f1b599cd86e51912e23837844e08d74e1f2f6"),
     (["--N", "5"] + L3N,
      "45584f70933030b9b1d0a01636082c9965f8d1d7bd2382e8eec5d32b23c56b80"),
+    # the exports carry the antipode tables: u_q's solved by solve_antipode
+    # and gr(u_q)'s at N = 7
+    (["--N", "3", "--what", "uq"],
+     "089169f3435d9d3c913c22dd7e66f79b586da72112837da35637178ee45f8c33"),
+    (["--N", "5", "--what", "uq"],
+     "c4ca020318cc50fd0b4517f6c1d5902a83b942a8891603cdb55b9d8fc409abd5"),
+    (["--N", "7", "--what", "gr-uq"],
+     "0fe057d97c661a37122a98bb68cfa0f029363a2384c887319ab24736620671f7"),
 ])
 def test_export_matches_digest(capsys, argv, digest):
     assert main(["export"] + argv + ["--format", "json"]) == 0
