@@ -461,6 +461,27 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
     return rep
 
 
+def _antipode_sides(H: HopfAlgebraData, i: int, times: _Products):
+    """m(S x id)Delta(e_i), m(id x S)Delta(e_i) and eps(e_i) 1, the three
+    sides of the antipode axioms on one basis element.  S(e_j) e_k and
+    e_j S(e_k) are read from the table rows (m, k) and (j, m)."""
+    alg = H.algebra
+    mul = alg.mul
+    left: dict = {}
+    right: dict = {}
+    for j, k, c in H.coalgebra.comul.get(i, ()):
+        for m, s in H.antipode.get(j, {}).items():
+            cs = times(c, s)
+            for t, d in mul[(m, k)]:
+                vec_add_into(left, t, times(cs, d))
+        for m, s in H.antipode.get(k, {}).items():
+            cs = times(c, s)
+            for t, d in mul[(j, m)]:
+                vec_add_into(right, t, times(cs, d))
+    eps = H.coalgebra.counit.get(i, alg.field.zero)
+    return left, right, vec_scale(alg.unit_vec(), eps)
+
+
 def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
                 seed=0, always_indices=()) -> VerificationReport:
     """Associativity, the coalgebra and bialgebra axioms, the antipode.
@@ -517,24 +538,10 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
             not bad_counit, {"examples": bad_counit[:3],
                              "failing": len(bad_counit)} if bad_counit else None)
 
-    # antipode axioms on every basis element: S(e_j) e_k and e_j S(e_k)
-    # are read from the table rows (m, k) and (j, m)
-    mul = alg.mul
+    # the antipode axioms on every basis element
     bad = []
     for i in range(alg.dim):
-        eps = co.counit.get(i, alg.field.zero)
-        target = vec_scale(one, eps)
-        left: dict = {}
-        right: dict = {}
-        for j, k, c in co.comul.get(i, ()):
-            for m, s in H.antipode.get(j, {}).items():
-                cs = times(c, s)
-                for t, d in mul[(m, k)]:
-                    vec_add_into(left, t, times(cs, d))
-            for m, s in H.antipode.get(k, {}).items():
-                cs = times(c, s)
-                for t, d in mul[(j, m)]:
-                    vec_add_into(right, t, times(cs, d))
+        left, right, target = _antipode_sides(H, i, times)
         if not vec_eq(left, target) or not vec_eq(right, target):
             bad.append({"element": labels[i],
                         "m(S x id)Delta": vec_str(left, labels),
@@ -1074,8 +1081,12 @@ def _coaction_failures(A: ComoduleAlgebra, pairs, times: _Products):
 
     du = A.coact_vec(alg.unit_vec())
     target = tensor_vec(H.algebra.unit_vec(), alg.unit_vec())
-    unit = None if vec_eq(du, target) else {"delta_1": vec_str(du),
-                                            "expected": vec_str(target)}
+    unit = None
+    if not vec_eq(du, target):
+        names = {(h, a): f"{H.labels[h]} (x) {labels[a]}"
+                 for h, a in (*du, *target)}
+        unit = {"delta_1": vec_str(du, names),
+                "expected": vec_str(target, names)}
 
     bad_mult = _product_failures(
         alg, pairs, [A.coact_vec(alg.basis_vec(i)) for i in range(alg.dim)],

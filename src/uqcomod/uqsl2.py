@@ -26,13 +26,16 @@ from .hopfcore import (
     FiniteAlgebra,
     FiniteCoalgebra,
     HopfAlgebraData,
+    _antipode_sides,
     _Products,
     check_plan,
     convolution,
     deform_hopf,
+    solve_antipode,
     t2_mul,
     tensor_vec,
     vec_add_into,
+    vec_combine,
     vec_eq,
     vec_scale,
     vec_str,
@@ -138,7 +141,8 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
 def build_gr_uq(N: int) -> HopfAlgebraData:
     """Associated graded Hopf algebra on the basis x^i y^j g^k.
 
-    The product is skew_pbw_algebra at xi = zeta = eta = 0 and r = N.
+    The product is skew_pbw_algebra at xi = zeta = eta = 0 and r = N, and
+    the antipode is solved from the product and coproduct as for u_q.
     Cached per N; the result is read-only.
     """
     check_order(N)
@@ -175,21 +179,7 @@ def build_gr_uq(N: int) -> HopfAlgebraData:
                 if i == 0 and j == 0:
                     counit[m] = fld.one
     co = FiniteCoalgebra(fld, labels, comul, counit)
-
-    # antipode: S(g) = g^{N-1}, S(x) = -gx = -q^2 xg, S(y) = -gy = -q^-2 yg,
-    # extended anti-multiplicatively over the PBW basis
-    s_x = {monomial_index(N, 1, 0, 1): -fld.q_power(2)}
-    s_y = {monomial_index(N, 0, 1, 1): -fld.q_power(-2)}
-    s_g = {monomial_index(N, 0, 0, N - 1): fld.one}
-    antipode: dict = {}
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                m = monomial_index(N, i, j, k)
-                v = alg.pow_vec(s_g, k)
-                v = alg.mul_vec(v, alg.pow_vec(s_y, j))
-                v = alg.mul_vec(v, alg.pow_vec(s_x, i))
-                antipode[m] = v
+    antipode = solve_antipode(alg, co)
     return HopfAlgebraData(alg, co, antipode, degrees=degrees)
 
 
@@ -310,14 +300,14 @@ def build_uq(N: int) -> HopfAlgebraData:
     checks need.  From a cold start it takes about 0.09 s at N = 5 and
     0.7 s at N = 7 (dimension 343, 40 MB peak) of CPU time on a 2-vCPU
     host.  Every suite and report at N = 7 reads this one table.  The
-    defining relations are checked on the fresh table before it is cached
-    (AssertionError if one fails).
+    defining relations and the antipode's closed forms are checked on the
+    fresh data before it is cached (AssertionError if one fails).
     """
     H = build_gr_uq(N)
     sigma = build_sigma(N)
     sigma_inv = build_sigma_inverse(N)
     uq = deform_hopf(H, sigma, sigma_inv, labels=uq_labels(N))
-    rep = uq_relation_report(N, multiplier=uq.algebra)
+    rep = uq_relation_report(N, uq)
     if not rep.ok:
         raise AssertionError(
             "deformed algebra failed a defining relation: "
@@ -352,18 +342,22 @@ def uq_z_element(N: int, alpha, beta, gamma) -> dict:
     return Z
 
 
-def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
-    """Check the defining relations of u_q in both generator systems.
+def uq_relation_report(N: int, uq=None) -> VerificationReport:
+    """Check the defining relations of u_q in both generator systems, its
+    coproduct on the generators, the antipode axioms on the basis elements
+    each generator is made of, and the closed forms S(E) = -E K^-1 and
+    S(F) = -K F against the solved antipode.
 
-    Products are taken by multiplier, any object with mul_vec and pow_vec:
-    by default the table of build_uq(N).  build_uq passes its fresh table
-    before caching it, and a corrupted table can be passed to see the
-    report fail.
+    uq is the Hopf data, by default build_uq(N).  build_uq passes its
+    fresh data before caching it, and corrupted data can be passed to see
+    the report fail.
     """
     check_order(N)
-    H = build_gr_uq(N)
-    fld = H.field
-    mult = multiplier if multiplier is not None else build_uq(N).algebra
+    if uq is None:
+        uq = build_uq(N)
+    fld = uq.field
+    mult = uq.algebra
+    co = uq.coalgebra
     gen = uq_generators(N)
     one, Et, F, K, Kinv, E = (gen[k] for k in
                               ("one", "Et", "F", "K", "Kinv", "E"))
@@ -377,8 +371,8 @@ def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
     def check(claim, anchor, lhs, rhs):
         ok = vec_eq(lhs, rhs)
         rep.add(claim, anchor, ok,
-                None if ok else {"lhs": vec_str(lhs, H.labels),
-                                 "rhs": vec_str(rhs, H.labels)})
+                None if ok else {"lhs": vec_str(lhs, uq.labels),
+                                 "rhs": vec_str(rhs, uq.labels)})
 
     zero: dict = {}
     check("uq-Et-nilpotent", "relation-Et^N", mult.pow_vec(Et, N), zero)
@@ -400,67 +394,28 @@ def uq_relation_report(N: int, multiplier=None) -> VerificationReport:
           vec_scale(vec_sub(K, Kinv), coef))
 
     # comultiplication on generators (the coalgebra is undeformed)
-    check("uq-comul-K", "coproduct-K", H.coalgebra.comul_vec(K),
-          tensor_vec(K, K))
-    check("uq-comul-Et", "coproduct-Et", H.coalgebra.comul_vec(Et),
+    check("uq-comul-K", "coproduct-K", co.comul_vec(K), tensor_vec(K, K))
+    check("uq-comul-Et", "coproduct-Et", co.comul_vec(Et),
           _tensor_sum(tensor_vec(Et, one), tensor_vec(Kinv, Et)))
-    check("uq-comul-F", "coproduct-F", H.coalgebra.comul_vec(F),
+    check("uq-comul-F", "coproduct-F", co.comul_vec(F),
           _tensor_sum(tensor_vec(F, one), tensor_vec(Kinv, F)))
-    check("uq-comul-E", "coproduct-E", H.coalgebra.comul_vec(E),
+    check("uq-comul-E", "coproduct-E", co.comul_vec(E),
           _tensor_sum(tensor_vec(E, K), tensor_vec(one, E)))
 
-    # antipode on generators, forced by the axiom, then the closed forms
-    S = {"K": dict(Kinv), "Kinv": dict(K),
-         "Et": vec_scale(mulv(K, Et), -fld.one),
-         "F": vec_scale(mulv(K, F), -fld.one)}
-
-    def axiom_on(v, s_of_leg):
-        eps = H.coalgebra.counit_vec(v)
-        left: dict = {}
-        right: dict = {}
-        for (i, j), c in H.coalgebra.comul_vec(v).items():
-            t = mulv(vec_scale(s_of_leg(i), c), {j: fld.one})
-            for m, d in t.items():
-                vec_add_into(left, m, d)
-            t = mulv({i: c}, s_of_leg(j))
-            for m, d in t.items():
-                vec_add_into(right, m, d)
-        return vec_eq(left, vec_scale(one, eps)) \
-            and vec_eq(right, vec_scale(one, eps))
-
-    # antipode values on the basis monomials a generator's coproduct touches
-    s_basis = {monomial_index(N, 0, 0, k):
-               {monomial_index(N, 0, 0, (N - k) % N): fld.one}
-               for k in range(N)}
-    s_basis[monomial_index(N, 1, 0, 0)] = S["Et"]
-    s_basis[monomial_index(N, 0, 1, 0)] = S["F"]
-    # xg = q^{-2} K*Et, so S(xg) = q^{-2} S(Et)*S(K)
-    s_basis[monomial_index(N, 1, 0, 1)] = vec_scale(
-        mulv(S["Et"], S["K"]), fld.q_power(-2))
-
-    def s_of_leg(i):
-        got = s_basis.get(i)
-        if got is None:
-            raise AssertionError(f"antipode value missing for {H.labels[i]}")
-        return got
-
+    # the antipode axioms on each basis element of a generator's support,
+    # then the closed forms of the solved antipode
+    times = _Products(fld)
     for name, v in (("Et", Et), ("F", F), ("K", K), ("E", E)):
+        sides = (_antipode_sides(uq, i, times) for i in v)
         rep.add(f"uq-antipode-axiom-{name}", "antipode-axiom-generators",
-                axiom_on(v, s_of_leg), None)
-
-    def s_vec(v):
-        out: dict = {}
-        for i, c in v.items():
-            for m, d in s_of_leg(i).items():
-                vec_add_into(out, m, c * d)
-        return out
-
-    check("uq-antipode-E", "antipode-E", s_vec(E),
+                all(vec_eq(left, target) and vec_eq(right, target)
+                    for left, right, target in sides), None)
+    check("uq-antipode-E", "antipode-E", vec_combine(uq.antipode, E.items()),
           vec_scale(mulv(E, Kinv), -fld.one))
-    check("uq-antipode-F", "antipode-F", s_vec(F),
+    check("uq-antipode-F", "antipode-F", vec_combine(uq.antipode, F.items()),
           vec_scale(mulv(K, F), -fld.one))
-    rep.add("uq-dimension", "dimension-N-cubed", H.dim == N ** 3,
-            None if H.dim == N ** 3 else {"dim": H.dim})
+    rep.add("uq-dimension", "dimension-N-cubed", uq.dim == N ** 3,
+            None if uq.dim == N ** 3 else {"dim": uq.dim})
     return rep
 
 

@@ -101,7 +101,7 @@ def test_criterion_03_deformation_relations():
     for N in (3, 5):
         uq = build_uq(N)
         assert uq.algebra.dim == N ** 3
-        rep = uq_relation_report(N, multiplier=uq.algebra)
+        rep = uq_relation_report(N, uq)
         assert rep.ok, (N, _failing(rep))
     rep = uq_relation_report(7)
     assert rep.ok, (7, _failing(rep))
@@ -511,7 +511,8 @@ def test_criterion_10_mutation_sensitivity():
     k, c0 = mul[(x, y)][0]
     mul[(x, y)] = ((k, c0 * 3),) + tuple(mul[(x, y)][1:])
     bad = FiniteAlgebra(fld, uq.labels, mul, dict(uq.algebra.unit))
-    rep = uq_relation_report(3, multiplier=bad)
+    rep = uq_relation_report(3, HopfAlgebraData(bad, uq.coalgebra,
+                                                uq.antipode))
     assert not rep.ok and any(c.witness for c in rep.failures())
     caught.append("deformed-product")
 

@@ -6,6 +6,7 @@ from uqcomod.comodzoo import build_family, zoo_params
 from uqcomod.cyclofield import field, q_factorial
 from uqcomod.hopfcore import (
     ConvForm,
+    HopfAlgebraData,
     convolution,
     convolution_inverse,
     regular_comodule_algebra,
@@ -80,9 +81,24 @@ def test_gr_antipode_on_generators(gr3):
     assert gr3.antipode[g_idx] == {monomial_index(3, 0, 0, 2): fld.one}
 
 
-def test_solve_antipode_matches_stored_tables(gr3):
-    S = solve_antipode(gr3.algebra, gr3.coalgebra)
-    assert S == gr3.antipode
+def test_solve_antipode_matches_stored_tables():
+    # the solved antipode of gr(u_q) against the closed form
+    # S(x^i y^j g^k) = S(g)^k S(y)^j S(x)^i with S(g) = g^{N-1},
+    # S(x) = -q^2 xg and S(y) = -q^-2 yg
+    for N in (3, 5):
+        H = build_gr_uq(N)
+        alg, fld = H.algebra, H.field
+        s_x = {monomial_index(N, 1, 0, 1): -fld.q_power(2)}
+        s_y = {monomial_index(N, 0, 1, 1): -fld.q_power(-2)}
+        s_g = {monomial_index(N, 0, 0, N - 1): fld.one}
+        for i in range(N):
+            for j in range(N):
+                for k in range(N):
+                    want = alg.mul_vec(alg.mul_vec(alg.pow_vec(s_g, k),
+                                                   alg.pow_vec(s_y, j)),
+                                       alg.pow_vec(s_x, i))
+                    m = monomial_index(N, i, j, k)
+                    assert H.antipode[m] == want, (N, H.labels[m])
 
 
 def test_gr_commutation_relations(gr3):
@@ -150,12 +166,28 @@ def test_closed_comultiplication_report():
 
 
 def test_uq_relations_table_and_on_demand():
-    # the default multiplier is the table of build_uq
+    # the default Hopf data is build_uq's
     for N in (3, 5):
         rep = uq_relation_report(N)
         assert rep.ok, (N, [c.claim_id for c in rep.failures()])
-        assert rep.as_dict() == uq_relation_report(
-            N, multiplier=build_uq(N).algebra).as_dict()
+        assert rep.as_dict() == uq_relation_report(N, build_uq(N)).as_dict()
+
+
+@pytest.mark.parametrize("label, failing", [
+    ("Et0F1K0", ["uq-antipode-axiom-F", "uq-antipode-F"]),
+    # Et1F0K1 = xg spans E
+    ("Et1F0K1", ["uq-antipode-axiom-E", "uq-antipode-E"]),
+    ("Et1F0K0", ["uq-antipode-axiom-Et"]),
+    ("Et0F0K1", ["uq-antipode-axiom-K", "uq-antipode-axiom-E"]),
+])
+def test_corrupted_uq_antipode_fails_relation_report(uq3, label, failing):
+    # negate the solved S on one basis element; the report reads S itself
+    S = dict(uq3.antipode)
+    i = uq3.labels.index(label)
+    S[i] = {k: -c for k, c in S[i].items()}
+    bad = HopfAlgebraData(uq3.algebra, uq3.coalgebra, S)
+    rep = uq_relation_report(3, bad)
+    assert [c.claim_id for c in rep.failures()] == failing
 
 
 def test_uq_is_a_hopf_algebra(uq3):
