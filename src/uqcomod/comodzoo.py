@@ -215,9 +215,8 @@ def build_family(params: FamilyParams) -> ComoduleAlgebra:
     H = build_gr_uq(N)
     nx, ny, r = _pbw_shape(params)
     labels = [_family_label(f, e) for e in family_basis_exponents(params)]
-    alg, steps = skew_pbw_algebra(N, nx, ny, r, params.xi or zero,
-                                  params.zeta or zero, params.eta or zero,
-                                  labels)
+    alg = skew_pbw_algebra(N, nx, ny, r, params.xi or zero,
+                           params.zeta or zero, params.eta or zero, labels)
 
     # coactions of the generators X (or W), Y and G, by basis index
     ginv = monomial_index(N, 0, 0, N - 1)
@@ -239,7 +238,7 @@ def build_family(params: FamilyParams) -> ComoduleAlgebra:
     # delta(e_m) = delta(e_p) delta(e_s) along the builder's steps
     deltas = [{(monomial_index(N, 0, 0, 0), 0): one}]
     times = _Products(fld)
-    for m, p, s in steps:
+    for m, p, s in alg.steps:
         deltas.append(t2_mul(H.algebra, alg, deltas[p], gens[s], times))
     coaction = {m: tuple(sorted(d.items())) for m, d in enumerate(deltas)}
     return ComoduleAlgebra(alg, H, coaction, _params_dict(params))

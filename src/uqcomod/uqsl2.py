@@ -65,13 +65,15 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
     where nx and ny are 1 (no such generator) or N, and r divides N.  The
     basis index of X^a Y^b G^c is (a ny + b) r + c.
 
-    Returns (algebra, steps).  steps lists (m, p, s) for every basis index
-    m > 0 in increasing order, with e_m = e_p e_s and e_s one of the
-    generators X, Y, G; each row of the table is filled along these steps
-    by e_i e_m = (e_i e_p) e_s, from the products e_k e_s tabulated once.
+    The algebra's steps list (m, p, s) for every basis index m > 0 in
+    increasing order, with e_m = e_p e_s and e_s one of the generators
+    X, Y, G; each row of the table is filled along these steps by
+    e_i e_m = (e_i e_p) e_s, from the products e_k e_s tabulated once,
+    through one product memo.
     """
     fld = field(N)
     one = fld.one
+    times = _Products(fld)
     lam = 2 * N // r
     dim = nx * ny * r
 
@@ -106,10 +108,10 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
     if r > 1:
         gens[index(0, 0, 1)] = times_g
     # e_k e_s for every basis element and generator; unit factors are
-    # stored as `one` itself so that the fill loop can skip them
-    right = {s: [tuple((t, one if d == one else d) for t, d in times(*e)
+    # stored as `one` itself so that the memo skips them
+    right = {s: [tuple((t, one if d == one else d) for t, d in gen(*e)
                        if not d.is_zero()) for e in exps]
-             for s, times in gens.items()}
+             for s, gen in gens.items()}
     steps = []
     for m, (a, b, c) in enumerate(exps[1:], 1):
         if c:
@@ -131,10 +133,12 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
             out: dict = {}
             for k, c in prev:
                 for t, d in rs[k]:
-                    vec_add_into(out, t, c if d is one else c * d)
+                    vec_add_into(out, t, times(c, d))
             if out:
                 row[m] = mul[(i, m)] = tuple(sorted(out.items()))
-    return FiniteAlgebra(fld, labels, mul, {0: one}), tuple(steps)
+    alg = FiniteAlgebra(fld, labels, mul, {0: one})
+    alg.steps = tuple(steps)
+    return alg
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +146,9 @@ def build_gr_uq(N: int) -> HopfAlgebraData:
     """Associated graded Hopf algebra on the basis x^i y^j g^k.
 
     The product is skew_pbw_algebra at xi = zeta = eta = 0 and r = N, and
-    the antipode is solved from the product and coproduct as for u_q.
+    the antipode is solved by solve_antipode along the builder's steps, as
+    for u_q: the Delta rule on x, y, g, then S(e_p e_s) = S(e_s) S(e_p).
+    The coproduct's coefficients and the antipode share one product memo.
     Cached per N; the result is read-only.
     """
     check_order(N)
@@ -156,8 +162,8 @@ def build_gr_uq(N: int) -> HopfAlgebraData:
             for k in range(N):
                 labels.append(f"x{i}y{j}g{k}")
                 degrees.append(i + j)
-    alg, _ = skew_pbw_algebra(N, N, N, N, fld.zero, fld.zero, fld.zero,
-                              labels)
+    alg = skew_pbw_algebra(N, N, N, N, fld.zero, fld.zero, fld.zero, labels)
+    times = _Products(fld)
 
     comul: dict = {}
     counit: dict = {}
@@ -169,8 +175,8 @@ def build_gr_uq(N: int) -> HopfAlgebraData:
                 for r in range(i + 1):
                     br = q_binomial(i, r, lam)
                     for s in range(j + 1):
-                        c = br * q_binomial(j, s, lam) \
-                            * fld.q_power(2 * (r * (j - s) - r * (i - r)))
+                        c = times(times(br, q_binomial(j, s, lam)),
+                                  fld.q_power(2 * (r * (j - s) - r * (i - r))))
                         left = monomial_index(
                             N, i - r, j - s, (k - r - s) % N)
                         right = monomial_index(N, r, s, k)
@@ -179,7 +185,7 @@ def build_gr_uq(N: int) -> HopfAlgebraData:
                 if i == 0 and j == 0:
                     counit[m] = fld.one
     co = FiniteCoalgebra(fld, labels, comul, counit)
-    antipode = solve_antipode(alg, co)
+    antipode = solve_antipode(alg, co, times)
     return HopfAlgebraData(alg, co, antipode, degrees=degrees)
 
 
@@ -297,11 +303,14 @@ def build_uq(N: int) -> HopfAlgebraData:
     multiplication table is deform_hopf's slice table, each product
     exactly the sigma formula, computed on its first read; the build
     itself reads only the rows that the antipode solve and the relation
-    checks need.  From a cold start it takes about 0.09 s at N = 5 and
-    0.7 s at N = 7 (dimension 343, 40 MB peak) of CPU time on a 2-vCPU
-    host.  Every suite and report at N = 7 reads this one table.  The
-    defining relations and the antipode's closed forms are checked on the
-    fresh data before it is cached (AssertionError if one fails).
+    checks need.  The antipode follows gr(u_q)'s steps, so a cold build
+    reads 301 rows at N = 5 and 809 at N = 7 (1 864 and 11 183 with the
+    Delta rule alone).  From a cold start, gr(u_q) and sigma included, it
+    takes about 0.09 s of CPU time at N = 5 and 0.55 s at N = 7
+    (dimension 343, 29 MB peak) on a 2-vCPU host.  Every suite and report
+    at N = 7 reads this one table.  The defining relations and the
+    antipode's closed forms are checked on the fresh data before it is
+    cached (AssertionError if one fails).
     """
     H = build_gr_uq(N)
     sigma = build_sigma(N)

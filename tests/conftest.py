@@ -185,3 +185,23 @@ def reference_cocycle_sides(sigma, a, b, c):
                 if s2 is not None:
                     rhs = rhs + cb * cc * s1 * cm * s2
     return lhs, rhs
+
+
+def reference_convolution(f, g):
+    """Reference for convolution: the loop over every pair of coordinates,
+    each slot's coproduct terms looked up in comul_reverse.  Returns the
+    coordinates {key: coefficient} in the order they are first reached."""
+    rev = f.hopf.comul_reverse()
+    out = {}
+    for kf, cf in f.coords.items():
+        for kg, cg in g.coords.items():
+            sources = [rev.get((a, b)) for a, b in zip(kf, kg)]
+            if not all(sources):
+                continue
+            stack = [((), cf * cg)]
+            for cand in sources:
+                stack = [(key + (i,), c * d) for key, c in stack
+                         for i, d in cand]
+            for key, c in stack:
+                vec_add_into(out, key, c)
+    return out

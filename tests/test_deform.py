@@ -20,7 +20,8 @@ from types import MappingProxyType
 import pytest
 
 from conftest import (bicharacter_form, cyclic_group_hopf, random_scalar,
-                      reference_cocycle_sides, reference_deformed_table)
+                      reference_cocycle_sides, reference_convolution,
+                      reference_deformed_table)
 from uqcomod.cli import _zoo_tuples
 from uqcomod.comodzoo import build_family, deform_family
 from uqcomod import hopfcore
@@ -31,12 +32,14 @@ from uqcomod.hopfcore import (
     _cocycle_sides,
     _slice_table,
     _two_sided_legs,
+    convolution,
     deform_comodule_algebra,
     deform_hopf,
     factor_form,
     regular_comodule_algebra,
 )
 from uqcomod.uqsl2 import (
+    build_dual_functionals,
     build_gr_uq,
     build_sigma,
     build_sigma_inverse,
@@ -226,6 +229,22 @@ def test_kernel_matches_the_nested_loop_on_forms_of_another_shape():
     R = regular_comodule_algebra(H)
     assert dict(deform_comodule_algebra(R, sigma, H).algebra.mul) \
         == reference_deformed_table(R, sigma)
+
+
+def test_convolution_matches_the_all_pairs_loop():
+    # convolution visits only the pairs of coordinates whose first slots
+    # meet in some coproduct term; its coordinates, in order, must be the
+    # loop over all pairs
+    sigma, inv = build_sigma(3), build_sigma_inverse(3)
+    cases = [(sigma, inv), (inv, sigma)]
+    for form in _perturbed_forms(3):
+        cases += [(form, sigma), (sigma, form)]
+    duals = list(build_dual_functionals(3).values())
+    cases += [(f, g) for f in duals for g in duals]
+    for f, g in cases:
+        want = reference_convolution(f, g)
+        assert want
+        assert list(convolution(f, g).coords.items()) == list(want.items())
 
 
 def test_cocycle_sides_match_the_coproduct_loop():

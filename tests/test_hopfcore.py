@@ -58,6 +58,23 @@ def test_solve_antipode_recovers_group_inversion():
     assert S == H.antipode
 
 
+def test_solve_antipode_names_what_no_rule_can_solve():
+    # Delta(a) needs S(b) and Delta(b) needs S(a); the steps a = 1 a and
+    # b = 1 b pass their certificates but need S(a) and S(b) themselves
+    fld = field(3)
+    one = fld.one
+    labels = ["1", "a", "b"]
+    mul = {(0, j): ((j, one),) for j in range(3)}
+    mul.update({(j, 0): ((j, one),) for j in range(3)})
+    alg = FiniteAlgebra(fld, labels, mul, {0: one})
+    alg.steps = ((1, 0, 1), (2, 0, 2))
+    comul = {0: ((0, 0, one),), 1: ((1, 0, one), (2, 1, one)),
+             2: ((2, 0, one), (1, 2, one))}
+    co = FiniteCoalgebra(fld, labels, comul, {0: one})
+    with pytest.raises(ValueError, match="no triangular order covers a, b$"):
+        solve_antipode(alg, co)
+
+
 def test_corrupted_multiplication_is_caught():
     # deliberate corruption: e1 * e2 rescaled, which breaks associativity.
     # Halving keeps the numerators and changes only the denominator, so a

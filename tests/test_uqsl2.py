@@ -1,11 +1,16 @@
 """Oracles for the graded Hopf algebra, the cocycle and the deformation."""
 
+import hashlib
+import json
+
 import pytest
 
 from uqcomod.comodzoo import build_family, zoo_params
 from uqcomod.cyclofield import field, q_factorial
 from uqcomod.hopfcore import (
     ConvForm,
+    FiniteAlgebra,
+    FiniteCoalgebra,
     HopfAlgebraData,
     convolution,
     convolution_inverse,
@@ -228,9 +233,59 @@ def test_uq_comultiplication_is_undeformed(gr3, uq3):
     assert uq3.degrees == gr3.degrees
 
 
-def test_uq_antipode_solves(uq3):
-    S = solve_antipode(uq3.algebra, uq3.coalgebra)
-    assert S == uq3.antipode
+def test_uq_antipode_solves():
+    # the builders' antipodes are solved mostly by the step rule; a copy of
+    # the same table without steps is solved by the Delta rule alone
+    for N in (3, 5):
+        for H in (build_uq(N), build_gr_uq(N)):
+            alg = H.algebra
+            assert len(alg.steps) == H.dim - 1
+            bare = FiniteAlgebra(alg.field, alg.labels, alg.mul, alg.unit)
+            assert bare.steps == ()
+            assert solve_antipode(bare, H.coalgebra) == H.antipode
+
+
+def test_uq7_antipode_digest():
+    # sha256 of u_q(7)'s antipode table as solved by the Delta rule alone
+    S = build_uq(7).antipode
+    entries = sorted([i, j, str(c)] for i, v in S.items() for j, c in v.items())
+    assert len(entries) == 2352
+    assert hashlib.sha256(json.dumps(entries).encode()).hexdigest() \
+        == "2a6f2de860997e16caa447b9875d183d6358c86fd1f38cb22b716827cc45bdd6"
+
+
+def test_a_failed_step_certificate_falls_back_to_the_delta_rule(gr3):
+    alg = gr3.algebra
+    xy, xyg = monomial_index(3, 1, 1, 0), monomial_index(3, 1, 1, 1)
+    x, x2, g = (monomial_index(3, 1, 0, 0), monomial_index(3, 2, 0, 0),
+                monomial_index(3, 0, 0, 1))
+    xg = monomial_index(3, 1, 0, 1)
+    # row (x, g) tops out at xg, not at xy; row (x^2, x) is zero; row
+    # (g, x) is q^2 xg, a certificate with c != 1
+    wrong = {xy: (xy, x, g), xyg: (xyg, x2, x), xg: (xg, g, x)}
+    assert alg.mul[(g, x)] == ((xg, gr3.field.q_power(2)),)
+    steps = [wrong.get(m, (m, p, s)) for m, p, s in alg.steps]
+    bad = FiniteAlgebra(alg.field, alg.labels, alg.mul, alg.unit)
+    bad.steps = tuple(steps)
+    assert solve_antipode(bad, gr3.coalgebra) == gr3.antipode
+
+
+def test_the_step_rule_does_not_read_the_coproduct(gr3):
+    # an extra term e_xy (x) e_y makes Delta(e_xy) non-triangular: the Delta
+    # rule stops there, the step rule solves e_xy from S(y) S(x) and the
+    # corruption is left to verify_hopf
+    fld, co = gr3.field, gr3.coalgebra
+    xy, y = monomial_index(3, 1, 1, 0), monomial_index(3, 0, 1, 0)
+    comul = dict(co.comul)
+    comul[xy] = comul[xy] + ((xy, y, fld.one),)
+    bad = FiniteCoalgebra(fld, co.labels, comul, co.counit)
+    assert solve_antipode(gr3.algebra, bad) == gr3.antipode
+    alg = gr3.algebra
+    bare = FiniteAlgebra(fld, alg.labels, alg.mul, alg.unit)
+    with pytest.raises(ValueError, match="not triangular at x1y1g0"):
+        solve_antipode(bare, bad)
+    rep = verify_hopf(HopfAlgebraData(alg, bad, gr3.antipode))
+    assert "hopf-antipode" in [c.claim_id for c in rep.failures()]
 
 
 @pytest.mark.parametrize("N", [3, 5])
