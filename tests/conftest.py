@@ -187,6 +187,18 @@ def reference_cocycle_sides(sigma, a, b, c):
     return lhs, rhs
 
 
+def reference_mul_into(out, mul, left, right):
+    """Reference for the row-product kernel: a copy of out plus
+    sum a b row(i, j) over the terms (i, a) of left and (j, b) of right, by
+    the nested loop with plain field multiplies and mul.get."""
+    out = dict(out)
+    for i, a in left:
+        for j, b in right:
+            for k, c in mul.get((i, j), ()):
+                vec_add_into(out, k, a * b * c)
+    return out
+
+
 def reference_convolution(f, g):
     """Reference for convolution: the loop over every pair of coordinates,
     each slot's coproduct terms looked up in comul_reverse.  Returns the

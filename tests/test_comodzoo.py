@@ -594,6 +594,13 @@ def test_eta_rotation_isomorphism():
                                            deformed=deformed)
         rep = check_comodule_algebra_morphism(images, A, B)
         assert rep.ok, (deformed, [c.claim_id for c in rep.failures()])
+        # g-scale q^2 keeps the map unital and colinear, not multiplicative
+        images, A, B = diagonal_family_map(src, dst, g_scale=fld.q_power(2),
+                                           deformed=deformed)
+        failed = check_comodule_algebra_morphism(images, A, B).failures()
+        assert [c.claim_id for c in failed] == ["morphism-multiplicative"]
+        assert failed[0].witness["failing"] == 324
+        assert failed[0].witness["examples"][0] == ["X0Y1G0", "X1Y0G0"]
 
 
 def test_l4_rescaling_isomorphism():

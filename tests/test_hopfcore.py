@@ -4,11 +4,14 @@ The deliberate-corruption tests double as the mutation-sensitivity battery:
 every broken table must be caught by a verifier with a concrete witness.
 """
 
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import bicharacter_form, cyclic_group_hopf
+from conftest import (bicharacter_form, cyclic_group_hopf, random_scalar,
+                      reference_mul_into)
 from uqcomod.cyclofield import field
 from uqcomod.hopfcore import (
     ComoduleAlgebra,
@@ -32,6 +35,7 @@ from uqcomod.hopfcore import (
     form_to_json,
     hopf_from_json,
     hopf_to_json,
+    mul_into,
     regular_comodule_algebra,
     solve_antipode,
     t2_mul,
@@ -356,6 +360,38 @@ def test_product_memo_is_exact():
     for x, y in pairs * 2:
         assert times(x, y) == x * y, (x, y)
     assert times(fld.one, a) is a and times(a, fld.one) is a
+
+
+@pytest.mark.parametrize("table", ["gr3", "deformed-fresh", "Z/3"])
+def test_mul_into_matches_the_nested_loop(table, gr3, sigma3, sigma3_inv):
+    """The kernel against the nested loop on an eager table, on a deformed
+    table whose rows are filled on first read, and on k[Z/3]; with plain
+    and memoised multiplies, into an out where one key cancels to zero."""
+    def make():
+        if table == "gr3":
+            return gr3
+        if table == "Z/3":
+            return cyclic_group_hopf(3)
+        return deform_hopf(gr3, sigma3, sigma3_inv)
+
+    rng = random.Random(table)
+    for memo in (False, True):
+        H = make()
+        fld = H.field
+        mul = H.algebra.mul
+        times = _Products(fld) if memo else operator.mul
+        left, right = ([(i, random_scalar(fld, rng) + fld.one)
+                        for i in rng.sample(range(H.dim), 3)]
+                       for _ in range(2))
+        ref_mul = make().algebra.mul
+        want = reference_mul_into({}, ref_mul, left, right)
+        assert want
+        cancel, other = next(iter(want)), rng.randrange(H.dim)
+        start = {other: fld.from_rational(3), cancel: -want[cancel]}
+        want = reference_mul_into(start, ref_mul, left, right)
+        got = mul_into(dict(start), mul, iter(left), right, times)
+        assert cancel not in got
+        assert list(got.items()) == list(want.items())
 
 
 def test_t2_mul_matches_componentwise_products():
