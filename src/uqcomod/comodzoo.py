@@ -20,7 +20,6 @@ the tables and the coaction are held as mapping proxies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -65,18 +64,44 @@ from .uqsl2 import (
 _FAMILIES = ("L0", "L1", "L2", "L3", "L3N", "L4")
 
 
-@dataclass(frozen=True)
 class FamilyParams:
-    """Validated parameter tuple for one member of the zoo."""
+    """Validated parameter tuple for one member of the zoo; xi, zeta, eta,
+    alpha and beta are CyclotomicNumber coefficients or None.
 
-    family: str
-    N: int
-    r: int
-    xi: CyclotomicNumber = None
-    zeta: CyclotomicNumber = None
-    eta: CyclotomicNumber = None
-    alpha: CyclotomicNumber = None
-    beta: CyclotomicNumber = None
+    Frozen: assigning a field raises AttributeError.  Two params are equal,
+    and hash alike, when all eight fields are; the repr lists them all."""
+
+    __slots__ = ("family", "N", "r", "xi", "zeta", "eta", "alpha", "beta")
+
+    def __init__(self, family: str, N: int, r: int, xi=None, zeta=None,
+                 eta=None, alpha=None, beta=None):
+        for name, value in zip(self.__slots__,
+                               (family, N, r, xi, zeta, eta, alpha, beta)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return FamilyParams, self._fields()
+
+    def __repr__(self):
+        return "FamilyParams(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
     def coefficient_field(self):
         return field(self.N)

@@ -131,13 +131,14 @@ class _Products:
     """Field products for one check or one build.
 
     A factor stored as field.one itself skips its multiply, and each
-    distinct pair of values is multiplied once.  The structure constants
-    that the verifiers and the deformation kernel multiply (sigma, the
-    coproducts, the skew-PBW tables) are q-powers times q-factorials, so
-    few distinct products occur: about 700 among the 49 000 that
-    deform_hopf makes for u_q at N = 5.  The memo is keyed on the full
-    (num, den) of both operands, so every product is exact.  Create one
-    per call: the memo grows with the distinct pairs it has seen.
+    distinct pair of values is multiplied once.  The values that the
+    verifiers, convolution and the deformation kernel multiply (the
+    coordinates of forms, the coproducts, the skew-PBW tables) are q-powers
+    times q-factorials, so few distinct products occur: at N = 5, 794 among
+    the 79 000 that deform_hopf makes for u_q's whole table, and 116 among
+    the 1 125 of the convolution sigma * sigma^-1.  The memo is keyed on the
+    full (num, den) of both operands, so every product is exact.  Create
+    one per call: the memo grows with the distinct pairs it has seen.
     """
 
     __slots__ = ("one", "_memo")
@@ -706,12 +707,14 @@ def convolution(f: ConvForm, g: ConvForm) -> ConvForm:
     by their first slot, and a coordinate of f with first slot x meets only
     those whose first slot y has (x, y) in comul_reverse, in g's order.
     Every slot is then checked through comul_reverse, so the terms, their
-    order and the sums are those of the loop over all pairs."""
+    order and the sums are those of the loop over all pairs.  Coordinates
+    and coproduct coefficients multiply through one _Products memo."""
     _same_hopf(f, g)
     if f.arity != g.arity:
         raise ValueError(f"convolution kind mismatch: arity {f.arity} vs {g.arity}")
     rev = f.hopf.comul_reverse()
     partners = f.hopf.comul_partners()
+    times = _Products(f.hopf.field)
     by_first: dict = {}
     for pos, (kg, cg) in enumerate(g.coords.items()):
         by_first.setdefault(kg[0], []).append((pos, kg, cg))
@@ -733,10 +736,9 @@ def convolution(f: ConvForm, g: ConvForm) -> ConvForm:
                 sources.append(cand)
             if dead:
                 continue
-            base = cf * cg
-            stack = [((), base)]
+            stack = [((), times(cf, cg))]
             for cand in sources:
-                stack = [(key + (i,), c * d) for key, c in stack for i, d in cand]
+                stack = [(key + (i,), times(c, d)) for key, c in stack for i, d in cand]
             for key, c in stack:
                 vec_add_into(out, key, c)
     return ConvForm(f.hopf, f.arity, out)
@@ -1003,23 +1005,22 @@ def factor_form(form: ConvForm):
     return alpha, {h: tuple(v) for h, v in beta.items()}, len(slices)
 
 
-def _contracted_legs(terms, sides, times: _Products) -> dict:
-    """{p: ((a, c), ...)}, the sum of c f_1(h_1) ... f_k(h_k) e_a over the
-    terms (hs, a, c), hs = (h_1, ..., h_k).  sides[s] = (factors, count)
-    from factor_form gives the slices f of argument slot s; the slice label
-    p combines the slots' slices as a mixed-radix int."""
+def _contract(terms, factors, times: _Products) -> dict:
+    """One slot contracted with the slices of a form: {n: {b: sum c
+    f_n(h)}} over the terms (h, b, c), where factors[h] lists the slices
+    (n, f_n(h)) of that slot from factor_form.  A term whose h has no
+    slice is skipped before any multiply."""
     acc: dict = {}
-    for hs, a, c in terms:
-        parts = [(0, c)]
-        for (factors, count), h in zip(sides, hs):
-            fs = factors.get(h)
-            if fs is None:
-                parts = ()
-                break
-            parts = [(p * count + n, times(x, f))
-                     for p, x in parts for n, f in fs]
-        for p, x in parts:
-            vec_add_into(acc.setdefault(p, {}), a, x)
+    for h, b, c in terms:
+        fs = factors.get(h)
+        if fs is not None:
+            for n, f in fs:
+                vec_add_into(acc.setdefault(n, {}), b, times(c, f))
+    return acc
+
+
+def _sealed(acc: dict, times: _Products) -> dict:
+    """The legs {p: ((a, c), ...)} of a contraction {p: {a: c}}, sorted."""
     return {p: tuple((a, times.unit(x)) for a, x in sorted(v.items()))
             for p, v in acc.items() if v}
 
@@ -1044,37 +1045,35 @@ def _slice_table(mul, left, right, times: _Products) -> _Rows:
     return _Rows(fill=fill, dim=len(left))
 
 
-def _legs(dim, terms_of, forms, times: _Products):
-    """The contracted legs (left, right) of every basis element e_i, whose
-    terms (hs, a, c) are terms_of(i), with one slot of hs per form: left[i]
-    contracts slot s with the alphas of factor_form(forms[s]), right[i]
-    with its betas.  The terms are built one element at a time, which
-    keeps the peak memory of a build down."""
-    factored = [factor_form(f) for f in forms]
-    lefts = tuple((alpha, count) for alpha, _, count in factored)
-    rights = tuple((beta, count) for _, beta, count in factored)
-    left, right = [], []
-    for i in range(dim):
-        terms = terms_of(i)
-        left.append(_contracted_legs(terms, lefts, times))
-        right.append(_contracted_legs(terms, rights, times))
-    return left, right
-
-
 def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
                     sigma_inv: ConvForm, times: _Products):
     """Contracted legs of every basis element for
-    a *_sigma b = sigma(a1, b1) a2 b2 sigma^{-1}(a3, b3), from one pass over
-    its Delta^2 terms: left[i][p] = sum c alpha_n(a1) alpha'_m(a3) e_a2 and
-    right[i][p] = sum c beta_n(a1) beta'_m(a3) e_a2, p = (n, m)."""
+    a *_sigma b = sigma(a1, b1) a2 b2 sigma^{-1}(a3, b3): left[i][p] =
+    sum c alpha_n(a1) alpha'_m(a3) e_a2, right[i][p] the same with betas,
+    p = n count' + m.  One slot at a time: sigma^{-1}'s slot over
+    Delta(e_i) = sum c e_a (x) e_a3 gives u_m = sum c alpha'_m(a3) e_a, and
+    sigma's slot over Delta(u_m) is u_m's combination of the one-sided legs
+    of the e_a, as deform_comodule_algebra contracts H over itself."""
     comul = H.coalgebra.comul
-
-    def delta2(i):
-        return [((a1, a3), a2, times(c, d))
-                for a, a3, c in comul.get(i, ())
-                for a1, a2, d in comul.get(a, ())]
-
-    return _legs(H.dim, delta2, (sigma, sigma_inv), times)
+    alpha, beta, _ = factor_form(sigma)
+    alpha_inv, beta_inv, count_inv = factor_form(sigma_inv)
+    sides = []
+    for outer, inner in ((alpha_inv, alpha), (beta_inv, beta)):
+        one_sided = [_contract(comul.get(a, ()), inner, times)
+                     for a in range(H.dim)]
+        legs = []
+        for i in range(H.dim):
+            acc: dict = {}
+            flipped = ((a3, a, c) for a, a3, c in comul.get(i, ()))
+            for m, u in _contract(flipped, outer, times).items():
+                for a, x in u.items():
+                    for n, w in one_sided[a].items():
+                        dst = acc.setdefault(n * count_inv + m, {})
+                        for b, y in w.items():
+                            vec_add_into(dst, b, times(x, y))
+            legs.append(_sealed(acc, times))
+        sides.append(legs)
+    return tuple(sides)
 
 
 def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv: ConvForm,
@@ -1217,9 +1216,10 @@ def deform_comodule_algebra(A: ComoduleAlgebra, sigma: ConvForm,
     left[i][n] = sum c alpha_n(h) e_a and right[i][n] = sum c beta_n(h) e_a."""
     alg = A.algebra
     times = _Products(alg.field)
-    left, right = _legs(
-        A.dim, lambda i: [((h,), a, c) for (h, a), c in A.coaction.get(i, ())],
-        (sigma,), times)
+    left, right = (
+        [_sealed(_contract(((h, a, c) for (h, a), c in A.coaction.get(i, ())),
+                           factors, times), times) for i in range(A.dim)]
+        for factors in factor_form(sigma)[:2])
     new_alg = FiniteAlgebra(alg.field, alg.labels,
                             _slice_table(alg.mul, left, right, times),
                             alg.unit_vec())

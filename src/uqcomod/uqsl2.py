@@ -85,7 +85,7 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
         main = fld.q_power(lam * c - 2 * b)
         terms = [(index(a + 1, b, c), main) if a + 1 < nx
                  else (index(0, b, c), main * xi)]
-        if b:
+        if b and not eta.is_zero():
             terms.append((index(a, b - 1, (c - 2) % r),
                           eta * fld.q_power(lam * c - 2)
                           * q_int(b, fld.q_power(2))))
@@ -130,6 +130,10 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
             if not prev:
                 continue
             rs = right[s]
+            if len(prev) == 1 and len(rs[prev[0][0]]) == 1:
+                (t, d), = rs[prev[0][0]]  # one term times one: nonzero
+                row[m] = mul[(i, m)] = ((t, times(prev[0][1], d)),)
+                continue
             # inline: through hopfcore.mul_into a gr(5) fill took 1.3x as long
             out: dict = {}
             for k, c in prev:
@@ -300,18 +304,14 @@ def uq_labels(N: int):
 def build_uq(N: int) -> HopfAlgebraData:
     """u_q(sl2) as the full cocycle deformation of gr(u_q).
 
-    Generators in the deformed algebra: Et = x, F = y, K = g. The
-    multiplication table is deform_hopf's slice table, each product
-    exactly the sigma formula, computed on its first read; the build
-    itself reads only the rows that the antipode solve and the relation
-    checks need.  The antipode follows gr(u_q)'s steps, so a cold build
-    reads 301 rows at N = 5 and 809 at N = 7 (1 864 and 11 183 with the
-    Delta rule alone).  From a cold start, gr(u_q) and sigma included, it
-    takes about 0.09 s of CPU time at N = 5 and 0.55 s at N = 7
-    (dimension 343, 29 MB peak) on a 2-vCPU host.  Every suite and report
-    at N = 7 reads this one table.  The defining relations and the
-    antipode's closed forms are checked on the fresh data before it is
-    cached (AssertionError if one fails).
+    Generators in the deformed algebra: Et = x, F = y, K = g.  The table is
+    deform_hopf's slice table, each product exactly the sigma formula,
+    computed on its first read.  The antipode follows gr(u_q)'s steps, so a
+    cold build reads 301 rows at N = 5 and 809 at N = 7 (dimension 343);
+    after import, gr(u_q) and sigma included, it takes about 0.04 s of CPU
+    time at N = 5 and 0.25 s at N = 7 (29 MB peak) on a 2-vCPU host.  The
+    defining relations and the antipode's closed forms are checked on the
+    fresh data before it is cached (AssertionError if one fails).
     """
     H = build_gr_uq(N)
     sigma = build_sigma(N)

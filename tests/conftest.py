@@ -5,7 +5,7 @@ import pytest
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import vec_add_into
 from uqcomod.hopfcore import (ConvForm, FiniteAlgebra, FiniteCoalgebra,
-                              HopfAlgebraData)
+                              HopfAlgebraData, factor_form)
 from uqcomod.uqsl2 import build_gr_uq, build_sigma, build_sigma_inverse, build_uq
 
 
@@ -156,6 +156,105 @@ def reference_deformed_table(A, sigma, sigma_inv=None):
             if out:
                 table[(i, j)] = tuple(sorted(out.items()))
     return table
+
+
+def reference_legs(A, *forms):
+    """Reference for the leg contraction: the contracted legs (left, right)
+    of every basis element by the two-pass loop that contracts all slots of
+    each term at once, with plain field multiplies.
+
+    With forms (sigma, sigma_inv), A is Hopf data and the terms of e_i are
+    its Delta^2 terms ((a1, a3), a2, c d); with (sigma,), A is a comodule
+    algebra and they are its coaction terms ((h,), a, c).  left[i][p] sums
+    x f_1(h_1) ... f_k(h_k) e_a with the alphas of factor_form, right[i][p]
+    with the betas, the slice label p combining the slots' slices as a
+    mixed-radix int.
+    """
+    factored = [factor_form(f) for f in forms]
+    if len(forms) == 2:
+        comul = A.coalgebra.comul
+
+        def terms_of(i):
+            return [((a1, a3), a2, c * d) for a, a3, c in comul.get(i, ())
+                    for a1, a2, d in comul.get(a, ())]
+    else:
+        def terms_of(i):
+            return [((h,), a, c) for (h, a), c in A.coaction.get(i, ())]
+    sides = []
+    for side in (0, 1):
+        legs = []
+        for i in range(A.dim):
+            acc = {}
+            for hs, a, c in terms_of(i):
+                parts = [(0, c)]
+                for fac, h in zip(factored, hs):
+                    parts = [(p * fac[2] + n, x * f) for p, x in parts
+                             for n, f in fac[side].get(h, ())]
+                for p, x in parts:
+                    vec_add_into(acc.setdefault(p, {}), a, x)
+            legs.append({p: tuple(sorted(v.items()))
+                         for p, v in acc.items() if v})
+        sides.append(legs)
+    return tuple(sides)
+
+
+def reference_skew_pbw_fill(N, nx, ny, r, xi, zeta, eta):
+    """Reference for the skew-PBW fill: the table and steps of
+    skew_pbw_algebra(N, nx, ny, r, xi, zeta, eta, labels) by a plain nested
+    loop, with plain field multiplies and no shortcut for one-term rows.
+
+    Each product e_k s with a generator s in {X, Y, G} is read off the
+    defining relations, and row (i, m) is (e_i e_p) s along the step
+    (m, p, s), which lowers the last nonzero exponent of e_m by one."""
+    fld = field(N)
+    q, one = fld.q_power, fld.one
+    lam = 2 * N // r
+    exps = [(a, b, c) for a in range(nx) for b in range(ny) for c in range(r)]
+    index = {e: m for m, e in enumerate(exps)}
+
+    def times_gen(e, s):
+        a, b, c = e
+        out = {}
+        if s == (0, 0, 1):
+            vec_add_into(out, index[(a, b, (c + 1) % r)], one)
+        elif s == (0, 1, 0):
+            wrap = b + 1 == ny
+            vec_add_into(out, index[(a, 0 if wrap else b + 1, c)],
+                         q(-lam * c) * (zeta if wrap else one))
+        else:
+            # G^c X = q^{lam c} X G^c, Y^b X = q^{-2b} X Y^b
+            #   + eta q^{-2} [b]_{q^2} Y^{b-1} G^{-2}
+            wrap = a + 1 == nx
+            vec_add_into(out, index[(0 if wrap else a + 1, b, c)],
+                         q(lam * c - 2 * b) * (xi if wrap else one))
+            if b:
+                q_int = sum((q(2 * t) for t in range(b)), fld.zero)
+                vec_add_into(out, index[(a, b - 1, (c - 2) % r)],
+                             eta * q(lam * c - 2) * q_int)
+        return out
+
+    steps = []
+    for m, (a, b, c) in enumerate(exps[1:], 1):
+        if c:
+            p, s = (a, b, c - 1), (0, 0, 1)
+        elif b:
+            p, s = (a, b - 1, 0), (0, 1, 0)
+        else:
+            p, s = (a - 1, 0, 0), (1, 0, 0)
+        steps.append((m, index[p], index[s]))
+    table = {}
+    for i in range(len(exps)):
+        row = {0: {i: one}}
+        for m, p, s in steps:
+            out = {}
+            for k, c in row[p].items():
+                for t, d in times_gen(exps[k], exps[s]).items():
+                    vec_add_into(out, t, c * d)
+            row[m] = out
+        for m, v in row.items():
+            if v:
+                table[(i, m)] = tuple(sorted(v.items()))
+    return table, tuple(steps)
 
 
 def reference_cocycle_sides(sigma, a, b, c):

@@ -1,6 +1,8 @@
 """The comodule-algebra zoo: presentations, invariants, equivalences."""
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -644,3 +646,47 @@ def test_family_params_label_round():
     lab = p.label()
     assert lab.startswith("L3N(") and "eta=q" in lab
     assert isinstance(p, FamilyParams)
+
+
+def test_family_params_are_frozen_values():
+    p = zoo_params("L3N", 3, xi=1, zeta="q", eta=2)
+    for name, value in (("r", 1), ("xi", None), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    with pytest.raises(AttributeError):
+        del p.eta
+    assert p.r == 3 and p.eta == field(3).from_rational(2)
+    again = zoo_params("L3N", 3, xi=1, zeta="q", eta=2)
+    assert again is not p and again == p and hash(again) == hash(p)
+    assert p != zoo_params("L3N", 3, xi=1, zeta="q", eta=1)
+    assert p != zoo_params("L3", 3, xi=1, zeta="q") and p != ("L3N", 3)
+    built = build_family(p)
+    hits = build_family.cache_info().hits
+    assert build_family(again) is built
+    assert build_family.cache_info().hits == hits + 1
+    assert repr(p) == ("FamilyParams(family='L3N', N=3, r=3, xi=<1 in Q(q_3)>, "
+                       "zeta=<q in Q(q_3)>, eta=<2 in Q(q_3)>, alpha=None, "
+                       "beta=None)")
+    assert repr(zoo_params("L0", 3, r=1)) == (
+        "FamilyParams(family='L0', N=3, r=1, xi=None, zeta=None, eta=None, "
+        "alpha=None, beta=None)")
+    assert copy.copy(p) == p and pickle.loads(pickle.dumps(p)) == p
+
+
+_IMPORT_PROBE = """
+import sys
+import uqcomod.cli
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    # -S keeps site's own imports out of the count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

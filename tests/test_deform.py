@@ -4,7 +4,9 @@
 sigma^{-1}(a3, b3), and the one-sided sigma(a_(-1), b_(-1)) a_(0) b_(0), one
 basis pair at a time.  The kernel factors each form into slices and contracts
 every basis element's legs once; its tables must equal the reference entry
-for entry, also for forms that are not of sigma's shape.  The 2-cocycle check
+for entry, also for forms that are not of sigma's shape, and the legs it
+contracts one slot at a time must equal `reference_legs` (conftest), which
+contracts every slot of each term at once.  The 2-cocycle check
 reads its two sides off rows of the one-sided twist, and
 `reference_cocycle_sides` (conftest) evaluates them over Delta (x) Delta.
 
@@ -21,9 +23,9 @@ import pytest
 
 from conftest import (bicharacter_form, cyclic_group_hopf, random_scalar,
                       reference_cocycle_sides, reference_convolution,
-                      reference_deformed_table)
+                      reference_deformed_table, reference_legs)
 from uqcomod.cli import _zoo_tuples
-from uqcomod.comodzoo import build_family, deform_family
+from uqcomod.comodzoo import build_family, deform_family, zoo_params
 from uqcomod import hopfcore
 from uqcomod.cyclofield import field
 from uqcomod.hopfcore import (
@@ -229,6 +231,41 @@ def test_kernel_matches_the_nested_loop_on_forms_of_another_shape():
     R = regular_comodule_algebra(H)
     assert dict(deform_comodule_algebra(R, sigma, H).algebra.mul) \
         == reference_deformed_table(R, sigma)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_two_sided_legs_match_the_one_pass_contraction(N):
+    # the kernel contracts sigma^-1's slot first and sigma's slot second;
+    # the reference contracts both slots of every Delta^2 term at once
+    H, sigma, inv = build_gr_uq(N), build_sigma(N), build_sigma_inverse(N)
+    got = _two_sided_legs(H, sigma, inv, _Products(H.field))
+    assert got == reference_legs(H, sigma, inv)
+    assert all(got[0]) and all(got[1])
+
+
+def test_legs_of_forms_of_another_shape_match_the_one_pass_contraction():
+    H = build_gr_uq(3)
+    sigma, inv = _perturbed_forms(3)
+    for pair in ((sigma, inv), (inv, sigma), (build_sigma(3), inv)):
+        assert _two_sided_legs(H, *pair, _Products(H.field)) \
+            == reference_legs(H, *pair)
+
+
+def test_one_sided_legs_match_the_one_pass_contraction(monkeypatch):
+    legs = []
+    slice_table = hopfcore._slice_table
+
+    def capturing(mul, left, right, times):
+        legs.append((left, right))
+        return slice_table(mul, left, right, times)
+
+    monkeypatch.setattr(hopfcore, "_slice_table", capturing)
+    H = build_gr_uq(3)
+    member = build_family(zoo_params("L3N", 3, xi=1, zeta="q", eta=2))
+    for A in (regular_comodule_algebra(H), member):
+        for form in (build_sigma(3), _perturbed_forms(3)[0]):
+            deform_comodule_algebra(A, form, H)
+            assert legs.pop() == reference_legs(A, form)
 
 
 def test_convolution_matches_the_all_pairs_loop():

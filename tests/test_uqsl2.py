@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import reference_skew_pbw_fill
 from uqcomod.comodzoo import build_family, zoo_params
 from uqcomod.cyclofield import field, q_factorial
 from uqcomod.hopfcore import (
@@ -30,6 +31,7 @@ from uqcomod.uqsl2 import (
     monomial_index,
     q_exponential,
     sigma_closed_coords,
+    skew_pbw_algebra,
     uq_generators,
     uq_relation_report,
     verify_dual_relations,
@@ -331,3 +333,24 @@ def test_cached_builders_are_read_only():
     with pytest.raises(TypeError):
         A.coaction[0] = ()
     assert verify_hopf(build_gr_uq(3)).ok
+
+
+@pytest.mark.parametrize("N, nx, ny, r, xi, zeta, eta", [
+    (3, 3, 3, 3, "0", "0", "0"),        # gr(3)
+    (5, 5, 5, 5, "0", "0", "0"),        # gr(5)
+    (3, 3, 3, 3, "2", "q", "1-q"),      # L3N with xi, zeta, eta != 0
+    (5, 5, 5, 5, "q^2", "-1", "3*q"),   # L3N at N = 5
+    (3, 3, 3, 1, "q", "2", "0"),        # L3 at r = 1
+    (9, 9, 9, 3, "1", "q^4", "0"),      # L3 at 1 < r < N
+    (5, 5, 1, 5, "q", "0", "0"),        # L1
+    (5, 1, 1, 5, "0", "0", "0"),        # L0
+])
+def test_skew_pbw_fill_matches_the_plain_loop(N, nx, ny, r, xi, zeta, eta):
+    # the fill takes a shortcut on rows that are one term times one term;
+    # the table, its row order and the steps must be those of the plain loop
+    coeffs = [field(N).parse(c) for c in (xi, zeta, eta)]
+    table, steps = reference_skew_pbw_fill(N, nx, ny, r, *coeffs)
+    alg = skew_pbw_algebra(N, nx, ny, r, *coeffs,
+                           [str(m) for m in range(nx * ny * r)])
+    assert list(alg.mul.items()) == list(table.items())
+    assert alg.steps == steps
