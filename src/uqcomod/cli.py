@@ -13,6 +13,7 @@ Reports are byte-identical across runs unless --timings is given.
 import argparse
 import json
 import sys
+import time
 
 from .cyclofield import field
 from .exactlinalg import minimal_polynomial_of_element
@@ -320,10 +321,16 @@ def cmd_verify(args) -> int:
                                  "sample_count": args.sample_count,
                                  "seed": args.seed,
                                  "suites": list(suites)})
+    suite_ms = {}
     for s in suites:
+        start = time.perf_counter()
         merged.extend(_SUITE_FUNCS[s](N, mode, args.sample_count, args.seed))
+        suite_ms[s] = round((time.perf_counter() - start) * 1000, 3)
     if args.format == "json":
-        _emit(args, merged.to_json(include_timings=args.timings))
+        data = merged.as_dict(include_timings=args.timings)
+        if args.timings:
+            data["suite_elapsed_ms"] = suite_ms
+        _emit(args, json.dumps(data, sort_keys=True, indent=2))
     else:
         _emit(args, _report_text(merged))
     return 0 if merged.ok else 1
@@ -414,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="write to file")
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--timings", action="store_true",
-                        help="include elapsed times (breaks byte-for-byte "
-                             "reproducibility)")
+                        help="include elapsed times per claim and, in a "
+                             "verify JSON report, per suite (breaks "
+                             "byte-for-byte reproducibility)")
 
     v = sub.add_parser("verify", parents=[common],
                        help="run verification suites")

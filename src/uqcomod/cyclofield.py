@@ -20,6 +20,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, sub
 
 _Q0 = Fraction(0)
 
@@ -258,6 +259,11 @@ class CyclotomicNumber:
             return NotImplemented
         da, db = self.den, o.den
         if da == db:
+            if da == 1:
+                # integral sums need no gcd: every table and coproduct
+                # coefficient of gr(u_q) and u_q at N = 5 is integral
+                return CyclotomicNumber(self.field,
+                                        tuple(map(add, self.num, o.num)), 1)
             return _normalised(self.field,
                                [x + y for x, y in zip(self.num, o.num)], da)
         g = gcd(da, db)
@@ -278,6 +284,9 @@ class CyclotomicNumber:
             return NotImplemented
         da, db = self.den, o.den
         if da == db:
+            if da == 1:
+                return CyclotomicNumber(self.field,
+                                        tuple(map(sub, self.num, o.num)), 1)
             return _normalised(self.field,
                                [x - y for x, y in zip(self.num, o.num)], da)
         g = gcd(da, db)

@@ -63,16 +63,17 @@ class SparseEchelon:
 
 
 def vec_add_into(acc: dict, key, c) -> None:
+    # zero tests read the numerators directly: is_zero() is a method call
     got = acc.get(key)
     if got is None:
-        if not c.is_zero():
+        if any(c.num):
             acc[key] = c
     else:
         s = got + c
-        if s.is_zero():
-            del acc[key]
-        else:
+        if any(s.num):
             acc[key] = s
+        else:
+            del acc[key]
 
 
 def _reduce(rows, v: dict) -> dict:

@@ -43,11 +43,12 @@ class _Rows(dict):
     rows read as (), the zero row.
 
     With fill, a table over range(dim)^2 computes row (i, j) as fill(i, j)
-    on its first read and keeps it, so a hit stays a plain dict lookup.
-    Every whole-table view (iteration, keys, values, items, len, ==, repr)
-    first completes the table: it fills every row, drops the zero rows and
-    keeps the others in row-major order, exactly the table an eager build
-    makes.  get and `in` read through __missing__ too, so no read of any
+    on its first read and keeps it, zero rows included, so a hit stays a
+    plain dict lookup; a fill may keep further rows itself (the skew-PBW
+    fill keeps each row of its step chain).  Every whole-table view
+    (iteration, keys, values, items, len, ==, repr) first completes the
+    table: it fills every row, drops the zero rows and keeps the others in
+    row-major order, exactly the table an eager build makes.  get and `in` read through __missing__ too, so no read of any
     kind can see a row that is merely not yet computed.
     """
 
@@ -186,7 +187,19 @@ def mul_into(out: dict, mul, left, right, times=operator.mul) -> dict:
             if row:
                 ab = times(a, b)
                 for k, c in row:
-                    vec_add_into(out, k, times(ab, c))
+                    # inline: vec_add_into per term made u_q(5)'s slice
+                    # rows take 1.03x as long
+                    v = times(ab, c)
+                    got = out.get(k)
+                    if got is None:
+                        if any(v.num):
+                            out[k] = v
+                    else:
+                        v = got + v
+                        if any(v.num):
+                            out[k] = v
+                        else:
+                            del out[k]
     return out
 
 
@@ -356,6 +369,7 @@ def t2_mul(alg1: FiniteAlgebra, alg2: FiniteAlgebra, A: dict, B: dict,
     """Multiply two elements of alg1 (x) alg2, keys are (i, j) pairs."""
     out: dict = {}
     m1, m2 = alg1.mul, alg2.mul
+    memo, one = times._memo, times.one
     for (i1, j1), c1 in A.items():
         for (i2, j2), c2 in B.items():
             e1 = m1[(i1, i2)]
@@ -367,8 +381,27 @@ def t2_mul(alg1: FiniteAlgebra, alg2: FiniteAlgebra, A: dict, B: dict,
             c = times(c1, c2)
             for k1, d1 in e1:
                 cd = times(c, d1)
+                num, den = cd.num, cd.den
                 for k2, d2 in e2:
-                    vec_add_into(out, (k1, k2), times(cd, d2))
+                    # inline: with times() and vec_add_into per term, 1 000
+                    # sampled coaction pairs of L3N(5) took 1.1x as long
+                    if d2 is one:
+                        v = cd
+                    else:
+                        v = memo.get((num, den, d2.num, d2.den))
+                        if v is None:
+                            v = times(cd, d2)
+                    key = (k1, k2)
+                    got = out.get(key)
+                    if got is None:
+                        if any(v.num):
+                            out[key] = v
+                    else:
+                        v = got + v
+                        if any(v.num):
+                            out[key] = v
+                        else:
+                            del out[key]
     return out
 
 

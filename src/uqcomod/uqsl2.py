@@ -28,6 +28,7 @@ from .hopfcore import (
     HopfAlgebraData,
     _antipode_sides,
     _Products,
+    _Rows,
     check_plan,
     convolution,
     deform_hopf,
@@ -67,9 +68,13 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
 
     The algebra's steps list (m, p, s) for every basis index m > 0 in
     increasing order, with e_m = e_p e_s and e_s one of the generators
-    X, Y, G; each row of the table is filled along these steps by
-    e_i e_m = (e_i e_p) e_s, from the products e_k e_s tabulated once,
-    through one product memo.
+    X, Y, G.  The table computes row (i, m) on its first read, along the
+    step of m: e_i e_m = (e_i e_p) e_s, from the products e_k e_s
+    tabulated once per generator, through one product memo.  The fill
+    walks m's step chain down to the first row already kept (row (i, 0)
+    is e_i itself), then computes and keeps every row on the way back up,
+    so a read stores only rows on its own chain and no recursion deepens
+    with N.
     """
     fld = field(N)
     one = fld.one
@@ -120,27 +125,37 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
             steps.append((m, m - r, index(0, 1, 0)))
         else:
             steps.append((m, m - ny * r, index(1, 0, 0)))
+    parent = [0] * dim
+    column = [()] * dim
+    for m, p, s in steps:
+        parent[m] = p
+        column[m] = right[s]
+    kept, keep = dict.__contains__, dict.__setitem__
 
-    mul: dict = {}
-    for i in range(dim):
-        row = [((i, one),)] + [()] * (dim - 1)
-        mul[(i, 0)] = row[0]
-        for m, p, s in steps:
-            prev = row[p]
-            if not prev:
-                continue
-            rs = right[s]
-            if len(prev) == 1 and len(rs[prev[0][0]]) == 1:
-                (t, d), = rs[prev[0][0]]  # one term times one: nonzero
-                row[m] = mul[(i, m)] = ((t, times(prev[0][1], d)),)
-                continue
-            # inline: through hopfcore.mul_into a gr(5) fill took 1.3x as long
-            out: dict = {}
-            for k, c in prev:
-                for t, d in rs[k]:
-                    vec_add_into(out, t, times(c, d))
-            if out:
-                row[m] = mul[(i, m)] = tuple(sorted(out.items()))
+    def fill(i, m):
+        chain = []
+        while m and not kept(mul, (i, m)):
+            chain.append(m)
+            m = parent[m]
+        row = mul[(i, m)] if m else ((i, one),)
+        for m in reversed(chain):
+            if row:
+                rs = column[m]
+                if len(row) == 1 and len(rs[row[0][0]]) == 1:
+                    (t, d), = rs[row[0][0]]  # one term times one: nonzero
+                    row = ((t, times(row[0][1], d)),)
+                else:
+                    # inline: through hopfcore.mul_into a gr(5) fill took
+                    # 1.3x as long
+                    out: dict = {}
+                    for k, c in row:
+                        for t, d in rs[k]:
+                            vec_add_into(out, t, times(c, d))
+                    row = tuple(sorted(out.items()))
+            keep(mul, (i, m), row)
+        return row
+
+    mul = _Rows(fill=fill, dim=dim)
     alg = FiniteAlgebra(fld, labels, mul, {0: one})
     alg.steps = tuple(steps)
     return alg

@@ -68,13 +68,27 @@ def test_bad_subcommand_exits_via_argparse():
 
 
 def test_timings_give_every_claim_a_number(tmp_path):
-    code, text = run(tmp_path, "verify", "--N", "3", "--suites", "chebyshev",
-                     "--format", "json", "--timings")
+    args = ["verify", "--N", "3", "--suites", "chebyshev,minpoly",
+            "--format", "json"]
+    code, text = run(tmp_path, *args, "--timings")
     assert code == 0
-    claims = json.loads(text)["claims"]
-    assert len(claims) == 18
+    data = json.loads(text)
+    claims = data["claims"]
+    assert len(claims) == 18 + 41
     for c in claims:
         assert isinstance(c["elapsed_ms"], float) and c["elapsed_ms"] >= 0
+    suites = data["suite_elapsed_ms"]
+    assert list(suites) == ["chebyshev", "minpoly"]
+    assert all(isinstance(ms, float) and ms >= 0 for ms in suites.values())
+    # each suite's wall time holds the times of its own claims (each
+    # figure is rounded to 1 us)
+    own = sum(c["elapsed_ms"] for c in claims[:18])
+    assert suites["chebyshev"] >= own - 0.01
+    # without --timings the report is the same as before the option grew
+    _, plain = run(tmp_path, *args)
+    report = json.loads(plain)
+    assert "suite_elapsed_ms" not in report
+    assert all(c["elapsed_ms"] is None for c in report["claims"])
 
 
 def test_single_suite_passes(tmp_path):

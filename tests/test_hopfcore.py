@@ -364,9 +364,10 @@ def test_product_memo_is_exact():
 
 @pytest.mark.parametrize("table", ["gr3", "deformed-fresh", "Z/3"])
 def test_mul_into_matches_the_nested_loop(table, gr3, sigma3, sigma3_inv):
-    """The kernel against the nested loop on an eager table, on a deformed
-    table whose rows are filled on first read, and on k[Z/3]; with plain
-    and memoised multiplies, into an out where one key cancels to zero."""
+    """The kernel against the nested loop on gr(3)'s skew-PBW table and on
+    a fresh deformed table, both filled on first read, and on k[Z/3]; with
+    plain and memoised multiplies, into an out where one key cancels to
+    zero."""
     def make():
         if table == "gr3":
             return gr3
@@ -401,6 +402,12 @@ def test_t2_mul_matches_componentwise_products():
     b = {(1, 1): fld.one}
     out = t2_mul(H.algebra, H.algebra, a, b, _Products(fld))
     assert out == {(1, 2): fld.one, (2, 1): fld.from_rational(2)}
+    # (e0 (x) e1 - e1 (x) e0)(e1 (x) e0 + e0 (x) e1): the two terms at
+    # e1 (x) e1 cancel, and a zero coefficient adds no key
+    a = {(0, 1): fld.one, (1, 0): -fld.one, (2, 1): fld.zero}
+    b = {(1, 0): fld.one, (0, 1): fld.one}
+    out = t2_mul(H.algebra, H.algebra, a, b, _Products(fld))
+    assert out == {(0, 2): fld.one, (2, 0): -fld.one}
 
 
 def test_json_round_trips_are_exact():

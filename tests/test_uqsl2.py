@@ -1,7 +1,9 @@
 """Oracles for the graded Hopf algebra, the cocycle and the deformation."""
 
+import gc
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -354,3 +356,58 @@ def test_skew_pbw_fill_matches_the_plain_loop(N, nx, ny, r, xi, zeta, eta):
                            [str(m) for m in range(nx * ny * r)])
     assert list(alg.mul.items()) == list(table.items())
     assert alg.steps == steps
+
+
+def _stored(alg):
+    """The rows an algebra's table holds so far, read off its _Rows
+    storage behind the read-only view without filling anything."""
+    rows, = gc.get_referents(alg.mul)
+    return set(dict.keys(rows))
+
+
+def _step_chain(alg, m):
+    parent = {m: p for m, p, _ in alg.steps}
+    chain = [m]
+    while chain[-1]:
+        chain.append(parent[chain[-1]])
+    return chain
+
+
+def test_one_read_stores_only_the_rows_on_its_step_chain():
+    # a fresh member: the cached one has rows from other tests
+    A = build_family.__wrapped__(zoo_params("L3N", 5, xi=1, zeta=2,
+                                            eta=field(5).q)).algebra
+    before = _stored(A)
+    i = next(i for i in range(A.dim) if all(k[0] != i for k in before))
+    m = A.dim - 1  # X^4 Y^4 G^4, whose chain has 12 steps
+    assert A.mul[(i, m)]
+    assert _stored(A) - before == {(i, k) for k in _step_chain(A, m) if k}
+
+
+def test_build_gr_uq_leaves_most_of_its_table_unfilled():
+    H = build_gr_uq.__wrapped__(5)
+    # 319 of the 15 625 rows when this was written
+    assert len(_stored(H.algebra)) < H.dim ** 2 // 20
+
+
+@pytest.mark.parametrize("N, nx, ny, r, xi, zeta, eta", [
+    (3, 3, 3, 3, "0", "0", "0"),        # gr(3): most rows are zero
+    (3, 3, 3, 3, "2", "q", "1-q"),      # L3N: no row is zero
+    (5, 5, 1, 5, "q", "0", "0"),        # L1
+])
+def test_a_partly_filled_table_completes_as_the_plain_loop(
+        N, nx, ny, r, xi, zeta, eta):
+    # rows read in a random order equal the plain loop's; then a whole-table
+    # view fills every row still missing, each of them inside _complete,
+    # and lists the nonzero rows in row-major order
+    coeffs = [field(N).parse(c) for c in (xi, zeta, eta)]
+    table, _ = reference_skew_pbw_fill(N, nx, ny, r, *coeffs)
+    dim = nx * ny * r
+    alg = skew_pbw_algebra(N, nx, ny, r, *coeffs, [str(m) for m in range(dim)])
+    keys = [(i, j) for i in range(dim) for j in range(dim)]
+    for key in random.Random(dim).sample(keys, dim):
+        assert alg.mul[key] == table.get(key, ())
+    assert 0 < len(_stored(alg)) < len(keys)
+    assert list(alg.mul.items()) == list(table.items())
+    assert _stored(alg) == set(table)
+    assert all(alg.mul[key] == table.get(key, ()) for key in keys)
