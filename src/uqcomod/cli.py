@@ -33,9 +33,6 @@ from .hopfcore import (
 from .reporting import VerificationReport
 from . import comodzoo, polyid, uqsl2
 
-SUITES = ("hopf-axioms", "cocycle", "deformation", "families", "minpoly",
-          "chebyshev", "morita", "filtration")
-
 
 def _zoo_tuples(N, small):
     """Default parameter tuples exercised by the family suites."""
@@ -247,11 +244,9 @@ def suite_filtration(N, mode, sample_count, seed) -> VerificationReport:
                            (comodzoo.deform_family, "deformed")):
             A = build(p)
             fil = comodzoo.loewy_filtration(A)
-            rep.add(f"filtration-exhaustive-{p.family}-{tag}",
-                    "loewy-filtration", fil.is_exhaustive(),
-                    {"dims": list(fil.dims)})
             rep.add(f"filtration-products-{p.family}-{tag}",
-                    "filtered-algebra", fil.respects_products(), None)
+                    "filtered-algebra", fil.respects_products(),
+                    {"dims": list(fil.dims)})
             coinv = coinvariants(A).dim
             rep.add(f"coinvariants-trivial-{p.family}-{tag}",
                     "coinvariants-dimension", coinv == 1, {"dim": coinv})
@@ -283,6 +278,7 @@ _SUITE_FUNCS = {
     "morita": suite_morita,
     "filtration": suite_filtration,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def _emit(args, payload: str) -> None:

@@ -103,9 +103,6 @@ class FamilyParams:
         return "FamilyParams(" + ", ".join(
             f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
-    def coefficient_field(self):
-        return field(self.N)
-
     def expected_dim(self) -> int:
         f = self.family
         if f == "L0":
@@ -121,7 +118,7 @@ class FamilyParams:
     def normalized(self) -> "FamilyParams":
         """Fold coincidences: L1/L2 at r = 1 are L4 instances, L3 at r = N
         is L3N with eta = 0."""
-        fld = self.coefficient_field()
+        fld = field(self.N)
         if self.family == "L1" and self.r == 1:
             return zoo_params("L4", self.N, alpha=fld.one, beta=fld.zero,
                               xi=self.xi)
@@ -407,9 +404,6 @@ class LoewyFiltration:
     @property
     def socle(self) -> Subspace:
         return self.spaces[0]
-
-    def is_exhaustive(self) -> bool:
-        return self.spaces[-1].dim == self.comodule.dim
 
     def respects_products(self) -> bool:
         """A_m A_n inside A_{m+n} (the filtered-algebra property).

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 
 
@@ -74,9 +73,6 @@ class VerificationReport:
             "claims": [c.as_dict(include_timings) for c in self.checks],
             "summary": self.summary(),
         }
-
-    def to_json(self, include_timings=False) -> str:
-        return json.dumps(self.as_dict(include_timings), sort_keys=True, indent=2)
 
     def __repr__(self):
         s = self.summary()

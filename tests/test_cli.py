@@ -5,9 +5,10 @@ import json
 import pytest
 
 import uqcomod.cli as cli
+from uqcomod import uqsl2
 from uqcomod.cli import SUITES, build_parser, main
 from uqcomod.comodzoo import build_family, zoo_params
-from uqcomod.hopfcore import (comodule_from_json, comodule_to_json,
+from uqcomod.hopfcore import (ConvForm, comodule_from_json, comodule_to_json,
                               dumps_sorted, verify_hopf_2cocycle)
 from uqcomod.uqsl2 import build_gr_uq, monomial_index
 
@@ -60,6 +61,33 @@ def test_cocycle_suite_samples_the_generators_first(monkeypatch):
     x, y, g = (monomial_index(3, 1, 0, 0), monomial_index(3, 0, 1, 0),
                monomial_index(3, 0, 0, 1))
     assert [kw["always_indices"] for kw in seen] == [[x, y, g]]
+
+
+def test_a_wrong_sigma_inverse_fails_claims_instead_of_raising(monkeypatch,
+                                                               capsys):
+    # the builders do not check their output: a wrong inverse reaches the
+    # report as failing claims and exit code 1, not as an exception
+    build_inverse = uqsl2.build_sigma_inverse
+
+    def doubled(N):
+        inv = build_inverse(N)
+        coords = dict(inv.coords)
+        key = next(k for k in coords if k != (0, 0))
+        coords[key] = coords[key] * 2
+        return ConvForm(inv.hopf, 2, coords)
+
+    uqsl2.build_uq.cache_clear()
+    monkeypatch.setattr(uqsl2, "build_sigma_inverse", doubled)
+    try:
+        code = main(["verify", "--N", "3", "--suites", "cocycle,deformation",
+                     "--format", "json"])
+    finally:
+        uqsl2.build_uq.cache_clear()
+    assert code == 1
+    claims = json.loads(capsys.readouterr().out)["claims"]
+    failing = {c["claim_id"] for c in claims if c["status"] == "fail"}
+    assert {"sigma-inverse-left", "sigma-inverse-right",
+            "uq-K-order"} <= failing
 
 
 def test_bad_subcommand_exits_via_argparse():

@@ -89,7 +89,7 @@ def test_build_uq_computes_only_the_rows_it_reads(monkeypatch):
     monkeypatch.setattr(hopfcore, "_slice_row", counting)
     uq = build_uq.__wrapped__(5)
     built = len(calls)
-    # the antipode solve and the relation report read under a quarter
+    # the antipode solve, the only reader in the build, reads under a quarter
     assert 0 < built < 125 ** 2 // 4
     for key in itertools.product(range(8), repeat=2):
         uq.algebra.mul[key]

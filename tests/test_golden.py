@@ -16,7 +16,11 @@ gr(u_q)'s antipode was solved instead of built in closed form.  The verify repor
 digests are what pins every structure constant and coaction coefficient.
 A change to the internals (field, linear algebra, builders) must reproduce
 all of them exactly; a change to a claim or a table must regenerate them
-and say so.
+and say so.  The two verify reports were last regenerated when the claims
+that could not fail were dropped (hopf-grouplikes, uq-dimension and
+filtration-exhaustive-*, whose layer dimensions moved onto the
+filtration-products-* witness); classify.txt and the digests did not
+change.
 """
 
 import hashlib
