@@ -232,10 +232,15 @@ class FiniteAlgebra:
     steps is a tuple of (m, p, s) with e_m = e_p e_s and e_s a generator.
     It is empty unless set after construction: skew_pbw_algebra sets it,
     and a deformation on the same basis carries it over.  solve_antipode
-    reads the steps only through a certificate checked on the table itself.
+    and the exhaustive verifiers read the steps only through
+    step_certificate, checked on the table itself.
+
+    verified is None until an exhaustive verify_algebra runs on the table,
+    then whether it proved the table unital and associative; the coaction
+    reductions of _coaction_failures read it.
     """
 
-    __slots__ = ("field", "dim", "labels", "mul", "unit", "steps")
+    __slots__ = ("field", "dim", "labels", "mul", "unit", "steps", "verified")
 
     def __init__(self, fld: CyclotomicField, labels, mul, unit):
         self.field = fld
@@ -248,6 +253,7 @@ class FiniteAlgebra:
         self.mul = read_only(mul)
         self.unit = {k: c for k, c in unit.items() if not c.is_zero()}
         self.steps = ()
+        self.verified = None
 
     def basis_vec(self, i) -> dict:
         return {i: self.field.one}
@@ -457,6 +463,38 @@ def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
     return plan
 
 
+def step_certificate(alg: FiniteAlgebra) -> tuple:
+    """The generators of alg.steps, sorted, if the step certificate holds on
+    the table itself; () if it fails or alg has no steps.
+
+    The certificate: the unit is e_0; alg.steps lists (m, p, s) for
+    m = 1, ..., dim - 1 in order, with p < m; and row (p, s) of the table is
+    c e_m plus terms of lower index, with c != 0 (e_m is the row's last
+    entry).  Then e_m = c^-1 (e_p e_s - sum c' e_m') for every m >= 1, so a
+    linear claim about e_m follows from the claim about e_p e_s and about
+    lower basis elements: induction on m in step order, from m = 0."""
+    steps = alg.steps
+    if not steps or alg.unit != {0: alg.field.one} \
+            or [m for m, _, _ in steps] != list(range(1, alg.dim)):
+        return ()
+    mul = alg.mul
+    for m, p, s in steps:
+        row = mul[(p, s)]
+        if not (0 <= p < m and row and row[-1][0] == m
+                and not row[-1][1].is_zero()
+                and all(k < m for k, _ in row[:-1])):
+            return ()
+    return tuple(sorted({s for _, _, s in steps}))
+
+
+def _generator_tuples(dim: int, arity: int, gens):
+    """Every tuple over range(dim) of the arity whose last slot is one of
+    gens, in lexicographic order, made lazily."""
+    for head in itertools.product(range(dim), repeat=arity - 1):
+        for s in gens:
+            yield (*head, s)
+
+
 def _product_failures(alg: FiniteAlgebra, pairs, images, mul,
                       times: _Products):
     """[label_i, label_j] for each planned pair (i, j) where the linear map
@@ -482,27 +520,11 @@ def _witness(labels, tup, lhs, rhs):
 # ---------------------------------------------------------------------------
 
 
-def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
-                   seed=0, always_indices=()) -> VerificationReport:
-    rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim})
-    labels = alg.labels
-    one = alg.unit_vec()
-
-    bad = []
-    for i in range(alg.dim):
-        e = alg.basis_vec(i)
-        if not vec_eq(alg.mul_vec(one, e), e) or not vec_eq(alg.mul_vec(e, one), e):
-            bad.append(labels[i])
-    rep.add("algebra-unit", "unital-multiplication", not bad,
-            {"elements": bad[:5], "failing": len(bad)} if bad else None)
-
-    triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
-    mul = alg.mul
-    times = _Products(alg.field)
-    bad = []
+def _associativity_defects(mul, triples, times: _Products):
+    """((i, j, k), lhs, rhs) for each planned triple with
+    lhs = (e_i e_j) e_k != rhs = e_i (e_j e_k), read from the table rows."""
     for (i, j, k) in triples:
-        # (e_i e_j) e_k and e_i (e_j e_k), read from the table rows; inline
-        # because two mul_into calls per triple cost 8 % of the N = 3 suite
+        # inline: two mul_into calls per triple cost 8 % of the N = 3 suite
         lhs: dict = {}
         for m, c in mul[(i, j)]:
             for t, d in mul[(m, k)]:
@@ -512,10 +534,56 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
             for t, d in mul[(i, m)]:
                 vec_add_into(rhs, t, times(c, d))
         if not vec_eq(lhs, rhs):
-            bad.append(_witness(labels, (i, j, k), lhs, rhs))
+            yield (i, j, k), lhs, rhs
+
+
+def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
+                   seed=0, always_indices=()) -> VerificationReport:
+    """The unit and associativity of alg's table, on the planned triples.
+
+    An exhaustive plan is proved on the generator triples (a, b, s), s a
+    generator of step_certificate(alg), when the certificate holds and the
+    unit claim passes.  By bilinearity those triples give (x y) e_s =
+    x (y e_s) for all x, y.  Induction on m in step order: e_0 is the unit,
+    so (x y) e_0 = x (y e_0); for e_m = e_p e_s with p < m,
+    (x y)(e_p e_s) = ((x y) e_p) e_s = (x (y e_p)) e_s = x ((y e_p) e_s)
+    = x (y (e_p e_s)), by a generator triple, the claim at p, and two
+    generator triples; the lower terms of row (p, s) hold by induction, so
+    the claim holds at e_m (c != 0).  A failed certificate or unit claim, or
+    a failing generator triple, enumerates every triple instead, so the
+    witness and the checked count are always those of the full plan.
+
+    An exhaustive run records in alg.verified whether both claims passed.
+    """
+    rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim})
+    labels = alg.labels
+    one = alg.unit_vec()
+
+    bad_unit = []
+    for i in range(alg.dim):
+        e = alg.basis_vec(i)
+        if not vec_eq(alg.mul_vec(one, e), e) or not vec_eq(alg.mul_vec(e, one), e):
+            bad_unit.append(labels[i])
+    rep.add("algebra-unit", "unital-multiplication", not bad_unit,
+            {"elements": bad_unit[:5], "failing": len(bad_unit)}
+            if bad_unit else None)
+
+    triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
+    mul = alg.mul
+    times = _Products(alg.field)
+    exhaustive = isinstance(triples, ExhaustivePlan)
+    gens = step_certificate(alg) if exhaustive and not bad_unit else ()
+    if gens and next(_associativity_defects(
+            mul, _generator_tuples(alg.dim, 3, gens), times), None) is None:
+        bad = []
+    else:
+        bad = [_witness(labels, tup, lhs, rhs) for tup, lhs, rhs
+               in _associativity_defects(mul, triples, times)]
     rep.add("algebra-associativity", "associative-multiplication", not bad,
             {"examples": bad[:3], "failing": len(bad),
              "checked": len(triples)} if bad else None)
+    if exhaustive:
+        alg.verified = not bad_unit and not bad
     return rep
 
 
@@ -542,7 +610,14 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     multiplicativity of Delta are the coaction axioms of H as a comodule
     algebra over itself (regular_comodule_algebra), read from the kernel of
     verify_comodule_algebra; the right counit and the counit as an algebra
-    map are checked here."""
+    map are checked here.
+
+    An exhaustive plan proves associativity on the generator triples and
+    the multiplicativity of Delta on the generator pairs when H's steps
+    pass step_certificate (verify_algebra, _coaction_failures); the
+    coaction reduction takes H's associativity from verify_algebra's run
+    here, kept in H.algebra.verified.  Otherwise, or on any failure, every
+    tuple is enumerated."""
     alg, co = H.algebra, H.coalgebra
     labels = alg.labels
     rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim})
@@ -888,16 +963,13 @@ def _invert_grouplike(alg: FiniteAlgebra, idx: int) -> dict:
 
 
 def _step_image(S: dict, mul, m: int, p: int, s: int, times: _Products):
-    """S(e_m) by the step rule for the step e_m = e_p e_s, or None.
+    """S(e_m) by the step rule for the step e_m = e_p e_s, or None while one
+    of the S values it needs is unsolved.
 
-    The certificate, read on the table itself: row (p, s) is c e_m plus
-    terms of lower index, with c != 0 (rows are sorted, so e_m is the last
-    entry).  Then e_m = c^-1 (e_p e_s - sum c' e_m'), and the antipode, an
-    anti-algebra map, gives S(e_m) = c^-1 (S(e_s) S(e_p) - sum c' S(e_m')).
-    None also while one of those S values is unsolved."""
+    Under step_certificate, row (p, s) is c e_m plus terms of lower index
+    with c != 0, so e_m = c^-1 (e_p e_s - sum c' e_m'), and the antipode, an
+    anti-algebra map, gives S(e_m) = c^-1 (S(e_s) S(e_p) - sum c' S(e_m'))."""
     row = mul[(p, s)]
-    if not row or row[-1][0] != m or row[-1][1].is_zero():
-        return None
     if p not in S or s not in S or any(k not in S for k, _ in row[:-1]):
         return None
     c = times.unit(row[-1][1])
@@ -953,26 +1025,27 @@ def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra,
     One worklist runs over the basis in index order, and each pending e_m
     takes the first of two rules whose inputs are solved:
 
-    * the step rule (_step_image), when alg.steps has e_m = e_p e_s and row
-      (p, s) of the table passes the certificate: S(e_m) from S(e_s) S(e_p)
-      and S of the lower terms of that row;
+    * the step rule (_step_image), when step_certificate holds on the table
+      and alg.steps has e_m = e_p e_s: S(e_m) from S(e_s) S(e_p) and S of
+      the lower terms of row (p, s);
     * the Delta rule (_delta_image), which needs every
       Delta(e_m) = e_m (x) B_m + sum (solved) (x) (...) with B_m a scalar
       multiple of an invertible grouplike-type basis element.
 
-    A failed certificate only leaves e_m to the Delta rule, so an algebra
-    without steps is solved by the Delta rule alone; the generators always
-    are.  The step rule reads far fewer table rows, which matters for a
-    deformed table that computes each row on its first read.  The
-    construction is not the proof: verify_hopf checks both antipode axioms
-    on every basis element.  times is the product memo of the caller's
-    build (a new one if None).  No progress raises ValueError naming the
-    unsolved elements.
+    A failed certificate leaves every e_m to the Delta rule, as for an
+    algebra without steps; it is the certificate by which the exhaustive
+    verifiers reduce their plans.  The step rule reads far fewer table
+    rows, which matters for a deformed table that computes each row on its
+    first read.  The construction is not the proof: verify_hopf checks both
+    antipode axioms on every basis element.  times is the product memo of
+    the caller's build (a new one if None).  No progress raises ValueError
+    naming the unsolved elements.
     """
     mul = alg.mul
     if times is None:
         times = _Products(alg.field)
-    steps = {m: (p, s) for m, p, s in alg.steps}
+    steps = {m: (p, s) for m, p, s in alg.steps} if step_certificate(alg) \
+        else {}
     S: dict = {}
     grouplike_inverses: dict = {}
 
@@ -1169,7 +1242,21 @@ def _coaction_failures(A: ComoduleAlgebra, pairs, times: _Products):
     (Delta x id)delta = (id x delta)delta, those failing
     (eps x id)delta = id, the witness of delta(1) != 1 (x) 1 (None when it
     holds), and [label_a, label_b] for each planned pair (a, b) failing
-    delta(ab) = delta(a) delta(b)."""
+    delta(ab) = delta(a) delta(b).
+
+    An exhaustive plan of pairs is proved on the generator pairs (a, s), s a
+    generator of step_certificate(A.algebra), when the certificate holds,
+    delta(1) = 1 (x) 1, and verify_algebra proves both A and H unital and
+    associative (so H (x) A is too).  By linearity those pairs give
+    delta(x e_s) = delta(x) delta(e_s) for all x.  Induction on m in step
+    order: delta(x e_0) = delta(x) (1 (x) 1); for e_m = e_p e_s with p < m,
+    delta(x (e_p e_s)) = delta((x e_p) e_s) = delta(x e_p) delta(e_s)
+    = (delta(x) delta(e_p)) delta(e_s) = delta(x) (delta(e_p) delta(e_s))
+    = delta(x) delta(e_p e_s), by associativity of A, a generator pair, the
+    claim at p, associativity of H (x) A and the generator pair (p, s); the
+    lower terms of row (p, s) hold by induction, so the claim holds at e_m.
+    Any other case, or a failing generator pair, enumerates every pair, so
+    the failures are always those of the full plan."""
     H = A.over
     alg = A.algebra
     labels = alg.labels
@@ -1208,14 +1295,40 @@ def _coaction_failures(A: ComoduleAlgebra, pairs, times: _Products):
         for k, c in A.coaction.get(i, ()):
             vec_add_into(img, k, c)
         images.append(img)
-    bad_mult = _product_failures(
-        alg, pairs, images,
-        lambda a, b: t2_mul(H.algebra, alg, a, b, times), times)
-    return bad_co, bad_eps, unit, bad_mult
+
+    def product(a, b):
+        return t2_mul(H.algebra, alg, a, b, times)
+
+    gens = ()
+    if unit is None and isinstance(pairs, ExhaustivePlan):
+        gens = step_certificate(alg)
+    if gens and _proved_algebra(alg) and _proved_algebra(H.algebra) \
+            and not _product_failures(
+                alg, _generator_tuples(alg.dim, 2, gens), images, product,
+                times):
+        return bad_co, bad_eps, unit, []
+    return bad_co, bad_eps, unit, _product_failures(alg, pairs, images,
+                                                    product, times)
+
+
+def _proved_algebra(alg: FiniteAlgebra) -> bool:
+    """Whether an exhaustive verify_algebra proves alg unital and
+    associative, run once per table and kept in alg.verified."""
+    if alg.verified is None:
+        verify_algebra(alg)
+    return alg.verified
 
 
 def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
                             sample_count=10000, seed=0) -> VerificationReport:
+    """The coaction axioms of A: coassociativity, the counit, delta(1) =
+    1 (x) 1 and delta(ab) = delta(a) delta(b) on the planned pairs.
+
+    An exhaustive plan proves multiplicativity on the generator pairs
+    (a, s) when A's steps pass step_certificate and A and H are proved
+    unital and associative (_coaction_failures; the two verify_algebra runs
+    are kept in each table's verified slot).  Otherwise, or on any failure,
+    every pair is enumerated."""
     alg = A.algebra
     rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim,
                               "params": {k: str(v) for k, v in A.params.items()}})
@@ -1292,7 +1405,9 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
                          f"{B.dim}-dimensional target")
     if A.over is not B.over and A.over.labels != B.over.labels:
         raise ValueError("comodule algebras over different Hopf algebras")
-    rep = VerificationReport({"source": dict(A.params), "target": dict(B.params)})
+    rep = VerificationReport({
+        "source": {k: str(v) for k, v in A.params.items()},
+        "target": {k: str(v) for k, v in B.params.items()}})
 
     ok = vec_eq(vec_combine(images, A.algebra.unit.items()),
                 B.algebra.unit_vec())

@@ -1,6 +1,7 @@
 """The comodule-algebra zoo: presentations, invariants, equivalences."""
 
 import copy
+import json
 import os
 import pickle
 import random
@@ -37,6 +38,7 @@ from uqcomod.comodzoo import (
     verify_min_pol_lemma,
     zoo_params,
 )
+from uqcomod import hopfcore
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import Subspace
 from uqcomod.hopfcore import (
@@ -402,6 +404,30 @@ def test_embedding_into_uq():
         assert rep.ok, (str(u), str(v), [c.claim_id for c in rep.failures()])
         claims = {c.claim_id for c in rep.checks}
         assert "embedding-minimal-polynomial" in claims
+
+
+def test_a_morphism_report_config_is_json():
+    # the sub-report of check_comodule_algebra_morphism keeps its
+    # parameters as strings, as verify_comodule_algebra's config does
+    config = embed_A4_into_uq(3, u=1, v=2).config
+    assert json.loads(json.dumps(config))["target"]["family"] == "regular"
+
+
+def test_an_exhaustive_coaction_check_reads_generator_pairs(monkeypatch):
+    calls = []
+    t2_mul = hopfcore.t2_mul
+
+    def counting(*args):
+        calls.append(None)
+        return t2_mul(*args)
+
+    monkeypatch.setattr(hopfcore, "t2_mul", counting)
+    A = build_family(zoo_params("L3N", 3, xi=1, zeta=2, eta=1))
+    assert A.dim == 27
+    assert verify_comodule_algebra(A).ok
+    # multiplicativity on the pairs (a, s) for the three generators s,
+    # not on all 729 pairs
+    assert 0 < len(calls) <= 3 * 27
 
 
 def test_min_pol_lemma_generic_and_degenerate():

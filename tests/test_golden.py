@@ -8,6 +8,8 @@ The files under tests/golden/ were written by
     uqcomod verify --N 5 --suites hopf-axioms,cocycle,deformation,families,\
 minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --output tests/golden/verify_n5.json
+    uqcomod verify --N 5 --mode exhaustive --suites hopf-axioms,families \
+        --format json --output tests/golden/verify_n5_exhaustive.json
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
 --format json`.  The first seven were written before the three table
@@ -20,7 +22,9 @@ and say so.  The two verify reports were last regenerated when the claims
 that could not fail were dropped (hopf-grouplikes, uq-dimension and
 filtration-exhaustive-*, whose layer dimensions moved onto the
 filtration-products-* witness); classify.txt and the digests did not
-change.
+change.  verify_n5_exhaustive.json was written by full enumeration, before
+exhaustive plans were proved on generator tuples; the proof must reproduce
+it.
 """
 
 import hashlib
@@ -40,6 +44,8 @@ GOLDEN = Path(__file__).parent / "golden"
     (["verify", "--N", "5", "--suites", "hopf-axioms,cocycle,deformation,"
       "families,minpoly,chebyshev,filtration", "--sample-count", "200",
       "--seed", "1", "--format", "json"], "verify_n5.json"),
+    (["verify", "--N", "5", "--mode", "exhaustive", "--suites",
+      "hopf-axioms,families", "--format", "json"], "verify_n5_exhaustive.json"),
 ])
 def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name
