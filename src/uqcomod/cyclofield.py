@@ -7,8 +7,11 @@ sum(num[i] * q^i) / den.  The pair is kept in normal form, den > 0 and
 gcd(den, *num) = 1, so equality is a plain comparison of integers and zero is
 ((0, ..., 0), 1).  Phi_N is monic with integer coefficients, so reducing a
 product modulo Phi_N never leaves the integers: a product is one integer
-convolution, one integer reduction and one gcd.  Field elements are
-immutable; the only mutable state in this module is memoisation.
+convolution, one integer reduction and one gcd.  Each field compiles the
+convolution and the reduction of its own degree into one straight-line
+function of the two numerator tuples when it is built (CyclotomicField), so
+a product runs no loop in Python.  Field elements are immutable; the only
+mutable state in this module is memoisation.
 
 Order 1 is allowed (Phi_1 = t - 1, the field is plain Q); the odd-order
 convention for quantum-group work is enforced by the callers that need it.
@@ -78,9 +81,24 @@ class CyclotomicField:
     ``_red[m]`` lists the nonzero coefficients of t^(degree+m) mod Phi_N as
     (index, integer) pairs, one row per power a product or a raw q-power can
     reach.
+
+    ``_mul(a, b)`` is the product of two numerator tuples, reduced, as a
+    tuple.  It is generated from ``_red`` alone (see _compile_product) and
+    compiled once per field; ``field(order)`` caches the field, so each
+    order compiles once per process.  Order 3, where t^2 = -1 - t, gets::
+
+        def mul(a, b):
+            a0, a1, = a
+            b0, b1, = b
+            c2 = a1*b1
+            return (a0*b0 - c2, a0*b1 + a1*b0 - c2,)
+
+    A field pickles as ``field(order)``: the generated function cannot be
+    pickled, and an unpickled element then shares the cached field.
     """
 
-    __slots__ = ("order", "modulus", "degree", "_red", "_qpow", "zero", "one")
+    __slots__ = ("order", "modulus", "degree", "_red", "_mul", "_qpow",
+                 "zero", "one")
 
     def __init__(self, order: int):
         if order < 1:
@@ -90,6 +108,7 @@ class CyclotomicField:
         self.degree = len(self.modulus) - 1
         self._red: list[tuple[tuple[int, int], ...]] = []
         self._build_reductions()
+        self._mul = _compile_product(self.degree, self._red)
         self.zero = CyclotomicNumber(self, (0,) * self.degree, 1)
         self.one = self.from_rational(1)
         self._qpow: dict[int, CyclotomicNumber] = {}
@@ -184,6 +203,9 @@ class CyclotomicField:
 
     # -- misc -----------------------------------------------------------
 
+    def __reduce__(self):
+        return field, (self.order,)
+
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order
 
@@ -199,8 +221,39 @@ def field(order: int) -> CyclotomicField:
     return CyclotomicField(order)
 
 
-def _normalised(fld: CyclotomicField, num: list[int], den: int) -> "CyclotomicNumber":
-    # den > 0 on entry; divide out the common factor of den and all numerators
+def _compile_product(d: int, red):
+    """The product of two d-tuples of integers modulo Phi_N, compiled from
+    the reduction rows red of a field of degree d into one function.
+
+    Coefficient k < d of the result is the convolution term
+    sum_{i+j=k} a_i b_j plus, for each overflow power d + m of the
+    convolution, its coefficient c_{d+m} times entry k of red[m].  Only the
+    integers of red and index names enter the source.
+    """
+    def conv(k):
+        return " + ".join(f"a{i}*b{k - i}"
+                          for i in range(max(0, k - d + 1), min(k, d - 1) + 1))
+
+    out = [conv(k) for k in range(d)]
+    lines = ["def mul(a, b):",
+             "    " + "".join(f"a{i}, " for i in range(d)) + "= a",
+             "    " + "".join(f"b{i}, " for i in range(d)) + "= b"]
+    for m in range(d - 1):
+        c = f"c{d + m}"
+        lines.append(f"    {c} = {conv(d + m)}")
+        for k, r in red[m]:
+            term = c if abs(r) == 1 else f"{abs(r)}*{c}"
+            out[k] += f" - {term}" if r < 0 else f" + {term}"
+    lines.append("    return (" + "".join(f"{e}, " for e in out).rstrip()
+                 + ")")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<cyclotomic product>", "exec"), namespace)
+    return namespace["mul"]
+
+
+def _normalised(fld: CyclotomicField, num, den: int) -> "CyclotomicNumber":
+    # num is a list or tuple of ints and den > 0 on entry; divide out the
+    # common factor of den and all numerators
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -307,13 +360,7 @@ class CyclotomicNumber:
         if o is None:
             return NotImplemented
         fld = self.field
-        b = o.num
-        conv = [0] * (2 * fld.degree - 1)
-        for i, ai in enumerate(self.num):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    conv[j] += ai * bj
-        return _normalised(fld, fld._reduce(conv), self.den * o.den)
+        return _normalised(fld, fld._mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 

@@ -251,7 +251,8 @@ class FiniteAlgebra:
         if not isinstance(mul, (_Rows, MappingProxyType)):
             mul = _Rows(mul)
         self.mul = read_only(mul)
-        self.unit = {k: c for k, c in unit.items() if not c.is_zero()}
+        self.unit = read_only(
+            {k: c for k, c in unit.items() if not c.is_zero()})
         self.steps = ()
         self.verified = None
 
@@ -1214,7 +1215,7 @@ class ComoduleAlgebra:
         self.algebra = algebra
         self.over = over
         self.coaction = read_only(coaction)
-        self.params = dict(params or {})
+        self.params = read_only(dict(params or {}))
 
     @property
     def field(self):

@@ -32,6 +32,7 @@ from .hopfcore import (
     check_plan,
     convolution,
     deform_hopf,
+    read_only,
     solve_antipode,
     t2_mul,
     tensor_vec,
@@ -222,7 +223,7 @@ def gr_generators(N: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def build_dual_functionals(N: int) -> dict:
+def build_dual_functionals(N: int):
     """xi1, xi2, alpha and the counit as linear forms on gr(u_q).
 
     <xi1, x^i y^j g^k> = [i=1][j=0] q^{-2k},
@@ -237,8 +238,8 @@ def build_dual_functionals(N: int) -> dict:
         (monomial_index(N, 0, 1, k),): fld.one for k in range(N)})
     alpha = ConvForm(H, 1, {
         (monomial_index(N, 0, 0, k),): fld.q_power(-2 * k) for k in range(N)})
-    return {"xi1": xi1, "xi2": xi2, "alpha": alpha,
-            "eps": ConvForm.unit(H, 1)}
+    return read_only({"xi1": xi1, "xi2": xi2, "alpha": alpha,
+                      "eps": ConvForm.unit(H, 1)})
 
 
 def q_exponential(f: ConvForm, lam) -> ConvForm:

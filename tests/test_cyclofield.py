@@ -1,5 +1,6 @@
 """The cyclotomic coefficient field: construction, arithmetic, q-combinatorics."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -292,3 +293,45 @@ def test_arithmetic_matches_integer_reference(data):
         assert_normal_form(inv, fld)
         one = (1,) + (0,) * (fld.degree - 1)
         assert ref_coeffs(ref_mul(ra, (inv.num, inv.den)), phi) == one
+
+
+# -- the compiled product ----------------------------------------------------
+
+
+# 105 is the least order whose reduction rows carry a coefficient of
+# magnitude 2, so the least that tests the kernel's scaled terms
+@pytest.mark.parametrize("order", [*range(1, 41), 105])
+def test_compiled_product_matches_integer_reference(order):
+    fld, phi = field(order), cyclotomic_polynomial(order)
+    rng = random.Random(order)
+
+    def draw():
+        # dense or sparse numerators, integral or over a denominator
+        den = rng.choice((1, rng.randint(2, 30)))
+        density = rng.choice((1.0, 0.2))
+        nums = [rng.randint(-99, 99) if rng.random() < density else 0
+                for _ in range(fld.degree)]
+        return fld.element([Fraction(c, den) for c in nums]), (nums, den)
+
+    for _ in range(12):
+        (a, ra), (b, rb) = draw(), draw()
+        got = a * b
+        assert_normal_form(got, fld)
+        assert got.coeffs == ref_coeffs(ref_mul(ra, rb), phi)
+
+
+def test_field_pickles_as_the_cached_field():
+    q = pickle.loads(pickle.dumps(field(5).q))
+    assert q.field is field(5) and q == field(5).q
+    assert pickle.loads(pickle.dumps(CyclotomicField(7))) is field(7)
+
+
+def test_uncached_field_multiplies_like_the_cached_one():
+    own, cached = CyclotomicField(7), field(7)
+    assert own is not cached
+    rng = random.Random(7)
+    for _ in range(40):
+        a, b = random_scalar(cached, rng, 9), random_scalar(cached, rng, 9)
+        got = own.element(a.coeffs) * own.element(b.coeffs) / 3
+        want = a * b / 3
+        assert got.field is own and (got.num, got.den) == (want.num, want.den)

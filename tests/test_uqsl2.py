@@ -334,6 +334,12 @@ def test_cached_builders_are_read_only():
         build_sigma(3).coords[(x, x)] = gr.field.one
     with pytest.raises(TypeError):
         A.coaction[0] = ()
+    with pytest.raises(TypeError):
+        A.params["xi"] = gr.field.one
+    with pytest.raises(TypeError):
+        gr.algebra.unit[x] = gr.field.one
+    with pytest.raises(TypeError):
+        build_dual_functionals(3)["xi1"] = build_dual_functionals(3)["xi2"]
     assert verify_hopf(build_gr_uq(3)).ok
 
 
