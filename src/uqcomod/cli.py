@@ -426,7 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suites", default=None,
                    help="comma-separated subset of: " + ",".join(SUITES))
     v.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
-                   default="auto")
+                   default="auto",
+                   help="exhaustive checks every tuple, proving most claims "
+                        "on generator tuples; sampled checks --sample-count "
+                        "random tuples; auto (the default) is exhaustive at "
+                        "N = 3 and sampled otherwise")
     v.add_argument("--sample-count", type=_positive_int, default=10000)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)

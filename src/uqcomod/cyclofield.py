@@ -190,7 +190,11 @@ class CyclotomicField:
             if m is None:
                 raise ValueError(f"bad term {part!r} in cyclotomic literal {text!r}")
             if m.group("rat") is not None:
-                c = Fraction(m.group("rat"))
+                try:
+                    c = Fraction(m.group("rat"))
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in term {part!r} of "
+                                     f"cyclotomic literal {text!r}") from None
                 if m.group("qa") is not None:
                     e = int(m.group("ea") or 1)
                 else:

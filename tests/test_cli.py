@@ -90,6 +90,17 @@ def test_a_wrong_sigma_inverse_fails_claims_instead_of_raising(monkeypatch,
             "uq-K-order"} <= failing
 
 
+@pytest.mark.parametrize("argv", [
+    ["minpoly", "--alpha", "1/0"],
+    ["export", "--what", "family", "--family", "L1", "--xi", "1/0"],
+], ids=["minpoly", "export"])
+def test_a_zero_denominator_is_a_usage_error(argv, capsys):
+    # a bad literal exits 2 with a message, not 1 with a traceback
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'1/0'" in err
+
+
 def test_bad_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -115,6 +115,12 @@ def test_parse_and_str_round_trip_examples():
     assert f.parse("1 - q^-2") == f.one - f.q_power(-2)
 
 
+@pytest.mark.parametrize("text", ["1/0", "q + 3/0*q^2"])
+def test_parse_rejects_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        field(5).parse(text)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
                 min_size=4, max_size=4))

@@ -32,6 +32,7 @@ from uqcomod.hopfcore import (
     ConvForm,
     _Products,
     _cocycle_sides,
+    _one_sided_twist,
     _slice_table,
     _two_sided_legs,
     convolution,
@@ -296,7 +297,8 @@ def test_cocycle_sides_match_the_coproduct_loop():
              (ConvForm(Z3, 2, coords), 4)]
     assert factor_form(perturbed)[2] > 3
     for form, want_failing in cases:
-        sides = _cocycle_sides(form, _Products(form.hopf.field))
+        sides = _cocycle_sides(form, _Products(form.hopf.field),
+                               _one_sided_twist(form))
         failing = 0
         for a, b, c in itertools.product(range(form.hopf.dim), repeat=3):
             got = sides(a, b, c)

@@ -2,23 +2,27 @@
 oracle.
 
 When step_certificate holds, verify_algebra checks only the triples
-(a, b, s) and _coaction_failures only the pairs (a, s), s a generator.  A
-copy of a table with steps = () has no certificate, so every plan on it is
-enumerated in full; the reports on a table and on its copy must be equal,
-for passing and for corrupted data alike.
+(a, b, s) and _coaction_failures only the pairs (a, s), s a generator; the
+2-cocycle identity follows from the one-sided twist's generator triples,
+and the dual functionals' product rules and the counit's multiplicativity
+from the pairs (a, s), s = 0 or a generator.  A copy of a table with
+steps = () has no certificate, so every plan on it is enumerated in full;
+the reports on a table and on its copy must be equal, for passing and for
+corrupted data alike.
 """
 
 import pytest
 
 from uqcomod import cli
 from uqcomod.comodzoo import build_family, deform_family, zoo_params
-from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, FiniteAlgebra,
-                              FiniteCoalgebra, HopfAlgebraData, solve_antipode,
-                              step_certificate, verify_algebra,
+from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, ExhaustivePlan,
+                              FiniteAlgebra, FiniteCoalgebra, HopfAlgebraData,
+                              solve_antipode, step_certificate, verify_algebra,
                               verify_comodule_algebra, verify_hopf,
                               verify_hopf_2cocycle)
-from uqcomod.uqsl2 import (build_gr_uq, build_sigma, build_uq,
-                           monomial_index, uq_relation_report)
+from uqcomod.uqsl2 import (build_dual_functionals, build_gr_uq, build_sigma,
+                           build_uq, monomial_index, uq_relation_report,
+                           verify_dual_relations)
 
 
 def _copy(alg, mul=None, steps=()):
@@ -180,6 +184,85 @@ def test_corrupted_gr_comultiplication_with_steps_attached(gr3, label, terms):
                         (_hopf_on(gr3, _copy(gr3.algebra), co),))
     witness = _failing(rep)["bialgebra-multiplicativity"]
     assert (witness["failing"], witness["checked"]) == (55, 729)
+
+
+# -- the cocycle identity, the dual product rules and the counit ------------
+
+
+def _sigma_pair(H, coords):
+    """sigma's coordinates on H and on a copy of H without steps."""
+    return (ConvForm(H, 2, coords),
+            ConvForm(_hopf_on(H, _copy(H.algebra)), 2, coords))
+
+
+def test_cocycle_reports_equal_the_enumeration(gr3):
+    x, y = monomial_index(3, 1, 0, 0), monomial_index(3, 0, 1, 0)
+    coords = dict(build_sigma(3).coords)
+    rep = _same_reports(verify_hopf_2cocycle,
+                        *[(s,) for s in _sigma_pair(gr3, coords)])
+    assert all(c["status"] == "pass" for c in rep["claims"])
+    coords[(x, y)] = coords[(x, y)] + gr3.field.one
+    rep = _same_reports(verify_hopf_2cocycle,
+                        *[(s,) for s in _sigma_pair(gr3, coords)])
+    assert _failing(rep)["cocycle-identity"]["checked"] == 27 ** 3
+
+
+def _duals_on(H, rescale=None):
+    """build_dual_functionals(3) as forms on H, with xi1's coordinate at
+    rescale[0] times rescale[1]."""
+    coords = {name: dict(f.coords)
+              for name, f in build_dual_functionals(3).items()}
+    if rescale is not None:
+        key, factor = rescale
+        coords["xi1"][key] = coords["xi1"][key] * factor
+    return {name: ConvForm(H, 1, c) for name, c in coords.items()}
+
+
+@pytest.mark.parametrize("k", [None, 0, 1])
+def test_dual_product_rule_reports_equal_the_enumeration(gr3, k):
+    # xi1 on x g^k rescaled by 2 breaks its skew-primitivity
+    rescale = None if k is None else (
+        (monomial_index(3, 1, 0, k),), gr3.field.from_rational(2))
+    bare = _hopf_on(gr3, _copy(gr3.algebra))
+    rep = _same_reports(lambda d: verify_dual_relations(3, duals=d),
+                        (_duals_on(gr3, rescale),),
+                        (_duals_on(bare, rescale),))
+    if k is None:
+        assert rep == verify_dual_relations(3).as_dict()
+        assert all(c["status"] == "pass" for c in rep["claims"])
+    else:
+        assert _failing(rep)["dual-product-rules"]["checked"] == 27 ** 2
+
+
+@pytest.mark.parametrize("label", ["x0y0g1", "x1y0g0"])
+def test_corrupted_counit_reports_equal_the_enumeration(gr3, label):
+    # eps(g) = 2 breaks eps(g g) = eps(g)^2 and eps(x) = 2 breaks
+    # eps(x x) = eps(x)^2
+    counit = dict(gr3.coalgebra.counit)
+    counit[gr3.labels.index(label)] = gr3.field.from_rational(2)
+    co = FiniteCoalgebra(gr3.field, gr3.labels, gr3.coalgebra.comul, counit)
+    rep = _same_reports(verify_hopf, (_hopf_on(gr3, gr3.algebra, co),),
+                        (_hopf_on(gr3, _copy(gr3.algebra), co),))
+    assert "bialgebra-counit-multiplicative" in _failing(rep)
+
+
+def test_valid_data_never_enumerates(monkeypatch, gr3, uq3, sigma3):
+    # every exhaustive claim on valid N = 3 data is proved on generator
+    # tuples: no exhaustive plan is ever iterated
+    iterate = ExhaustivePlan.__iter__
+    seen = []
+
+    def spy(plan):
+        seen.append((plan.dim, plan.arity))
+        return iterate(plan)
+
+    monkeypatch.setattr(ExhaustivePlan, "__iter__", spy)
+    reports = [verify_hopf(gr3), verify_hopf(uq3),
+               verify_hopf_2cocycle(sigma3), verify_dual_relations(3)]
+    reports += [verify_comodule_algebra(A) for _, A in _members()
+                if A.dim > 1]
+    assert all(rep.ok for rep in reports)
+    assert seen == []
 
 
 # -- a broken certificate fails closed ----------------------------------------

@@ -10,6 +10,8 @@ minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --output tests/golden/verify_n5.json
     uqcomod verify --N 5 --mode exhaustive --suites hopf-axioms,families \
         --format json --output tests/golden/verify_n5_exhaustive.json
+    uqcomod verify --N 5 --mode exhaustive --suites cocycle --format json \
+        --output tests/golden/verify_n5_cocycle_exhaustive.json
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
 --format json`.  The first seven were written before the three table
@@ -23,8 +25,10 @@ that could not fail were dropped (hopf-grouplikes, uq-dimension and
 filtration-exhaustive-*, whose layer dimensions moved onto the
 filtration-products-* witness); classify.txt and the digests did not
 change.  verify_n5_exhaustive.json was written by full enumeration, before
-exhaustive plans were proved on generator tuples; the proof must reproduce
-it.
+exhaustive plans were proved on generator tuples, and
+verify_n5_cocycle_exhaustive.json before the 2-cocycle identity, the dual
+functionals' product rules and the counit's multiplicativity were; the
+proofs must reproduce both.
 """
 
 import hashlib
@@ -46,6 +50,8 @@ GOLDEN = Path(__file__).parent / "golden"
       "--seed", "1", "--format", "json"], "verify_n5.json"),
     (["verify", "--N", "5", "--mode", "exhaustive", "--suites",
       "hopf-axioms,families", "--format", "json"], "verify_n5_exhaustive.json"),
+    (["verify", "--N", "5", "--mode", "exhaustive", "--suites", "cocycle",
+      "--format", "json"], "verify_n5_cocycle_exhaustive.json"),
 ])
 def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name
