@@ -940,11 +940,10 @@ def _twist_proves_cocycle(sigma: ConvForm, twist: FiniteAlgebra,
                           times: _Products) -> bool:
     """Whether the twist's counit values and its generator-triple proof of
     associativity prove the 2-cocycle identity (verify_hopf_2cocycle)."""
-    if _unit_failures(twist) or not step_certificate(twist):
-        return False
     co = sigma.hopf.coalgebra
-    return all(co.counit_vec(dict(twist.mul[key])) == sigma(*key)
-               for key in itertools.product(range(twist.dim), repeat=2)) \
+    return not _unit_failures(twist) \
+        and all(co.counit_vec(dict(twist.mul[key])) == sigma(*key)
+                for key in itertools.product(range(twist.dim), repeat=2)) \
         and _generator_triples_hold(twist, times)
 
 

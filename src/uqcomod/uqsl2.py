@@ -443,13 +443,9 @@ def _tensor_sum(*tensors) -> dict:
 
 
 def verify_dual_relations(N: int, mode="exhaustive", sample_count=4000,
-                          seed=0, duals=None) -> VerificationReport:
+                          seed=0) -> VerificationReport:
     """Relations among alpha, xi1, xi2 in the convolution algebra, their
     powers in closed form, and their behaviour on products.
-
-    duals is the mapping of build_dual_functionals(N), by default that
-    one; corrupted functionals, on any Hopf data on gr(u_q)'s basis, can be
-    passed to see the report fail.
 
     The product rules say that alpha is a character, xi1 is
     (alpha, eps)-skew-primitive, xi1(xy) = xi1(x) alpha(y) + eps(x) xi1(y),
@@ -477,7 +473,7 @@ def verify_dual_relations(N: int, mode="exhaustive", sample_count=4000,
     reported rules, so the witness and the checked count are those of the
     full plan.
     """
-    d = build_dual_functionals(N) if duals is None else duals
+    d = build_dual_functionals(N)
     xi1, xi2, alpha, eps = d["xi1"], d["xi2"], d["alpha"], d["eps"]
     H = eps.hopf
     fld = H.field
