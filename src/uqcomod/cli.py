@@ -309,10 +309,12 @@ def cmd_verify(args) -> int:
     mode = args.mode
     if mode == "auto":
         mode = "exhaustive" if N == 3 else "sampled"
-    suites = args.suites.split(",") if args.suites else list(SUITES)
-    for s in suites:
+    suites = list(SUITES) if args.suites is None else args.suites.split(",")
+    for i, s in enumerate(suites):
         if s not in _SUITE_FUNCS:
             raise ValueError(f"unknown suite {s!r}; choose from {', '.join(SUITES)}")
+        if s in suites[:i]:
+            raise ValueError(f"suite {s!r} is given twice")
     merged = VerificationReport({"N": N, "mode": mode,
                                  "sample_count": args.sample_count,
                                  "seed": args.seed,

@@ -301,11 +301,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def as_rational(self) -> Fraction:
-        if any(self.num[1:]):
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

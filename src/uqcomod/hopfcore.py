@@ -236,8 +236,8 @@ class FiniteAlgebra:
     step_certificate, checked on the table itself.
 
     verified is None until an exhaustive verify_algebra runs on the table,
-    then whether it proved the table unital and associative; the coaction
-    reductions of _coaction_failures read it.
+    then whether it proved the table unital and associative; the
+    generator-tuple proofs read it (_proved_algebra).
     """
 
     __slots__ = ("field", "dim", "labels", "mul", "unit", "steps", "verified")
@@ -471,9 +471,8 @@ def step_certificate(alg: FiniteAlgebra) -> tuple:
     The certificate: the unit is e_0; alg.steps lists (m, p, s) for
     m = 1, ..., dim - 1 in order, with p < m; and row (p, s) of the table is
     c e_m plus terms of lower index, with c != 0 (e_m is the row's last
-    entry).  Then e_m = c^-1 (e_p e_s - sum c' e_m') for every m >= 1, so a
-    linear claim about e_m follows from the claim about e_p e_s and about
-    lower basis elements: induction on m in step order, from m = 0."""
+    entry).  Then e_m = c^-1 (e_p e_s - sum c' e_m') for every m >= 1, the
+    induction step of _generator_plan."""
     steps = alg.steps
     if not steps or alg.unit != {0: alg.field.one} \
             or [m for m, _, _ in steps] != list(range(1, alg.dim)):
@@ -488,12 +487,52 @@ def step_certificate(alg: FiniteAlgebra) -> tuple:
     return tuple(sorted({s for _, _, s in steps}))
 
 
-def _generator_tuples(dim: int, arity: int, gens):
-    """Every tuple over range(dim) of the arity whose last slot is one of
-    gens, in lexicographic order, made lazily."""
-    for head in itertools.product(range(dim), repeat=arity - 1):
-        for s in gens:
-            yield (*head, s)
+def _generator_plan(alg: FiniteAlgebra, plan, lead=(), proved=()):
+    """The generator tuples that prove an exhaustive claim on alg, or None.
+
+    None unless, checked in this order, plan is an ExhaustivePlan,
+    step_certificate(alg) holds and verify_algebra proves every algebra in
+    `proved` unital and associative (_proved_algebra); so a sampled plan
+    never runs an exhaustive verify_algebra.  Otherwise a lazy iterator, in
+    lexicographic order, over every tuple of plan.arity whose last slot is
+    in `lead` or is a generator e_s of the certificate.
+
+    The induction.  Write C(e_m) for the claim on every tuple whose last
+    slot is e_m.  The claim is linear in each slot, so the generator tuples
+    give C(e_s) for every generator.  Each caller's step identity derives
+    C(e_p e_s) from C(e_p) and C(e_s), using the associativity of the
+    tables in `proved`.  Induction on m in step order: C(e_0) is the lead
+    0, or follows from the unit, which the caller checks first; for
+    m >= 1 with step (m, p, s), p < m, row (p, s) is c e_m plus terms of
+    lower index with c != 0, so C(e_p), the step identity and C at the
+    lower terms give C(e_m).  So the claim holds on every tuple of plan."""
+    if not isinstance(plan, ExhaustivePlan):
+        return None
+    gens = step_certificate(alg)
+    if not gens or not all(_proved_algebra(a) for a in proved):
+        return None
+    last = (*lead, *gens)
+    heads = itertools.product(range(alg.dim), repeat=plan.arity - 1)
+    return ((*head, s) for head in heads for s in last)
+
+
+def _plan_failures(failures, plan, reduced) -> list:
+    """failures(plan), the failures of an exhaustive or sampled plan,
+    unless reduced (from _generator_plan) is not None and failures(reduced)
+    finds nothing, which proves the claim: [].  So any failed precondition
+    or generator tuple enumerates the plan, and witnesses and checked
+    counts are always those of the full plan."""
+    if reduced is not None and not failures(reduced):
+        return []
+    return failures(plan)
+
+
+def _proved_algebra(alg: FiniteAlgebra) -> bool:
+    """Whether an exhaustive verify_algebra proves alg unital and
+    associative, run once per table and kept in alg.verified."""
+    if alg.verified is None:
+        verify_algebra(alg)
+    return alg.verified
 
 
 def _product_failures(alg: FiniteAlgebra, pairs, images, mul,
@@ -549,31 +588,13 @@ def _unit_failures(alg: FiniteAlgebra) -> list:
     return bad
 
 
-def _generator_triples_hold(alg: FiniteAlgebra, times: _Products) -> bool:
-    """Whether step_certificate(alg) holds and every generator triple
-    (a, b, s) is associative; with a unital table, that proves every triple
-    (verify_algebra)."""
-    gens = step_certificate(alg)
-    return bool(gens) and next(_associativity_defects(
-        alg.mul, _generator_tuples(alg.dim, 3, gens), times), None) is None
-
-
 def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
                    seed=0, always_indices=()) -> VerificationReport:
     """The unit and associativity of alg's table, on the planned triples.
 
-    An exhaustive plan is proved on the generator triples (a, b, s), s a
-    generator of step_certificate(alg), when the certificate holds and the
-    unit claim passes.  By bilinearity those triples give (x y) e_s =
-    x (y e_s) for all x, y.  Induction on m in step order: e_0 is the unit,
-    so (x y) e_0 = x (y e_0); for e_m = e_p e_s with p < m,
-    (x y)(e_p e_s) = ((x y) e_p) e_s = (x (y e_p)) e_s = x ((y e_p) e_s)
-    = x (y (e_p e_s)), by a generator triple, the claim at p, and two
-    generator triples; the lower terms of row (p, s) hold by induction, so
-    the claim holds at e_m (c != 0).  A failed certificate or unit claim, or
-    a failing generator triple, enumerates every triple instead, so the
-    witness and the checked count are always those of the full plan.
-
+    Once the unit claim passes, an exhaustive plan is proved on the triples
+    (a, b, s) (_generator_plan), by the step identity (x y)(e_p e_s) =
+    ((x y) e_p) e_s = (x (y e_p)) e_s = x ((y e_p) e_s) = x (y (e_p e_s)).
     An exhaustive run records in alg.verified whether both claims passed.
     """
     rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim})
@@ -585,16 +606,17 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
 
     triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
     times = _Products(alg.field)
-    exhaustive = isinstance(triples, ExhaustivePlan)
-    if exhaustive and not bad_unit and _generator_triples_hold(alg, times):
-        bad = []
-    else:
-        bad = [_witness(labels, tup, lhs, rhs) for tup, lhs, rhs
-               in _associativity_defects(alg.mul, triples, times)]
+
+    def failures(plan):
+        return [_witness(labels, tup, lhs, rhs) for tup, lhs, rhs
+                in _associativity_defects(alg.mul, plan, times)]
+
+    bad = _plan_failures(failures, triples,
+                         None if bad_unit else _generator_plan(alg, triples))
     rep.add("algebra-associativity", "associative-multiplication", not bad,
             {"examples": bad[:3], "failing": len(bad),
              "checked": len(triples)} if bad else None)
-    if exhaustive:
+    if isinstance(triples, ExhaustivePlan):
         alg.verified = not bad_unit and not bad
     return rep
 
@@ -624,23 +646,9 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     verify_comodule_algebra; the right counit and the counit as an algebra
     map are checked here.
 
-    An exhaustive plan proves associativity on the generator triples and
-    the multiplicativity of Delta on the generator pairs when H's steps
-    pass step_certificate (verify_algebra, _coaction_failures); the
-    coaction reduction takes H's associativity from verify_algebra's run
-    here, kept in H.algebra.verified.
-
-    The counit's multiplicativity is proved the same way, on the pairs
-    (a, s) with s = 0 or a generator (_step_pairs).  By linearity they give
-    eps(x e_s) = eps(x) eps(e_s) for all x.  Induction on m in step order:
-    the case e_0 is s = 0; for e_m = e_p e_s with p < m,
-    eps(x (e_p e_s)) = eps((x e_p) e_s) = eps(x e_p) eps(e_s)
-    = eps(x) eps(e_p) eps(e_s) = eps(x) eps(e_p e_s), by associativity, a
-    generator pair, the claim at p and the pair (p, s); the lower terms of
-    row (p, s) hold by induction, so the claim holds at e_m.
-
-    Otherwise, or on any failure, every tuple is enumerated, so witnesses
-    and checked counts are those of the full plan."""
+    An exhaustive plan proves the counit's multiplicativity on the pairs
+    (a, s), s = 0 or a generator (_generator_plan), by the step identity
+    eps(x (e_p e_s)) = eps(x e_p) eps(e_s) = eps(x) eps(e_p) eps(e_s)."""
     alg, co = H.algebra, H.coalgebra
     labels = alg.labels
     rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim})
@@ -683,9 +691,9 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
                 if co.counit_vec(dict(alg.mul[(i, j)]))
                 != times(co.counit.get(i, zero), co.counit.get(j, zero))]
 
-    reduced = _step_pairs(alg, pairs)
-    bad_counit = [] if reduced is not None and not counit_failures(reduced) \
-        else counit_failures(pairs)
+    bad_counit = _plan_failures(
+        counit_failures, pairs,
+        _generator_plan(alg, pairs, lead=(0,), proved=(alg,)))
     rep.add("bialgebra-multiplicativity", "comultiplication-algebra-map",
             not bad_mult, {"examples": bad_mult[:3], "failing": len(bad_mult),
                            "checked": len(pairs)} if bad_mult else None)
@@ -936,17 +944,6 @@ def _cocycle_sides(sigma: ConvForm, times: _Products, twist: FiniteAlgebra):
     return sides
 
 
-def _twist_proves_cocycle(sigma: ConvForm, twist: FiniteAlgebra,
-                          times: _Products) -> bool:
-    """Whether the twist's counit values and its generator-triple proof of
-    associativity prove the 2-cocycle identity (verify_hopf_2cocycle)."""
-    co = sigma.hopf.coalgebra
-    return not _unit_failures(twist) \
-        and all(co.counit_vec(dict(twist.mul[key])) == sigma(*key)
-                for key in itertools.product(range(twist.dim), repeat=2)) \
-        and _generator_triples_hold(twist, times)
-
-
 def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
                          sample_count=10000, seed=0,
                          always_indices=()) -> VerificationReport:
@@ -957,18 +954,10 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
     with both sides read off rows of the one-sided twist T,
     a.b = sigma(a1, b1) a2 b2 (_cocycle_sides).
 
-    An exhaustive plan is proved from the associativity of T.  If
-    eps(a.b) = sigma(a, b) on every pair of basis elements, then by
-    linearity of eps
-    eps((a.b).c) = sum_m T[a, b]_m eps(e_m.c) = sum_m T[a, b]_m sigma(m, c)
-    and eps(a.(b.c)) = sum_m T[b, c]_m sigma(a, m), exactly the two sides
-    above; so if T is associative, every triple holds.  T's associativity
-    is verify_algebra's generator-triple proof (T is unital, carries H's
-    steps and passes step_certificate, and every triple (a, b, s) holds).
-    The proof reads only T, sigma and the counit table, and assumes no Hopf
-    axiom.  A failed precondition, certificate or generator triple
-    enumerates every triple instead, so the witness and the checked count
-    are always those of the full plan.
+    An exhaustive plan is proved when eps(a.b) = sigma(a, b) on every pair
+    and verify_algebra proves T associative (_proved_algebra): the two sides
+    are then eps((a.b).c) and eps(a.(b.c)), and no Hopf axiom is assumed.
+    Otherwise every triple is enumerated.
     """
     _require_bilinear(sigma)
     H = sigma.hopf
@@ -993,9 +982,12 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
     triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
     times = _Products(H.field)
     twist = _one_sided_twist(sigma)
+    proved = isinstance(triples, ExhaustivePlan) \
+        and all(co.counit_vec(dict(twist.mul[key])) == sigma(*key)
+                for key in itertools.product(range(twist.dim), repeat=2)) \
+        and _proved_algebra(twist)
     bad = []
-    if not (isinstance(triples, ExhaustivePlan)
-            and _twist_proves_cocycle(sigma, twist, times)):
+    if not proved:
         sides = _cocycle_sides(sigma, times, twist)
         for (a, b, c) in triples:
             lhs, rhs = sides(a, b, c)
@@ -1307,19 +1299,10 @@ def _coaction_failures(A: ComoduleAlgebra, pairs, times: _Products):
     holds), and [label_a, label_b] for each planned pair (a, b) failing
     delta(ab) = delta(a) delta(b).
 
-    An exhaustive plan of pairs is proved on the generator pairs (a, s), s a
-    generator of step_certificate(A.algebra), when the certificate holds,
-    delta(1) = 1 (x) 1, and verify_algebra proves both A and H unital and
-    associative (so H (x) A is too).  By linearity those pairs give
-    delta(x e_s) = delta(x) delta(e_s) for all x.  Induction on m in step
-    order: delta(x e_0) = delta(x) (1 (x) 1); for e_m = e_p e_s with p < m,
-    delta(x (e_p e_s)) = delta((x e_p) e_s) = delta(x e_p) delta(e_s)
-    = (delta(x) delta(e_p)) delta(e_s) = delta(x) (delta(e_p) delta(e_s))
-    = delta(x) delta(e_p e_s), by associativity of A, a generator pair, the
-    claim at p, associativity of H (x) A and the generator pair (p, s); the
-    lower terms of row (p, s) hold by induction, so the claim holds at e_m.
-    Any other case, or a failing generator pair, enumerates every pair, so
-    the failures are always those of the full plan."""
+    Once delta(1) = 1 (x) 1 holds, an exhaustive plan is proved on the
+    pairs (a, s) (_generator_plan, A and H proved associative), by the step
+    identity delta(x (e_p e_s)) = delta(x e_p) delta(e_s)
+    = delta(x) delta(e_p) delta(e_s) = delta(x) delta(e_p e_s)."""
     H = A.over
     alg = A.algebra
     labels = alg.labels
@@ -1362,39 +1345,11 @@ def _coaction_failures(A: ComoduleAlgebra, pairs, times: _Products):
     def product(a, b):
         return t2_mul(H.algebra, alg, a, b, times)
 
-    gens = ()
-    if unit is None and isinstance(pairs, ExhaustivePlan):
-        gens = step_certificate(alg)
-    if gens and _proved_algebra(alg) and _proved_algebra(H.algebra) \
-            and not _product_failures(
-                alg, _generator_tuples(alg.dim, 2, gens), images, product,
-                times):
-        return bad_co, bad_eps, unit, []
-    return bad_co, bad_eps, unit, _product_failures(alg, pairs, images,
-                                                    product, times)
-
-
-def _proved_algebra(alg: FiniteAlgebra) -> bool:
-    """Whether an exhaustive verify_algebra proves alg unital and
-    associative, run once per table and kept in alg.verified."""
-    if alg.verified is None:
-        verify_algebra(alg)
-    return alg.verified
-
-
-def _step_pairs(alg: FiniteAlgebra, pairs):
-    """The pairs (a, s), s = 0 or a generator of step_certificate(alg), in
-    lexicographic order, when pairs is an exhaustive plan, the certificate
-    holds and alg is proved unital and associative (_proved_algebra); None
-    otherwise.  A product rule of linear forms that holds on these pairs
-    holds on every pair, by induction on the steps (verify_hopf's counit,
-    uqsl2.verify_dual_relations)."""
-    if not isinstance(pairs, ExhaustivePlan):
-        return None
-    gens = step_certificate(alg)
-    if not gens or not _proved_algebra(alg):
-        return None
-    return list(_generator_tuples(alg.dim, 2, (0, *gens)))
+    reduced = None if unit is not None \
+        else _generator_plan(alg, pairs, proved=(alg, H.algebra))
+    return bad_co, bad_eps, unit, _plan_failures(
+        lambda plan: _product_failures(alg, plan, images, product, times),
+        pairs, reduced)
 
 
 def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
@@ -1403,10 +1358,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
     1 (x) 1 and delta(ab) = delta(a) delta(b) on the planned pairs.
 
     An exhaustive plan proves multiplicativity on the generator pairs
-    (a, s) when A's steps pass step_certificate and A and H are proved
-    unital and associative (_coaction_failures; the two verify_algebra runs
-    are kept in each table's verified slot).  Otherwise, or on any failure,
-    every pair is enumerated."""
+    (a, s) (_coaction_failures)."""
     alg = A.algebra
     rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim,
                               "params": {k: str(v) for k, v in A.params.items()}})
@@ -1597,7 +1549,7 @@ def direct_sum_comodule_algebras(A: ComoduleAlgebra,
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trips (coefficients as canonical strings; exact)
+# JSON exports (coefficients as canonical strings; exact)
 # ---------------------------------------------------------------------------
 
 
@@ -1614,18 +1566,6 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
         "mul": list(_mul_entries(alg)),
         "unit": [[i, str(c)] for i, c in sorted(alg.unit.items())],
     }
-
-
-def algebra_from_json(data: dict) -> FiniteAlgebra:
-    from .cyclofield import field as make_field
-
-    fld = make_field(data["N"])
-    table: dict = {}
-    for i, j, k, s in data["mul"]:
-        table.setdefault((i, j), []).append((k, fld.parse(s)))
-    table = {k: tuple(v) for k, v in table.items()}
-    unit = {i: fld.parse(s) for i, s in data["unit"]}
-    return FiniteAlgebra(fld, data["basis"], table, unit)
 
 
 def hopf_to_json(H: HopfAlgebraData) -> dict:
@@ -1646,21 +1586,6 @@ def hopf_to_json(H: HopfAlgebraData) -> dict:
     return out
 
 
-def hopf_from_json(data: dict) -> HopfAlgebraData:
-    alg = algebra_from_json(data)
-    fld = alg.field
-    comul: dict = {}
-    for i, j, k, s in data["comul"]:
-        comul.setdefault(i, []).append((j, k, fld.parse(s)))
-    comul = {k: tuple(v) for k, v in comul.items()}
-    counit = {i: fld.parse(s) for i, s in data["counit"]}
-    co = FiniteCoalgebra(fld, data["basis"], comul, counit)
-    antipode: dict = {}
-    for i, j, s in data["antipode"]:
-        antipode.setdefault(i, {})[j] = fld.parse(s)
-    return HopfAlgebraData(alg, co, antipode, degrees=data.get("degrees"))
-
-
 def comodule_to_json(A: ComoduleAlgebra) -> dict:
     out = algebra_to_json(A.algebra)
     out["coaction"] = [
@@ -1675,16 +1600,6 @@ def comodule_to_json(A: ComoduleAlgebra) -> dict:
     return out
 
 
-def comodule_from_json(data: dict, over: HopfAlgebraData) -> ComoduleAlgebra:
-    alg = algebra_from_json(data)
-    fld = alg.field
-    coaction: dict = {}
-    for i, h, a, s in data["coaction"]:
-        coaction.setdefault(i, []).append(((h, a), fld.parse(s)))
-    coaction = {k: tuple(v) for k, v in coaction.items()}
-    return ComoduleAlgebra(alg, over, coaction, data.get("params", {}))
-
-
 def form_to_json(f: ConvForm) -> dict:
     return {
         "N": f.hopf.field.order,
@@ -1692,14 +1607,6 @@ def form_to_json(f: ConvForm) -> dict:
         "dim": f.hopf.dim,
         "entries": [list(k) + [str(c)] for k, c in sorted(f.coords.items())],
     }
-
-
-def form_from_json(data: dict, hopf: HopfAlgebraData) -> ConvForm:
-    fld = hopf.field
-    coords = {
-        tuple(row[:-1]): fld.parse(row[-1]) for row in data["entries"]
-    }
-    return ConvForm(hopf, data["arity"], coords)
 
 
 def dumps_sorted(data: dict) -> str:

@@ -29,7 +29,8 @@ from .hopfcore import (
     _antipode_sides,
     _Products,
     _Rows,
-    _step_pairs,
+    _generator_plan,
+    _plan_failures,
     check_plan,
     convolution,
     deform_hopf,
@@ -452,26 +453,11 @@ def verify_dual_relations(N: int, mode="exhaustive", sample_count=4000,
     and xi2 is (eps, alpha)-skew-primitive,
     xi2(xy) = xi2(x) eps(y) + alpha(x) xi2(y); each rule is bilinear in
     (x, y).  An exhaustive plan checks them, with eps as a fourth character
-    rule, on the pairs (a, s), s = 0 or a generator of step_certificate,
-    when the table is proved unital and associative (hopfcore._step_pairs,
-    which keeps the verdict in the table's verified slot).  By linearity
-    the four rules hold on (x, e_s) for all x.  Induction on m in step
-    order: e_0 is the case s = 0; for e_m = e_p e_s with p < m and
-    y = e_p, alpha(x y e_s) = alpha(x y) alpha(e_s)
-    = alpha(x) alpha(y) alpha(e_s) = alpha(x) alpha(y e_s), likewise eps,
-    and
-
-        xi1(x y e_s) = xi1(x y) alpha(e_s) + eps(x y) xi1(e_s)
-            = xi1(x) alpha(y) alpha(e_s)
-              + eps(x) (xi1(y) alpha(e_s) + eps(y) xi1(e_s))
-            = xi1(x) alpha(y e_s) + eps(x) xi1(y e_s),
-
-    and the mirror image for xi2.  Each step uses associativity and only
-    the four rules on (., s), at p and on (p, s); the lower terms of row
-    (p, s) hold by induction, so the rules hold at e_m.  A failing
-    generator pair, or any other case, enumerates every pair on the three
-    reported rules, so the witness and the checked count are those of the
-    full plan.
+    rule, on the pairs (a, s), s = 0 or a generator (_generator_plan), by
+    the step identity xi1(x e_p e_s) = xi1(x e_p) alpha(e_s)
+    + eps(x e_p) xi1(e_s) = xi1(x) alpha(e_p e_s) + eps(x) xi1(e_p e_s),
+    its mirror for xi2 and f(x e_p e_s) = f(x) f(e_p) f(e_s) for the
+    characters alpha and eps.
     """
     d = build_dual_functionals(N)
     xi1, xi2, alpha, eps = d["xi1"], d["xi2"], d["alpha"], d["eps"]
@@ -523,20 +509,21 @@ def verify_dual_relations(N: int, mode="exhaustive", sample_count=4000,
     )
     alg = H.algebra
 
-    def failures(plan, rules):
+    def failures(plan):
+        # eps is a rule on the reduced pairs only: their steps need it
+        checked = rules if plan is reduced else rules[:3]
         bad = []
         for (a, b) in plan:
             prod = dict(alg.mul[(a, b)])
-            for name, f, rule in rules:
+            for name, f, rule in checked:
                 if f.eval_vecs(prod) != rule(a, b):
                     bad.append((name, H.labels[a], H.labels[b]))
                     break
         return bad
 
     pairs = check_plan(H.dim, 2, mode, sample_count, seed)
-    reduced = _step_pairs(alg, pairs)
-    bad = [] if reduced is not None and not failures(reduced, rules) \
-        else failures(pairs, rules[:3])
+    reduced = _generator_plan(alg, pairs, lead=(0,), proved=(alg,))
+    bad = _plan_failures(failures, pairs, reduced)
     rep.add("dual-product-rules", "functionals-on-products", not bad,
             {"examples": bad[:3], "failing": len(bad),
              "checked": len(pairs)} if bad else None)

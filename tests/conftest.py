@@ -109,6 +109,16 @@ def bicharacter_form(H, n):
     return ConvForm(H, 2, coords)
 
 
+def parsed_rows(rows, fld, split):
+    """{key: tuple of (entry, c)} from exported rows [*ids, c], in export
+    order: split(ids) gives (key, entry), and c is read with fld.parse."""
+    table: dict = {}
+    for *ids, c in rows:
+        key, entry = split(ids)
+        table.setdefault(key, []).append((entry, fld.parse(c)))
+    return {key: tuple(row) for key, row in table.items()}
+
+
 def reference_deformed_table(A, sigma, sigma_inv=None):
     """Reference for the slice kernel: each deformed basis product by the
     nested loop over the legs of both factors, with one form lookup per

@@ -8,9 +8,9 @@ import uqcomod.cli as cli
 from uqcomod import uqsl2
 from uqcomod.cli import SUITES, build_parser, main
 from uqcomod.comodzoo import build_family, zoo_params
-from uqcomod.hopfcore import (ConvForm, comodule_from_json, comodule_to_json,
-                              dumps_sorted, verify_hopf_2cocycle)
-from uqcomod.uqsl2 import build_gr_uq, monomial_index
+from conftest import parsed_rows
+from uqcomod.hopfcore import ConvForm, verify_hopf_2cocycle
+from uqcomod.uqsl2 import monomial_index
 
 
 def run(tmp_path, *argv):
@@ -28,6 +28,20 @@ def test_even_order_is_rejected(tmp_path, capsys):
 def test_unknown_suite_is_rejected(tmp_path, capsys):
     code = main(["verify", "--N", "3", "--suites", "bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize("suites", ["chebyshev,chebyshev",
+                                    "minpoly,chebyshev,minpoly"])
+def test_repeated_suite_is_rejected(suites, capsys):
+    # a repeat would run twice and report each claim id twice
+    assert main(["verify", "--N", "3", "--suites", suites]) == 2
+    assert "error: suite" in capsys.readouterr().err
+
+
+def test_empty_suite_list_is_rejected(capsys):
+    # an empty list must not fall back to every suite
+    assert main(["verify", "--N", "3", "--suites", ""]) == 2
+    assert "error: unknown suite ''" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -174,12 +188,14 @@ def test_export_family_round_trip(tmp_path):
                      "--format", "json")
     assert code == 0
     data = json.loads(text)
-    H = build_gr_uq(3)
-    A = comodule_from_json(data, H)
     want = build_family(zoo_params("L1", 3, r=3, xi=2))
-    assert A.coaction == want.coaction
-    assert A.algebra.mul == want.algebra.mul
-    assert dumps_sorted(comodule_to_json(A)) == text.strip()
+    fld = want.field
+    assert data["basis"] == list(want.labels)
+    assert parsed_rows(data["mul"], fld, lambda ids: (tuple(ids[:2]), ids[2])
+                       ) == want.algebra.mul
+    assert parsed_rows(data["coaction"], fld,
+                       lambda ids: (ids[0], tuple(ids[1:]))) == want.coaction
+    assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def test_export_sigma(tmp_path):

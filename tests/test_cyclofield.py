@@ -69,8 +69,8 @@ def test_rational_subfield_matches_fractions():
     f = field(1)
     a = f.from_rational(Fraction(3, 4))
     b = f.from_rational(Fraction(-2, 5))
-    assert (a * b).as_rational() == Fraction(-3, 10)
-    assert (a + b).as_rational() == Fraction(7, 20)
+    assert a * b == Fraction(-3, 10)
+    assert a + b == Fraction(7, 20)
 
 
 def test_division_and_inverse():
@@ -206,7 +206,7 @@ def test_gaussian_binomial_specialises_to_binomial():
     one = f.one
     for m in range(7):
         for r in range(m + 1):
-            assert q_binomial(m, r, one).as_rational() == comb(m, r)
+            assert q_binomial(m, r, one) == comb(m, r)
 
 
 # -- reference arithmetic: integer polynomials modulo PHI_ORACLE ------------

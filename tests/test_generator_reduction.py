@@ -11,9 +11,11 @@ the reports on a table and on its copy must be equal, for passing and for
 corrupted data alike.
 """
 
+import inspect
+
 import pytest
 
-from uqcomod import cli, uqsl2
+from uqcomod import cli, hopfcore, uqsl2
 from uqcomod.comodzoo import build_family, deform_family, zoo_params
 from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, ExhaustivePlan,
                               FiniteAlgebra, FiniteCoalgebra, HopfAlgebraData,
@@ -271,6 +273,36 @@ def test_valid_data_never_enumerates(monkeypatch, gr3, uq3, sigma3):
                 if A.dim > 1]
     assert all(rep.ok for rep in reports)
     assert seen == []
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_a_sampled_run_proves_nothing_exhaustively(monkeypatch, N):
+    # a sampled plan must fail _generator_plan's first precondition, before
+    # any table is proved by an exhaustive verify_algebra; each table's
+    # kept verdict is cleared, so a cached one cannot hide such a run
+    gr, uq = build_gr_uq(N), build_uq(N)
+    members = [build(p) for p in cli._zoo_tuples(N, small=N == 3)
+               for build in (build_family, deform_family)]
+    for alg in (gr.algebra, uq.algebra, *(A.algebra for A in members)):
+        monkeypatch.setattr(alg, "verified", None)
+    signature = inspect.signature(verify_algebra)
+    modes = []
+
+    def spy(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        modes.append(call.arguments["mode"])
+        return verify_algebra(*args, **kwargs)
+
+    monkeypatch.setattr(hopfcore, "verify_algebra", spy)
+    sampled = {"mode": "sampled", "sample_count": 20}
+    reports = [verify_hopf(gr, **sampled), verify_hopf(uq, **sampled),
+               verify_hopf_2cocycle(build_sigma(N), **sampled),
+               verify_dual_relations(N, **sampled)]
+    reports += [verify_comodule_algebra(A, **sampled) for A in members]
+    assert all(rep.ok for rep in reports)
+    # verify_hopf's own associativity check, on gr and on u_q
+    assert modes == ["sampled", "sampled"]
 
 
 # -- a broken certificate fails closed ----------------------------------------
