@@ -366,11 +366,16 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
+        fld = self.field
+        c, rest = self.num[0], self.num[1:]
+        if not any(rest):
+            # a rational c/den is in normal form, so is den/c: gcd(c, den)
+            # = 1 already
+            return CyclotomicNumber(
+                fld, (self.den if c > 0 else -self.den, *rest), abs(c))
         # extended Euclid in Z[t] against the monic modulus, keeping
         # s * num = r (mod Phi_N) for both pairs; pseudo-division and
-        # content removal keep every coefficient an integer.  A rational
-        # element is already a constant r1 and skips the loop.
-        fld = self.field
+        # content removal keep every coefficient an integer
         r0, s0 = list(fld.modulus), []
         r1, s1 = _poly_trim(list(self.num)), [1]
         while len(r1) > 1:

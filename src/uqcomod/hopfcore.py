@@ -235,8 +235,8 @@ class FiniteAlgebra:
     and the exhaustive verifiers read the steps only through
     step_certificate, checked on the table itself.
 
-    verified is None until an exhaustive verify_algebra runs on the table,
-    then whether it proved the table unital and associative; the
+    verified is None until an exhaustive verify_algebra or _proved_algebra
+    decides the table, then whether it is unital and associative; the
     generator-tuple proofs read it (_proved_algebra).
     """
 
@@ -440,6 +440,27 @@ class ExhaustivePlan:
     def __iter__(self):
         return itertools.product(range(self.dim), repeat=self.arity)
 
+    @property
+    def last(self):
+        """The indices the last slot runs over: all of them."""
+        return range(self.dim)
+
+
+class _GeneratorTuples:
+    """Every tuple over range(dim) of one arity whose last slot is in last,
+    in lexicographic order, made on demand (_generator_plan)."""
+
+    __slots__ = ("dim", "arity", "last")
+
+    def __init__(self, dim: int, arity: int, last: tuple):
+        self.dim = dim
+        self.arity = arity
+        self.last = last
+
+    def __iter__(self):
+        heads = itertools.product(range(self.dim), repeat=self.arity - 1)
+        return ((*head, s) for head in heads for s in self.last)
+
 
 def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
     """The index tuples a verifier checks, as a sized iterable.
@@ -493,9 +514,9 @@ def _generator_plan(alg: FiniteAlgebra, plan, lead=(), proved=()):
     None unless, checked in this order, plan is an ExhaustivePlan,
     step_certificate(alg) holds and verify_algebra proves every algebra in
     `proved` unital and associative (_proved_algebra); so a sampled plan
-    never runs an exhaustive verify_algebra.  Otherwise a lazy iterator, in
-    lexicographic order, over every tuple of plan.arity whose last slot is
-    in `lead` or is a generator e_s of the certificate.
+    never runs an exhaustive verify_algebra.  Otherwise the tuples of
+    plan.arity whose last slot is in `lead` or is a generator e_s of the
+    certificate (_GeneratorTuples).
 
     The induction.  Write C(e_m) for the claim on every tuple whose last
     slot is e_m.  The claim is linear in each slot, so the generator tuples
@@ -511,9 +532,7 @@ def _generator_plan(alg: FiniteAlgebra, plan, lead=(), proved=()):
     gens = step_certificate(alg)
     if not gens or not all(_proved_algebra(a) for a in proved):
         return None
-    last = (*lead, *gens)
-    heads = itertools.product(range(alg.dim), repeat=plan.arity - 1)
-    return ((*head, s) for head in heads for s in last)
+    return _GeneratorTuples(alg.dim, plan.arity, (*lead, *gens))
 
 
 def _plan_failures(failures, plan, reduced) -> list:
@@ -529,9 +548,18 @@ def _plan_failures(failures, plan, reduced) -> list:
 
 def _proved_algebra(alg: FiniteAlgebra) -> bool:
     """Whether an exhaustive verify_algebra proves alg unital and
-    associative, run once per table and kept in alg.verified."""
+    associative, decided once per table and kept in alg.verified.
+
+    The verdict is verify_algebra's, without its report: it stops at the
+    first failing unit element or triple.  A failing generator triple is a
+    triple of the full plan, so it decides the verdict; only a failed
+    certificate enumerates the full plan."""
     if alg.verified is None:
-        verify_algebra(alg)
+        triples = ExhaustivePlan(alg.dim, 3)
+        reduced = _generator_plan(alg, triples)
+        alg.verified = not _unit_failures(alg) and next(
+            _associativity_defects(
+                alg, triples if reduced is None else reduced), None) is None
     return alg.verified
 
 
@@ -560,21 +588,133 @@ def _witness(labels, tup, lhs, rhs):
 # ---------------------------------------------------------------------------
 
 
-def _associativity_defects(mul, triples, times: _Products):
-    """((i, j, k), lhs, rhs) for each planned triple with
-    lhs = (e_i e_j) e_k != rhs = e_i (e_j e_k), read from the table rows."""
-    for (i, j, k) in triples:
-        # inline: two mul_into calls per triple cost 8 % of the N = 3 suite
-        lhs: dict = {}
-        for m, c in mul[(i, j)]:
-            for t, d in mul[(m, k)]:
-                vec_add_into(lhs, t, times(c, d))
-        rhs: dict = {}
-        for m, c in mul[(j, k)]:
-            for t, d in mul[(i, m)]:
-                vec_add_into(rhs, t, times(c, d))
-        if not vec_eq(lhs, rhs):
-            yield (i, j, k), lhs, rhs
+class _Line(dict):
+    """Row (i, n) of a table by n, or row (n, i) if last, each read through
+    read on its first use."""
+
+    __slots__ = ("_read", "_i", "_last")
+
+    def __init__(self, read, i: int, last: bool):
+        self._read = read
+        self._i = i
+        self._last = last
+
+    def __missing__(self, n):
+        i = self._i
+        row = self[n] = self._read((n, i) if self._last else (i, n))
+        return row
+
+
+def _associativity_defects(alg: FiniteAlgebra, triples):
+    """((a, b, s), lhs, rhs) for each planned triple, in plan order, with
+    lhs = (e_a e_b) e_s != rhs = e_a (e_b e_s), read from the table rows.
+
+    triples is a sampled list, or an exhaustive or generator plan: every
+    (a, b, s) with s in triples.last, looped over directly.  Each row is
+    read into a line, row (a, n) by n for the first slot and row (m, s) by
+    m for the last, with every coefficient replaced by the index of its
+    value, and zero has index 0.  Products and sums are memoised on pairs
+    of indices and indexed in turn, so both sides are dicts of ints that
+    drop their zero terms and sums and compare as ints.  Every value is a
+    field product or sum of table coefficients, so the check is exact.  A
+    sampled plan reads the rows of its triples only (_Line): u_q's rows
+    are filled on first read."""
+    mul, dim = alg.mul, alg.dim
+    sampled = isinstance(triples, list)
+    values: list = []  # index -> value
+    index: dict = {}  # (num, den) -> index
+    products: list = []  # index i -> {index j: index of value i * value j}
+    sums: list = []  # index i -> {index j: index of value i + value j}
+
+    def indexed(v):
+        key = (v.num, v.den)
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(values)
+            values.append(v)
+            products.append({})
+            sums.append({})
+        return i
+
+    indexed(alg.field.zero)  # index 0, so an index is true unless zero
+
+    def read(key):
+        return tuple([(k, indexed(c)) for k, c in mul[key]])
+
+    lines: dict = {}  # (i, last) -> line, kept over a sampled plan
+
+    def line(i, last):
+        if not sampled:
+            return [read((n, i) if last else (i, n)) for n in range(dim)]
+        got = lines.get((i, last))
+        if got is None:
+            got = lines[(i, last)] = _Line(read, i, last)
+        return got
+
+    def product(i, j):
+        p = products[i][j] = indexed(values[i] * values[j])
+        return p
+
+    def total(i, j):
+        t = sums[i][j] = indexed(values[i] + values[j])
+        return t
+
+    def values_of(side):
+        return {k: values[i] for k, i in side.items()}
+
+    # a block is a product firsts x seconds x lasts: an exhaustive or
+    # generator plan is one, each sampled triple another
+    blocks = ((((a,), (b,), (s,)) for a, b, s in triples) if sampled
+              else ((range(dim), range(dim), triples.last),))
+    for firsts, seconds, lasts in blocks:
+        rights = [(s, line(s, True)) for s in lasts]
+        for a in firsts:
+            left = line(a, False)
+            for b in seconds:
+                ab = left[b]
+                for s, right in rights:
+                    # inline: one call per side made gr(u_q)'s generator
+                    # triples at N = 5 take about 1.8x as long
+                    lhs: dict = {}
+                    for m, c in ab:
+                        pc = products[c]
+                        for k, x in right[m]:
+                            v = pc.get(x)
+                            if v is None:
+                                v = product(c, x)
+                            got = lhs.get(k)
+                            if got is None:
+                                if v:
+                                    lhs[k] = v
+                            else:
+                                t = sums[got].get(v)
+                                if t is None:
+                                    t = total(got, v)
+                                if t:
+                                    lhs[k] = t
+                                else:
+                                    del lhs[k]
+                    rhs: dict = {}
+                    for n, d in right[b]:
+                        pd = products[d]
+                        for k, y in left[n]:
+                            v = pd.get(y)
+                            if v is None:
+                                v = product(d, y)
+                            got = rhs.get(k)
+                            if got is None:
+                                if v:
+                                    rhs[k] = v
+                            else:
+                                t = sums[got].get(v)
+                                if t is None:
+                                    t = total(got, v)
+                                if t:
+                                    rhs[k] = t
+                                else:
+                                    del rhs[k]
+                    if lhs != rhs:
+                        yield (a, b, s), values_of(lhs), values_of(rhs)
 
 
 def _unit_failures(alg: FiniteAlgebra) -> list:
@@ -605,11 +745,10 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
             if bad_unit else None)
 
     triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
-    times = _Products(alg.field)
 
     def failures(plan):
         return [_witness(labels, tup, lhs, rhs) for tup, lhs, rhs
-                in _associativity_defects(alg.mul, plan, times)]
+                in _associativity_defects(alg, plan)]
 
     bad = _plan_failures(failures, triples,
                          None if bad_unit else _generator_plan(alg, triples))

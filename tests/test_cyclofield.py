@@ -301,6 +301,22 @@ def test_arithmetic_matches_integer_reference(data):
         assert ref_coeffs(ref_mul(ra, (inv.num, inv.den)), phi) == one
 
 
+@pytest.mark.parametrize("order", range(1, 13))
+def test_rational_inverse_matches_euclid_and_fraction(order):
+    # a rational element skips extended Euclid; q times it is not rational
+    # at degree > 1, so (q a)^-1 q runs Euclid for the same inverse
+    fld = field(order)
+    for value in (Fraction(1), Fraction(-1), Fraction(3), Fraction(-3),
+                  Fraction(2, 3), Fraction(-2, 3), Fraction(6, 35),
+                  Fraction(-14, 9), Fraction(35, 6)):
+        a = fld.from_rational(value)
+        inv = a.inverse()
+        assert_normal_form(inv, fld)
+        assert inv.coeffs == (1 / value,) + (0,) * (fld.degree - 1)
+        if fld.degree > 1:
+            assert (fld.q * a).inverse() * fld.q == inv
+
+
 # -- the compiled product ----------------------------------------------------
 
 

@@ -19,9 +19,9 @@ from uqcomod import cli, hopfcore, uqsl2
 from uqcomod.comodzoo import build_family, deform_family, zoo_params
 from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, ExhaustivePlan,
                               FiniteAlgebra, FiniteCoalgebra, HopfAlgebraData,
-                              solve_antipode, step_certificate, verify_algebra,
-                              verify_comodule_algebra, verify_hopf,
-                              verify_hopf_2cocycle)
+                              check_plan, solve_antipode, step_certificate,
+                              vec_eq, verify_algebra, verify_comodule_algebra,
+                              verify_hopf, verify_hopf_2cocycle)
 from uqcomod.uqsl2 import (build_dual_functionals, build_gr_uq, build_sigma,
                            build_uq, monomial_index, uq_relation_report,
                            verify_dual_relations)
@@ -188,6 +188,92 @@ def test_corrupted_gr_comultiplication_with_steps_attached(gr3, label, terms):
     assert (witness["failing"], witness["checked"]) == (55, 729)
 
 
+# -- the associativity kernel against a loop on mul_vec ----------------------
+
+
+def _reference_defects(alg, plan):
+    """The witness of each planned triple with (e_a e_b) e_s !=
+    e_a (e_b e_s), both sides multiplied out by FiniteAlgebra.mul_vec."""
+    out = []
+    for tup in plan:
+        a, b, s = (alg.basis_vec(i) for i in tup)
+        lhs = alg.mul_vec(alg.mul_vec(a, b), s)
+        rhs = alg.mul_vec(a, alg.mul_vec(b, s))
+        if not vec_eq(lhs, rhs):
+            out.append(hopfcore._witness(alg.labels, tup, lhs, rhs))
+    return out
+
+
+def _kernel_defects(alg, plan):
+    return [hopfcore._witness(alg.labels, tup, lhs, rhs) for tup, lhs, rhs
+            in hopfcore._associativity_defects(alg, plan)]
+
+
+def _kernel_table(name):
+    if name == "L3N deformed":
+        return deform_family(zoo_params("L3N", 3, xi=1, zeta=2,
+                                        eta=build_gr_uq(3).field.q)).algebra
+    return {"gr": build_gr_uq, "uq": build_uq}[name](3).algebra
+
+
+def _corrupted(alg, case):
+    """alg's table with one row (i, s), s a generator, corrupted: a
+    one-term row rescaled (same keys), rescaled by 0 (a zero term) or moved
+    to the next basis element, or the first term of a multi-term row
+    dropped."""
+    mul = dict(alg.mul)
+    size = 2 if case == "dropped" else 1
+    key = next((i, s) for i in range(1, alg.dim)
+               for s in step_certificate(alg) if len(alg.mul[(i, s)]) >= size)
+    (k, c), *rest = alg.mul[key]
+    mul[key] = {"rescaled": ((k, c * 2),),
+                "zeroed": ((k, c * 0),),
+                "moved": (((k + 1) % alg.dim, c),),
+                "dropped": tuple(rest)}[case]
+    return _copy(alg, mul)
+
+
+@pytest.mark.parametrize("name, case", [
+    (name, case) for name in ("gr", "uq", "L3N deformed")
+    for case in ("valid", "rescaled", "zeroed", "moved", "dropped")
+    # every row of gr(u_q) has one term
+    if (name, case) != ("gr", "dropped")])
+def test_associativity_kernel_matches_mul_vec(name, case):
+    alg = _kernel_table(name)
+    gens = step_certificate(alg)
+    if case != "valid":
+        alg = _corrupted(alg, case)
+    plans = [hopfcore._GeneratorTuples(alg.dim, 3, gens),
+             check_plan(alg.dim, 3, "sampled", 300, 7, gens)]
+    if case == "moved":
+        plans.append(ExhaustivePlan(alg.dim, 3))
+    for plan in plans:
+        want = _reference_defects(alg, plan)
+        assert _kernel_defects(alg, plan) == want
+        assert bool(want) == (case != "valid")
+
+
+def test_a_sampled_plan_reads_only_its_rows(uq3):
+    # u_q's rows are filled on first read: on a sampled plan the kernel
+    # must fill the rows that mul_vec reads for the same triples, no more
+    plan = check_plan(uq3.dim, 3, "sampled", 40, 5)
+    rows = []
+
+    def lazy():
+        rows.clear()
+
+        def fill(i, j):
+            rows.append((i, j))
+            return uq3.algebra.mul[(i, j)]
+
+        return _copy(uq3.algebra, hopfcore._Rows(fill=fill, dim=uq3.dim))
+
+    want = _reference_defects(lazy(), plan)
+    read = set(rows)
+    assert _kernel_defects(lazy(), plan) == want
+    assert set(rows) == read and len(read) < uq3.dim ** 2 // 4
+
+
 # -- the cocycle identity, the dual product rules and the counit ------------
 
 
@@ -206,6 +292,33 @@ def test_cocycle_reports_equal_the_enumeration(gr3):
     coords[(x, y)] = coords[(x, y)] + gr3.field.one
     rep = _same_reports(verify_hopf_2cocycle,
                         *[(s,) for s in _sigma_pair(gr3, coords)])
+    assert _failing(rep)["cocycle-identity"]["checked"] == 27 ** 3
+
+
+def test_a_corrupted_twist_stops_at_its_first_failing_triple(monkeypatch,
+                                                             gr3):
+    # with one sigma coordinate changed, the one-sided twist is decided on
+    # its generator triples and the first failing one settles it: neither
+    # its 27^3 triples nor a report of them are made before the cocycle
+    # identity itself is enumerated
+    x, y = monomial_index(3, 1, 0, 0), monomial_index(3, 0, 1, 0)
+    coords = dict(build_sigma(3).coords)
+    coords[(x, y)] = coords[(x, y)] + gr3.field.one
+    kernel = hopfcore._associativity_defects
+    plans, defects, reports = [], [], []
+
+    def spy(alg, triples):
+        plans.append(triples)
+        for defect in kernel(alg, triples):
+            defects.append(defect)
+            yield defect
+
+    monkeypatch.setattr(hopfcore, "_associativity_defects", spy)
+    monkeypatch.setattr(hopfcore, "verify_algebra",
+                        lambda *args, **kwargs: reports.append(args))
+    rep = verify_hopf_2cocycle(ConvForm(gr3, 2, coords)).as_dict()
+    assert [type(p) for p in plans] == [hopfcore._GeneratorTuples]
+    assert len(defects) == 1 and reports == []
     assert _failing(rep)["cocycle-identity"]["checked"] == 27 ** 3
 
 
@@ -258,15 +371,19 @@ def test_corrupted_counit_reports_equal_the_enumeration(gr3, label):
 
 def test_valid_data_never_enumerates(monkeypatch, gr3, uq3, sigma3):
     # every exhaustive claim on valid N = 3 data is proved on generator
-    # tuples: no exhaustive plan is ever iterated
-    iterate = ExhaustivePlan.__iter__
+    # tuples: no exhaustive plan is ever iterated, nor its last slot read
+    # (the associativity kernel loops over plan.last)
+    iterate, last = ExhaustivePlan.__iter__, ExhaustivePlan.last.fget
     seen = []
 
-    def spy(plan):
-        seen.append((plan.dim, plan.arity))
-        return iterate(plan)
+    def spy(read):
+        def read_plan(plan):
+            seen.append((plan.dim, plan.arity))
+            return read(plan)
+        return read_plan
 
-    monkeypatch.setattr(ExhaustivePlan, "__iter__", spy)
+    monkeypatch.setattr(ExhaustivePlan, "__iter__", spy(iterate))
+    monkeypatch.setattr(ExhaustivePlan, "last", property(spy(last)))
     reports = [verify_hopf(gr3), verify_hopf(uq3),
                verify_hopf_2cocycle(sigma3), verify_dual_relations(3)]
     reports += [verify_comodule_algebra(A) for _, A in _members()
