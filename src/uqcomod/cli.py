@@ -12,6 +12,7 @@ Reports are byte-identical across runs unless --timings is given.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -288,7 +289,8 @@ def _emit(args, payload: str) -> None:
             if not payload.endswith("\n"):
                 fh.write("\n")
     else:
-        print(payload)
+        # flushed here, so a closed pipe raises inside main, not at exit
+        print(payload, flush=True)
 
 
 def _report_text(rep: VerificationReport) -> str:
@@ -475,6 +477,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`); send what is left
+        # in the buffer to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ the tables and the coaction are held as mapping proxies.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -635,12 +636,11 @@ def one_dim_reps_A4(N: int, u, v, alpha=1) -> VerificationReport:
                                       "phi": str(phi)})
 
     # reindexing by q^{2k} is a bijection on exponents mod odd N
-    alt = sorted(str(u * fld.q_power(k) + v * fld.q_power(-k))
-                 for k in range(N))
+    alt = Counter(u * fld.q_power(k) + v * fld.q_power(-k) for k in range(N))
     rep.add("root-reindexing", "root-multiset-reindexed",
-            alt == sorted(str(m) for m in mus), None)
+            alt == Counter(mus), None)
 
-    distinct = len({str(m) for m in mus})
+    distinct = len(set(mus))
     semi = semisimplicity_A4(params)
     rep.add("distinct-roots-match-semisimplicity", "semisimple-iff-distinct",
             (distinct == N) == semi["semisimple"],

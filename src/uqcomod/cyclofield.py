@@ -359,20 +359,36 @@ class CyclotomicNumber:
         if o is None:
             return NotImplemented
         fld = self.field
+        # a factor equal to one, whichever object holds it, returns the
+        # other operand: most products of the Loewy, minimal-polynomial and
+        # power-sum code have such a factor
+        one = fld.one.num
+        if o.den == 1 and o.num == one:
+            return self
+        if self.den == 1 and self.num == one and o.field is fld:
+            return o
         return _normalised(fld, fld._mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        if self.is_zero():
+        num = self.num
+        zeros = num.count(0)
+        if zeros == len(num):
             raise ZeroDivisionError("division by zero in cyclotomic field")
         fld = self.field
-        c, rest = self.num[0], self.num[1:]
-        if not any(rest):
-            # a rational c/den is in normal form, so is den/c: gcd(c, den)
-            # = 1 already
+        if zeros == len(num) - 1:
+            # a monomial (c/den) q^k, a rational at k = 0, has the inverse
+            # (den/c) q^-k, in normal form as it stands: gcd(c, den) = 1,
+            # and the integral numerators of the unit q^-k have content 1
+            # (a content g > 1 would put 1/g in Z[q])
+            k = 0
+            while not num[k]:
+                k += 1
+            c = num[k]
+            scale = self.den if c > 0 else -self.den
             return CyclotomicNumber(
-                fld, (self.den if c > 0 else -self.den, *rest), abs(c))
+                fld, tuple([scale * x for x in fld.q_power(-k).num]), abs(c))
         # extended Euclid in Z[t] against the monic modulus, keeping
         # s * num = r (mod Phi_N) for both pairs; pseudo-division and
         # content removal keep every coefficient an integer

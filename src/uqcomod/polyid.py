@@ -138,12 +138,14 @@ class MultiPoly:
                 else MultiPoly.constant(self.field, names, v) for v in vals]
         if any(v.names != names for v in vals):
             raise ValueError("substituted polynomials in different variables")
+        powers = [_powers(v, max((e[i] for e in self.terms), default=0))
+                  for i, v in enumerate(vals)]
         out = MultiPoly(self.field, names, {})
         for e, c in self.terms.items():
             term = MultiPoly.constant(self.field, names, c)
-            for v, exp in zip(vals, e):
+            for pw, exp in zip(powers, e):
                 if exp:
-                    term = term * (v ** exp)
+                    term = term * pw[exp]
             out = out + term
         return out
 
@@ -183,6 +185,14 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def _powers(p: MultiPoly, n: int) -> list[MultiPoly]:
+    """[1, p, p^2, ..., p^n], each power one product from the last."""
+    out = [MultiPoly.constant(p.field, p.names, 1)]
+    for _ in range(n):
+        out.append(out[-1] * p)
+    return out
 
 
 def power_sum_P(n: int, fld=None) -> MultiPoly:
@@ -244,11 +254,7 @@ def product_identity_sides(n: int, fld: CyclotomicField, omega_power: int):
     v = MultiPoly.variable(fld, names, "v")
     z = MultiPoly.variable(fld, names, "z")
     # primitivity of omega
-    seen = set()
-    for k in range(n):
-        w = fld.q_power(omega_power * k)
-        seen.add(str(w))
-    if len(seen) != n:
+    if len({fld.q_power(omega_power * k) for k in range(n)}) != n:
         raise ArithmeticError("omega is not a primitive n-th root of unity")
 
     lhs = MultiPoly.constant(fld, names, 1)
@@ -257,10 +263,11 @@ def product_identity_sides(n: int, fld: CyclotomicField, omega_power: int):
         wmk = fld.q_power(-omega_power * k)
         lhs = lhs * (z - (u * wk + v * wmk))
 
+    z_pow = _powers(z, n)
+    muv_pow = _powers(-(u * v), n // 2)
     rhs = MultiPoly.constant(fld, names, 0)
-    minus_uv = -(u * v)
     for k in range(n // 2 + 1):
-        rhs = rhs + (z ** (n - 2 * k)) * (minus_uv ** k) \
+        rhs = rhs + z_pow[n - 2 * k] * muv_pow[k] \
             * min_poly_coefficient(n, k)
     rhs = rhs - u ** n - v ** n
     return lhs, rhs

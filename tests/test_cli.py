@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, determinism, exports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,21 @@ def test_suite_list_is_wired():
     ap = build_parser()
     args = ap.parse_args(["verify", "--suites", ",".join(SUITES)])
     assert args.suites.split(",") == list(SUITES)
+
+
+def test_a_closed_pipe_exits_without_a_traceback():
+    # as in `uqcomod export --what uq --N 3 | head -2`, but the reader closes
+    # its end before the first write, so the write fails on every run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uqcomod.cli", "export", "--what", "uq",
+         "--N", "3"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -303,8 +303,9 @@ def test_arithmetic_matches_integer_reference(data):
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_rational_inverse_matches_euclid_and_fraction(order):
-    # a rational element skips extended Euclid; q times it is not rational
-    # at degree > 1, so (q a)^-1 q runs Euclid for the same inverse
+    # a rational element skips extended Euclid; (1 + q) times it is not a
+    # monomial at degree > 1, so ((1 + q) a)^-1 (1 + q) runs Euclid for the
+    # same inverse
     fld = field(order)
     for value in (Fraction(1), Fraction(-1), Fraction(3), Fraction(-3),
                   Fraction(2, 3), Fraction(-2, 3), Fraction(6, 35),
@@ -314,15 +315,34 @@ def test_rational_inverse_matches_euclid_and_fraction(order):
         assert_normal_form(inv, fld)
         assert inv.coeffs == (1 / value,) + (0,) * (fld.degree - 1)
         if fld.degree > 1:
-            assert (fld.q * a).inverse() * fld.q == inv
+            b = fld.one + fld.q
+            assert (b * a).inverse() * b == inv
+
+
+# 105 is the least order whose reduction rows carry a coefficient of
+# magnitude 2, so the least that tests the kernel's scaled terms
+KERNEL_ORDERS = (*range(1, 41), 105)
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_monomial_inverse_matches_integer_reference(order):
+    # (c/den) q^k is inverted as (den/c) q^-k, without extended Euclid
+    fld, phi = field(order), cyclotomic_polynomial(order)
+    one = (1,) + (0,) * (fld.degree - 1)
+    for k in range(fld.degree):
+        for c in (1, -1, 3, -3, 7):
+            for den in (1, 2, 5):
+                a = fld.element([0] * k + [Fraction(c, den)])
+                inv = a.inverse()
+                assert_normal_form(inv, fld)
+                got = ref_mul(([0] * k + [c], den), (inv.num, inv.den))
+                assert ref_coeffs(got, phi) == one, (k, c, den)
 
 
 # -- the compiled product ----------------------------------------------------
 
 
-# 105 is the least order whose reduction rows carry a coefficient of
-# magnitude 2, so the least that tests the kernel's scaled terms
-@pytest.mark.parametrize("order", [*range(1, 41), 105])
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
 def test_compiled_product_matches_integer_reference(order):
     fld, phi = field(order), cyclotomic_polynomial(order)
     rng = random.Random(order)
@@ -340,6 +360,27 @@ def test_compiled_product_matches_integer_reference(order):
         got = a * b
         assert_normal_form(got, fld)
         assert got.coeffs == ref_coeffs(ref_mul(ra, rb), phi)
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_a_unit_factor_returns_the_other_operand(order):
+    # any one, whichever object holds it, returns the other operand itself;
+    # a rational with numerators of one over a denominator is not a one
+    fld, phi = field(order), cyclotomic_polynomial(order)
+    rng = random.Random(order)
+    ones = (fld.one, fld.from_rational(1), fld.element([1]), 1, Fraction(1))
+    half = fld.from_rational(Fraction(1, 2))
+    for _ in range(6):
+        den = rng.choice((1, rng.randint(2, 30)))
+        nums = [rng.randint(-99, 99) for _ in range(fld.degree)]
+        x, rx = fld.element([Fraction(c, den) for c in nums]), (nums, den)
+        want = ref_coeffs(ref_mul(rx, ([1], 1)), phi)
+        for u in ones:
+            assert x * u is x and u * x is x
+            assert (x * u).coeffs == (u * x).coeffs == want
+        for got in (x * half, half * x):
+            assert_normal_form(got, fld)
+            assert got.coeffs == ref_coeffs(ref_mul(rx, ([1], 2)), phi)
 
 
 def test_field_pickles_as_the_cached_field():

@@ -1,5 +1,6 @@
 """Polynomial identities feeding the minimal-polynomial machinery."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ def test_power_sum_specializes_to_actual_power_sums():
     fld = field(5)
     u = fld.q_power(1)
     v = fld.q_power(2) + fld.one
-    for n in range(1, 12):
+    for n in range(1, 16):
         P = power_sum_P(n, fld)
         got = P.eval_scalars(u + v, u * v)
         assert got == u ** n + v ** n, n
@@ -112,3 +113,28 @@ def test_compose_with_scalars():
     two = fld.from_rational(2)
     got = P2.compose([two, fld.one])
     assert got == MultiPoly.constant(fld, ("s", "t"), 2)
+
+
+def test_compose_agrees_with_evaluation_at_scalar_points():
+    # P(f(u, v), g(u, v)) at (a, b) is P evaluated at (f(a, b), g(a, b));
+    # P has gaps in its exponents and reuses powers across terms
+    fld = field(5)
+    q = fld.q
+    rng = random.Random(5)
+    names = ("u", "v")
+    u = MultiPoly.variable(fld, names, "u")
+    v = MultiPoly.variable(fld, names, "v")
+    P = MultiPoly(fld, ("s", "t"), {
+        (0, 0): fld.from_rational(-2), (1, 0): q, (4, 0): fld.one,
+        (2, 3): q * 3 - 1, (0, 5): fld.from_rational(Fraction(1, 7)),
+        (3, 1): q.inverse()})
+    for vals in ([u + v * q, u * v - 2], [u * u, fld.one], [v, u + v + q]):
+        composed = P.compose(vals)
+        assert composed.names == names
+        for _ in range(4):
+            a = fld.element([rng.randint(-5, 5) for _ in range(fld.degree)])
+            b = fld.from_rational(Fraction(rng.randint(-9, 9), 4))
+            at = [w.eval_scalars(a, b) if isinstance(w, MultiPoly) else w
+                  for w in vals]
+            assert composed.eval_scalars(a, b) == P.eval_scalars(*at)
+    assert P.compose([u, v]) == MultiPoly(fld, names, P.terms)
