@@ -284,10 +284,16 @@ SUITES = tuple(_SUITE_FUNCS)
 
 def _emit(args, payload: str) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+                if not payload.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            # a bad --output (a missing directory, a full disk): main
+            # reports it as a usage error, without a traceback
+            raise ValueError(f"cannot write {args.output}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         # flushed here, so a closed pipe raises inside main, not at exit
         print(payload, flush=True)

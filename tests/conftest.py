@@ -5,7 +5,8 @@ import pytest
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import vec_add_into
 from uqcomod.hopfcore import (ConvForm, FiniteAlgebra, FiniteCoalgebra,
-                              HopfAlgebraData, factor_form)
+                              HopfAlgebraData, _Products, factor_form, t2_mul,
+                              vec_combine, vec_eq)
 from uqcomod.uqsl2 import build_gr_uq, build_sigma, build_sigma_inverse, build_uq
 
 
@@ -306,6 +307,25 @@ def reference_mul_into(out, mul, left, right):
             for k, c in mul.get((i, j), ()):
                 vec_add_into(out, k, a * b * c)
     return out
+
+
+def reference_multiplicativity_failures(A, pairs):
+    """Reference for the multiplicativity kernel: [label_a, label_b] for
+    each planned pair (a, b), in plan order, with
+    delta(e_a e_b) != delta(e_a) delta(e_b), in field values: the left
+    side is vec_combine of the images delta(e_m) over row (a, b) of A's
+    table, the right side t2_mul in H (x) A."""
+    alg, times = A.algebra, _Products(A.field)
+    images = []
+    for i in range(A.dim):
+        img = {}
+        for key, c in A.coaction.get(i, ()):
+            vec_add_into(img, key, c)
+        images.append(img)
+    return [[alg.labels[i], alg.labels[j]] for i, j in pairs
+            if not vec_eq(vec_combine(images, alg.mul[(i, j)], times),
+                          t2_mul(A.over.algebra, alg, images[i], images[j],
+                                 times))]
 
 
 def reference_convolution(f, g):

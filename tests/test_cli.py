@@ -216,6 +216,15 @@ def test_suite_list_is_wired():
     assert args.suites.split(",") == list(SUITES)
 
 
+def test_an_unwritable_output_exits_with_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    argv = ["verify", "--N", "3", "--suites", "chebyshev", "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: "), err
+    assert not out.parent.exists()
+
+
 def test_a_closed_pipe_exits_without_a_traceback():
     # as in `uqcomod export --what uq --N 3 | head -2`, but the reader closes
     # its end before the first write, so the write fails on every run

@@ -12,10 +12,13 @@ corrupted data alike.
 """
 
 import inspect
+from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from uqcomod import cli, hopfcore, uqsl2
+from uqcomod.cyclofield import CyclotomicNumber
 from uqcomod.comodzoo import build_family, deform_family, zoo_params
 from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, ExhaustivePlan,
                               FiniteAlgebra, FiniteCoalgebra, HopfAlgebraData,
@@ -25,6 +28,8 @@ from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, ExhaustivePlan,
 from uqcomod.uqsl2 import (build_dual_functionals, build_gr_uq, build_sigma,
                            build_uq, monomial_index, uq_relation_report,
                            verify_dual_relations)
+
+from conftest import reference_multiplicativity_failures
 
 
 def _copy(alg, mul=None, steps=()):
@@ -272,6 +277,120 @@ def test_a_sampled_plan_reads_only_its_rows(uq3):
     read = set(rows)
     assert _kernel_defects(lazy(), plan) == want
     assert set(rows) == read and len(read) < uq3.dim ** 2 // 4
+
+
+# -- the multiplicativity kernel against t2_mul ------------------------------
+
+
+def _multiplicativity_matches(A, *plans):
+    """The kernel's failures on each plan, checked equal to the reference's,
+    order included; returns those of the first plan."""
+    found = []
+    for plan in plans:
+        got = hopfcore._multiplicativity_failures(A, plan)
+        assert got == reference_multiplicativity_failures(A, plan)
+        found.append(got)
+    return found[0]
+
+
+def _regular(H, alg=None, coalgebra=None):
+    return hopfcore.regular_comodule_algebra(
+        _hopf_on(H, alg or H.algebra, coalgebra))
+
+
+def _pair_plans(A):
+    """The exhaustive plan, the generator pairs and a sampled plan of A."""
+    gens = step_certificate(A.algebra)
+    return (ExhaustivePlan(A.dim, 2), hopfcore._GeneratorTuples(A.dim, 2, gens),
+            check_plan(A.dim, 2, "sampled", 300, 7, gens))
+
+
+def test_multiplicativity_kernel_matches_t2_mul_at_n3():
+    members = [("gr", _regular(build_gr_uq(3))), ("uq", _regular(build_uq(3))),
+               *_members()]
+    assert len(members) == 22
+    for label, A in members:
+        assert _multiplicativity_matches(A, *_pair_plans(A)) == [], label
+
+
+@pytest.mark.parametrize("name", ["gr", "uq", "L3N", "L3N deformed"])
+def test_multiplicativity_kernel_matches_t2_mul_at_n5(name):
+    if name in ("gr", "uq"):
+        A = _regular({"gr": build_gr_uq, "uq": build_uq}[name](5))
+    else:
+        p = zoo_params("L3N", 5, xi=1, zeta=2, eta=build_gr_uq(5).field.q)
+        A = deform_family(p) if name.endswith("deformed") else build_family(p)
+    gens = step_certificate(A.algebra)
+    plan = check_plan(A.dim, 2, "sampled", 200, 11, gens)
+    assert _multiplicativity_matches(A, plan) == []
+
+
+def test_multiplicativity_kernel_matches_t2_mul_on_corrupted_data():
+    # the corruptions of test_criterion_10 that reach the kernel
+    gr, uq = build_gr_uq(3), build_uq(3)
+    fld = gr.field
+    x, y, g = (monomial_index(3, 1, 0, 0), monomial_index(3, 0, 1, 0),
+               monomial_index(3, 0, 0, 1))
+    comul = dict(gr.coalgebra.comul)
+    comul[x] = ((x, 0, fld.one), (g, x, fld.one))
+    L1 = build_family(zoo_params("L1", 3, r=3, xi=2))
+    assert L1.labels[3] == "X1G0"
+    cases = {
+        "gr x*y rescaled": _regular(gr, _copy(
+            gr.algebra, _scaled_row(gr.algebra, x, y, fld.from_rational(2)),
+            gr.algebra.steps)),
+        "wrong grouplike leg": _regular(gr, coalgebra=FiniteCoalgebra(
+            fld, gr.labels, comul, dict(gr.coalgebra.counit))),
+        "uq x*y rescaled": _regular(uq, _copy(
+            uq.algebra, _scaled_row(uq.algebra, x, y, fld.from_rational(3)),
+            uq.algebra.steps)),
+        "L1 X H-leg misrouted": _comodule_on(
+            L1, L1.algebra, {**L1.coaction, 3: (((g, 3), fld.one),)}),
+    }
+    for label, A in cases.items():
+        assert _multiplicativity_matches(A, *_pair_plans(A)), label
+
+
+class _FreshRows(dict):
+    """A table whose every read returns its row with new coefficient
+    objects, equal in value, that nothing else keeps."""
+
+    def __getitem__(self, key):
+        return tuple((k, _fresh(c)) for k, c in dict.get(self, key, ()))
+
+
+def _fresh(c):
+    return CyclotomicNumber(c.field, tuple(c.num), c.den)
+
+
+def test_value_index_keys_exact_values(f3):
+    vi = hopfcore._ValueIndex(f3)
+    half = f3.from_rational(Fraction(1, 2))
+    i = vi.of(half)
+    assert vi.of(f3.zero) == 0 and i
+    # 1 and 1/2 share their numerators
+    assert half.num == f3.one.num and vi.of(f3.one) != i
+    assert vi.of(_fresh(half)) == i
+    assert vi.values[vi.product(i, vi.of(f3.q))] == half * f3.q
+    assert vi.values[vi.total(i, i)] == f3.one
+    assert vi.products[i] and vi.sums[i]
+
+
+def test_multiplicativity_kernel_keys_coefficients_by_value():
+    p = zoo_params("L3N", 3, xi=1, zeta=2, eta=build_gr_uq(3).field.q)
+    A = build_family(p)
+    alg = _copy(A.algebra, MappingProxyType(_FreshRows(A.algebra.mul)),
+                A.algebra.steps)
+    coaction = {i: tuple((key, _fresh(c)) for key, c in ent)
+                for i, ent in A.coaction.items()}
+    plans = _pair_plans(A)
+    assert _multiplicativity_matches(
+        _comodule_on(A, alg, coaction), *plans) == []
+    # one coefficient of delta(Y) off by a q-power
+    y = A.labels.index("X0Y1G0")
+    (key, c), *rest = coaction[y]
+    coaction[y] = ((key, c * A.field.q), *rest)
+    assert _multiplicativity_matches(_comodule_on(A, alg, coaction), *plans)
 
 
 # -- the cocycle identity, the dual product rules and the counit ------------

@@ -12,6 +12,8 @@ minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --format json --output tests/golden/verify_n5_exhaustive.json
     uqcomod verify --N 5 --mode exhaustive --suites cocycle --format json \
         --output tests/golden/verify_n5_cocycle_exhaustive.json
+    uqcomod verify --N 5 --format json \
+        --output tests/golden/verify_n5_default.json
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
 --format json`.  The first seven were written before the three table
@@ -28,7 +30,11 @@ change.  verify_n5_exhaustive.json was written by full enumeration, before
 exhaustive plans were proved on generator tuples, and
 verify_n5_cocycle_exhaustive.json before the 2-cocycle identity, the dual
 functionals' product rules and the counit's multiplicativity were; the
-proofs must reproduce both.
+proofs must reproduce both.  verify_n5_default.json, the default sampled
+N = 5 report (10 000 samples, seed 0), takes 7-9 s on a 2-vCPU VM, so only
+CI compares it, under python -O (.github/workflows/tier1.yml); it was
+written before Delta's and the coactions' multiplicativity were checked on
+interned coefficient indices, and the kernel must reproduce it.
 """
 
 import hashlib
