@@ -41,6 +41,7 @@ from .hopfcore import (
     conjugate_comodule_algebra,
     costable_closure,
     deform_comodule_algebra,
+    read_only,
     regular_comodule_algebra,
     t2_mul,
     vec_add_into,
@@ -445,13 +446,16 @@ def socle(A: ComoduleAlgebra) -> Subspace:
 
 
 def _loewy_layer(A: ComoduleAlgebra, n: int) -> Subspace:
-    """delta^{-1}(H_n (x) A)."""
-    degs = A.over.degrees
-    if degs is None:
-        raise ValueError("the Hopf algebra carries no degree data")
-    cols = [{key: c for key, c in A.coaction.get(i, ()) if degs[key[0]] > n}
-            for i in range(A.dim)]
-    return kernel_of_sparse_columns(A.field, cols, A.dim)
+    """delta^{-1}(H_n (x) A), computed once per coaction side."""
+    def kernel(side):
+        degs = side.degrees
+        if degs is None:
+            raise ValueError("the Hopf algebra carries no degree data")
+        cols = [{key: c for key, c in side.coaction.get(i, ())
+                 if degs[key[0]] > n} for i in range(side.dim)]
+        return kernel_of_sparse_columns(side.field, cols, side.dim)
+
+    return A.side.once(("loewy", n), kernel)
 
 
 def morita_invariant_d(A: ComoduleAlgebra) -> tuple:
@@ -473,23 +477,30 @@ def coefficient_coalgebra(A: ComoduleAlgebra) -> Subspace:
     return ech.subspace(A.over.dim)
 
 
-def _weight_spaces_of_socle(A: ComoduleAlgebra, soc: Subspace):
-    """Grouplike weight decomposition of the socle; returns a list of
-    (grouplike index, list of ambient weight vectors)."""
-    basis = soc.basis
-    out = []
-    for g0 in A.over.grouplikes:
-        cols = []
-        for v in basis:
-            col = A.coact_vec(v)
-            for a, c in v.items():
-                vec_add_into(col, (g0, a), -c)
-            cols.append(col)
-        ker = kernel_of_sparse_columns(A.field, cols, soc.dim)
-        vecs = [vec_combine(basis, t.items()) for t in ker.basis]
-        if vecs:
-            out.append((g0, vecs))
-    return out
+def _weight_spaces_of_socle(A: ComoduleAlgebra) -> tuple:
+    """Grouplike weight decomposition of the socle, computed once per
+    coaction side: a tuple of (grouplike index, tuple of read-only ambient
+    weight vectors)."""
+    soc = socle(A)
+
+    def weights(side):
+        basis = soc.basis
+        out = []
+        for g0 in side.grouplikes:
+            cols = []
+            for v in basis:
+                col = A.coact_vec(v)
+                for a, c in v.items():
+                    vec_add_into(col, (g0, a), -c)
+                cols.append(col)
+            ker = kernel_of_sparse_columns(side.field, cols, soc.dim)
+            vecs = tuple(read_only(vec_combine(basis, t.items()))
+                         for t in ker.basis)
+            if vecs:
+                out.append((g0, vecs))
+        return tuple(out)
+
+    return A.side.once("socle-weights", weights)
 
 
 def is_right_H_simple(A: ComoduleAlgebra) -> dict:
@@ -502,7 +513,7 @@ def is_right_H_simple(A: ComoduleAlgebra) -> dict:
     the verdict is None, with method "undecided".
     """
     soc = socle(A)
-    weights = _weight_spaces_of_socle(A, soc)
+    weights = _weight_spaces_of_socle(A)
     for _, vs in weights:
         for v in vs:
             closure = costable_closure(

@@ -165,9 +165,10 @@ def solve(fld, columns, b: dict) -> dict | None:
 def kernel_of_sparse_columns(fld, columns, ncols) -> "Subspace":
     """Kernel of the map e_j -> columns[j], columns as dicts keyed by any
     hashable row label: the rows of the tagged echelon whose pivot is a tag
-    are kernel vectors, and together they are the kernel's RREF basis."""
+    are kernel vectors, and together they are the kernel's RREF basis,
+    each row read-only."""
     ech, _ = _tagged_echelon(fld, columns)
-    rows = {p[1]: {j: c for (_, j), c in row.items()}
+    rows = {p[1]: MappingProxyType({j: c for (_, j), c in row.items()})
             for p, row in ech.rows.items() if p[0] == 1}
     return Subspace(fld, ncols, rows)
 

@@ -24,6 +24,7 @@ from .cyclofield import CyclotomicField, CyclotomicNumber
 from .exactlinalg import (SparseEchelon, Subspace, kernel_of_sparse_columns,
                           rank, vec_add_into)
 from .reporting import VerificationReport
+from .sides import CoactionSide, _same, _ValueIndex, coalgebra_failures
 
 # ---------------------------------------------------------------------------
 # sparse vector helpers
@@ -305,10 +306,10 @@ class HopfAlgebraData:
     """Bundled algebra, coalgebra and antipode on one basis."""
 
     __slots__ = ("algebra", "coalgebra", "antipode", "grouplikes", "degrees",
-                 "_comul_reverse", "_comul_partners")
+                 "_side", "_comul_reverse", "_comul_partners")
 
     def __init__(self, algebra: FiniteAlgebra, coalgebra: FiniteCoalgebra,
-                 antipode: dict, degrees=None):
+                 antipode: dict, degrees=None, side=None):
         if algebra.dim != coalgebra.dim:
             raise ValueError(f"algebra of dimension {algebra.dim} with a "
                              f"coalgebra of dimension {coalgebra.dim}")
@@ -320,7 +321,14 @@ class HopfAlgebraData:
         self.antipode = read_only({i: read_only(v)
                                    for i, v in antipode.items()})
         self.degrees = tuple(degrees) if degrees is not None else None
-        self.grouplikes = tuple(self._scan_grouplikes())
+        # side: another Hopf algebra's side on the same coalgebra data, as
+        # deform_hopf hands it on (CoactionSide)
+        self._side = None
+        if side is not None and not (side.base is side and side.serves(self)):
+            raise ValueError("the side of another coalgebra")
+        self._side = side
+        self.grouplikes = side.grouplikes if side is not None \
+            else tuple(self._scan_grouplikes())
         self._comul_reverse = None
         self._comul_partners = None
 
@@ -335,6 +343,14 @@ class HopfAlgebraData:
     @property
     def labels(self):
         return self.algebra.labels
+
+    @property
+    def side(self) -> "CoactionSide":
+        """Delta as H's coaction on itself, the coalgebra side of
+        regular_comodule_algebra(H), made on first use."""
+        if self._side is None:
+            self._side = CoactionSide(self.field, self.dim, None, self)
+        return self._side
 
     def _scan_grouplikes(self):
         one = self.field.one
@@ -552,42 +568,6 @@ def _witness(labels, tup, lhs, rhs):
 # ---------------------------------------------------------------------------
 
 
-class _ValueIndex:
-    """Field values by index, for kernels whose sums of products compare as
-    ints.  Every value gets an index keyed on its exact (num, den), so index
-    equality is value equality, and zero has index 0, so an index is true
-    unless zero.  products[i] and sums[i] map an index j to the index of
-    values[i] * values[j] and values[i] + values[j]; product and total fill
-    them on a miss.  Create one per call: the memos grow with the pairs."""
-
-    __slots__ = ("values", "index", "products", "sums")
-
-    def __init__(self, fld: CyclotomicField):
-        self.values: list = []
-        self.index: dict = {}
-        self.products: list = []
-        self.sums: list = []
-        self.of(fld.zero)
-
-    def of(self, v) -> int:
-        key = (v.num, v.den)
-        i = self.index.get(key)
-        if i is None:
-            i = self.index[key] = len(self.values)
-            self.values.append(v)
-            self.products.append({})
-            self.sums.append({})
-        return i
-
-    def product(self, i: int, j: int) -> int:
-        p = self.products[i][j] = self.of(self.values[i] * self.values[j])
-        return p
-
-    def total(self, i: int, j: int) -> int:
-        t = self.sums[i][j] = self.of(self.values[i] + self.values[j])
-        return t
-
-
 class _Line(dict):
     """Row (i, n) of a table by n, or row (n, i) if last, each read through
     read on its first use."""
@@ -761,7 +741,9 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     multiplicativity of Delta are the coaction axioms of H as a comodule
     algebra over itself (regular_comodule_algebra), read from the kernel of
     verify_comodule_algebra; the right counit and the counit as an algebra
-    map are checked here.
+    map are checked here.  Coassociativity and both counits are decided
+    once per coalgebra side (sides.coalgebra_failures), which deform_hopf
+    hands on.
 
     An exhaustive plan proves the counit's multiplicativity on the pairs
     (a, s), s = 0 or a generator (_generator_plan), by the step identity
@@ -777,21 +759,15 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     times = _Products(alg.field)
     pairs = check_plan(alg.dim, 2, mode, n_pairs, seed + 1, always_indices)
     bad_co, bad_left, delta_1, bad_mult = _coaction_failures(
-        regular_comodule_algebra(H), pairs, times)
+        regular_comodule_algebra(H), pairs)
     rep.add("coalgebra-coassociativity", "coassociative-comultiplication",
             not bad_co,
             {"elements": bad_co[:5], "failing": len(bad_co)} if bad_co else None)
 
     # the right counit, (id x eps)Delta = id, is not a left-coaction axiom
-    bad = []
-    for i in range(alg.dim):
-        right: dict = {}
-        for j, k, c in co.comul.get(i, ()):
-            ek = co.counit.get(k)
-            if ek is not None:
-                vec_add_into(right, j, times(c, ek))
-        if labels[i] in bad_left or not vec_eq(right, {i: alg.field.one}):
-            bad.append(labels[i])
+    bad_right = H.side.once("coalgebra", coalgebra_failures)[2]
+    bad = [labels[i] for i in range(alg.dim)
+           if labels[i] in bad_left or i in bad_right]
     rep.add("coalgebra-counit", "counit-axiom", not bad,
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
@@ -843,13 +819,14 @@ class ConvForm:
     arity 1 gives linear functionals, arity 2 bilinear forms (cocycles).
     """
 
-    __slots__ = ("hopf", "arity", "coords")
+    __slots__ = ("hopf", "arity", "coords", "_factors")
 
     def __init__(self, hopf: HopfAlgebraData, arity: int, coords: dict):
         self.hopf = hopf
         self.arity = arity
         self.coords = read_only(
             {k: c for k, c in coords.items() if not c.is_zero()})
+        self._factors = None  # factor_form's result, once computed
 
     @classmethod
     def unit(cls, hopf, arity):
@@ -1252,9 +1229,12 @@ def factor_form(form: ConvForm):
     the lead coefficient of row h1.  Only lead coefficients are inverted,
     and any form factors this way.  Returns (alpha, beta, count) with
     alpha[h1] and beta[h2] tuples of (n, coefficient); unit coefficients
-    are stored as field.one itself.
+    are stored as field.one itself.  Computed once per form and kept on
+    it, read-only.
     """
     _require_bilinear(form)
+    if form._factors is not None:
+        return form._factors
     times = _Products(form.hopf.field)
     rows: dict = {}
     for (h1, h2), c in sorted(form.coords.items()):
@@ -1274,7 +1254,10 @@ def factor_form(form: ConvForm):
             for h2, c in norm:
                 beta.setdefault(h2, []).append((n, c))
         alpha[h1] = ((n, lead),)
-    return alpha, {h: tuple(v) for h, v in beta.items()}, len(slices)
+    form._factors = (read_only(alpha),
+                     read_only({h: tuple(v) for h, v in beta.items()}),
+                     len(slices))
+    return form._factors
 
 
 def _contract(terms, factors, times: _Products) -> dict:
@@ -1352,8 +1335,9 @@ def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv: ConvForm,
                 labels=None) -> HopfAlgebraData:
     """Full cocycle deformation by sigma with convolution inverse sigma_inv:
     new multiplication table on the same basis (so H's steps carry over),
-    same coalgebra, antipode recomputed by solve_antipode.  Every product is
-    the sigma formula, evaluated by the slice kernel."""
+    same coalgebra and coalgebra side (HopfAlgebraData.side), antipode
+    recomputed by solve_antipode.  Every product is the sigma formula,
+    evaluated by the slice kernel."""
     times = _Products(H.field)
     left, right = _two_sided_legs(H, sigma, sigma_inv, times)
     table = _slice_table(H.algebra.mul, left, right, times)
@@ -1364,7 +1348,7 @@ def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv: ConvForm,
     if labels is not None:
         co = FiniteCoalgebra(H.field, labels, co.comul, co.counit)
     antipode = solve_antipode(alg, co, times)
-    return HopfAlgebraData(alg, co, antipode, degrees=H.degrees)
+    return HopfAlgebraData(alg, co, antipode, degrees=H.degrees, side=H.side)
 
 
 # ---------------------------------------------------------------------------
@@ -1376,17 +1360,27 @@ class ComoduleAlgebra:
     """A right H-simple-candidate algebra with a left H-coaction.
 
     coaction maps basis index i to a tuple (((h, a), c), ...) meaning
-    delta(e_i) = sum c * e_h (x) e_a.
+    delta(e_i) = sum c * e_h (x) e_a.  side is the CoactionSide of another
+    comodule algebra on this coaction over H's coalgebra data, as
+    deform_comodule_algebra hands it on (sides.CoactionSide); without it
+    A gets a new side.
     """
 
-    __slots__ = ("algebra", "over", "coaction", "params")
+    __slots__ = ("algebra", "over", "coaction", "params", "side")
 
     def __init__(self, algebra: FiniteAlgebra, over: HopfAlgebraData,
-                 coaction: dict, params=None):
+                 coaction: dict, params=None, side=None):
+        if side is None:
+            side = CoactionSide(algebra.field, algebra.dim,
+                                read_only(coaction), over, over.side)
+        elif side.dim != algebra.dim or not side.serves(over) \
+                or not _same(coaction, side.coaction):
+            raise ValueError("the side of another coaction")
         self.algebra = algebra
         self.over = over
-        self.coaction = read_only(coaction)
+        self.coaction = side.coaction
         self.params = read_only(dict(params or {}))
+        self.side = side
 
     @property
     def field(self):
@@ -1408,13 +1402,14 @@ class ComoduleAlgebra:
         return out
 
 
-def _coaction_failures(A: ComoduleAlgebra, pairs, times: _Products):
+def _coaction_failures(A: ComoduleAlgebra, pairs):
     """The coaction axioms of A, as (coassociativity, counit, unit,
     multiplicativity): the labels of the basis elements failing
     (Delta x id)delta = (id x delta)delta, those failing
     (eps x id)delta = id, the witness of delta(1) != 1 (x) 1 (None when it
     holds), and [label_a, label_b] for each planned pair (a, b) failing
-    delta(ab) = delta(a) delta(b).
+    delta(ab) = delta(a) delta(b).  The first two read A's coaction side
+    only and are decided once per side (sides.coalgebra_failures).
 
     Once delta(1) = 1 (x) 1 holds, an exhaustive plan is proved on the
     pairs (a, s) (_generator_plan, A and H proved associative), by the step
@@ -1423,25 +1418,7 @@ def _coaction_failures(A: ComoduleAlgebra, pairs, times: _Products):
     H = A.over
     alg = A.algebra
     labels = alg.labels
-    comul = H.coalgebra.comul
-    counit = H.coalgebra.counit
-    bad_co, bad_eps = [], []
-    for i in range(alg.dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        eps: dict = {}
-        for (h, a), c in A.coaction.get(i, ()):
-            for h1, h2, d in comul.get(h, ()):
-                vec_add_into(lhs, (h1, h2, a), times(c, d))
-            for (h2, a2), d in A.coaction.get(a, ()):
-                vec_add_into(rhs, (h, h2, a2), times(c, d))
-            e = counit.get(h)
-            if e is not None:
-                vec_add_into(eps, a, times(c, e))
-        if not vec_eq(lhs, rhs):
-            bad_co.append(labels[i])
-        if not vec_eq(eps, {i: alg.field.one}):
-            bad_eps.append(labels[i])
+    bad_co, bad_eps, _ = A.side.once("coalgebra", coalgebra_failures)
 
     du = A.coact_vec(alg.unit_vec())
     target = tensor_vec(H.algebra.unit_vec(), alg.unit_vec())
@@ -1454,8 +1431,9 @@ def _coaction_failures(A: ComoduleAlgebra, pairs, times: _Products):
 
     reduced = None if unit is not None \
         else _generator_plan(alg, pairs, proved=(alg, H.algebra))
-    return bad_co, bad_eps, unit, _plan_failures(
-        lambda plan: _multiplicativity_failures(A, plan), pairs, reduced)
+    return [labels[i] for i in bad_co], [labels[i] for i in bad_eps], \
+        unit, _plan_failures(lambda plan: _multiplicativity_failures(A, plan),
+                             pairs, reduced)
 
 
 def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
@@ -1465,33 +1443,13 @@ def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
     Both sides are dicts (h, x) -> _ValueIndex index: the left sums
     c delta(e_m) over row (a, b) of A's table, the right multiplies in
     H (x) A, reading the rows of both tables.  A coefficient of a row or of
-    the coaction is mapped to its index once per object, through a dict
-    keyed by its id(); kept holds every object so mapped, so no id can be
-    reused while the dict is alive.  No row is copied.  A memo miss reads
-    as 0 or None, and only a zero coefficient has index 0, so `or` falls
-    through to the product only on a miss or a zero."""
+    the coaction is mapped to its index once per object (_ValueIndex.at).
+    A memo miss reads as 0 or None, and only a zero coefficient has index
+    0, so `or` falls through to the product only on a miss or a zero."""
     hmul, amul, labels = A.over.algebra.mul, A.algebra.mul, A.labels
     vi = _ValueIndex(A.field)
-    products, sums, product, total = vi.products, vi.sums, vi.product, vi.total
-    ids: dict = {}  # id(coefficient) -> index
-    kept: list = []
-
-    def index(c):
-        i = ids.get(id(c))
-        if i is None:
-            i = ids[id(c)] = vi.of(c)
-            kept.append(c)
-        return i
-
-    def add(out, key, v):
-        got = out.get(key, 0)
-        t = sums[got].get(v)
-        if t is None:
-            t = total(got, v)
-        if t:
-            out[key] = t
-        elif got:
-            del out[key]
+    products, product, ids, index, add = (vi.products, vi.product, vi.ids,
+                                          vi.at, vi.add)
 
     images = []  # delta(e_m) as ((h, x), index) items, zero terms dropped
     for m in range(A.dim):
@@ -1541,8 +1499,7 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
     rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim,
                               "params": {k: str(v) for k, v in A.params.items()}})
     pairs = check_plan(alg.dim, 2, mode, sample_count, seed)
-    bad_co, bad_eps, unit, bad = _coaction_failures(A, pairs,
-                                                    _Products(alg.field))
+    bad_co, bad_eps, unit, bad = _coaction_failures(A, pairs)
     rep.add("comodule-coassociativity", "coaction-coassociativity", not bad_co,
             {"elements": bad_co[:5], "failing": len(bad_co)} if bad_co else None)
     rep.add("comodule-counit", "coaction-counit", not bad_eps,
@@ -1556,8 +1513,9 @@ def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
 
 def deform_comodule_algebra(A: ComoduleAlgebra, sigma: ConvForm,
                             over: HopfAlgebraData) -> ComoduleAlgebra:
-    """a *_sigma b = sigma(a_(-1), b_(-1)) a_(0) b_(0); coaction and steps
-    unchanged.
+    """a *_sigma b = sigma(a_(-1), b_(-1)) a_(0) b_(0); coaction, steps
+    and coaction side (CoactionSide) unchanged, so over must hold A's
+    coalgebra data.
 
     The slice kernel of deform_hopf, with legs contracted over the
     coaction terms c e_h (x) e_a of each basis element:
@@ -1572,7 +1530,7 @@ def deform_comodule_algebra(A: ComoduleAlgebra, sigma: ConvForm,
                             _slice_table(alg.mul, left, right, times),
                             alg.unit_vec())
     new_alg.steps = alg.steps
-    return ComoduleAlgebra(new_alg, over, A.coaction, A.params)
+    return ComoduleAlgebra(new_alg, over, A.coaction, A.params, side=A.side)
 
 
 def conjugate_comodule_algebra(A: ComoduleAlgebra, g_idx: int) -> ComoduleAlgebra:
@@ -1603,7 +1561,10 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
     of B, is a colinear algebra map of the expected kind.
 
     expect is "bijective" for isomorphism candidates or "injective" for
-    embeddings into a larger comodule algebra.
+    embeddings into a larger comodule algebra.  A and B must be over one
+    Hopf algebra, or two with the same labels, Delta and eps (one object or
+    equal tables); otherwise colinearity is ill-posed and ValueError is
+    raised.
     """
     if len(images) != A.dim:
         raise ValueError(f"{len(images)} images cannot map a "
@@ -1611,7 +1572,11 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
     if any(k not in range(B.dim) for v in images for k in v):
         raise ValueError(f"an image has a key outside the "
                          f"{B.dim}-dimensional target")
-    if A.over is not B.over and A.over.labels != B.over.labels:
+    co_a, co_b = A.over.coalgebra, B.over.coalgebra
+    if A.over is not B.over and (
+            A.over.labels != B.over.labels
+            or not _same(co_a.comul, co_b.comul)
+            or not _same(co_a.counit, co_b.counit)):
         raise ValueError("comodule algebras over different Hopf algebras")
     rep = VerificationReport({
         "source": {k: str(v) for k, v in A.params.items()},
@@ -1655,15 +1620,18 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
 
 
 def coinvariants(A: ComoduleAlgebra) -> Subspace:
-    """Kernel of delta - unit_H (x) id, as a subspace of A."""
-    unit_h = A.over.algebra.unit_vec()
-    cols = []
-    for i in range(A.dim):
-        col = dict(A.coaction.get(i, ()))
-        for h, c in unit_h.items():
-            vec_add_into(col, (h, i), -c)
-        cols.append(col)
-    return kernel_of_sparse_columns(A.field, cols, A.dim)
+    """Kernel of delta - unit_H (x) id, as a subspace of A, computed once
+    per coaction side."""
+    def kernel(side):
+        cols = []
+        for i in range(side.dim):
+            col = dict(side.coaction.get(i, ()))
+            for h, c in side.unit.items():
+                vec_add_into(col, (h, i), -c)
+            cols.append(col)
+        return kernel_of_sparse_columns(side.field, cols, side.dim)
+
+    return A.side.once("coinvariants", kernel)
 
 
 def costable_closure(V: Subspace, A: ComoduleAlgebra) -> Subspace:
@@ -1692,12 +1660,11 @@ def costable_closure(V: Subspace, A: ComoduleAlgebra) -> Subspace:
 
 
 def regular_comodule_algebra(H: HopfAlgebraData) -> ComoduleAlgebra:
-    """H as a comodule algebra over itself via its comultiplication."""
-    coaction = {
-        i: tuple(((j, k), c) for j, k, c in H.coalgebra.comul.get(i, ()))
-        for i in range(H.dim)
-    }
-    return ComoduleAlgebra(H.algebra, H, coaction, {"family": "regular"})
+    """H as a comodule algebra over itself via its comultiplication, on
+    H's coalgebra side."""
+    side = H.side
+    return ComoduleAlgebra(H.algebra, H, side.coaction, {"family": "regular"},
+                           side=side)
 
 
 def direct_sum_comodule_algebras(A: ComoduleAlgebra,

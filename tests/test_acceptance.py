@@ -518,6 +518,22 @@ def test_criterion_10_mutation_sensitivity():
     assert not rep.ok and any(c.witness for c in rep.failures())
     caught.append("deformed-product")
 
+    # 7. shared coaction side: the deformed L1 rebuilt on a fresh coaction
+    # dict whose delta(X) has the grouplike leg g where g^-1 belongs; the
+    # plain twin, whose side the deformed member shares, still passes
+    p = zoo_params("L1", 3, r=3, xi=2)
+    D = deform_family(p)
+    g_inv = monomial_index(3, 0, 0, 2)
+    coaction = dict(D.coaction)
+    coaction[i_x] = tuple(((g if h == g_inv else h, a), c)
+                          for (h, a), c in coaction[i_x])
+    assert coaction[i_x] != D.coaction[i_x]
+    bad = ComoduleAlgebra(D.algebra, D.over, coaction, D.params)
+    fails = {c.claim_id for c in verify_comodule_algebra(bad).failures()}
+    assert "comodule-coassociativity" in fails
+    assert verify_comodule_algebra(build_family(p)).ok
+    caught.append("deformed-coaction-leg")
+
     assert len(caught) >= 5
     print("ACCEPTANCE 10 mutation-sensitivity: PASS "
           f"({len(caught)} corruptions caught)")

@@ -39,6 +39,7 @@ from uqcomod.comodzoo import (
     zoo_params,
 )
 from uqcomod import hopfcore
+from uqcomod.cli import _zoo_tuples
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import Subspace
 from uqcomod.hopfcore import (
@@ -306,7 +307,7 @@ def test_costable_closure_matches_round_based_reference():
     L0 = build_family(zoo_params("L0", 3, r=3))
     members.append(direct_sum_comodule_algebras(L0, L0))
     for A in members:
-        seeds = [[v] for _, vs in _weight_spaces_of_socle(A, socle(A))
+        seeds = [[v] for _, vs in _weight_spaces_of_socle(A)
                  for v in vs]
         # the last basis vector (X^2 G^2 in L1 with X^3 = 0 takes two
         # steps), the first and last together (in the direct sum one in
@@ -378,7 +379,7 @@ def test_socle_weight_vectors_have_their_weight():
     combined = 0
     for A in members + [mixed]:
         soc = socle(A)
-        weights = _weight_spaces_of_socle(A, soc)
+        weights = _weight_spaces_of_socle(A)
         assert sum(len(vs) for _, vs in weights) == soc.dim
         for g, vs in weights:
             assert Subspace.from_vectors(A.field, A.dim, vs).dim == len(vs)
@@ -717,3 +718,72 @@ def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# -- the coaction side a deformed twin shares with its plain member ----------
+
+
+def _side_results(A):
+    """The four results that read only A's coaction side: coassociativity
+    and counit failures, the Loewy layers (dims and canonical rows), the
+    coinvariants and the socle's weight spaces."""
+    fil = loewy_filtration(A)
+    return (hopfcore._coaction_failures(A, [(0, 0)])[:2], fil.dims,
+            fil.spaces, coinvariants(A),
+            [(g, [dict(v) for v in vs])
+             for g, vs in _weight_spaces_of_socle(A)])
+
+
+def _unshared(A):
+    """A on a fresh copy of its coaction, with a side of its own."""
+    return ComoduleAlgebra(A.algebra, A.over, dict(A.coaction), A.params)
+
+
+def _oracle_members():
+    fld = field(5)
+    return _zoo_tuples(3, small=True) + [
+        zoo_params("L1", 5, r=5, xi=2),
+        zoo_params("L3N", 5, xi=1, zeta=2, eta=fld.q),
+        zoo_params("L4", 5, alpha=1, beta=1, xi=2)]
+
+
+@pytest.mark.parametrize("p", _oracle_members(), ids=lambda p: p.label())
+def test_shared_side_results_equal_a_computation_from_scratch(p):
+    L, D = build_family(p), deform_family(p)
+    assert D.side is L.side and D.coaction is L.coaction
+    for A in (D, L):
+        fresh = _unshared(A)
+        assert fresh.side is not A.side
+        assert _side_results(A) == _side_results(fresh)
+
+
+def test_hand_built_members_get_their_own_side():
+    A = build_family(zoo_params("L1", 3, r=3, xi=2))
+    loewy_filtration(A)
+    coinvariants(A)
+    H = A.over
+    bare = HopfAlgebraData(H.algebra, H.coalgebra, H.antipode)
+    B = ComoduleAlgebra(A.algebra, bare, A.coaction)
+    assert B.side is not A.side
+    with pytest.raises(ValueError, match="degree data"):
+        loewy_filtration(B)
+    # without degrees, bare is not the coalgebra data of A's side
+    with pytest.raises(ValueError, match="another coaction"):
+        ComoduleAlgebra(A.algebra, bare, A.coaction, side=A.side)
+    with pytest.raises(ValueError, match="another coaction"):
+        ComoduleAlgebra(A.algebra, H, {**A.coaction, 0: ()}, side=A.side)
+
+
+def test_shared_subspaces_and_weights_are_read_only():
+    A = deform_family(zoo_params("L1", 3, r=3, xi=2))
+    one = A.field.one
+    for space in (socle(A), *loewy_filtration(A).spaces, coinvariants(A)):
+        with pytest.raises(TypeError):
+            space.rows[0] = {0: one}
+        with pytest.raises(TypeError):
+            space.basis[0][0] = one
+    weights = _weight_spaces_of_socle(A)
+    with pytest.raises(TypeError):
+        weights[0] = None
+    with pytest.raises(TypeError):
+        weights[0][1][0][0] = one

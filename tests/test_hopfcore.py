@@ -40,8 +40,13 @@ from uqcomod.hopfcore import (
     verify_hopf_2cocycle,
     check_comodule_algebra_morphism,
     conjugate_comodule_algebra,
+    _coaction_failures,
+    factor_form,
 )
+from uqcomod.comodzoo import build_family, zoo_params
 from uqcomod.exactlinalg import Subspace
+from uqcomod.sides import coalgebra_failures
+from uqcomod.uqsl2 import build_gr_uq, build_sigma, build_uq, monomial_index
 
 
 def test_cyclic_group_is_a_hopf_algebra():
@@ -437,3 +442,88 @@ def test_json_round_trips_are_exact():
                        lambda ids: (tuple(ids[:2]), ids[2])) == R.algebra.mul
     assert parsed_rows(cdata["coaction"], fld,
                        lambda ids: (ids[0], tuple(ids[1:]))) == R.coaction
+
+
+# -- the coalgebra side a deformation shares with its source -----------------
+
+
+def _corrupted_delta(gr):
+    """gr(3) with Delta(x) given the wrong grouplike leg g (x) x."""
+    fld = gr.field
+    x, g = monomial_index(3, 1, 0, 0), monomial_index(3, 0, 0, 1)
+    comul = dict(gr.coalgebra.comul)
+    comul[x] = ((x, monomial_index(3, 0, 0, 0), fld.one), (g, x, fld.one))
+    co = FiniteCoalgebra(fld, gr.labels, comul, dict(gr.coalgebra.counit))
+    return HopfAlgebraData(gr.algebra, co, gr.antipode, degrees=gr.degrees)
+
+
+def _unshared_coalgebra(H):
+    """H on fresh copies of its Delta and eps tables, with a side of its
+    own."""
+    co = H.coalgebra
+    return HopfAlgebraData(H.algebra, FiniteCoalgebra(
+        H.field, H.labels, dict(co.comul), dict(co.counit)), H.antipode,
+        degrees=H.degrees)
+
+
+def test_morphism_checker_needs_one_coalgebra():
+    gr = build_gr_uq(3)
+    A = build_family(zoo_params("L1", 3, r=3, xi=2))
+    identity = [{i: gr.field.one} for i in range(A.dim)]
+    # same labels, but one leg of Delta differs: colinearity is ill-posed
+    B = ComoduleAlgebra(A.algebra, _corrupted_delta(gr), A.coaction,
+                        A.params)
+    with pytest.raises(ValueError, match="different Hopf algebras"):
+        check_comodule_algebra_morphism(identity, A, B)
+    # equal tables in other objects are the same coalgebra
+    C = ComoduleAlgebra(A.algebra, _unshared_coalgebra(gr), A.coaction,
+                        A.params)
+    assert check_comodule_algebra_morphism(identity, A, C).ok
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_uq_shares_the_coalgebra_side_of_gr(N):
+    gr, uq = build_gr_uq(N), build_uq(N)
+    assert uq.side is gr.side and uq.grouplikes == gr.grouplikes
+    assert regular_comodule_algebra(uq).side is gr.side
+    for H in (gr, uq):
+        fresh = _unshared_coalgebra(H)
+        assert fresh.side is not gr.side
+        got = coalgebra_failures(H.side)
+        assert got == coalgebra_failures(fresh.side) == ((), (), ())
+        R, S = regular_comodule_algebra(H), regular_comodule_algebra(fresh)
+        assert _coaction_failures(R, [(0, 0)])[:2] \
+            == _coaction_failures(S, [(0, 0)])[:2] == ([], [])
+        assert coinvariants(R) == coinvariants(S)
+        assert coinvariants(R).dim == 1
+
+
+def test_a_corrupted_delta_gets_no_shared_side():
+    gr = build_gr_uq(3)
+    verify_hopf(gr, mode="sampled", sample_count=20)  # fills gr's side
+    bad = _corrupted_delta(gr)
+    assert bad.side is not gr.side
+    fails = {c.claim_id for c in verify_hopf(
+        bad, mode="sampled", sample_count=20).failures()}
+    assert "coalgebra-coassociativity" in fails
+    with pytest.raises(ValueError, match="another coalgebra"):
+        HopfAlgebraData(gr.algebra, bad.coalgebra, gr.antipode,
+                        degrees=gr.degrees, side=gr.side)
+    A = build_family(zoo_params("L1", 3, r=3, xi=2))
+    with pytest.raises(ValueError, match="another coaction"):
+        ComoduleAlgebra(A.algebra, bad, A.coaction, side=A.side)
+
+
+def test_factor_form_runs_once_per_form_and_is_read_only():
+    sigma = build_sigma(3)
+    build_uq(3)
+    got = sigma._factors  # kept by deform_hopf's factor_form
+    assert got is not None and factor_form(sigma) is got
+    alpha, beta, count = got
+    with pytest.raises(TypeError):
+        alpha[0] = ()
+    with pytest.raises(TypeError):
+        beta[0] = ()
+    # a form with the same coordinates keeps its own factorisation
+    twin = ConvForm(sigma.hopf, 2, dict(sigma.coords))
+    assert factor_form(twin) is not got and factor_form(twin) == got
