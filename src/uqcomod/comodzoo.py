@@ -36,7 +36,6 @@ from .exactlinalg import (
 )
 from .hopfcore import (
     ComoduleAlgebra,
-    _Products,
     check_comodule_algebra_morphism,
     conjugate_comodule_algebra,
     costable_closure,
@@ -232,7 +231,8 @@ def _family_label(f, exp):
 
 @lru_cache(maxsize=None)
 def build_family(params: FamilyParams) -> ComoduleAlgebra:
-    """The undeformed family member as a comodule algebra over gr(u_q)."""
+    """The undeformed family member as a comodule algebra over gr(u_q);
+    its table and coaction keep canonical objects (field(N).interned)."""
     N, f = params.N, params.family
     fld = field(N)
     zero, one = fld.zero, fld.one
@@ -261,10 +261,11 @@ def build_family(params: FamilyParams) -> ComoduleAlgebra:
             gens[1] = {(monomial_index(N, 0, 0, N // r), 1): one}
     # delta(e_m) = delta(e_p) delta(e_s) along the builder's steps
     deltas = [{(monomial_index(N, 0, 0, 0), 0): one}]
-    times = _Products(fld)
+    times, canonical = fld.interned.times, fld.interned.canonical
     for m, p, s in alg.steps:
         deltas.append(t2_mul(H.algebra, alg, deltas[p], gens[s], times))
-    coaction = {m: tuple(sorted(d.items())) for m, d in enumerate(deltas)}
+    coaction = {m: tuple(sorted((k, canonical(c)) for k, c in d.items()))
+                for m, d in enumerate(deltas)}
     return ComoduleAlgebra(alg, H, coaction, _params_dict(params))
 
 

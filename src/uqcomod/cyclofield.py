@@ -11,7 +11,8 @@ convolution, one integer reduction and one gcd.  Each field compiles the
 convolution and the reduction of its own degree into one straight-line
 function of the two numerator tuples when it is built (CyclotomicField), so
 a product runs no loop in Python.  Field elements are immutable; the only
-mutable state in this module is memoisation.
+mutable state in this module is memoisation, such as each field's one value
+index (_ValueIndex).
 
 Order 1 is allowed (Phi_1 = t - 1, the field is plain Q); the odd-order
 convention for quantum-group work is enforced by the callers that need it.
@@ -93,12 +94,16 @@ class CyclotomicField:
             c2 = a1*b1
             return (a0*b0 - c2, a0*b1 + a1*b0 - c2,)
 
+    ``interned`` is the field's value index (_ValueIndex), which every table
+    fill, memoised product and check kernel shares; ``zero``, ``one`` and
+    every ``q_power`` are its canonical objects.
+
     A field pickles as ``field(order)``: the generated function cannot be
     pickled, and an unpickled element then shares the cached field.
     """
 
     __slots__ = ("order", "modulus", "degree", "_red", "_mul", "_qpow",
-                 "zero", "one")
+                 "zero", "one", "interned")
 
     def __init__(self, order: int):
         if order < 1:
@@ -111,6 +116,7 @@ class CyclotomicField:
         self._mul = _compile_product(self.degree, self._red)
         self.zero = CyclotomicNumber(self, (0,) * self.degree, 1)
         self.one = self.from_rational(1)
+        self.interned = _ValueIndex(self.zero, self.one)
         self._qpow: dict[int, CyclotomicNumber] = {}
 
     def _build_reductions(self) -> None:
@@ -156,8 +162,8 @@ class CyclotomicField:
         k %= self.order
         got = self._qpow.get(k)
         if got is None:
-            got = self.element([0] * k + [1])
-            self._qpow[k] = got
+            got = self._qpow[k] = self.interned.canonical(
+                self.element([0] * k + [1]))
         return got
 
     @property
@@ -223,6 +229,74 @@ class CyclotomicField:
 @lru_cache(maxsize=None)
 def field(order: int) -> CyclotomicField:
     return CyclotomicField(order)
+
+
+class _ValueIndex:
+    """The values of one field by index, for kernels whose sums of products
+    compare as ints; CyclotomicField.interned is the one index per field.
+
+    Every value gets an index keyed on its exact (num, den), so index
+    equality is value equality.  values[i] is the canonical object of index
+    i: zero has index 0 and one index 1, so an index is true unless zero.
+    ids maps the id() of each canonical object, which values keeps alive,
+    to its index; any other object is looked up by value, so the index
+    grows with the distinct values, not with the operations.
+    products[i][j], keyed once with i <= j, and sums[i][j] map to the index
+    of values[i] * values[j] and values[i] + values[j]; product and total
+    fill them on a miss.  Values and memos map values to values only, so
+    no verdict carries from one check to the next."""
+
+    __slots__ = ("values", "index", "ids", "products", "sums")
+
+    def __init__(self, zero, one):
+        self.values, self.products, self.sums = [], [], []
+        self.index: dict = {}  # (num, den) -> index
+        self.ids: dict = {}  # id(canonical object) -> index
+        self.of(zero)
+        self.of(one)
+
+    def of(self, v) -> int:
+        i = self.ids.get(id(v))
+        if i is None:
+            key = (v.num, v.den)
+            i = self.index.get(key)
+            if i is None:
+                i = self.index[key] = self.ids[id(v)] = len(self.values)
+                self.values.append(v)
+                self.products.append({})
+                self.sums.append({})
+        return i
+
+    def canonical(self, v):
+        """The canonical object equal to v."""
+        return self.values[self.of(v)]
+
+    def product(self, i: int, j: int) -> int:
+        if i > j:
+            i, j = j, i
+        p = self.products[i].get(j)
+        if p is None:
+            p = self.products[i][j] = self.of(self.values[i] * self.values[j])
+        return p
+
+    def total(self, i: int, j: int) -> int:
+        t = self.sums[i][j] = self.of(self.values[i] + self.values[j])
+        return t
+
+    def times(self, a, b):
+        """a * b, as the canonical object, through the memo."""
+        return self.values[self.product(self.of(a), self.of(b))]
+
+    def add(self, out: dict, key, v: int) -> None:
+        """out[key] += values[v] on indices, a zero sum dropped."""
+        got = out.get(key, 0)
+        t = self.sums[got].get(v)
+        if t is None:
+            t = self.total(got, v)
+        if t:
+            out[key] = t
+        elif got:
+            del out[key]
 
 
 def _compile_product(d: int, red):

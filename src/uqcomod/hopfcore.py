@@ -24,7 +24,7 @@ from .cyclofield import CyclotomicField, CyclotomicNumber
 from .exactlinalg import (SparseEchelon, Subspace, kernel_of_sparse_columns,
                           rank, vec_add_into)
 from .reporting import VerificationReport
-from .sides import CoactionSide, _same, _ValueIndex, coalgebra_failures
+from .sides import CoactionSide, _same, coalgebra_failures
 
 # ---------------------------------------------------------------------------
 # sparse vector helpers
@@ -129,47 +129,11 @@ def vec_sub(a: dict, b: dict) -> dict:
     return out
 
 
-class _Products:
-    """Field products for one check or one build.
-
-    A factor stored as field.one itself skips its multiply, and each
-    distinct pair of values is multiplied once.  The values that the
-    verifiers, convolution and the deformation kernel multiply (the
-    coordinates of forms, the coproducts, the skew-PBW tables) are q-powers
-    times q-factorials, so few distinct products occur: at N = 5, 794 among
-    the 79 000 that deform_hopf makes for u_q's whole table, and 116 among
-    the 1 125 of the convolution sigma * sigma^-1.  The memo is keyed on the
-    full (num, den) of both operands, so every product is exact.  Create
-    one per call: the memo grows with the distinct pairs it has seen.
-    """
-
-    __slots__ = ("one", "_memo")
-
-    def __init__(self, fld: CyclotomicField):
-        self.one = fld.one
-        self._memo: dict = {}
-
-    def __call__(self, a, b):
-        one = self.one
-        if a is one:
-            return b
-        if b is one:
-            return a
-        key = (a.num, a.den, b.num, b.den)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = a * b
-        return got
-
-    def unit(self, c):
-        """c, or field.one itself if c equals one."""
-        return self.one if c == self.one else c
-
-
 def vec_combine(images, terms, times=operator.mul) -> dict:
     """f(sum c e_m) over the (m, c) terms, for the linear map
-    f(e_m) = images[m]; times multiplies the coefficients (a _Products
-    memo where they are structure constants)."""
+    f(e_m) = images[m]; times multiplies the coefficients (the field's
+    memoised product, CyclotomicField.interned.times, where they are
+    structure constants)."""
     out: dict = {}
     for m, c in terms:
         for k, d in images[m].items():
@@ -388,7 +352,7 @@ class HopfAlgebraData:
 
 
 def t2_mul(alg1: FiniteAlgebra, alg2: FiniteAlgebra, A: dict, B: dict,
-           times: _Products) -> dict:
+           times) -> dict:
     """Multiply two elements of alg1 (x) alg2, keys are (i, j) pairs."""
     out: dict = {}
     m1, m2 = alg1.mul, alg2.mul
@@ -592,15 +556,16 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
     triples is a sampled list, or an exhaustive or generator plan: every
     (a, b, s) with s in triples.last, looped over directly.  Each row is
     read into a line, row (a, n) by n for the first slot and row (m, s) by
-    m for the last, with every coefficient replaced by its _ValueIndex
-    index, so both sides are dicts of ints that drop their zero terms and
-    sums and compare as ints.  Every value is a field product or sum of
-    table coefficients, so the check is exact.  A sampled plan reads the
-    rows of its triples only (_Line): u_q's rows are filled on first
-    read."""
+    m for the last, with every coefficient replaced by its index on the
+    field's value index (CyclotomicField.interned), so both sides are dicts
+    of ints, summed inline, that compare as ints; a sum that cancels stays
+    as index 0, so unequal sides are compared again without their zeros.
+    Every value is a field product or sum of table coefficients, so the
+    check is exact.  A sampled plan reads the rows of its triples only
+    (_Line): u_q's rows are filled on first read."""
     mul, dim = alg.mul, alg.dim
     sampled = isinstance(triples, list)
-    vi = _ValueIndex(alg.field)
+    vi = alg.field.interned
     values, products, sums = vi.values, vi.products, vi.sums
     indexed, product, total = vi.of, vi.product, vi.total
 
@@ -618,7 +583,7 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
         return got
 
     def values_of(side):
-        return {k: values[i] for k, i in side.items()}
+        return {k: values[i] for k, i in side.items() if i}
 
     # a block is a product firsts x seconds x lasts: an exhaustive or
     # generator plan is one, each sampled triple another
@@ -635,43 +600,27 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
                     # triples at N = 5 take about 1.8x as long
                     lhs: dict = {}
                     for m, c in ab:
-                        pc = products[c]
                         for k, x in right[m]:
-                            v = pc.get(x)
-                            if v is None:
-                                v = product(c, x)
+                            v = (products[c].get(x) if c <= x
+                                 else products[x].get(c)) or product(c, x)
                             got = lhs.get(k)
                             if got is None:
-                                if v:
-                                    lhs[k] = v
+                                lhs[k] = v
                             else:
                                 t = sums[got].get(v)
-                                if t is None:
-                                    t = total(got, v)
-                                if t:
-                                    lhs[k] = t
-                                else:
-                                    del lhs[k]
+                                lhs[k] = total(got, v) if t is None else t
                     rhs: dict = {}
                     for n, d in right[b]:
-                        pd = products[d]
                         for k, y in left[n]:
-                            v = pd.get(y)
-                            if v is None:
-                                v = product(d, y)
+                            v = (products[d].get(y) if d <= y
+                                 else products[y].get(d)) or product(d, y)
                             got = rhs.get(k)
                             if got is None:
-                                if v:
-                                    rhs[k] = v
+                                rhs[k] = v
                             else:
                                 t = sums[got].get(v)
-                                if t is None:
-                                    t = total(got, v)
-                                if t:
-                                    rhs[k] = t
-                                else:
-                                    del rhs[k]
-                    if lhs != rhs:
+                                rhs[k] = total(got, v) if t is None else t
+                    if lhs != rhs and values_of(lhs) != values_of(rhs):
                         yield (a, b, s), values_of(lhs), values_of(rhs)
 
 
@@ -718,19 +667,31 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
     return rep
 
 
-def _antipode_sides(H: HopfAlgebraData, i: int, times: _Products):
+def _antipode_sides(H: HopfAlgebraData, i: int):
     """m(S x id)Delta(e_i), m(id x S)Delta(e_i) and eps(e_i) 1, the three
-    sides of the antipode axioms on one basis element.  S(e_j) e_k and
-    e_j S(e_k) are read from the table rows (m, k) and (j, m)."""
+    sides of the antipode axioms on one basis element, the first two
+    summed on the field's value index (CyclotomicField.interned).
+    S(e_j) e_k and e_j S(e_k) are read from the table rows (m, k) and
+    (j, m)."""
     alg = H.algebra
-    mul, S = alg.mul, H.antipode
+    mul, S, vi = alg.mul, H.antipode, alg.field.interned
+    of, product, add, ids = vi.of, vi.product, vi.add, vi.ids
     left: dict = {}
     right: dict = {}
     for j, k, c in H.coalgebra.comul.get(i, ()):
-        mul_into(left, mul, S.get(j, {}).items(), ((k, c),), times)
-        mul_into(right, mul, ((j, c),), S.get(k, {}).items(), times)
+        c = of(c)
+        for m, a in S.get(j, {}).items():
+            ac = product(of(a), c)
+            for t, d in mul[(m, k)]:
+                add(left, t, product(ac, ids.get(id(d)) or of(d)))
+        for m, a in S.get(k, {}).items():
+            ca = product(c, of(a))
+            for t, d in mul[(j, m)]:
+                add(right, t, product(ca, ids.get(id(d)) or of(d)))
     eps = H.coalgebra.counit.get(i, alg.field.zero)
-    return left, right, vec_scale(alg.unit_vec(), eps)
+    return ({t: vi.values[v] for t, v in left.items()},
+            {t: vi.values[v] for t, v in right.items()},
+            vec_scale(alg.unit_vec(), eps))
 
 
 def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
@@ -756,7 +717,7 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     n_pairs = sample_count - n_assoc
     rep.extend(verify_algebra(alg, mode, n_assoc, seed, always_indices))
 
-    times = _Products(alg.field)
+    times = alg.field.interned.times
     pairs = check_plan(alg.dim, 2, mode, n_pairs, seed + 1, always_indices)
     bad_co, bad_left, delta_1, bad_mult = _coaction_failures(
         regular_comodule_algebra(H), pairs)
@@ -797,7 +758,7 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     # the antipode axioms on every basis element
     bad = []
     for i in range(alg.dim):
-        left, right, target = _antipode_sides(H, i, times)
+        left, right, target = _antipode_sides(H, i)
         if not vec_eq(left, target) or not vec_eq(right, target):
             bad.append({"element": labels[i],
                         "m(S x id)Delta": vec_str(left, labels),
@@ -940,13 +901,14 @@ def convolution(f: ConvForm, g: ConvForm) -> ConvForm:
     those whose first slot y has (x, y) in comul_reverse, in g's order.
     Every slot is then checked through comul_reverse, so the terms, their
     order and the sums are those of the loop over all pairs.  Coordinates
-    and coproduct coefficients multiply through one _Products memo."""
+    and coproduct coefficients multiply through the field's memoised
+    product (CyclotomicField.interned)."""
     _same_hopf(f, g)
     if f.arity != g.arity:
         raise ValueError(f"convolution kind mismatch: arity {f.arity} vs {g.arity}")
     rev = f.hopf.comul_reverse()
     partners = f.hopf.comul_partners()
-    times = _Products(f.hopf.field)
+    times = f.hopf.field.interned.times
     by_first: dict = {}
     for pos, (kg, cg) in enumerate(g.coords.items()):
         by_first.setdefault(kg[0], []).append((pos, kg, cg))
@@ -1012,15 +974,14 @@ def _one_sided_twist(sigma: ConvForm) -> FiniteAlgebra:
                                    H).algebra
 
 
-def _cocycle_sides(sigma: ConvForm, times: _Products, twist: FiniteAlgebra):
+def _cocycle_sides(sigma: ConvForm, twist: FiniteAlgebra):
     """The function (a, b, c) -> (sigma(a.b, c), sigma(a, b.c)) on basis
     indices, for sigma's one-sided twist (_one_sided_twist).  sigma is
     linear in each slot, so these are the two sides
     sigma(a1, b1) sigma(a2 b2, c) and sigma(b1, c1) sigma(a, b2 c2) of the
     2-cocycle identity."""
     zero = sigma.hopf.field.zero
-    sig = sigma.coords
-    mul = twist.mul
+    sig, mul, times = sigma.coords, twist.mul, sigma.hopf.field.interned.times
 
     def sides(a, b, c):
         lhs = zero
@@ -1074,7 +1035,6 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
     triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
-    times = _Products(H.field)
     twist = _one_sided_twist(sigma)
     proved = isinstance(triples, ExhaustivePlan) \
         and all(co.counit_vec(dict(twist.mul[key])) == sigma(*key)
@@ -1082,7 +1042,7 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
         and _proved_algebra(twist)
     bad = []
     if not proved:
-        sides = _cocycle_sides(sigma, times, twist)
+        sides = _cocycle_sides(sigma, twist)
         for (a, b, c) in triples:
             lhs, rhs = sides(a, b, c)
             if lhs != rhs:
@@ -1111,7 +1071,7 @@ def _invert_grouplike(alg: FiniteAlgebra, idx: int) -> dict:
     raise ValueError(f"basis element {alg.labels[idx]} is not of finite order")
 
 
-def _step_image(S: dict, mul, m: int, p: int, s: int, times: _Products):
+def _step_image(S: dict, mul, m: int, p: int, s: int, fld):
     """S(e_m) by the step rule for the step e_m = e_p e_s, or None while one
     of the S values it needs is unsolved.
 
@@ -1121,8 +1081,8 @@ def _step_image(S: dict, mul, m: int, p: int, s: int, times: _Products):
     row = mul[(p, s)]
     if p not in S or s not in S or any(k not in S for k, _ in row[:-1]):
         return None
-    c = times.unit(row[-1][1])
-    cinv = c if c is times.one else c.inverse()
+    times, c = fld.interned.times, row[-1][1]
+    cinv = c if c is fld.one else c.inverse()
     out = mul_into({}, mul, [(k, times(cinv, a)) for k, a in S[s].items()],
                    S[p].items(), times)
     neg_cinv = -cinv
@@ -1134,7 +1094,7 @@ def _step_image(S: dict, mul, m: int, p: int, s: int, times: _Products):
 
 
 def _delta_image(S: dict, alg: FiniteAlgebra, co: FiniteCoalgebra, m: int,
-                 times: _Products, grouplike_inverses: dict):
+                 grouplike_inverses: dict):
     """S(e_m) by the Delta rule, or None while an S(e_a) it needs is
     unsolved.  Delta(e_m) = e_m (x) c e_b + sum c' e_a (x) e_b' with e_b an
     invertible grouplike-type basis element, so m(S x id)Delta(e_m) =
@@ -1159,7 +1119,7 @@ def _delta_image(S: dict, alg: FiniteAlgebra, co: FiniteCoalgebra, m: int,
     rhs = vec_scale(alg.unit_vec(), co.counit.get(m, fld.zero))
     for a, b, c in rest_first:
         # minus c S(e_a) e_b, read from the table rows (., b)
-        mul_into(rhs, mul, S[a].items(), ((b, -c),), times)
+        mul_into(rhs, mul, S[a].items(), ((b, -c),), fld.interned.times)
     ginv = grouplike_inverses.get(bidx)
     if ginv is None:
         ginv = grouplike_inverses[bidx] = _invert_grouplike(alg, bidx)
@@ -1167,8 +1127,7 @@ def _delta_image(S: dict, alg: FiniteAlgebra, co: FiniteCoalgebra, m: int,
     return alg.mul_vec(rhs, binv)
 
 
-def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra,
-                   times: _Products | None = None) -> dict:
+def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra) -> dict:
     """The antipode S, from m (S x id) Delta = unit counit.
 
     One worklist runs over the basis in index order, and each pending e_m
@@ -1186,13 +1145,11 @@ def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra,
     verifiers reduce their plans.  The step rule reads far fewer table
     rows, which matters for a deformed table that computes each row on its
     first read.  The construction is not the proof: verify_hopf checks both
-    antipode axioms on every basis element.  times is the product memo of
-    the caller's build (a new one if None).  No progress raises ValueError
-    naming the unsolved elements.
+    antipode axioms on every basis element.  S keeps the canonical objects
+    of the field's value index.  No progress raises ValueError naming the
+    unsolved elements.
     """
-    mul = alg.mul
-    if times is None:
-        times = _Products(alg.field)
+    mul, canonical = alg.mul, alg.field.interned.canonical
     steps = {m: (p, s) for m, p, s in alg.steps} if step_certificate(alg) \
         else {}
     S: dict = {}
@@ -1204,13 +1161,13 @@ def solve_antipode(alg: FiniteAlgebra, co: FiniteCoalgebra,
         for m in pending:
             image = None
             if m in steps:
-                image = _step_image(S, mul, m, *steps[m], times)
+                image = _step_image(S, mul, m, *steps[m], alg.field)
             if image is None:
-                image = _delta_image(S, alg, co, m, times, grouplike_inverses)
+                image = _delta_image(S, alg, co, m, grouplike_inverses)
             if image is None:
                 left.append(m)
             else:
-                S[m] = image
+                S[m] = {k: canonical(c) for k, c in image.items()}
         if len(left) == len(pending):
             raise ValueError(
                 "antipode system unsolvable: no triangular order covers "
@@ -1228,14 +1185,15 @@ def factor_form(form: ConvForm):
     its lead coefficient (the one at the smallest h2), and alpha_n(h1) is
     the lead coefficient of row h1.  Only lead coefficients are inverted,
     and any form factors this way.  Returns (alpha, beta, count) with
-    alpha[h1] and beta[h2] tuples of (n, coefficient); unit coefficients
-    are stored as field.one itself.  Computed once per form and kept on
-    it, read-only.
+    alpha[h1] and beta[h2] tuples of (n, coefficient), each coefficient the
+    canonical object of the field's value index (CyclotomicField.interned).
+    Computed once per form and kept on it, read-only.
     """
     _require_bilinear(form)
     if form._factors is not None:
         return form._factors
-    times = _Products(form.hopf.field)
+    fld = form.hopf.field
+    times, canonical = fld.interned.times, fld.interned.canonical
     rows: dict = {}
     for (h1, h2), c in sorted(form.coords.items()):
         rows.setdefault(h1, []).append((h2, c))
@@ -1243,11 +1201,11 @@ def factor_form(form: ConvForm):
     alpha: dict = {}
     beta: dict = {}
     for h1, row in rows.items():
-        lead = times.unit(row[0][1])
-        if lead is not times.one:
+        lead = canonical(row[0][1])
+        if lead is not fld.one:
             inv = lead.inverse()
             row = [(h2, times(c, inv)) for h2, c in row]
-        norm = tuple((h2, times.unit(c)) for h2, c in row)
+        norm = tuple((h2, canonical(c)) for h2, c in row)
         n = slices.get(norm)
         if n is None:
             n = slices[norm] = len(slices)
@@ -1260,48 +1218,73 @@ def factor_form(form: ConvForm):
     return form._factors
 
 
-def _contract(terms, factors, times: _Products) -> dict:
+def _contract(terms, factors, vi) -> dict:
     """One slot contracted with the slices of a form: {n: {b: sum c
     f_n(h)}} over the terms (h, b, c), where factors[h] lists the slices
-    (n, f_n(h)) of that slot from factor_form.  A term whose h has no
-    slice is skipped before any multiply."""
+    (n, f_n(h)) of that slot from factor_form, each sum an index on the
+    field's value index vi.  A term whose h has no slice is skipped before
+    any multiply."""
+    of, product, add = vi.of, vi.product, vi.add
     acc: dict = {}
     for h, b, c in terms:
         fs = factors.get(h)
         if fs is not None:
+            x = of(c)
             for n, f in fs:
-                vec_add_into(acc.setdefault(n, {}), b, times(c, f))
+                add(acc.setdefault(n, {}), b, product(x, of(f)))
     return acc
 
 
-def _sealed(acc: dict, times: _Products) -> dict:
-    """The legs {p: ((a, c), ...)} of a contraction {p: {a: c}}, sorted."""
-    return {p: tuple((a, times.unit(x)) for a, x in sorted(v.items()))
+def _sealed(acc: dict, values) -> dict:
+    """The legs {p: ((a, values[x]), ...)} of a contraction {p: {a: x}},
+    sorted."""
+    return {p: tuple(sorted([(a, values[x]) for a, x in v.items()]))
             for p, v in acc.items() if v}
 
 
-def _slice_row(mul, li, rj, times: _Products) -> dict:
-    """The product e_i * e_j = sum_p li[p] rj[p] in the table mul, for the
-    contracted legs li of e_i and rj of e_j, as a sparse vector."""
-    out: dict = {}
-    for p, lv in li.items():
-        rv = rj.get(p)
-        if rv is not None:
-            mul_into(out, mul, lv, rv, times)
-    return out
+def _slice_table(mul, left, right, fld) -> _Rows:
+    """The products e_i * e_j = sum_p left[i][p] right[j][p] in the table
+    mul, for the contracted legs left[i] of e_i and right[j] of e_j, as a
+    table whose rows are computed on first read.  The legs are interned
+    once on the field's value index (CyclotomicField.interned); each row
+    is summed there with memoised products and sums, inline, and keeps
+    the canonical objects of its values."""
+    vi = fld.interned
+    values, products, sums, ids = vi.values, vi.products, vi.sums, vi.ids
+    of, product, total = vi.of, vi.product, vi.total
+    # left[i] as one tuple of (p, a, x), right[j] by p
+    left = [tuple([(p, a, of(c)) for p, leg in legs.items() for a, c in leg])
+            for legs in left]
+    right = [{p: tuple([(b, of(c)) for b, c in leg])
+              for p, leg in legs.items()} for legs in right]
 
-
-def _slice_table(mul, left, right, times: _Products) -> _Rows:
-    """The products e_i * e_j of _slice_row as a table whose rows are
-    computed on first read."""
     def fill(i, j):
-        return tuple(sorted(_slice_row(mul, left[i], right[j], times).items()))
+        out: dict = {}
+        rj = right[j]
+        for p, a, x in left[i]:
+            for b, y in rj.get(p, ()):
+                row = mul[(a, b)]
+                if not row:
+                    continue
+                xy = (products[x].get(y) if x <= y
+                      else products[y].get(x)) or product(x, y)
+                for k, c in row:
+                    c = ids.get(id(c)) or of(c)
+                    v = (products[xy].get(c) if xy <= c
+                         else products[c].get(xy)) or product(xy, c)
+                    got = out.get(k)
+                    if got is None:
+                        out[k] = v
+                    else:
+                        t = sums[got].get(v)
+                        out[k] = total(got, v) if t is None else t
+        return tuple(sorted([(k, values[v]) for k, v in out.items() if v]))
 
     return _Rows(fill=fill, dim=len(left))
 
 
 def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
-                    sigma_inv: ConvForm, times: _Products):
+                    sigma_inv: ConvForm):
     """Contracted legs of every basis element for
     a *_sigma b = sigma(a1, b1) a2 b2 sigma^{-1}(a3, b3): left[i][p] =
     sum c alpha_n(a1) alpha'_m(a3) e_a2, right[i][p] the same with betas,
@@ -1309,24 +1292,24 @@ def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
     Delta(e_i) = sum c e_a (x) e_a3 gives u_m = sum c alpha'_m(a3) e_a, and
     sigma's slot over Delta(u_m) is u_m's combination of the one-sided legs
     of the e_a, as deform_comodule_algebra contracts H over itself."""
-    comul = H.coalgebra.comul
+    comul, vi = H.coalgebra.comul, H.field.interned
     alpha, beta, _ = factor_form(sigma)
     alpha_inv, beta_inv, count_inv = factor_form(sigma_inv)
     sides = []
     for outer, inner in ((alpha_inv, alpha), (beta_inv, beta)):
-        one_sided = [_contract(comul.get(a, ()), inner, times)
+        one_sided = [_contract(comul.get(a, ()), inner, vi)
                      for a in range(H.dim)]
         legs = []
         for i in range(H.dim):
             acc: dict = {}
             flipped = ((a3, a, c) for a, a3, c in comul.get(i, ()))
-            for m, u in _contract(flipped, outer, times).items():
+            for m, u in _contract(flipped, outer, vi).items():
                 for a, x in u.items():
                     for n, w in one_sided[a].items():
                         dst = acc.setdefault(n * count_inv + m, {})
                         for b, y in w.items():
-                            vec_add_into(dst, b, times(x, y))
-            legs.append(_sealed(acc, times))
+                            vi.add(dst, b, vi.product(x, y))
+            legs.append(_sealed(acc, vi.values))
         sides.append(legs)
     return tuple(sides)
 
@@ -1338,16 +1321,15 @@ def deform_hopf(H: HopfAlgebraData, sigma: ConvForm, sigma_inv: ConvForm,
     same coalgebra and coalgebra side (HopfAlgebraData.side), antipode
     recomputed by solve_antipode.  Every product is the sigma formula,
     evaluated by the slice kernel."""
-    times = _Products(H.field)
-    left, right = _two_sided_legs(H, sigma, sigma_inv, times)
-    table = _slice_table(H.algebra.mul, left, right, times)
+    left, right = _two_sided_legs(H, sigma, sigma_inv)
+    table = _slice_table(H.algebra.mul, left, right, H.field)
     alg = FiniteAlgebra(H.field, labels or H.labels, table,
                         H.algebra.unit_vec())
     alg.steps = H.algebra.steps
     co = H.coalgebra
     if labels is not None:
         co = FiniteCoalgebra(H.field, labels, co.comul, co.counit)
-    antipode = solve_antipode(alg, co, times)
+    antipode = solve_antipode(alg, co)
     return HopfAlgebraData(alg, co, antipode, degrees=H.degrees, side=H.side)
 
 
@@ -1440,50 +1422,57 @@ def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
     """[label_a, label_b] for each planned pair (a, b), in plan order, with
     delta(e_a e_b) != delta(e_a) delta(e_b).
 
-    Both sides are dicts (h, x) -> _ValueIndex index: the left sums
-    c delta(e_m) over row (a, b) of A's table, the right multiplies in
-    H (x) A, reading the rows of both tables.  A coefficient of a row or of
-    the coaction is mapped to its index once per object (_ValueIndex.at).
-    A memo miss reads as 0 or None, and only a zero coefficient has index
-    0, so `or` falls through to the product only on a miss or a zero."""
+    Both sides are dicts (h, x) -> index on the field's value index
+    (CyclotomicField.interned): the left sums c delta(e_m) over row (a, b)
+    of A's table, the right multiplies in H (x) A, reading the rows of both
+    tables, and sums inline, where a sum that cancels stays as index 0.  A
+    product memo miss reads as None, and index 0 is false, so `or` falls
+    through to product only on a miss or a zero factor."""
     hmul, amul, labels = A.over.algebra.mul, A.algebra.mul, A.labels
-    vi = _ValueIndex(A.field)
-    products, product, ids, index, add = (vi.products, vi.product, vi.ids,
-                                          vi.at, vi.add)
+    vi = A.field.interned
+    products, sums, ids = vi.products, vi.sums, vi.ids
+    of, product, total, add = vi.of, vi.product, vi.total, vi.add
 
     images = []  # delta(e_m) as ((h, x), index) items, zero terms dropped
     for m in range(A.dim):
         img: dict = {}
         for key, c in A.coaction.get(m, ()):
-            add(img, key, index(c))
+            add(img, key, of(c))
         images.append(tuple(img.items()))
 
     bad = []
     for i, j in pairs:
         lhs: dict = {}
         for m, c in amul[(i, j)]:
-            x = index(c)
-            px = products[x]
+            x = of(c)
             for key, y in images[m]:
-                add(lhs, key, px.get(y) or product(x, y))
+                add(lhs, key, product(x, y))
         rhs: dict = {}
         for (h1, a1), x1 in images[i]:
             for (h2, a2), x2 in images[j]:
                 e1 = hmul[(h1, h2)]
                 e2 = amul[(a1, a2)] if e1 else ()
-                if e2:
-                    c = products[x1].get(x2) or product(x1, x2)
-                    pc = products[c]
-                    for k1, d1 in e1:
-                        y = index(d1)
-                        cd = pc.get(y) or product(c, y)
-                        pcd = products[cd]
-                        for k2, d2 in e2:
-                            # inline lookup: index() here made 2 500 sampled
-                            # pairs per table take about 1.15x as long
-                            z = ids.get(id(d2)) or index(d2)
-                            add(rhs, (k1, k2), pcd.get(z) or product(cd, z))
-        if lhs != rhs:
+                if not e2:
+                    continue
+                c = (products[x1].get(x2) if x1 <= x2
+                     else products[x2].get(x1)) or product(x1, x2)
+                for k1, d1 in e1:
+                    y = ids.get(id(d1)) or of(d1)
+                    cd = (products[c].get(y) if c <= y
+                          else products[y].get(c)) or product(c, y)
+                    pcd = products[cd]
+                    for k2, d2 in e2:
+                        z = ids.get(id(d2)) or of(d2)
+                        v = (pcd.get(z) if cd <= z
+                             else products[z].get(cd)) or product(cd, z)
+                        key = (k1, k2)
+                        got = rhs.get(key)
+                        if got is None:
+                            rhs[key] = v
+                        else:
+                            t = sums[got].get(v)
+                            rhs[key] = total(got, v) if t is None else t
+        if lhs != rhs and lhs != {k: v for k, v in rhs.items() if v}:
             bad.append([labels[i], labels[j]])
     return bad
 
@@ -1521,13 +1510,13 @@ def deform_comodule_algebra(A: ComoduleAlgebra, sigma: ConvForm,
     coaction terms c e_h (x) e_a of each basis element:
     left[i][n] = sum c alpha_n(h) e_a and right[i][n] = sum c beta_n(h) e_a."""
     alg = A.algebra
-    times = _Products(alg.field)
+    vi = alg.field.interned
     left, right = (
         [_sealed(_contract(((h, a, c) for (h, a), c in A.coaction.get(i, ())),
-                           factors, times), times) for i in range(A.dim)]
+                           factors, vi), vi.values) for i in range(A.dim)]
         for factors in factor_form(sigma)[:2])
     new_alg = FiniteAlgebra(alg.field, alg.labels,
-                            _slice_table(alg.mul, left, right, times),
+                            _slice_table(alg.mul, left, right, alg.field),
                             alg.unit_vec())
     new_alg.steps = alg.steps
     return ComoduleAlgebra(new_alg, over, A.coaction, A.params, side=A.side)
@@ -1586,7 +1575,7 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
                 B.algebra.unit_vec())
     rep.add("morphism-unital", "algebra-map-unit", ok, None)
 
-    times = _Products(A.field)
+    times = A.field.interned.times
     bad = [[A.labels[i], A.labels[j]]
            for i, j in check_plan(A.dim, 2, "exhaustive")
            if not vec_eq(vec_combine(images, A.algebra.mul[(i, j)], times),

@@ -5,80 +5,12 @@ A cocycle deformation changes only the product: L_sigma keeps L's
 coaction over the same Delta, eps and unit, and u_q = gr(u_q)_sigma keeps
 gr(u_q)'s.  So coassociativity, the counits, the coinvariants, the Loewy
 layers and the socle's weight spaces of a deformation are those of its
-source, and the deformation shares its source's side.  The value index
-that the coalgebra kernel and hopfcore's product kernels compare on lives
-here too.
+source, and the deformation shares its source's side.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-
-from .cyclofield import CyclotomicField
-
-
-class _ValueIndex:
-    """Field values by index, for kernels whose sums of products compare as
-    ints.  Every value gets an index keyed on its exact (num, den), so index
-    equality is value equality, and zero has index 0, so an index is true
-    unless zero.  products[i] and sums[i] map an index j to the index of
-    values[i] * values[j] and values[i] + values[j]; product and total fill
-    them on a miss.  Create one per call: the memos grow with the pairs.
-
-    at maps a table coefficient to its index once per object, through ids,
-    keyed by id(); kept holds every object so mapped, so no id can be
-    reused while the index is alive.  No row is copied."""
-
-    __slots__ = ("values", "index", "products", "sums", "ids", "kept")
-
-    def __init__(self, fld: CyclotomicField):
-        self.values: list = []
-        self.index: dict = {}
-        self.products: list = []
-        self.sums: list = []
-        self.ids: dict = {}  # id(coefficient) -> index
-        self.kept: list = []
-        self.of(fld.zero)
-
-    def of(self, v) -> int:
-        key = (v.num, v.den)
-        i = self.index.get(key)
-        if i is None:
-            i = self.index[key] = len(self.values)
-            self.values.append(v)
-            self.products.append({})
-            self.sums.append({})
-        return i
-
-    def at(self, c) -> int:
-        i = self.ids.get(id(c))
-        if i is None:
-            i = self.ids[id(c)] = self.of(c)
-            self.kept.append(c)
-        return i
-
-    def product(self, i: int, j: int) -> int:
-        p = self.products[i][j] = self.of(self.values[i] * self.values[j])
-        return p
-
-    def total(self, i: int, j: int) -> int:
-        t = self.sums[i][j] = self.of(self.values[i] + self.values[j])
-        return t
-
-    def times(self, i: int, j: int) -> int:
-        return self.products[i].get(j) or self.product(i, j)
-
-    def add(self, out: dict, key, v: int) -> None:
-        """out[key] += values[v] on indices, a zero sum dropped.  A memo
-        miss reads as None, and only a zero coefficient has index 0."""
-        got = out.get(key, 0)
-        t = self.sums[got].get(v)
-        if t is None:
-            t = self.total(got, v)
-        if t:
-            out[key] = t
-        elif got:
-            del out[key]
 
 
 def _same(a, b) -> bool:
@@ -140,11 +72,11 @@ def coalgebra_failures(side) -> tuple:
     """The basis indices failing (Delta x id)delta = (id x delta)delta,
     those failing (eps x id)delta = id and, on a Hopf algebra's own side
     (its coaction is Delta), those failing (id x eps)Delta = id, as three
-    tuples; every side of each is a dict of _ValueIndex indices."""
-    vi = _ValueIndex(side.field)
-    at, add, times = vi.at, vi.add, vi.times
+    tuples; every side of each is a dict of indices on the field's value
+    index (CyclotomicField.interned), where one has index 1."""
+    vi = side.field.interned
+    of, add, times, ids = vi.of, vi.add, vi.product, vi.ids
     coaction, comul, counit = side.coaction, side.comul, side.counit
-    one = vi.of(side.field.one)
     regular = side.base is side
     bad_co, bad_left, bad_right = [], [], []
     for i in range(side.dim):
@@ -153,21 +85,21 @@ def coalgebra_failures(side) -> tuple:
         left: dict = {}
         right: dict = {}
         for (h, a), c in coaction.get(i, ()):
-            x = at(c)
+            x = of(c)
             for h1, h2, d in comul.get(h, ()):
-                add(lhs, (h1, h2, a), times(x, at(d)))
+                add(lhs, (h1, h2, a), times(x, ids.get(id(d)) or of(d)))
             for (h2, a2), d in coaction.get(a, ()):
-                add(rhs, (h, h2, a2), times(x, at(d)))
+                add(rhs, (h, h2, a2), times(x, ids.get(id(d)) or of(d)))
             e = counit.get(h)
             if e is not None:
-                add(left, a, times(x, at(e)))
+                add(left, a, times(x, of(e)))
             e = counit.get(a) if regular else None
             if e is not None:
-                add(right, h, times(x, at(e)))
+                add(right, h, times(x, of(e)))
         if lhs != rhs:
             bad_co.append(i)
-        if left != {i: one}:
+        if left != {i: 1}:
             bad_left.append(i)
-        if regular and right != {i: one}:
+        if regular and right != {i: 1}:
             bad_right.append(i)
     return tuple(bad_co), tuple(bad_left), tuple(bad_right)

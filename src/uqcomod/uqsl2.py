@@ -27,7 +27,6 @@ from .hopfcore import (
     FiniteCoalgebra,
     HopfAlgebraData,
     _antipode_sides,
-    _Products,
     _Rows,
     _generator_plan,
     _plan_failures,
@@ -73,7 +72,8 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
     increasing order, with e_m = e_p e_s and e_s one of the generators
     X, Y, G.  The table computes row (i, m) on its first read, along the
     step of m: e_i e_m = (e_i e_p) e_s, from the products e_k e_s
-    tabulated once per generator, through one product memo.  The fill
+    tabulated once per generator, on the field's value index
+    (CyclotomicField.interned), and keeps canonical objects.  The fill
     walks m's step chain down to the first row already kept (row (i, 0)
     is e_i itself), then computes and keeps every row on the way back up,
     so a read stores only rows on its own chain and no recursion deepens
@@ -81,7 +81,8 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
     """
     fld = field(N)
     one = fld.one
-    times = _Products(fld)
+    values, of, product, add = (fld.interned.values, fld.interned.of,
+                                fld.interned.product, fld.interned.add)
     lam = 2 * N // r
     dim = nx * ny * r
 
@@ -115,10 +116,9 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
         gens[index(0, 1, 0)] = times_y
     if r > 1:
         gens[index(0, 0, 1)] = times_g
-    # e_k e_s for every basis element and generator; unit factors are
-    # stored as `one` itself so that the memo skips them
-    right = {s: [tuple((t, one if d == one else d) for t, d in gen(*e)
-                       if not d.is_zero()) for e in exps]
+    # e_k e_s for every basis element and generator, on indices
+    right = {s: [tuple((t, of(d)) for t, d in gen(*e) if not d.is_zero())
+                 for e in exps]
              for s, gen in gens.items()}
     steps = []
     for m, (a, b, c) in enumerate(exps[1:], 1):
@@ -146,15 +146,17 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
                 rs = column[m]
                 if len(row) == 1 and len(rs[row[0][0]]) == 1:
                     (t, d), = rs[row[0][0]]  # one term times one: nonzero
-                    row = ((t, times(row[0][1], d)),)
+                    c = row[0][1]
+                    # index 1 is one
+                    row = ((t, c if d == 1 else values[product(of(c), d)]),)
                 else:
-                    # inline: through hopfcore.mul_into a gr(5) fill took
-                    # 1.3x as long
                     out: dict = {}
                     for k, c in row:
+                        c = of(c)
                         for t, d in rs[k]:
-                            vec_add_into(out, t, times(c, d))
-                    row = tuple(sorted(out.items()))
+                            add(out, t, product(c, d))
+                    row = tuple(sorted([(t, values[v])
+                                        for t, v in out.items()]))
             keep(mul, (i, m), row)
         return row
 
@@ -171,7 +173,7 @@ def build_gr_uq(N: int) -> HopfAlgebraData:
     The product is skew_pbw_algebra at xi = zeta = eta = 0 and r = N, and
     the antipode is solved by solve_antipode along the builder's steps, as
     for u_q: the Delta rule on x, y, g, then S(e_p e_s) = S(e_s) S(e_p).
-    The coproduct's coefficients and the antipode share one product memo.
+    The coproduct's coefficients multiply through the field's memo.
     Cached per N; the result is read-only.
     """
     check_order(N)
@@ -186,7 +188,7 @@ def build_gr_uq(N: int) -> HopfAlgebraData:
                 labels.append(f"x{i}y{j}g{k}")
                 degrees.append(i + j)
     alg = skew_pbw_algebra(N, N, N, N, fld.zero, fld.zero, fld.zero, labels)
-    times = _Products(fld)
+    times = fld.interned.times
 
     comul: dict = {}
     counit: dict = {}
@@ -208,7 +210,7 @@ def build_gr_uq(N: int) -> HopfAlgebraData:
                 if i == 0 and j == 0:
                     counit[m] = fld.one
     co = FiniteCoalgebra(fld, labels, comul, counit)
-    antipode = solve_antipode(alg, co, times)
+    antipode = solve_antipode(alg, co)
     return HopfAlgebraData(alg, co, antipode, degrees=degrees)
 
 
@@ -422,9 +424,8 @@ def uq_relation_report(N: int, uq=None) -> VerificationReport:
 
     # the antipode axioms on each basis element of a generator's support,
     # then the closed forms of the solved antipode
-    times = _Products(fld)
     for name, v in (("Et", Et), ("F", F), ("K", K), ("E", E)):
-        sides = (_antipode_sides(uq, i, times) for i in v)
+        sides = (_antipode_sides(uq, i) for i in v)
         rep.add(f"uq-antipode-axiom-{name}", "antipode-axiom-generators",
                 all(vec_eq(left, target) and vec_eq(right, target)
                     for left, right, target in sides), None)
@@ -543,7 +544,7 @@ def closed_comultiplication_report(N: int) -> VerificationReport:
     dy = H.coalgebra.comul_vec(gen["y"])
     dg = H.coalgebra.comul_vec(gen["g"])
     unit_t = tensor_vec(gen["one"], gen["one"])
-    times = _Products(fld)
+    times = fld.interned.times
 
     bad = []
     dxi = unit_t

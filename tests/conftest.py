@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import vec_add_into
 from uqcomod.hopfcore import (ConvForm, FiniteAlgebra, FiniteCoalgebra,
-                              HopfAlgebraData, _Products, factor_form, t2_mul,
+                              HopfAlgebraData, factor_form, t2_mul,
                               vec_combine, vec_eq)
 from uqcomod.uqsl2 import build_gr_uq, build_sigma, build_sigma_inverse, build_uq
 
@@ -314,8 +315,8 @@ def reference_multiplicativity_failures(A, pairs):
     each planned pair (a, b), in plan order, with
     delta(e_a e_b) != delta(e_a) delta(e_b), in field values: the left
     side is vec_combine of the images delta(e_m) over row (a, b) of A's
-    table, the right side t2_mul in H (x) A."""
-    alg, times = A.algebra, _Products(A.field)
+    table, the right side t2_mul in H (x) A, with plain multiplies."""
+    alg, times = A.algebra, operator.mul
     images = []
     for i in range(A.dim):
         img = {}

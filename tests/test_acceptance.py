@@ -25,6 +25,7 @@ from uqcomod.comodzoo import (
     verify_min_pol_lemma,
     zoo_params,
 )
+from uqcomod.cli import main
 from uqcomod.cyclofield import field
 from uqcomod.hopfcore import (
     ComoduleAlgebra,
@@ -452,8 +453,14 @@ def test_criterion_09_filtration():
     print("ACCEPTANCE 09 filtration: PASS")
 
 
-def test_criterion_10_mutation_sensitivity():
-    caught = []
+def _injected_failures():
+    """The corruptions of test_criterion_10, each checked by its verifier:
+    {label: the failing claims as dicts, witnesses included}."""
+    out = {}
+
+    def failing(rep):
+        return [c.as_dict() for c in rep.failures()]
+
     gr = build_gr_uq(3)
     fld = gr.field
     x = monomial_index(3, 1, 0, 0)
@@ -465,36 +472,27 @@ def test_criterion_10_mutation_sensitivity():
     mul = dict(gr.algebra.mul)
     mul[(x, y)] = ((xy, fld.from_rational(2)),)
     bad = FiniteAlgebra(fld, gr.labels, mul, dict(gr.algebra.unit))
-    rep = verify_algebra(bad)
-    assert not rep.ok and any(c.witness for c in rep.failures())
-    caught.append("multiplication-entry")
+    out["multiplication-entry"] = failing(verify_algebra(bad))
 
     # 2. comultiplication: wrong grouplike leg on Delta(x)
     comul = dict(gr.coalgebra.comul)
     comul[x] = ((x, monomial_index(3, 0, 0, 0), fld.one), (g, x, fld.one))
     co = FiniteCoalgebra(fld, gr.labels, comul, dict(gr.coalgebra.counit))
-    rep = verify_hopf(HopfAlgebraData(gr.algebra, co, gr.antipode,
-                                      degrees=gr.degrees))
-    assert not rep.ok and any(c.witness for c in rep.failures())
-    caught.append("comultiplication-leg")
+    out["comultiplication-leg"] = failing(verify_hopf(HopfAlgebraData(
+        gr.algebra, co, gr.antipode, degrees=gr.degrees)))
 
     # 3. antipode: drop the sign of S(x)
     antipode = {i: dict(m) for i, m in gr.antipode.items()}
     antipode[x] = {k: -c for k, c in antipode[x].items()}
-    rep = verify_hopf(HopfAlgebraData(gr.algebra, gr.coalgebra, antipode,
-                                      degrees=gr.degrees))
-    fails = rep.failures()
-    assert fails and any("antipode" in c.claim_id for c in fails)
-    assert any(c.witness for c in fails)
-    caught.append("antipode-sign")
+    out["antipode-sign"] = failing(verify_hopf(HopfAlgebraData(
+        gr.algebra, gr.coalgebra, antipode, degrees=gr.degrees)))
 
     # 4. cocycle: corrupt one sigma coordinate
     sigma = build_sigma(3)
     coords = dict(sigma.coords)
     coords[(x, y)] = coords[(x, y)] + fld.one
-    rep = verify_hopf_2cocycle(ConvForm(gr, 2, coords))
-    assert not rep.ok and any(c.witness for c in rep.failures())
-    caught.append("cocycle-coordinate")
+    out["cocycle-coordinate"] = failing(
+        verify_hopf_2cocycle(ConvForm(gr, 2, coords)))
 
     # 5. coaction: misroute the H-leg of a family generator
     A = build_family(zoo_params("L1", 3, r=3, xi=2))
@@ -503,9 +501,7 @@ def test_criterion_10_mutation_sensitivity():
     assert A.labels[i_x] == "X1G0"
     coaction[i_x] = (((monomial_index(3, 0, 0, 1), i_x), fld.one),)
     bad = ComoduleAlgebra(A.algebra, A.over, coaction, A.params)
-    rep = verify_comodule_algebra(bad)
-    assert not rep.ok and any(c.witness for c in rep.failures())
-    caught.append("coaction-leg")
+    out["coaction-leg"] = failing(verify_comodule_algebra(bad))
 
     # 6. deformed table: scale one product of the deformed algebra
     uq = build_uq(3)
@@ -513,10 +509,8 @@ def test_criterion_10_mutation_sensitivity():
     k, c0 = mul[(x, y)][0]
     mul[(x, y)] = ((k, c0 * 3),) + tuple(mul[(x, y)][1:])
     bad = FiniteAlgebra(fld, uq.labels, mul, dict(uq.algebra.unit))
-    rep = uq_relation_report(3, HopfAlgebraData(bad, uq.coalgebra,
-                                                uq.antipode))
-    assert not rep.ok and any(c.witness for c in rep.failures())
-    caught.append("deformed-product")
+    out["deformed-product"] = failing(uq_relation_report(
+        3, HopfAlgebraData(bad, uq.coalgebra, uq.antipode)))
 
     # 7. shared coaction side: the deformed L1 rebuilt on a fresh coaction
     # dict whose delta(X) has the grouplike leg g where g^-1 belongs; the
@@ -529,11 +523,32 @@ def test_criterion_10_mutation_sensitivity():
                           for (h, a), c in coaction[i_x])
     assert coaction[i_x] != D.coaction[i_x]
     bad = ComoduleAlgebra(D.algebra, D.over, coaction, D.params)
-    fails = {c.claim_id for c in verify_comodule_algebra(bad).failures()}
-    assert "comodule-coassociativity" in fails
+    out["deformed-coaction-leg"] = failing(verify_comodule_algebra(bad))
     assert verify_comodule_algebra(build_family(p)).ok
-    caught.append("deformed-coaction-leg")
+    return out
+
+
+def test_criterion_10_mutation_sensitivity():
+    failures = _injected_failures()
+    caught = []
+    for label, fails in failures.items():
+        assert fails and any(c["witness"] for c in fails), label
+        caught.append(label)
+    assert any("antipode" in c["claim_id"]
+               for c in failures["antipode-sign"])
+    assert "comodule-coassociativity" in {
+        c["claim_id"] for c in failures["deformed-coaction-leg"]}
 
     assert len(caught) >= 5
     print("ACCEPTANCE 10 mutation-sensitivity: PASS "
           f"({len(caught)} corruptions caught)")
+
+
+def test_corruptions_fail_alike_after_a_clean_verify(capsys):
+    # every check kernel shares one value index per field for the whole
+    # process; a clean default run in between must not change a verdict or
+    # a witness of the corruptions
+    before = _injected_failures()
+    assert main(["verify", "--N", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert _injected_failures() == before

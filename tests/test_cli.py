@@ -12,6 +12,7 @@ import uqcomod.cli as cli
 from uqcomod import uqsl2
 from uqcomod.cli import SUITES, build_parser, main
 from uqcomod.comodzoo import build_family, zoo_params
+from uqcomod.cyclofield import field
 from conftest import parsed_rows
 from uqcomod.hopfcore import ConvForm, verify_hopf_2cocycle
 from uqcomod.uqsl2 import monomial_index
@@ -241,3 +242,25 @@ def test_a_closed_pipe_exits_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_a_second_core_n5_round_adds_nothing_to_the_value_index(capsys):
+    # perfbench's core-n5 suites, twice in one process: the second round
+    # reads the values and memo entries of the first and interns nothing
+    vi = field(5).interned
+
+    def one_round():
+        for suite in ("hopf-axioms", "cocycle", "deformation", "families"):
+            assert main(["verify", "--N", "5", "--suites", suite,
+                         "--sample-count", "200", "--seed", "1",
+                         "--format", "json"]) == 0
+        return capsys.readouterr().out
+
+    def size():
+        return (len(vi.values), len(vi.ids), sum(map(len, vi.products)),
+                sum(map(len, vi.sums)))
+
+    first = one_round()
+    grown = size()
+    assert one_round() == first
+    assert size() == grown

@@ -13,6 +13,8 @@ reads its two sides off rows of the one-sided twist, and
 The kernel's tables compute each row on its first read.  Rows read in any
 order must equal the reference, and every whole-table view must first
 complete the table, so that it lists exactly the reference's nonzero rows.
+Every coefficient a fill stores is the canonical object of the field's value
+index.
 """
 
 import itertools
@@ -23,14 +25,15 @@ import pytest
 
 from conftest import (bicharacter_form, cyclic_group_hopf, random_scalar,
                       reference_cocycle_sides, reference_convolution,
-                      reference_deformed_table, reference_legs)
+                      reference_deformed_table, reference_legs,
+                      reference_skew_pbw_fill)
 from uqcomod.cli import _zoo_tuples
-from uqcomod.comodzoo import build_family, deform_family, zoo_params
+from uqcomod.comodzoo import (_pbw_shape, build_family, deform_family,
+                              zoo_params)
 from uqcomod import hopfcore
 from uqcomod.cyclofield import field
 from uqcomod.hopfcore import (
     ConvForm,
-    _Products,
     _cocycle_sides,
     _one_sided_twist,
     _slice_table,
@@ -51,22 +54,32 @@ from uqcomod.uqsl2 import (
 )
 
 
-def _assert_rows_match(mul, dim, want, seed):
+def _assert_canonical(mul, fld):
+    """Every coefficient of a table is the canonical object of the field's
+    value index."""
+    canonical = fld.interned.canonical
+    assert all(c is canonical(c) for row in mul.values() for _, c in row)
+
+
+def _assert_rows_match(alg, want, seed):
     """Every row of a table not yet completed, read in a shuffled order,
-    equals the reference row; then the whole table equals the reference."""
-    keys = list(itertools.product(range(dim), repeat=2))
+    equals the reference row; then the whole table equals the reference
+    and holds canonical objects only."""
+    keys = list(itertools.product(range(alg.dim), repeat=2))
     random.Random(seed).shuffle(keys)
     for key in keys:
-        assert mul[key] == want.get(key, ()), key
-    assert dict(mul) == want
+        assert alg.mul[key] == want.get(key, ()), key
+    assert dict(alg.mul) == want
+    _assert_canonical(alg.mul, alg.field)
 
 
 @pytest.mark.parametrize("N", [3, 5])
 def test_deform_hopf_matches_the_nested_loop(N):
     H, sigma, inv = build_gr_uq(N), build_sigma(N), build_sigma_inverse(N)
     want = reference_deformed_table(H, sigma, inv)
-    _assert_rows_match(deform_hopf(H, sigma, inv).algebra.mul, H.dim, want, N)
+    _assert_rows_match(deform_hopf(H, sigma, inv).algebra, want, N)
     assert dict(build_uq(N).algebra.mul) == want
+    _assert_canonical(build_uq(N).algebra.mul, H.field)
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -75,19 +88,46 @@ def test_deformed_family_members_match_the_nested_loop(N):
         want = reference_deformed_table(build_family(p), build_sigma(N))
         if N == 3:
             fresh = deform_family.__wrapped__(p).algebra
-            _assert_rows_match(fresh.mul, fresh.dim, want, 11)
+            _assert_rows_match(fresh, want, 11)
         assert dict(deform_family(p).algebra.mul) == want, p.label()
+        _assert_canonical(deform_family(p).algebra.mul, field(N))
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_plain_tables_match_the_plain_loop_in_canonical_values(N):
+    # gr(u_q) and every plain member of the zoo, whose tables the deformed
+    # ones above are built from, against the skew-PBW loop of conftest
+    # (plain * and +, no memo)
+    fld = field(N)
+    zero = fld.zero
+    tables = [(build_gr_uq(N).algebra, (N, N, N), (zero, zero, zero))]
+    tables += [(build_family(p).algebra, _pbw_shape(p),
+                (p.xi or zero, p.zeta or zero, p.eta or zero))
+               for p in _zoo_tuples(N, small=N == 3)]
+    for alg, shape, coeffs in tables:
+        want, _ = reference_skew_pbw_fill(N, *shape, *coeffs)
+        assert dict(alg.mul) == want, alg.labels[-1]
+        _assert_canonical(alg.mul, fld)
+    for p in _zoo_tuples(N, small=N == 3):
+        _assert_canonical(build_family(p).coaction, fld)
 
 
 def test_build_uq_computes_only_the_rows_it_reads(monkeypatch):
     calls = []
-    slice_row = hopfcore._slice_row
+    slice_table = hopfcore._slice_table
 
-    def counting(mul, li, rj, times):
-        calls.append(1)
-        return slice_row(mul, li, rj, times)
+    def counting(mul, left, right, fld):
+        rows = slice_table(mul, left, right, fld)
+        fill = rows._fill
 
-    monkeypatch.setattr(hopfcore, "_slice_row", counting)
+        def counted(i, j):
+            calls.append(1)
+            return fill(i, j)
+
+        rows._fill = counted
+        return rows
+
+    monkeypatch.setattr(hopfcore, "_slice_table", counting)
     uq = build_uq.__wrapped__(5)
     built = len(calls)
     # the antipode solve, the only reader in the build, reads under a quarter
@@ -104,9 +144,8 @@ def _fresh_table():
     """The deformed table of u_q(3) (dimension 27) with no row computed
     yet, as a read-only view and as its raw storage, and the reference."""
     H, sigma, inv = build_gr_uq(3), build_sigma(3), build_sigma_inverse(3)
-    times = _Products(H.field)
-    left, right = _two_sided_legs(H, sigma, inv, times)
-    rows = _slice_table(H.algebra.mul, left, right, times)
+    left, right = _two_sided_legs(H, sigma, inv)
+    rows = _slice_table(H.algebra.mul, left, right, H.field)
     return MappingProxyType(rows), rows, reference_deformed_table(H, sigma, inv)
 
 
@@ -226,9 +265,8 @@ def test_kernel_matches_the_nested_loop_on_forms_of_another_shape():
     want = reference_deformed_table(H, sigma, inv)
     # deform_hopf would also solve for an antipode, which these forms need
     # not allow, so the two-sided kernel is run on its own
-    times = _Products(H.field)
-    left, right = _two_sided_legs(H, sigma, inv, times)
-    assert _slice_table(H.algebra.mul, left, right, times) == want
+    left, right = _two_sided_legs(H, sigma, inv)
+    assert _slice_table(H.algebra.mul, left, right, H.field) == want
     R = regular_comodule_algebra(H)
     assert dict(deform_comodule_algebra(R, sigma, H).algebra.mul) \
         == reference_deformed_table(R, sigma)
@@ -239,7 +277,7 @@ def test_two_sided_legs_match_the_one_pass_contraction(N):
     # the kernel contracts sigma^-1's slot first and sigma's slot second;
     # the reference contracts both slots of every Delta^2 term at once
     H, sigma, inv = build_gr_uq(N), build_sigma(N), build_sigma_inverse(N)
-    got = _two_sided_legs(H, sigma, inv, _Products(H.field))
+    got = _two_sided_legs(H, sigma, inv)
     assert got == reference_legs(H, sigma, inv)
     assert all(got[0]) and all(got[1])
 
@@ -248,17 +286,16 @@ def test_legs_of_forms_of_another_shape_match_the_one_pass_contraction():
     H = build_gr_uq(3)
     sigma, inv = _perturbed_forms(3)
     for pair in ((sigma, inv), (inv, sigma), (build_sigma(3), inv)):
-        assert _two_sided_legs(H, *pair, _Products(H.field)) \
-            == reference_legs(H, *pair)
+        assert _two_sided_legs(H, *pair) == reference_legs(H, *pair)
 
 
 def test_one_sided_legs_match_the_one_pass_contraction(monkeypatch):
     legs = []
     slice_table = hopfcore._slice_table
 
-    def capturing(mul, left, right, times):
+    def capturing(mul, left, right, fld):
         legs.append((left, right))
-        return slice_table(mul, left, right, times)
+        return slice_table(mul, left, right, fld)
 
     monkeypatch.setattr(hopfcore, "_slice_table", capturing)
     H = build_gr_uq(3)
@@ -297,8 +334,7 @@ def test_cocycle_sides_match_the_coproduct_loop():
              (ConvForm(Z3, 2, coords), 4)]
     assert factor_form(perturbed)[2] > 3
     for form, want_failing in cases:
-        sides = _cocycle_sides(form, _Products(form.hopf.field),
-                               _one_sided_twist(form))
+        sides = _cocycle_sides(form, _one_sided_twist(form))
         failing = 0
         for a, b, c in itertools.product(range(form.hopf.dim), repeat=3):
             got = sides(a, b, c)

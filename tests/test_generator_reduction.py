@@ -364,16 +364,19 @@ def _fresh(c):
 
 
 def test_value_index_keys_exact_values(f3):
-    vi = hopfcore._ValueIndex(f3)
+    vi = f3.interned
     half = f3.from_rational(Fraction(1, 2))
     i = vi.of(half)
     assert vi.of(f3.zero) == 0 and i
     # 1 and 1/2 share their numerators
     assert half.num == f3.one.num and vi.of(f3.one) != i
     assert vi.of(_fresh(half)) == i
-    assert vi.values[vi.product(i, vi.of(f3.q))] == half * f3.q
+    j = vi.of(f3.q)
+    assert vi.values[vi.product(i, j)] == half * f3.q
     assert vi.values[vi.total(i, i)] == f3.one
-    assert vi.products[i] and vi.sums[i]
+    # a product is kept once, under the smaller index
+    assert vi.products[min(i, j)][max(i, j)] == vi.product(j, i)
+    assert min(i, j) not in vi.products[max(i, j)] and vi.sums[i]
 
 
 def test_multiplicativity_kernel_keys_coefficients_by_value():

@@ -38,6 +38,7 @@ interned coefficient indices, and the kernel must reproduce it.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,22 @@ def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name
     assert main(argv + ["--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify_n3.json", ["--N", "3"]),
+    ("verify_n5.json", ["--N", "5", "--sample-count", "200", "--seed", "1"]),
+])
+def test_one_call_per_suite_reproduces_the_golden_claims(capsys, name,
+                                                         argv):
+    # as a perfbench round runs them: main once per suite in one process,
+    # every call on the same value index of the field
+    want = json.loads((GOLDEN / name).read_text())
+    claims = []
+    for suite in want["config"]["suites"]:
+        main(["verify", *argv, "--suites", suite, "--format", "json"])
+        claims += json.loads(capsys.readouterr().out)["claims"]
+    assert claims == want["claims"]
 
 
 FAMILY = ["--what", "family", "--family"]

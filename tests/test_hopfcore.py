@@ -19,7 +19,6 @@ from uqcomod.hopfcore import (
     FiniteAlgebra,
     FiniteCoalgebra,
     HopfAlgebraData,
-    _Products,
     algebra_to_json,
     coinvariants,
     comodule_to_json,
@@ -346,7 +345,7 @@ def test_product_memo_is_exact():
     q = fld.q
     a, b = 1 + 2 * q, q * q - 3
     half = Fraction(1, 2)
-    times = _Products(fld)
+    times = fld.interned.times
     pairs = [
         # the same numerators over other denominators
         (a, b), (a * half, b), (a, b * half), (a * half, b * half),
@@ -359,7 +358,24 @@ def test_product_memo_is_exact():
     ]
     for x, y in pairs * 2:
         assert times(x, y) == x * y, (x, y)
-    assert times(fld.one, a) is a and times(a, fld.one) is a
+    # every product is the index's canonical object, whichever the order
+    assert times(fld.one, a) is times(a, fld.one) is fld.interned.canonical(a)
+    assert times(a, b) is times(b, a)
+
+
+@pytest.mark.parametrize("order", [1, 3, 5, 7])
+def test_one_zero_and_q_powers_are_canonical(order):
+    fld = field(order)
+    vi = fld.interned
+    assert vi.values[0] is fld.zero and vi.values[1] is fld.one
+    assert vi.canonical(fld.from_rational(1)) is fld.one
+    assert vi.canonical(fld.element([0])) is fld.zero
+    for k in range(-order, 2 * order):
+        power = fld.element([0] * (k % order) + [1])
+        assert vi.canonical(power) is fld.q_power(k)
+    # an index holds a value once, whichever object first carried it
+    assert vi.of(fld.q * fld.q) == vi.of(fld.q_power(2))
+    assert len(vi.values) == len(vi.index) == len(vi.ids)
 
 
 @pytest.mark.parametrize("table", ["gr3", "deformed-fresh", "Z/3"])
@@ -380,7 +396,7 @@ def test_mul_into_matches_the_nested_loop(table, gr3, sigma3, sigma3_inv):
         H = make()
         fld = H.field
         mul = H.algebra.mul
-        times = _Products(fld) if memo else operator.mul
+        times = fld.interned.times if memo else operator.mul
         left, right = ([(i, random_scalar(fld, rng) + fld.one)
                         for i in rng.sample(range(H.dim), 3)]
                        for _ in range(2))
@@ -400,13 +416,13 @@ def test_t2_mul_matches_componentwise_products():
     fld = H.field
     a = {(0, 1): fld.one, (1, 0): fld.from_rational(2)}
     b = {(1, 1): fld.one}
-    out = t2_mul(H.algebra, H.algebra, a, b, _Products(fld))
+    out = t2_mul(H.algebra, H.algebra, a, b, fld.interned.times)
     assert out == {(1, 2): fld.one, (2, 1): fld.from_rational(2)}
     # (e0 (x) e1 - e1 (x) e0)(e1 (x) e0 + e0 (x) e1): the two terms at
     # e1 (x) e1 cancel, and a zero coefficient adds no key
     a = {(0, 1): fld.one, (1, 0): -fld.one, (2, 1): fld.zero}
     b = {(1, 0): fld.one, (0, 1): fld.one}
-    out = t2_mul(H.algebra, H.algebra, a, b, _Products(fld))
+    out = t2_mul(H.algebra, H.algebra, a, b, fld.interned.times)
     assert out == {(0, 2): fld.one, (2, 0): -fld.one}
 
 
