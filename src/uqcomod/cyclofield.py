@@ -11,8 +11,7 @@ convolution, one integer reduction and one gcd.  Each field compiles the
 convolution and the reduction of its own degree into one straight-line
 function of the two numerator tuples when it is built (CyclotomicField), so
 a product runs no loop in Python.  Field elements are immutable; the only
-mutable state in this module is memoisation, such as each field's one value
-index (_ValueIndex).
+mutable state in this module is memoisation (_ValueIndex).
 
 Order 1 is allowed (Phi_1 = t - 1, the field is plain Q); the odd-order
 convention for quantum-group work is enforced by the callers that need it.
@@ -21,6 +20,7 @@ convention for quantum-group work is enforced by the callers that need it.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -94,9 +94,8 @@ class CyclotomicField:
             c2 = a1*b1
             return (a0*b0 - c2, a0*b1 + a1*b0 - c2,)
 
-    ``interned`` is the field's value index (_ValueIndex), which every table
-    fill, memoised product and check kernel shares; ``zero``, ``one`` and
-    every ``q_power`` are its canonical objects.
+    ``interned`` is the field's one value index (_ValueIndex); ``zero``,
+    ``one`` and every ``q_power`` are its canonical objects.
 
     A field pickles as ``field(order)``: the generated function cannot be
     pickled, and an unpickled element then shares the cached field.
@@ -232,26 +231,24 @@ def field(order: int) -> CyclotomicField:
 
 
 class _ValueIndex:
-    """The values of one field by index, for kernels whose sums of products
-    compare as ints; CyclotomicField.interned is the one index per field.
+    """The values of one field by index (CyclotomicField.interned), each
+    keyed on its exact (num, den), so index equality is value equality.
 
-    Every value gets an index keyed on its exact (num, den), so index
-    equality is value equality.  values[i] is the canonical object of index
-    i: zero has index 0 and one index 1, so an index is true unless zero.
-    ids maps the id() of each canonical object, which values keeps alive,
-    to its index; any other object is looked up by value, so the index
-    grows with the distinct values, not with the operations.
-    products[i][j], keyed once with i <= j, and sums[i][j] map to the index
-    of values[i] * values[j] and values[i] + values[j]; product and total
-    fill them on a miss.  Values and memos map values to values only, so
-    no verdict carries from one check to the next."""
+    values[i] is the canonical object of index i: zero has index 0 and one
+    index 1, so an index is true unless zero.  ids maps the id() of each
+    canonical object, which values keeps alive, to its index; any other
+    object is looked up by value.  products[i][j], stored under both
+    orders, and sums[i][j] are the indices of values[i] * values[j] and
+    values[i] + values[j], filled on a miss.  The memos map values to
+    values only, so no verdict carries from one check to the next; a check
+    sums on its own memo (_Partial), so none of its partial sums enters
+    the index, which keeps the values of tables, builders and products."""
 
     __slots__ = ("values", "index", "ids", "products", "sums")
 
     def __init__(self, zero, one):
         self.values, self.products, self.sums = [], [], []
-        self.index: dict = {}  # (num, den) -> index
-        self.ids: dict = {}  # id(canonical object) -> index
+        self.index, self.ids = {}, {}  # by (num, den), by id(canonical)
         self.of(zero)
         self.of(one)
 
@@ -272,11 +269,10 @@ class _ValueIndex:
         return self.values[self.of(v)]
 
     def product(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
         p = self.products[i].get(j)
         if p is None:
-            p = self.products[i][j] = self.of(self.values[i] * self.values[j])
+            p = self.products[i][j] = self.products[j][i] = self.of(
+                self.values[i] * self.values[j])
         return p
 
     def total(self, i: int, j: int) -> int:
@@ -288,15 +284,50 @@ class _ValueIndex:
         return self.values[self.product(self.of(a), self.of(b))]
 
     def add(self, out: dict, key, v: int) -> None:
-        """out[key] += values[v] on indices, a zero sum dropped."""
-        got = out.get(key, 0)
-        t = self.sums[got].get(v)
+        """out[key] += values[v] on indices; a sum that cancels stays as
+        index 0, so readers drop the zero indices."""
+        got = out.get(key)
+        if got is None:
+            out[key] = v
+        else:
+            t = self.sums[got].get(v)
+            out[key] = self.total(got, v) if t is None else t
+
+
+class _Partial:
+    """The sums of one check on the value index vi, memoised for that check
+    only, so its partial sums never enter vi.  An id is an index of vi, or
+    ~k for the k-th sum vi does not hold; value(i) is its value, sums[i][j]
+    the id of value(i) + values[j].  Equal ids are equal values, but a sum
+    that vi learns later in the check carries both ids, so sides that
+    differ as ids are compared again as values (same)."""
+
+    __slots__ = ("vi", "extra", "local", "sums")
+
+    def __init__(self, vi: _ValueIndex):
+        self.vi, self.extra, self.local = vi, [], {}
+        self.sums = defaultdict(dict)
+
+    def value(self, i: int):
+        return self.vi.values[i] if i >= 0 else self.extra[~i]
+
+    def total(self, i: int, j: int) -> int:
+        v = self.value(i) + self.vi.values[j]
+        key = (v.num, v.den)
+        t = self.vi.index.get(key, self.local.get(key))
         if t is None:
-            t = self.total(got, v)
-        if t:
-            out[key] = t
-        elif got:
-            del out[key]
+            t = self.local[key] = ~len(self.extra)
+            self.extra.append(v)
+        self.sums[i][j] = t
+        return t
+
+    add = _ValueIndex.add
+
+    def values_of(self, side: dict) -> dict:
+        return {k: self.value(i) for k, i in side.items() if i}
+
+    def same(self, lhs: dict, rhs: dict) -> bool:
+        return lhs == rhs or self.values_of(lhs) == self.values_of(rhs)
 
 
 def _compile_product(d: int, red):

@@ -20,7 +20,7 @@ import operator
 import random
 from types import MappingProxyType
 
-from .cyclofield import CyclotomicField, CyclotomicNumber
+from .cyclofield import CyclotomicField, CyclotomicNumber, _Partial
 from .exactlinalg import (SparseEchelon, Subspace, kernel_of_sparse_columns,
                           rank, vec_add_into)
 from .reporting import VerificationReport
@@ -131,9 +131,8 @@ def vec_sub(a: dict, b: dict) -> dict:
 
 def vec_combine(images, terms, times=operator.mul) -> dict:
     """f(sum c e_m) over the (m, c) terms, for the linear map
-    f(e_m) = images[m]; times multiplies the coefficients (the field's
-    memoised product, CyclotomicField.interned.times, where they are
-    structure constants)."""
+    f(e_m) = images[m]; times multiplies the coefficients (for structure
+    constants, the field's memoised CyclotomicField.interned.times)."""
     out: dict = {}
     for m, c in terms:
         for k, d in images[m].items():
@@ -556,18 +555,16 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
     triples is a sampled list, or an exhaustive or generator plan: every
     (a, b, s) with s in triples.last, looped over directly.  Each row is
     read into a line, row (a, n) by n for the first slot and row (m, s) by
-    m for the last, with every coefficient replaced by its index on the
-    field's value index (CyclotomicField.interned), so both sides are dicts
-    of ints, summed inline, that compare as ints; a sum that cancels stays
-    as index 0, so unequal sides are compared again without their zeros.
-    Every value is a field product or sum of table coefficients, so the
-    check is exact.  A sampled plan reads the rows of its triples only
-    (_Line): u_q's rows are filled on first read."""
+    m for the last, on the field's value index (CyclotomicField.interned).
+    Both sides multiply on the index and sum inline on the call's own memo
+    (_Partial), so they are dicts of ints; every value is exact.  A sampled
+    plan reads the rows of its triples only (_Line)."""
     mul, dim = alg.mul, alg.dim
     sampled = isinstance(triples, list)
     vi = alg.field.interned
-    values, products, sums = vi.values, vi.products, vi.sums
-    indexed, product, total = vi.of, vi.product, vi.total
+    part = _Partial(vi)
+    products, indexed, product = vi.products, vi.of, vi.product
+    sums, total = part.sums, part.total
 
     def read(key):
         return tuple([(k, indexed(c)) for k, c in mul[key]])
@@ -581,9 +578,6 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
         if got is None:
             got = lines[(i, last)] = _Line(read, i, last)
         return got
-
-    def values_of(side):
-        return {k: values[i] for k, i in side.items() if i}
 
     # a block is a product firsts x seconds x lasts: an exhaustive or
     # generator plan is one, each sampled triple another
@@ -601,8 +595,7 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
                     lhs: dict = {}
                     for m, c in ab:
                         for k, x in right[m]:
-                            v = (products[c].get(x) if c <= x
-                                 else products[x].get(c)) or product(c, x)
+                            v = products[c].get(x) or product(c, x)
                             got = lhs.get(k)
                             if got is None:
                                 lhs[k] = v
@@ -612,16 +605,16 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
                     rhs: dict = {}
                     for n, d in right[b]:
                         for k, y in left[n]:
-                            v = (products[d].get(y) if d <= y
-                                 else products[y].get(d)) or product(d, y)
+                            v = products[d].get(y) or product(d, y)
                             got = rhs.get(k)
                             if got is None:
                                 rhs[k] = v
                             else:
                                 t = sums[got].get(v)
                                 rhs[k] = total(got, v) if t is None else t
-                    if lhs != rhs and values_of(lhs) != values_of(rhs):
-                        yield (a, b, s), values_of(lhs), values_of(rhs)
+                    if not part.same(lhs, rhs):
+                        yield (a, b, s), part.values_of(lhs), \
+                            part.values_of(rhs)
 
 
 def _unit_failures(alg: FiniteAlgebra) -> list:
@@ -669,15 +662,12 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
 
 def _antipode_sides(H: HopfAlgebraData, i: int):
     """m(S x id)Delta(e_i), m(id x S)Delta(e_i) and eps(e_i) 1, the three
-    sides of the antipode axioms on one basis element, the first two
-    summed on the field's value index (CyclotomicField.interned).
-    S(e_j) e_k and e_j S(e_k) are read from the table rows (m, k) and
-    (j, m)."""
+    sides of the antipode axioms on one basis element, the first two summed
+    on the field's value index from the table rows (m, k) and (j, m)."""
     alg = H.algebra
     mul, S, vi = alg.mul, H.antipode, alg.field.interned
     of, product, add, ids = vi.of, vi.product, vi.add, vi.ids
-    left: dict = {}
-    right: dict = {}
+    left, right = {}, {}
     for j, k, c in H.coalgebra.comul.get(i, ()):
         c = of(c)
         for m, a in S.get(j, {}).items():
@@ -689,8 +679,8 @@ def _antipode_sides(H: HopfAlgebraData, i: int):
             for t, d in mul[(j, m)]:
                 add(right, t, product(ca, ids.get(id(d)) or of(d)))
     eps = H.coalgebra.counit.get(i, alg.field.zero)
-    return ({t: vi.values[v] for t, v in left.items()},
-            {t: vi.values[v] for t, v in right.items()},
+    return ({t: vi.values[v] for t, v in left.items() if v},
+            {t: vi.values[v] for t, v in right.items() if v},
             vec_scale(alg.unit_vec(), eps))
 
 
@@ -1220,10 +1210,9 @@ def factor_form(form: ConvForm):
 
 def _contract(terms, factors, vi) -> dict:
     """One slot contracted with the slices of a form: {n: {b: sum c
-    f_n(h)}} over the terms (h, b, c), where factors[h] lists the slices
-    (n, f_n(h)) of that slot from factor_form, each sum an index on the
-    field's value index vi.  A term whose h has no slice is skipped before
-    any multiply."""
+    f_n(h)}} on the value index vi over the terms (h, b, c), where
+    factors[h] lists the slices (n, f_n(h)) of that slot from factor_form.
+    A term whose h has no slice is skipped before any multiply."""
     of, product, add = vi.of, vi.product, vi.add
     acc: dict = {}
     for h, b, c in terms:
@@ -1235,28 +1224,24 @@ def _contract(terms, factors, vi) -> dict:
     return acc
 
 
-def _sealed(acc: dict, values) -> dict:
-    """The legs {p: ((a, values[x]), ...)} of a contraction {p: {a: x}},
-    sorted."""
-    return {p: tuple(sorted([(a, values[x]) for a, x in v.items()]))
-            for p, v in acc.items() if v}
+def _sealed(acc: dict) -> dict:
+    """The legs {p: ((a, x), ...)} of a contraction {p: {a: x}}, sorted,
+    each x a nonzero index on the field's value index."""
+    return {p: leg for p, v in acc.items()
+            if (leg := tuple(sorted([(a, x) for a, x in v.items() if x])))}
 
 
 def _slice_table(mul, left, right, fld) -> _Rows:
     """The products e_i * e_j = sum_p left[i][p] right[j][p] in the table
-    mul, for the contracted legs left[i] of e_i and right[j] of e_j, as a
-    table whose rows are computed on first read.  The legs are interned
-    once on the field's value index (CyclotomicField.interned); each row
-    is summed there with memoised products and sums, inline, and keeps
-    the canonical objects of its values."""
+    mul, for the contracted legs left[i] of e_i and right[j] of e_j
+    (_sealed), as a table whose rows are computed on first read, summed
+    inline on the field's value index and kept as canonical objects."""
     vi = fld.interned
     values, products, sums, ids = vi.values, vi.products, vi.sums, vi.ids
     of, product, total = vi.of, vi.product, vi.total
-    # left[i] as one tuple of (p, a, x), right[j] by p
-    left = [tuple([(p, a, of(c)) for p, leg in legs.items() for a, c in leg])
+    # left[i] as one tuple of (p, a, x)
+    left = [tuple([(p, a, x) for p, leg in legs.items() for a, x in leg])
             for legs in left]
-    right = [{p: tuple([(b, of(c)) for b, c in leg])
-              for p, leg in legs.items()} for legs in right]
 
     def fill(i, j):
         out: dict = {}
@@ -1266,12 +1251,10 @@ def _slice_table(mul, left, right, fld) -> _Rows:
                 row = mul[(a, b)]
                 if not row:
                     continue
-                xy = (products[x].get(y) if x <= y
-                      else products[y].get(x)) or product(x, y)
+                xy = products[x].get(y) or product(x, y)
                 for k, c in row:
                     c = ids.get(id(c)) or of(c)
-                    v = (products[xy].get(c) if xy <= c
-                         else products[c].get(xy)) or product(xy, c)
+                    v = products[xy].get(c) or product(xy, c)
                     got = out.get(k)
                     if got is None:
                         out[k] = v
@@ -1309,7 +1292,7 @@ def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
                         dst = acc.setdefault(n * count_inv + m, {})
                         for b, y in w.items():
                             vi.add(dst, b, vi.product(x, y))
-            legs.append(_sealed(acc, vi.values))
+            legs.append(_sealed(acc))
         sides.append(legs)
     return tuple(sides)
 
@@ -1422,31 +1405,27 @@ def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
     """[label_a, label_b] for each planned pair (a, b), in plan order, with
     delta(e_a e_b) != delta(e_a) delta(e_b).
 
-    Both sides are dicts (h, x) -> index on the field's value index
-    (CyclotomicField.interned): the left sums c delta(e_m) over row (a, b)
-    of A's table, the right multiplies in H (x) A, reading the rows of both
-    tables, and sums inline, where a sum that cancels stays as index 0.  A
-    product memo miss reads as None, and index 0 is false, so `or` falls
-    through to product only on a miss or a zero factor."""
+    Both sides are dicts (h, x) -> id, as in _associativity_defects: the
+    left sums c delta(e_m) over row (a, b) of A's table, the right, summed
+    inline, multiplies in H (x) A.  A product memo miss reads as None, and
+    index 0 is false, so `or` falls through to product only on a miss or a
+    zero factor."""
     hmul, amul, labels = A.over.algebra.mul, A.algebra.mul, A.labels
     vi = A.field.interned
-    products, sums, ids = vi.products, vi.sums, vi.ids
-    of, product, total, add = vi.of, vi.product, vi.total, vi.add
-
-    images = []  # delta(e_m) as ((h, x), index) items, zero terms dropped
-    for m in range(A.dim):
-        img: dict = {}
-        for key, c in A.coaction.get(m, ()):
-            add(img, key, of(c))
-        images.append(tuple(img.items()))
+    part = _Partial(vi)
+    products, ids, of, product = vi.products, vi.ids, vi.of, vi.product
+    sums, total, add = part.sums, part.total, part.add
+    # delta(e_m) as ((h, x), index) items
+    images = [tuple([(key, of(c)) for key, c in A.coaction.get(m, ())])
+              for m in range(A.dim)]
 
     bad = []
     for i, j in pairs:
         lhs: dict = {}
         for m, c in amul[(i, j)]:
-            x = of(c)
+            x = ids.get(id(c)) or of(c)
             for key, y in images[m]:
-                add(lhs, key, product(x, y))
+                add(lhs, key, products[x].get(y) or product(x, y))
         rhs: dict = {}
         for (h1, a1), x1 in images[i]:
             for (h2, a2), x2 in images[j]:
@@ -1454,25 +1433,21 @@ def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
                 e2 = amul[(a1, a2)] if e1 else ()
                 if not e2:
                     continue
-                c = (products[x1].get(x2) if x1 <= x2
-                     else products[x2].get(x1)) or product(x1, x2)
+                c = products[x1].get(x2) or product(x1, x2)
                 for k1, d1 in e1:
                     y = ids.get(id(d1)) or of(d1)
-                    cd = (products[c].get(y) if c <= y
-                          else products[y].get(c)) or product(c, y)
+                    cd = products[c].get(y) or product(c, y)
                     pcd = products[cd]
                     for k2, d2 in e2:
                         z = ids.get(id(d2)) or of(d2)
-                        v = (pcd.get(z) if cd <= z
-                             else products[z].get(cd)) or product(cd, z)
-                        key = (k1, k2)
-                        got = rhs.get(key)
+                        v = pcd.get(z) or product(cd, z)
+                        got = rhs.get(key := (k1, k2))
                         if got is None:
                             rhs[key] = v
                         else:
                             t = sums[got].get(v)
                             rhs[key] = total(got, v) if t is None else t
-        if lhs != rhs and lhs != {k: v for k, v in rhs.items() if v}:
+        if not part.same(lhs, rhs):
             bad.append([labels[i], labels[j]])
     return bad
 
@@ -1510,10 +1485,9 @@ def deform_comodule_algebra(A: ComoduleAlgebra, sigma: ConvForm,
     coaction terms c e_h (x) e_a of each basis element:
     left[i][n] = sum c alpha_n(h) e_a and right[i][n] = sum c beta_n(h) e_a."""
     alg = A.algebra
-    vi = alg.field.interned
     left, right = (
         [_sealed(_contract(((h, a, c) for (h, a), c in A.coaction.get(i, ())),
-                           factors, vi), vi.values) for i in range(A.dim)]
+                           factors, alg.field.interned)) for i in range(A.dim)]
         for factors in factor_form(sigma)[:2])
     new_alg = FiniteAlgebra(alg.field, alg.labels,
                             _slice_table(alg.mul, left, right, alg.field),

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
+from .cyclofield import _Partial
+
 
 def _same(a, b) -> bool:
     """Whether two tables are one object or equal."""
@@ -72,18 +74,15 @@ def coalgebra_failures(side) -> tuple:
     """The basis indices failing (Delta x id)delta = (id x delta)delta,
     those failing (eps x id)delta = id and, on a Hopf algebra's own side
     (its coaction is Delta), those failing (id x eps)Delta = id, as three
-    tuples; every side of each is a dict of indices on the field's value
-    index (CyclotomicField.interned), where one has index 1."""
+    tuples; every side is a dict of ids on the call's memo (_Partial)."""
     vi = side.field.interned
-    of, add, times, ids = vi.of, vi.add, vi.product, vi.ids
+    part = _Partial(vi)
+    of, add, times, ids, same = vi.of, part.add, vi.product, vi.ids, part.same
     coaction, comul, counit = side.coaction, side.comul, side.counit
     regular = side.base is side
     bad_co, bad_left, bad_right = [], [], []
     for i in range(side.dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        left: dict = {}
-        right: dict = {}
+        lhs, rhs, left, right = {}, {}, {}, {}
         for (h, a), c in coaction.get(i, ()):
             x = of(c)
             for h1, h2, d in comul.get(h, ()):
@@ -96,10 +95,10 @@ def coalgebra_failures(side) -> tuple:
             e = counit.get(a) if regular else None
             if e is not None:
                 add(right, h, times(x, of(e)))
-        if lhs != rhs:
+        if not same(lhs, rhs):
             bad_co.append(i)
-        if left != {i: 1}:
+        if not same(left, {i: 1}):
             bad_left.append(i)
-        if regular and right != {i: 1}:
+        if regular and not same(right, {i: 1}):
             bad_right.append(i)
     return tuple(bad_co), tuple(bad_left), tuple(bad_right)

@@ -145,9 +145,8 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
             if row:
                 rs = column[m]
                 if len(row) == 1 and len(rs[row[0][0]]) == 1:
-                    (t, d), = rs[row[0][0]]  # one term times one: nonzero
+                    (t, d), = rs[row[0][0]]  # nonzero; index 1 is one
                     c = row[0][1]
-                    # index 1 is one
                     row = ((t, c if d == 1 else values[product(of(c), d)]),)
                 else:
                     out: dict = {}
@@ -156,7 +155,7 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
                         for t, d in rs[k]:
                             add(out, t, product(c, d))
                     row = tuple(sorted([(t, values[v])
-                                        for t, v in out.items()]))
+                                        for t, v in out.items() if v]))
             keep(mul, (i, m), row)
         return row
 

@@ -18,13 +18,14 @@ from types import MappingProxyType
 import pytest
 
 from uqcomod import cli, hopfcore, uqsl2
-from uqcomod.cyclofield import CyclotomicNumber
+from uqcomod.cyclofield import CyclotomicNumber, _Partial
 from uqcomod.comodzoo import build_family, deform_family, zoo_params
 from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, ExhaustivePlan,
                               FiniteAlgebra, FiniteCoalgebra, HopfAlgebraData,
                               check_plan, solve_antipode, step_certificate,
                               vec_eq, verify_algebra, verify_comodule_algebra,
                               verify_hopf, verify_hopf_2cocycle)
+from uqcomod.sides import coalgebra_failures
 from uqcomod.uqsl2 import (build_dual_functionals, build_gr_uq, build_sigma,
                            build_uq, monomial_index, uq_relation_report,
                            verify_dual_relations)
@@ -374,9 +375,49 @@ def test_value_index_keys_exact_values(f3):
     j = vi.of(f3.q)
     assert vi.values[vi.product(i, j)] == half * f3.q
     assert vi.values[vi.total(i, i)] == f3.one
-    # a product is kept once, under the smaller index
-    assert vi.products[min(i, j)][max(i, j)] == vi.product(j, i)
-    assert min(i, j) not in vi.products[max(i, j)] and vi.sums[i]
+    # a product is computed once and kept under both orders
+    assert vi.products[i][j] == vi.products[j][i] == vi.product(j, i)
+    assert vi.sums[i]
+
+
+def test_partial_sums_stay_out_of_the_value_index(f3):
+    vi = f3.interned
+    third = f3.from_rational(Fraction(1, 3))
+    i = vi.of(third)
+    size = len(vi.values)
+    part = _Partial(vi)
+    lhs: dict = {}
+    rhs: dict = {}
+    for _ in range(7):
+        part.add(lhs, "k", i)
+    # 7/3 is a new value: a negative id of the memo, not an index of vi
+    assert lhs["k"] < 0 and part.value(lhs["k"]) == 7 * third
+    assert len(vi.values) == size
+    # a sum vi learns later carries both ids, and compares as values
+    rhs["k"] = vi.of(7 * third)
+    assert lhs != rhs and part.same(lhs, rhs)
+    # a sum that cancels stays as index 0 and compares as absent
+    part.add(lhs, "z", i)
+    part.add(lhs, "z", vi.of(-third))
+    assert lhs["z"] == 0 and part.same(lhs, rhs)
+    assert not part.same(lhs, {"k": i})
+
+
+def test_check_kernels_add_no_sums_to_the_value_index():
+    # the associativity, multiplicativity and coalgebra kernels sum on
+    # their own memo: once u_q(5)'s table is complete, they leave the
+    # index's sums as they were
+    uq = build_uq(5)
+    dict(uq.algebra.mul)
+    vi = uq.field.interned
+    sums = sum(map(len, vi.sums))
+    for seed in (1, 2):
+        verify_algebra(uq.algebra, mode="sampled", sample_count=400,
+                       seed=seed)
+        verify_comodule_algebra(hopfcore.regular_comodule_algebra(uq),
+                                mode="sampled", sample_count=400, seed=seed)
+    coalgebra_failures(uq.side)
+    assert sum(map(len, vi.sums)) == sums
 
 
 def test_multiplicativity_kernel_keys_coefficients_by_value():
