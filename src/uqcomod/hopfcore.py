@@ -377,44 +377,27 @@ def tensor_vec(a: dict, b: dict) -> dict:
 
 
 class ExhaustivePlan:
-    """Every tuple over range(dim) of one arity, in lexicographic order.
+    """Every tuple over range(dim) of one arity whose last slot is in last,
+    in lexicographic order; last is every index unless given (a generator
+    plan, _generator_plan).
 
     Tuples are made on demand, so the plan holds no list: it has a length
     and can be iterated any number of times.
     """
 
-    __slots__ = ("dim", "arity")
-
-    def __init__(self, dim: int, arity: int):
-        self.dim = dim
-        self.arity = arity
-
-    def __len__(self):
-        return self.dim ** self.arity
-
-    def __iter__(self):
-        return itertools.product(range(self.dim), repeat=self.arity)
-
-    @property
-    def last(self):
-        """The indices the last slot runs over: all of them."""
-        return range(self.dim)
-
-
-class _GeneratorTuples:
-    """Every tuple over range(dim) of one arity whose last slot is in last,
-    in lexicographic order, made on demand (_generator_plan)."""
-
     __slots__ = ("dim", "arity", "last")
 
-    def __init__(self, dim: int, arity: int, last: tuple):
+    def __init__(self, dim: int, arity: int, last=None):
         self.dim = dim
         self.arity = arity
-        self.last = last
+        self.last = range(dim) if last is None else last
+
+    def __len__(self):
+        return self.dim ** (self.arity - 1) * len(self.last)
 
     def __iter__(self):
-        heads = itertools.product(range(self.dim), repeat=self.arity - 1)
-        return ((*head, s) for head in heads for s in self.last)
+        return itertools.product(*(range(self.dim),) * (self.arity - 1),
+                                 self.last)
 
 
 def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
@@ -466,12 +449,13 @@ def step_certificate(alg: FiniteAlgebra) -> tuple:
 def _generator_plan(alg: FiniteAlgebra, plan, lead=(), proved=()):
     """The generator tuples that prove an exhaustive claim on alg, or None.
 
-    None unless, checked in this order, plan is an ExhaustivePlan,
-    step_certificate(alg) holds and verify_algebra proves every algebra in
-    `proved` unital and associative (_proved_algebra); so a sampled plan
-    never runs an exhaustive verify_algebra.  Otherwise the tuples of
+    None unless, checked in this order, plan is a full ExhaustivePlan (its
+    last slot runs over every index), step_certificate(alg) holds and
+    verify_algebra proves every algebra in `proved` unital and associative
+    (_proved_algebra); so a sampled or an already reduced plan never runs
+    an exhaustive verify_algebra.  Otherwise the ExhaustivePlan of
     plan.arity whose last slot is in `lead` or is a generator e_s of the
-    certificate (_GeneratorTuples).
+    certificate.
 
     The induction.  Write C(e_m) for the claim on every tuple whose last
     slot is e_m.  The claim is linear in each slot, so the generator tuples
@@ -482,12 +466,12 @@ def _generator_plan(alg: FiniteAlgebra, plan, lead=(), proved=()):
     m >= 1 with step (m, p, s), p < m, row (p, s) is c e_m plus terms of
     lower index with c != 0, so C(e_p), the step identity and C at the
     lower terms give C(e_m).  So the claim holds on every tuple of plan."""
-    if not isinstance(plan, ExhaustivePlan):
+    if not isinstance(plan, ExhaustivePlan) or plan.last != range(plan.dim):
         return None
     gens = step_certificate(alg)
     if not gens or not all(_proved_algebra(a) for a in proved):
         return None
-    return _GeneratorTuples(alg.dim, plan.arity, (*lead, *gens))
+    return ExhaustivePlan(alg.dim, plan.arity, (*lead, *gens))
 
 
 def _plan_failures(failures, plan, reduced) -> list:
@@ -531,90 +515,65 @@ def _witness(labels, tup, lhs, rhs):
 # ---------------------------------------------------------------------------
 
 
-class _Line(dict):
-    """Row (i, n) of a table by n, or row (n, i) if last, each read through
-    read on its first use."""
-
-    __slots__ = ("_read", "_i", "_last")
-
-    def __init__(self, read, i: int, last: bool):
-        self._read = read
-        self._i = i
-        self._last = last
-
-    def __missing__(self, n):
-        i = self._i
-        row = self[n] = self._read((n, i) if self._last else (i, n))
-        return row
-
-
 def _associativity_defects(alg: FiniteAlgebra, triples):
     """((a, b, s), lhs, rhs) for each planned triple, in plan order, with
     lhs = (e_a e_b) e_s != rhs = e_a (e_b e_s), read from the table rows.
 
-    triples is a sampled list, or an exhaustive or generator plan: every
-    (a, b, s) with s in triples.last, looped over directly.  Each row is
-    read into a line, row (a, n) by n for the first slot and row (m, s) by
-    m for the last, on the field's value index (CyclotomicField.interned).
-    Both sides multiply on the index and sum inline on the call's own memo
-    (_Partial), so they are dicts of ints; every value is exact.  A sampled
-    plan reads the rows of its triples only (_Line)."""
-    mul, dim = alg.mul, alg.dim
-    sampled = isinstance(triples, list)
-    vi = alg.field.interned
+    A sampled list multiplies out each triple's rows in field values
+    (mul_into through the field's memoised CyclotomicField.interned.times),
+    so it reads the rows of its triples only.  An exhaustive or generator
+    plan, every (a, b, s) with s in triples.last, reads each row into a
+    line, row (a, n) by n for the first slot and row (m, s) by m for the
+    last, on the field's value index; both sides multiply on the index and
+    sum inline on the call's own memo (_Partial), so they are dicts of
+    ints.  Every value is exact."""
+    mul, dim, vi = alg.mul, alg.dim, alg.field.interned
+    if isinstance(triples, list):
+        one = alg.field.one
+        for a, b, s in triples:
+            lhs = mul_into({}, mul, mul[(a, b)], ((s, one),), vi.times)
+            rhs = mul_into({}, mul, ((a, one),), mul[(b, s)], vi.times)
+            if not vec_eq(lhs, rhs):
+                yield (a, b, s), lhs, rhs
+        return
     part = _Partial(vi)
     products, indexed, product = vi.products, vi.of, vi.product
     sums, total = part.sums, part.total
 
-    def read(key):
-        return tuple([(k, indexed(c)) for k, c in mul[key]])
-
-    lines: dict = {}  # (i, last) -> line, kept over a sampled plan
-
     def line(i, last):
-        if not sampled:
-            return [read((n, i) if last else (i, n)) for n in range(dim)]
-        got = lines.get((i, last))
-        if got is None:
-            got = lines[(i, last)] = _Line(read, i, last)
-        return got
+        return [tuple([(k, indexed(c)) for k, c in
+                       mul[(n, i) if last else (i, n)]]) for n in range(dim)]
 
-    # a block is a product firsts x seconds x lasts: an exhaustive or
-    # generator plan is one, each sampled triple another
-    blocks = ((((a,), (b,), (s,)) for a, b, s in triples) if sampled
-              else ((range(dim), range(dim), triples.last),))
-    for firsts, seconds, lasts in blocks:
-        rights = [(s, line(s, True)) for s in lasts]
-        for a in firsts:
-            left = line(a, False)
-            for b in seconds:
-                ab = left[b]
-                for s, right in rights:
-                    # inline: one call per side made gr(u_q)'s generator
-                    # triples at N = 5 take about 1.8x as long
-                    lhs: dict = {}
-                    for m, c in ab:
-                        for k, x in right[m]:
-                            v = products[c].get(x) or product(c, x)
-                            got = lhs.get(k)
-                            if got is None:
-                                lhs[k] = v
-                            else:
-                                t = sums[got].get(v)
-                                lhs[k] = total(got, v) if t is None else t
-                    rhs: dict = {}
-                    for n, d in right[b]:
-                        for k, y in left[n]:
-                            v = products[d].get(y) or product(d, y)
-                            got = rhs.get(k)
-                            if got is None:
-                                rhs[k] = v
-                            else:
-                                t = sums[got].get(v)
-                                rhs[k] = total(got, v) if t is None else t
-                    if not part.same(lhs, rhs):
-                        yield (a, b, s), part.values_of(lhs), \
-                            part.values_of(rhs)
+    rights = [(s, line(s, True)) for s in triples.last]
+    for a in range(dim):
+        left = line(a, False)
+        for b in range(dim):
+            ab = left[b]
+            for s, right in rights:
+                # inline: one call per side made gr(u_q)'s generator
+                # triples at N = 5 take about 1.8x as long
+                lhs: dict = {}
+                for m, c in ab:
+                    for k, x in right[m]:
+                        v = products[c].get(x) or product(c, x)
+                        got = lhs.get(k)
+                        if got is None:
+                            lhs[k] = v
+                        else:
+                            t = sums[got].get(v)
+                            lhs[k] = total(got, v) if t is None else t
+                rhs: dict = {}
+                for n, d in right[b]:
+                    for k, y in left[n]:
+                        v = products[d].get(y) or product(d, y)
+                        got = rhs.get(k)
+                        if got is None:
+                            rhs[k] = v
+                        else:
+                            t = sums[got].get(v)
+                            rhs[k] = total(got, v) if t is None else t
+                if not part.same(lhs, rhs):
+                    yield (a, b, s), part.values_of(lhs), part.values_of(rhs)
 
 
 def _unit_failures(alg: FiniteAlgebra) -> list:
@@ -1013,12 +972,13 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
                               "sample_count": None if mode == "exhaustive"
                               else sample_count})
 
-    unit_vec_ = alg.unit_vec()
+    # sigma(e_i, 1) and sigma(1, e_i), summed over the unit's terms
+    sig, unit = sigma.coords, alg.unit.items()
     bad = []
     for i in range(alg.dim):
         eps = co.counit.get(i, zero)
-        lhs = sigma.eval_vecs(alg.basis_vec(i), unit_vec_)
-        rhs = sigma.eval_vecs(unit_vec_, alg.basis_vec(i))
+        lhs = sum((c * sig.get((i, u), zero) for u, c in unit), zero)
+        rhs = sum((c * sig.get((u, i), zero) for u, c in unit), zero)
         if lhs != eps or rhs != eps:
             bad.append(labels[i])
     rep.add("cocycle-unital", "cocycle-unitality", not bad,

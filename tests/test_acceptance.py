@@ -525,7 +525,30 @@ def _injected_failures():
     bad = ComoduleAlgebra(D.algebra, D.over, coaction, D.params)
     out["deformed-coaction-leg"] = failing(verify_comodule_algebra(bad))
     assert verify_comodule_algebra(build_family(p)).ok
+
+    # 8. cocycle unitality: sigma(x, 1) = 1, where eps(x) = 0
+    out["cocycle-unit"] = failing(verify_hopf_2cocycle(_non_unital_sigma()))
     return out
+
+
+def _non_unital_sigma():
+    """build_sigma(3) with sigma(x, 1) = 1."""
+    sigma = build_sigma(3)
+    coords = dict(sigma.coords)
+    coords[(monomial_index(3, 1, 0, 0), monomial_index(3, 0, 0, 0))] = \
+        sigma.hopf.field.one
+    return ConvForm(sigma.hopf, 2, coords)
+
+
+def _unital_reference(sigma):
+    """The cocycle-unital witness of sigma, sigma(e_i, 1) and
+    sigma(1, e_i) evaluated by ConvForm.eval_vecs."""
+    alg, counit = sigma.hopf.algebra, sigma.hopf.coalgebra.counit
+    one, zero = alg.unit_vec(), alg.field.zero
+    bad = [alg.labels[i] for i in range(alg.dim)
+           if sigma.eval_vecs(alg.basis_vec(i), one) != counit.get(i, zero)
+           or sigma.eval_vecs(one, alg.basis_vec(i)) != counit.get(i, zero)]
+    return {"elements": bad[:5], "failing": len(bad)} if bad else None
 
 
 def test_criterion_10_mutation_sensitivity():
@@ -538,6 +561,10 @@ def test_criterion_10_mutation_sensitivity():
                for c in failures["antipode-sign"])
     assert "comodule-coassociativity" in {
         c["claim_id"] for c in failures["deformed-coaction-leg"]}
+    unital = {c["claim_id"]: c["witness"]
+              for c in failures["cocycle-unit"]}["cocycle-unital"]
+    assert unital == {"elements": ["x1y0g0"], "failing": 1}
+    assert unital == _unital_reference(_non_unital_sigma())
 
     assert len(caught) >= 5
     print("ACCEPTANCE 10 mutation-sensitivity: PASS "

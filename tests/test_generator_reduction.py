@@ -12,6 +12,7 @@ corrupted data alike.
 """
 
 import inspect
+import itertools
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -249,7 +250,7 @@ def test_associativity_kernel_matches_mul_vec(name, case):
     gens = step_certificate(alg)
     if case != "valid":
         alg = _corrupted(alg, case)
-    plans = [hopfcore._GeneratorTuples(alg.dim, 3, gens),
+    plans = [ExhaustivePlan(alg.dim, 3, gens),
              check_plan(alg.dim, 3, "sampled", 300, 7, gens)]
     if case == "moved":
         plans.append(ExhaustivePlan(alg.dim, 3))
@@ -302,7 +303,7 @@ def _regular(H, alg=None, coalgebra=None):
 def _pair_plans(A):
     """The exhaustive plan, the generator pairs and a sampled plan of A."""
     gens = step_certificate(A.algebra)
-    return (ExhaustivePlan(A.dim, 2), hopfcore._GeneratorTuples(A.dim, 2, gens),
+    return (ExhaustivePlan(A.dim, 2), ExhaustivePlan(A.dim, 2, gens),
             check_plan(A.dim, 2, "sampled", 300, 7, gens))
 
 
@@ -480,7 +481,7 @@ def test_a_corrupted_twist_stops_at_its_first_failing_triple(monkeypatch,
     monkeypatch.setattr(hopfcore, "verify_algebra",
                         lambda *args, **kwargs: reports.append(args))
     rep = verify_hopf_2cocycle(ConvForm(gr3, 2, coords)).as_dict()
-    assert [type(p) for p in plans] == [hopfcore._GeneratorTuples]
+    assert [(type(p), p.last) for p in plans] == [(ExhaustivePlan, (1, 3, 9))]
     assert len(defects) == 1 and reports == []
     assert _failing(rep)["cocycle-identity"]["checked"] == 27 ** 3
 
@@ -534,25 +535,65 @@ def test_corrupted_counit_reports_equal_the_enumeration(gr3, label):
 
 def test_valid_data_never_enumerates(monkeypatch, gr3, uq3, sigma3):
     # every exhaustive claim on valid N = 3 data is proved on generator
-    # tuples: no exhaustive plan is ever iterated, nor its last slot read
-    # (the associativity kernel loops over plan.last)
-    iterate, last = ExhaustivePlan.__iter__, ExhaustivePlan.last.fget
-    seen = []
+    # tuples: no full plan (its last slot over every index) is ever
+    # iterated, nor handed to the associativity kernel, which loops over
+    # plan.last without iterating the plan
+    iterate, kernel = ExhaustivePlan.__iter__, hopfcore._associativity_defects
+    full, reduced = [], []
 
-    def spy(read):
-        def read_plan(plan):
+    def record(plan):
+        if isinstance(plan, ExhaustivePlan):
+            seen = full if plan.last == range(plan.dim) else reduced
             seen.append((plan.dim, plan.arity))
-            return read(plan)
-        return read_plan
 
-    monkeypatch.setattr(ExhaustivePlan, "__iter__", spy(iterate))
-    monkeypatch.setattr(ExhaustivePlan, "last", property(spy(last)))
+    def spy_iterate(plan):
+        record(plan)
+        return iterate(plan)
+
+    def spy_kernel(alg, triples):
+        record(triples)
+        return kernel(alg, triples)
+
+    monkeypatch.setattr(ExhaustivePlan, "__iter__", spy_iterate)
+    monkeypatch.setattr(hopfcore, "_associativity_defects", spy_kernel)
     reports = [verify_hopf(gr3), verify_hopf(uq3),
                verify_hopf_2cocycle(sigma3), verify_dual_relations(3)]
     reports += [verify_comodule_algebra(A) for _, A in _members()
                 if A.dim > 1]
     assert all(rep.ok for rep in reports)
-    assert seen == []
+    assert full == [] and reduced
+
+
+# -- one plan type: full plans and generator plans ----------------------------
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_a_plan_has_as_many_tuples_as_its_length(gr3, arity):
+    alg = gr3.algebra
+    gens = step_certificate(alg)
+    full = ExhaustivePlan(alg.dim, arity)
+    reduced = hopfcore._generator_plan(alg, full, lead=(0,))
+    assert full.last == range(alg.dim) and reduced.last == (0, *gens)
+    for plan in (full, reduced, ExhaustivePlan(alg.dim, arity, gens)):
+        want = [t for t in itertools.product(range(alg.dim), repeat=arity)
+                if t[-1] in plan.last]
+        assert len(plan) == len(want)
+        # iterable again, in lexicographic order
+        assert list(plan) == list(plan) == want
+
+
+def test_only_a_full_plan_is_reduced(gr3):
+    # a generator plan or a sampled list fails _generator_plan's first
+    # precondition: it is not reduced again
+    alg = gr3.algebra
+    gens = step_certificate(alg)
+    reduced = hopfcore._generator_plan(alg, ExhaustivePlan(alg.dim, 3))
+    assert reduced.last == gens
+    assert hopfcore._generator_plan(alg, reduced) is None
+    assert hopfcore._generator_plan(
+        alg, ExhaustivePlan(alg.dim, 2, (0, *gens)), lead=(0,)) is None
+    sampled = check_plan(alg.dim, 3, "sampled", 20, 1, gens)
+    assert hopfcore._generator_plan(alg, sampled) is None
 
 
 @pytest.mark.parametrize("N", [3, 5])
