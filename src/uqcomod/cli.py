@@ -192,24 +192,22 @@ def suite_morita(N, mode, sample_count, seed) -> VerificationReport:
                  "pair": [p1.label(), p2.label()]})
 
     # explicit isomorphisms behind the True rows
-    src = zp("L3N", N, xi=1, zeta=2, eta=eta * fld.q_power(2))
-    dst = zp("L3N", N, xi=1, zeta=2, eta=eta)
-    for deformed in (False, True):
-        images, A, B = comodzoo.diagonal_family_map(
-            src, dst, g_scale=fld.q_power(1), deformed=deformed)
-        sub = check_comodule_algebra_morphism(images, A, B)
-        rep.add(f"morita-eta-rotation-map-{'deformed' if deformed else 'plain'}",
-                "eta-rotation-isomorphism", sub.ok,
-                None if sub.ok else [c.claim_id for c in sub.failures()])
-    src = zp("L4", N, alpha=2, beta=2, xi=lam ** N * fld.one)
-    dst = zp("L4", N, alpha=1, beta=1, xi=1)
-    for deformed in (False, True):
-        images, A, B = comodzoo.diagonal_family_map(src, dst, w_scale=lam,
-                                                    deformed=deformed)
-        sub = check_comodule_algebra_morphism(images, A, B)
-        rep.add(f"morita-L4-rescale-map-{'deformed' if deformed else 'plain'}",
-                "rescaling-isomorphism", sub.ok,
-                None if sub.ok else [c.claim_id for c in sub.failures()])
+    isomorphisms = (
+        ("eta-rotation", "eta-rotation-isomorphism",
+         zp("L3N", N, xi=1, zeta=2, eta=eta * fld.q_power(2)),
+         zp("L3N", N, xi=1, zeta=2, eta=eta), {"g_scale": fld.q_power(1)}),
+        ("L4-rescale", "rescaling-isomorphism",
+         zp("L4", N, alpha=2, beta=2, xi=lam ** N * fld.one),
+         zp("L4", N, alpha=1, beta=1, xi=1), {"w_scale": lam}),
+    )
+    for tag, anchor, src, dst, scales in isomorphisms:
+        for deformed in (False, True):
+            images, A, B = comodzoo.diagonal_family_map(
+                src, dst, deformed=deformed, **scales)
+            sub = check_comodule_algebra_morphism(images, A, B)
+            rep.add(f"morita-{tag}-map-{'deformed' if deformed else 'plain'}",
+                    anchor, sub.ok,
+                    None if sub.ok else [c.claim_id for c in sub.failures()])
     for power in (1, 2):
         sub = comodzoo.conjugation_invariance_report(
             zp("L4", N, alpha=1, beta=1, xi=3), power)
@@ -463,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("gr-uq", "uq", "sigma", "sigma-inverse",
                             "family"))
     e.add_argument("--family", default=None,
-                   choices=("L0", "L1", "L2", "L3", "L3N", "L4"))
+                   choices=tuple(comodzoo._FAMILIES))
     e.add_argument("--r", type=int, default=None)
     e.add_argument("--xi", default=None)
     e.add_argument("--zeta", default=None)

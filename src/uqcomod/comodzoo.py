@@ -62,7 +62,16 @@ from .uqsl2 import (
     uq_z_element,
 )
 
-_FAMILIES = ("L0", "L1", "L2", "L3", "L3N", "L4")
+# Each family's parameters, in the order zoo_params coerces them, and its
+# skew-PBW generators besides G (X stands for W in L4).
+_FAMILIES = {
+    "L0": ((), ""),
+    "L1": (("xi",), "X"),
+    "L2": (("zeta",), "Y"),
+    "L3": (("xi", "zeta"), "XY"),
+    "L3N": (("xi", "zeta", "eta"), "XY"),
+    "L4": (("alpha", "beta", "xi"), "X"),
+}
 
 
 class FamilyParams:
@@ -158,7 +167,8 @@ def _coerce(fld, value, default=None):
 
 def zoo_params(family: str, N: int, r: int = None, xi=None, zeta=None,
                eta=None, alpha=None, beta=None) -> FamilyParams:
-    """Validate and normalise raw inputs into a FamilyParams."""
+    """Validate and normalise raw inputs into a FamilyParams; a parameter
+    outside the family's entry in _FAMILIES is refused, not dropped."""
     check_order(N)
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -176,37 +186,23 @@ def zoo_params(family: str, N: int, r: int = None, xi=None, zeta=None,
         if not (isinstance(r, int) and 1 <= r <= N and N % r == 0):
             raise ValueError(f"r must divide N, got r={r}, N={N}")
 
-    kwargs = {"xi": None, "zeta": None, "eta": None,
-              "alpha": None, "beta": None}
-    if family == "L0":
-        pass
-    elif family == "L1":
-        kwargs["xi"] = _coerce(fld, xi, 0)
-    elif family == "L2":
-        kwargs["zeta"] = _coerce(fld, zeta, 0)
-    elif family == "L3":
-        kwargs["xi"] = _coerce(fld, xi, 0)
-        kwargs["zeta"] = _coerce(fld, zeta, 0)
-    elif family == "L3N":
-        kwargs["xi"] = _coerce(fld, xi, 0)
-        kwargs["zeta"] = _coerce(fld, zeta, 0)
-        kwargs["eta"] = _coerce(fld, eta, 0)
-    else:  # L4
-        kwargs["alpha"] = _coerce(fld, alpha, 0)
-        kwargs["beta"] = _coerce(fld, beta, 0)
-        kwargs["xi"] = _coerce(fld, xi, 0)
-        if kwargs["alpha"].is_zero() and kwargs["beta"].is_zero():
-            raise ValueError("L4 requires (alpha, beta) != (0, 0)")
+    names = _FAMILIES[family][0]
+    given = {"xi": xi, "zeta": zeta, "eta": eta, "alpha": alpha, "beta": beta}
+    for name, value in given.items():
+        if value is not None and name not in names:
+            raise ValueError(f"{family} takes no {name} parameter")
+    kwargs = {name: _coerce(fld, given[name], 0) for name in names}
+    if family == "L4" and kwargs["alpha"].is_zero() \
+            and kwargs["beta"].is_zero():
+        raise ValueError("L4 requires (alpha, beta) != (0, 0)")
     return FamilyParams(family=family, N=N, r=r, **kwargs)
 
 
 def _pbw_shape(params: FamilyParams) -> tuple:
     """(nx, ny, r) of the member's skew-PBW basis X^a Y^b G^c; L4 is the
     X-only shape (N, 1, 1) with W in place of X."""
-    N, f = params.N, params.family
-    nx = N if f in ("L1", "L3", "L3N", "L4") else 1
-    ny = N if f in ("L2", "L3", "L3N") else 1
-    return nx, ny, params.r
+    N, gens = params.N, _FAMILIES[params.family][1]
+    return (N if "X" in gens else 1), (N if "Y" in gens else 1), params.r
 
 
 def family_basis_exponents(params: FamilyParams):
@@ -218,15 +214,10 @@ def family_basis_exponents(params: FamilyParams):
 
 
 def _family_label(f, exp):
-    if f == "L0":
-        return f"G{exp[2]}"
-    if f == "L1":
-        return f"X{exp[0]}G{exp[2]}"
-    if f == "L2":
-        return f"Y{exp[1]}G{exp[2]}"
     if f == "L4":
         return f"W{exp[0]}"
-    return f"X{exp[0]}Y{exp[1]}G{exp[2]}"
+    gens = _FAMILIES[f][1] + "G"
+    return "".join(f"{g}{e}" for g, e in zip("XYG", exp) if g in gens)
 
 
 @lru_cache(maxsize=None)
@@ -270,12 +261,9 @@ def build_family(params: FamilyParams) -> ComoduleAlgebra:
 
 
 def _params_dict(params: FamilyParams) -> dict:
-    out = {"family": params.family, "N": params.N, "r": params.r}
-    for name in ("xi", "zeta", "eta", "alpha", "beta"):
-        val = getattr(params, name)
-        if val is not None:
-            out[name] = val
-    return out
+    return {"family": params.family, "N": params.N, "r": params.r,
+            **{name: getattr(params, name)
+               for name in _FAMILIES[params.family][0]}}
 
 
 @lru_cache(maxsize=None)
@@ -294,12 +282,9 @@ def _family_generators(params: FamilyParams, A: ComoduleAlgebra) -> dict:
     if params.family == "L4":
         out["W"] = {1: fld.one}
         return out
-    if (1, 0, 0) in index:
-        out["X"] = {index[(1, 0, 0)]: fld.one}
-    if (0, 1, 0) in index:
-        out["Y"] = {index[(0, 1, 0)]: fld.one}
-    if (0, 0, 1) in index:
-        out["G"] = {index[(0, 0, 1)]: fld.one}
+    for g, e in zip("XYG", ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        if e in index:
+            out[g] = {index[e]: fld.one}
     return out
 
 
@@ -700,14 +685,9 @@ def morita_equivalent_params(p1: FamilyParams, p2: FamilyParams) -> bool:
     a, b = p1.normalized(), p2.normalized()
     if a.family != b.family:
         return False
-    if a.family == "L0":
-        return a.r == b.r
-    if a.family == "L1":
-        return a.r == b.r and a.xi == b.xi
-    if a.family == "L2":
-        return a.r == b.r and a.zeta == b.zeta
-    if a.family == "L3":
-        return a.r == b.r and a.xi == b.xi and a.zeta == b.zeta
+    if a.family not in ("L3N", "L4"):
+        return a.r == b.r and all(getattr(a, name) == getattr(b, name)
+                                  for name in _FAMILIES[a.family][0])
     if a.family == "L3N":
         if a.xi != b.xi or a.zeta != b.zeta:
             return False
@@ -791,25 +771,25 @@ def classify(N: int) -> dict:
         "N": N,
         "families": [
             {"name": "F0", "source": "L0", "r_values": divisors,
-             "dim": "r", "parameters": [],
+             "dim": "r", "parameters": list(_FAMILIES["L0"][0]),
              "relations": ["G^r = 1"]},
             {"name": "F1", "source": "L1",
              "r_values": [d for d in divisors if d > 1],
-             "dim": "N*r", "parameters": ["xi"],
+             "dim": "N*r", "parameters": list(_FAMILIES["L1"][0]),
              "relations": ["X^N = xi", "G^r = 1", "G X = q^(2N/r) X G"]},
             {"name": "F2", "source": "L2",
              "r_values": [d for d in divisors if d > 1],
-             "dim": "N*r", "parameters": ["zeta"],
+             "dim": "N*r", "parameters": list(_FAMILIES["L2"][0]),
              "relations": ["Y^N = zeta", "G^r = 1", "G Y = q^(-2N/r) Y G"]},
             {"name": "F3", "source": "L3/L3N", "r_values": divisors,
-             "dim": "N^2*r", "parameters": ["xi", "zeta"],
+             "dim": "N^2*r", "parameters": list(_FAMILIES["L3"][0]),
              "eta_parameter_when_r_equals_N": True,
              "eta_identification": "eta ~ q^(2k) eta",
              "relations": ["X^N = xi", "Y^N = zeta", "G^r = 1",
                            "G X = q^(2N/r) X G", "G Y = q^(-2N/r) Y G",
                            "X Y - q^2 Y X = -eta G^-2 (eta = 0 unless r = N)"]},
             {"name": "F4", "source": "L4", "r_values": [1],
-             "dim": "N", "parameters": ["alpha", "beta", "xi"],
+             "dim": "N", "parameters": list(_FAMILIES["L4"][0]),
              "constraint": "(alpha, beta) != (0, 0)",
              "identification":
                  "(alpha, beta, xi) ~ (l q^(2k) alpha, l q^(-2k) beta, l^N xi)",

@@ -203,6 +203,15 @@ def test_export_family_round_trip(tmp_path):
     assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def test_export_refuses_a_parameter_the_family_does_not_take(capsys):
+    code = main(["export", "--N", "3", "--what", "family", "--family", "L0",
+                 "--xi", "2"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: L0 takes no xi parameter\n"
+
+
 def test_export_sigma(tmp_path):
     code, text = run(tmp_path, "export", "--N", "3", "--what", "sigma",
                      "--format", "json")

@@ -88,6 +88,65 @@ def test_zoo_params_validation():
         zoo_params("L5", 3)
     with pytest.raises(ValueError):
         zoo_params("L0", 4, r=2)
+    # a parameter outside the family's entry is refused, not dropped
+    with pytest.raises(ValueError, match="L0 takes no xi parameter"):
+        zoo_params("L0", 3, xi=2)
+    with pytest.raises(ValueError, match="L1 takes no zeta parameter"):
+        zoo_params("L1", 3, xi=1, zeta=1)
+    with pytest.raises(ValueError, match="L4 takes no eta parameter"):
+        zoo_params("L4", 3, alpha=1, beta=1, xi=2, eta=1)
+
+
+def _oracle_pbw_shape(p):
+    N, f = p.N, p.family
+    nx = N if f in ("L1", "L3", "L3N", "L4") else 1
+    ny = N if f in ("L2", "L3", "L3N") else 1
+    return nx, ny, p.r
+
+
+def _oracle_label(f, exp):
+    if f == "L0":
+        return f"G{exp[2]}"
+    if f == "L1":
+        return f"X{exp[0]}G{exp[2]}"
+    if f == "L2":
+        return f"Y{exp[1]}G{exp[2]}"
+    if f == "L4":
+        return f"W{exp[0]}"
+    return f"X{exp[0]}Y{exp[1]}G{exp[2]}"
+
+
+def _oracle_params_dict(p):
+    out = {"family": p.family, "N": p.N, "r": p.r}
+    for name in ("xi", "zeta", "eta", "alpha", "beta"):
+        val = getattr(p, name)
+        if val is not None:
+            out[name] = val
+    return out
+
+
+def test_family_table_matches_the_written_out_families():
+    # the oracles spell out each family by name, independently of the
+    # table comodzoo._FAMILIES that the package reads
+    zp = zoo_params
+    members = [zp("L0", 3, r=3), zp("L1", 3, r=3, xi=2),
+               zp("L2", 3, r=3, zeta=1), zp("L3", 3, r=1, xi=1, zeta=2),
+               zp("L3N", 3, xi=1, zeta=2, eta="q"),
+               zp("L4", 3, alpha=1, beta=2, xi=3),
+               # N = 9 has the proper divisor 3
+               zp("L0", 9, r=3), zp("L1", 9, r=3, xi=2),
+               zp("L2", 9, r=3, zeta="q"), zp("L3", 9, r=3, xi=1, zeta=2)]
+    for p in members:
+        assert comodzoo._pbw_shape(p) == _oracle_pbw_shape(p), p.label()
+        labels = [comodzoo._family_label(p.family, e)
+                  for e in family_basis_exponents(p)]
+        assert labels == [_oracle_label(p.family, e)
+                          for e in family_basis_exponents(p)], p.label()
+        assert comodzoo._params_dict(p) == _oracle_params_dict(p), p.label()
+        if p.N == 3:
+            A = build_family(p)
+            assert list(A.labels) == labels, p.label()
+            assert dict(A.params) == _oracle_params_dict(p), p.label()
 
 
 def test_expected_dims_and_basis_shapes():
@@ -593,6 +652,11 @@ def test_morita_truth_table():
         (zp("L1", N, r=N, xi=1), zp("L1", N, r=N, xi=2), False),
         (zp("L1", N, r=N, xi=1), zp("L1", N, r=N, xi=1), True),
         (zp("L1", N, r=N, xi=1), zp("L2", N, r=N, zeta=1), False),
+        # the generic branch compares every parameter of the family's entry
+        (zp("L2", N, r=N, zeta=1), zp("L2", N, r=N, zeta=2), False),
+        (zp("L2", N, r=N, zeta=1), zp("L2", N, r=N, zeta=1), True),
+        (zp("L3", N, r=1, xi=1, zeta=1), zp("L3", N, r=1, xi=1, zeta=2),
+         False),
         (zp("L3N", N, xi=1, zeta=2, eta="q"),
          zp("L3N", N, xi=1, zeta=2, eta=fld.q * fld.q_power(2)), True),
         (zp("L3N", N, xi=1, zeta=2, eta=1),

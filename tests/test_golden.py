@@ -5,6 +5,7 @@ The files under tests/golden/ were written by
 
     uqcomod verify --N 3 --format json --output tests/golden/verify_n3.json
     uqcomod classify --output tests/golden/classify.txt
+    uqcomod classify --N 9 --output tests/golden/classify_n9.txt
     uqcomod verify --N 5 --suites hopf-axioms,cocycle,deformation,families,\
 minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --output tests/golden/verify_n5.json
@@ -35,6 +36,8 @@ N = 5 report (10 000 samples, seed 0), takes 7-9 s on a 2-vCPU VM, so only
 CI compares it, under python -O (.github/workflows/tier1.yml); it was
 written before Delta's and the coactions' multiplicativity were checked on
 interned coefficient indices, and the kernel must reproduce it.
+classify_n9.txt was written before the families' parameters were read
+from one table, comodzoo._FAMILIES.
 """
 
 import hashlib
@@ -59,6 +62,8 @@ GOLDEN = Path(__file__).parent / "golden"
       "hopf-axioms,families", "--format", "json"], "verify_n5_exhaustive.json"),
     (["verify", "--N", "5", "--mode", "exhaustive", "--suites", "cocycle",
       "--format", "json"], "verify_n5_cocycle_exhaustive.json"),
+    # the first order with a proper divisor: r_values [1, 3, 9]
+    (["classify", "--N", "9"], "classify_n9.txt"),
 ])
 def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name
