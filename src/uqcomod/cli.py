@@ -390,11 +390,9 @@ def cmd_export(args) -> int:
         if not args.family:
             raise ValueError("export family needs --family")
         fld = field(N)
-        kw = {}
-        for name in ("xi", "zeta", "eta", "alpha", "beta"):
-            raw = getattr(args, name)
-            if raw is not None:
-                kw[name] = fld.parse(raw)
+        kw = {name: fld.parse(getattr(args, name))
+              for name in comodzoo.FamilyParams._fields[3:]
+              if getattr(args, name) is not None}
         p = comodzoo.zoo_params(args.family, N, r=args.r, **kw)
         A = comodzoo.deform_family(p) if args.deformed \
             else comodzoo.build_family(p)
@@ -463,11 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--family", default=None,
                    choices=tuple(comodzoo._FAMILIES))
     e.add_argument("--r", type=int, default=None)
-    e.add_argument("--xi", default=None)
-    e.add_argument("--zeta", default=None)
-    e.add_argument("--eta", default=None)
-    e.add_argument("--alpha", default=None)
-    e.add_argument("--beta", default=None)
+    for name in comodzoo.FamilyParams._fields[3:]:
+        e.add_argument(f"--{name}", default=None)
     e.add_argument("--deformed", action="store_true")
     e.set_defaults(func=cmd_export)
     return ap

@@ -20,7 +20,7 @@ the tables and the coaction are held as mapping proxies.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,7 +45,6 @@ from .hopfcore import (
     t2_mul,
     vec_add_into,
     vec_combine,
-    vec_eq,
     vec_scale,
     vec_str,
     vec_sub,
@@ -74,44 +73,14 @@ _FAMILIES = {
 }
 
 
-class FamilyParams:
-    """Validated parameter tuple for one member of the zoo; xi, zeta, eta,
-    alpha and beta are CyclotomicNumber coefficients or None.
+class FamilyParams(namedtuple("FamilyParams",
+                               "family N r xi zeta eta alpha beta",
+                               defaults=(None,) * 5)):
+    """Validated parameter tuple for one member of the zoo; the fields after
+    r are CyclotomicNumber coefficients or None, and are the package's one
+    list of parameter names.  Frozen, compared and hashed as a tuple."""
 
-    Frozen: assigning a field raises AttributeError.  Two params are equal,
-    and hash alike, when all eight fields are; the repr lists them all."""
-
-    __slots__ = ("family", "N", "r", "xi", "zeta", "eta", "alpha", "beta")
-
-    def __init__(self, family: str, N: int, r: int, xi=None, zeta=None,
-                 eta=None, alpha=None, beta=None):
-        for name, value in zip(self.__slots__,
-                               (family, N, r, xi, zeta, eta, alpha, beta)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return FamilyParams, self._fields()
-
-    def __repr__(self):
-        return "FamilyParams(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+    __slots__ = ()
 
     def expected_dim(self) -> int:
         f = self.family
@@ -144,8 +113,7 @@ class FamilyParams:
         parts = [f"N={self.N}"]
         if self.family != "L4":
             parts.append(f"r={self.r}")
-        for name in ("xi", "zeta", "eta", "alpha", "beta"):
-            v = getattr(self, name)
+        for name, v in zip(self._fields[3:], self[3:]):
             if v is not None:
                 parts.append(f"{name}={v}")
         return f"{self.family}({', '.join(parts)})"
@@ -187,7 +155,7 @@ def zoo_params(family: str, N: int, r: int = None, xi=None, zeta=None,
             raise ValueError(f"r must divide N, got r={r}, N={N}")
 
     names = _FAMILIES[family][0]
-    given = {"xi": xi, "zeta": zeta, "eta": eta, "alpha": alpha, "beta": beta}
+    given = dict(zip(FamilyParams._fields[3:], (xi, zeta, eta, alpha, beta)))
     for name, value in given.items():
         if value is not None and name not in names:
             raise ValueError(f"{family} takes no {name} parameter")
@@ -261,9 +229,7 @@ def build_family(params: FamilyParams) -> ComoduleAlgebra:
 
 
 def _params_dict(params: FamilyParams) -> dict:
-    return {"family": params.family, "N": params.N, "r": params.r,
-            **{name: getattr(params, name)
-               for name in _FAMILIES[params.family][0]}}
+    return {k: v for k, v in params._asdict().items() if v is not None}
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +276,7 @@ def _presentation_report(params, A, deformed) -> VerificationReport:
     one = gen["one"]
 
     def check(claim, lhs, rhs):
-        ok = vec_eq(lhs, rhs)
+        ok = lhs == rhs
         rep.add(f"{f}-{tag}-{claim}", f"presentation-{claim}", ok,
                 None if ok else {"lhs": vec_str(lhs, alg.labels),
                                  "rhs": vec_str(rhs, alg.labels)})

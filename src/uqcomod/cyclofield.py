@@ -605,9 +605,6 @@ def _poly_axpy(a: int, p: list[int], b: int, r: list[int], shift: int) -> list[i
 # q-combinatorics
 # ---------------------------------------------------------------------------
 
-_BINOM_MEMO: dict = {}
-
-
 def q_int(m: int, lam: CyclotomicNumber) -> CyclotomicNumber:
     """(m)_lam = 1 + lam + ... + lam^(m-1); (0)_lam = 0."""
     if m < 0:
@@ -630,6 +627,7 @@ def q_factorial(m: int, lam: CyclotomicNumber) -> CyclotomicNumber:
     return out
 
 
+@lru_cache(maxsize=None)
 def q_binomial(m: int, r: int, lam: CyclotomicNumber) -> CyclotomicNumber:
     """Gaussian binomial via the Pascal recursion.
 
@@ -642,9 +640,4 @@ def q_binomial(m: int, r: int, lam: CyclotomicNumber) -> CyclotomicNumber:
         raise ValueError("q_binomial needs r <= m")
     if r == 0 or r == m:
         return lam.field.one
-    key = (m, r, lam)
-    got = _BINOM_MEMO.get(key)
-    if got is None:
-        got = q_binomial(m - 1, r - 1, lam) + lam ** r * q_binomial(m - 1, r, lam)
-        _BINOM_MEMO[key] = got
-    return got
+    return q_binomial(m - 1, r - 1, lam) + lam ** r * q_binomial(m - 1, r, lam)

@@ -167,16 +167,6 @@ def mul_into(out: dict, mul, left, right, times=operator.mul) -> dict:
     return out
 
 
-def vec_eq(a: dict, b: dict) -> bool:
-    if len(a) != len(b):
-        return False
-    for k, c in a.items():
-        d = b.get(k)
-        if d is None or d != c:
-            return False
-    return True
-
-
 def vec_str(v: dict, labels=None) -> str:
     if not v:
         return "0"
@@ -533,7 +523,7 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
         for a, b, s in triples:
             lhs = mul_into({}, mul, mul[(a, b)], ((s, one),), vi.times)
             rhs = mul_into({}, mul, ((a, one),), mul[(b, s)], vi.times)
-            if not vec_eq(lhs, rhs):
+            if lhs != rhs:
                 yield (a, b, s), lhs, rhs
         return
     part = _Partial(vi)
@@ -582,7 +572,7 @@ def _unit_failures(alg: FiniteAlgebra) -> list:
     bad = []
     for i in range(alg.dim):
         e = alg.basis_vec(i)
-        if not vec_eq(alg.mul_vec(one, e), e) or not vec_eq(alg.mul_vec(e, one), e):
+        if alg.mul_vec(one, e) != e or alg.mul_vec(e, one) != e:
             bad.append(alg.labels[i])
     return bad
 
@@ -708,7 +698,7 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     bad = []
     for i in range(alg.dim):
         left, right, target = _antipode_sides(H, i)
-        if not vec_eq(left, target) or not vec_eq(right, target):
+        if left != target or right != target:
             bad.append({"element": labels[i],
                         "m(S x id)Delta": vec_str(left, labels),
                         "m(id x S)Delta": vec_str(right, labels),
@@ -822,7 +812,7 @@ class ConvForm:
     def __eq__(self, other):
         return (isinstance(other, ConvForm) and other.hopf is self.hopf
                 and other.arity == self.arity
-                and vec_eq(self.coords, other.coords))
+                and self.coords == other.coords)
 
     def __repr__(self):
         return f"<ConvForm arity {self.arity}, {len(self.coords)} terms>"
@@ -1015,7 +1005,7 @@ def _invert_grouplike(alg: FiniteAlgebra, idx: int) -> dict:
     prev = unit
     cur = alg.basis_vec(idx)
     for _ in range(alg.dim + 1):
-        if vec_eq(cur, unit):
+        if cur == unit:
             return prev
         prev, cur = cur, alg.mul_vec(cur, alg.basis_vec(idx))
     raise ValueError(f"basis element {alg.labels[idx]} is not of finite order")
@@ -1348,7 +1338,7 @@ def _coaction_failures(A: ComoduleAlgebra, pairs):
     du = A.coact_vec(alg.unit_vec())
     target = tensor_vec(H.algebra.unit_vec(), alg.unit_vec())
     unit = None
-    if not vec_eq(du, target):
+    if du != target:
         names = {(h, a): f"{H.labels[h]} (x) {labels[a]}"
                  for h, a in (*du, *target)}
         unit = {"delta_1": vec_str(du, names),
@@ -1505,15 +1495,15 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
         "source": {k: str(v) for k, v in A.params.items()},
         "target": {k: str(v) for k, v in B.params.items()}})
 
-    ok = vec_eq(vec_combine(images, A.algebra.unit.items()),
-                B.algebra.unit_vec())
+    ok = (vec_combine(images, A.algebra.unit.items())
+          == B.algebra.unit_vec())
     rep.add("morphism-unital", "algebra-map-unit", ok, None)
 
     times = A.field.interned.times
     bad = [[A.labels[i], A.labels[j]]
            for i, j in check_plan(A.dim, 2, "exhaustive")
-           if not vec_eq(vec_combine(images, A.algebra.mul[(i, j)], times),
-                         B.algebra.mul_vec(images[i], images[j]))]
+           if vec_combine(images, A.algebra.mul[(i, j)], times)
+           != B.algebra.mul_vec(images[i], images[j])]
     rep.add("morphism-multiplicative", "algebra-map-products", not bad,
             {"examples": bad[:3], "failing": len(bad)} if bad else None)
 
@@ -1524,7 +1514,7 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
         for (h, a), c in A.coaction.get(i, ()):
             for j, d in images[a].items():
                 vec_add_into(rhs, (h, j), c * d)
-        if not vec_eq(lhs, rhs):
+        if lhs != rhs:
             bad.append(A.labels[i])
     rep.add("morphism-colinear", "comodule-map", not bad,
             {"elements": bad[:5], "failing": len(bad)} if bad else None)

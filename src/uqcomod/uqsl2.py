@@ -39,7 +39,6 @@ from .hopfcore import (
     tensor_vec,
     vec_add_into,
     vec_combine,
-    vec_eq,
     vec_scale,
     vec_str,
     vec_sub,
@@ -388,7 +387,7 @@ def uq_relation_report(N: int, uq=None) -> VerificationReport:
         return mult.mul_vec(a, b)
 
     def check(claim, anchor, lhs, rhs):
-        ok = vec_eq(lhs, rhs)
+        ok = lhs == rhs
         rep.add(claim, anchor, ok,
                 None if ok else {"lhs": vec_str(lhs, uq.labels),
                                  "rhs": vec_str(rhs, uq.labels)})
@@ -426,7 +425,7 @@ def uq_relation_report(N: int, uq=None) -> VerificationReport:
     for name, v in (("Et", Et), ("F", F), ("K", K), ("E", E)):
         sides = (_antipode_sides(uq, i) for i in v)
         rep.add(f"uq-antipode-axiom-{name}", "antipode-axiom-generators",
-                all(vec_eq(left, target) and vec_eq(right, target)
+                all(left == target and right == target
                     for left, right, target in sides), None)
     check("uq-antipode-E", "antipode-E", vec_combine(uq.antipode, E.items()),
           vec_scale(mulv(E, Kinv), -fld.one))
@@ -562,7 +561,7 @@ def closed_comultiplication_report(N: int) -> VerificationReport:
                 want: dict = {}
                 for jj, kk, c in H.coalgebra.comul.get(m, ()):
                     vec_add_into(want, (jj, kk), c)
-                if not vec_eq(got, want):
+                if got != want:
                     bad.append(H.labels[m])
     rep.add("gr-comultiplication-closed-form", "closed-coproduct-vs-product",
             not bad, {"elements": bad[:5], "failing": len(bad)} if bad else None)

@@ -7,7 +7,7 @@ from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import vec_add_into
 from uqcomod.hopfcore import (ConvForm, FiniteAlgebra, FiniteCoalgebra,
                               HopfAlgebraData, factor_form, t2_mul,
-                              vec_combine, vec_eq)
+                              vec_combine)
 from uqcomod.uqsl2 import build_gr_uq, build_sigma, build_sigma_inverse, build_uq
 
 
@@ -324,9 +324,8 @@ def reference_multiplicativity_failures(A, pairs):
             vec_add_into(img, key, c)
         images.append(img)
     return [[alg.labels[i], alg.labels[j]] for i, j in pairs
-            if not vec_eq(vec_combine(images, alg.mul[(i, j)], times),
-                          t2_mul(A.over.algebra, alg, images[i], images[j],
-                                 times))]
+            if vec_combine(images, alg.mul[(i, j)], times)
+            != t2_mul(A.over.algebra, alg, images[i], images[j], times)]
 
 
 def reference_convolution(f, g):

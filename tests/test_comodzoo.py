@@ -765,10 +765,29 @@ def test_family_params_are_frozen_values():
     assert copy.copy(p) == p and pickle.loads(pickle.dumps(p)) == p
 
 
+def test_params_keep_every_field_the_table_uses():
+    # a directly built FamilyParams may carry a field outside its family's
+    # list in _FAMILIES; the table reads it, so A.params and the export
+    # must show it too
+    fld = field(3)
+    p = FamilyParams("L3", 3, 1, xi=fld.zero, zeta=fld.zero, eta=fld.q)
+    for A in (build_family(p), deform_family(p)):
+        assert A.params == {"family": "L3", "N": 3, "r": 1, "xi": fld.zero,
+                            "zeta": fld.zero, "eta": fld.q}
+        assert hopfcore.comodule_to_json(A)["params"] == {
+            "N": 3, "family": "L3", "r": 1, "xi": "0", "zeta": "0",
+            "eta": "q"}
+    # a member from zoo_params keeps its family's names, in field order
+    l4 = zoo_params("L4", 3, alpha=1, beta=2, xi=3)
+    assert list(build_family(l4).params) == ["family", "N", "r", "xi",
+                                             "alpha", "beta"]
+
+
 _IMPORT_PROBE = """
 import sys
 import uqcomod.cli
-print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+print(sorted(m for m in ("dataclasses", "inspect", "typing")
+             if m in sys.modules))
 """
 
 

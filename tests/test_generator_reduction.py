@@ -24,7 +24,7 @@ from uqcomod.comodzoo import build_family, deform_family, zoo_params
 from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, ExhaustivePlan,
                               FiniteAlgebra, FiniteCoalgebra, HopfAlgebraData,
                               check_plan, solve_antipode, step_certificate,
-                              vec_eq, verify_algebra, verify_comodule_algebra,
+                              verify_algebra, verify_comodule_algebra,
                               verify_hopf, verify_hopf_2cocycle)
 from uqcomod.sides import coalgebra_failures
 from uqcomod.uqsl2 import (build_dual_functionals, build_gr_uq, build_sigma,
@@ -206,7 +206,7 @@ def _reference_defects(alg, plan):
         a, b, s = (alg.basis_vec(i) for i in tup)
         lhs = alg.mul_vec(alg.mul_vec(a, b), s)
         rhs = alg.mul_vec(a, alg.mul_vec(b, s))
-        if not vec_eq(lhs, rhs):
+        if lhs != rhs:
             out.append(hopfcore._witness(alg.labels, tup, lhs, rhs))
     return out
 

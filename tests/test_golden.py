@@ -114,6 +114,16 @@ L3N = FAMILY + ["L3N", "--xi", "1", "--zeta", "2", "--eta", "q"]
      "c4ca020318cc50fd0b4517f6c1d5902a83b942a8891603cdb55b9d8fc409abd5"),
     (["--N", "7", "--what", "gr-uq"],
      "0fe057d97c661a37122a98bb68cfa0f029363a2384c887319ab24736620671f7"),
+    # with the rows above, a member of every family at N = 3; and L3 with
+    # 1 < r < N, which needs N = 9
+    (["--N", "3"] + FAMILY + ["L0", "--r", "1"],
+     "66aa5aab482567492ac3b393860497c8f2b560da561501d7cf2b306f64b9ca46"),
+    (["--N", "3"] + FAMILY + ["L2", "--r", "3", "--zeta", "q"],
+     "22ce9462902b7b5a746065af49382d2d3c2e9d60b99f22235c6849beb90709c6"),
+    (["--N", "3"] + FAMILY + ["L3", "--r", "1", "--xi", "1", "--zeta", "2"],
+     "fd8dee223889c4caee7479f9f8844a9809dedf16c5fb70e64dfd91b703a9a20f"),
+    (["--N", "9"] + FAMILY + ["L3", "--r", "3", "--xi", "1", "--zeta", "2"],
+     "122fdd860ef6b1a2877bf8df8daee5548b4600187d6e78f2149e30c857c0865e"),
 ])
 def test_export_matches_digest(capsys, argv, digest):
     assert main(["export"] + argv + ["--format", "json"]) == 0
