@@ -148,7 +148,7 @@ def suite_chebyshev(N, mode, sample_count, seed) -> VerificationReport:
     u = polyid.MultiPoly.variable(fld0, names, "u")
     v = polyid.MultiPoly.variable(fld0, names, "v")
     for n in range(1, 12):
-        lhs = polyid.power_sum_P(n).compose((u + v, u * v))
+        lhs = polyid.power_sum_P(n, u + v, u * v)
         rep.add(f"power-sum-{n}", "power-sum-recursion",
                 lhs == u ** n + v ** n, None)
     return rep

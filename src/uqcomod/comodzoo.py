@@ -552,7 +552,7 @@ def verify_min_pol_lemma(N: int, alpha, beta, gamma) -> VerificationReport:
     uq = build_uq(N)
     Z = uq_z_element(N, alpha, beta, gamma)
     t_val = alpha * beta / (fld.one - fld.q_power(2))
-    const = power_sum_P(N, fld).eval_scalars(gamma, t_val)
+    const = power_sum_P(N, gamma, t_val)
     formula = phi_polynomial(alpha, beta, const, N)
     rep = VerificationReport({"N": N, "alpha": str(alpha),
                               "beta": str(beta), "gamma": str(gamma)})

@@ -24,7 +24,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add
 
 _Q0 = Fraction(0)
 
@@ -237,8 +237,8 @@ class _ValueIndex:
     values[i] is the canonical object of index i: zero has index 0 and one
     index 1, so an index is true unless zero.  ids maps the id() of each
     canonical object, which values keeps alive, to its index; any other
-    object is looked up by value.  products[i][j], stored under both
-    orders, and sums[i][j] are the indices of values[i] * values[j] and
+    object is looked up by value.  products[i][j] and sums[i][j], each
+    stored under both orders, are the indices of values[i] * values[j] and
     values[i] + values[j], filled on a miss.  The memos map values to
     values only, so no verdict carries from one check to the next; a check
     sums on its own memo (_Partial), so none of its partial sums enters
@@ -276,7 +276,8 @@ class _ValueIndex:
         return p
 
     def total(self, i: int, j: int) -> int:
-        t = self.sums[i][j] = self.of(self.values[i] + self.values[j])
+        t = self.sums[i][j] = self.sums[j][i] = self.of(
+            self.values[i] + self.values[j])
         return t
 
     def times(self, a, b):
@@ -298,9 +299,10 @@ class _Partial:
     """The sums of one check on the value index vi, memoised for that check
     only, so its partial sums never enter vi.  An id is an index of vi, or
     ~k for the k-th sum vi does not hold; value(i) is its value, sums[i][j]
-    the id of value(i) + values[j].  Equal ids are equal values, but a sum
-    that vi learns later in the check carries both ids, so sides that
-    differ as ids are compared again as values (same)."""
+    the id of value(i) + values[j], stored under both orders when i is an
+    index of vi.  Equal ids are equal values, but a sum that vi learns
+    later in the check carries both ids, so sides that differ as ids are
+    compared again as values (same)."""
 
     __slots__ = ("vi", "extra", "local", "sums")
 
@@ -319,6 +321,8 @@ class _Partial:
             t = self.local[key] = ~len(self.extra)
             self.extra.append(v)
         self.sums[i][j] = t
+        if i >= 0:
+            self.sums[j][i] = t
         return t
 
     add = _ValueIndex.add
@@ -439,18 +443,7 @@ class CyclotomicNumber:
                       and other.field is self.field) else self._coerce(other)
         if o is None:
             return NotImplemented
-        da, db = self.den, o.den
-        if da == db:
-            if da == 1:
-                return CyclotomicNumber(self.field,
-                                        tuple(map(sub, self.num, o.num)), 1)
-            return _normalised(self.field,
-                               [x - y for x, y in zip(self.num, o.num)], da)
-        g = gcd(da, db)
-        sa, sb = db // g, da // g
-        return _normalised(self.field,
-                           [x * sa - y * sb for x, y in zip(self.num, o.num)],
-                           da * sa)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)

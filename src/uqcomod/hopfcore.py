@@ -151,19 +151,7 @@ def mul_into(out: dict, mul, left, right, times=operator.mul) -> dict:
             if row:
                 ab = times(a, b)
                 for k, c in row:
-                    # inline: vec_add_into per term made u_q(5)'s slice
-                    # rows take 1.03x as long
-                    v = times(ab, c)
-                    got = out.get(k)
-                    if got is None:
-                        if any(v.num):
-                            out[k] = v
-                    else:
-                        v = got + v
-                        if any(v.num):
-                            out[k] = v
-                        else:
-                            del out[k]
+                    vec_add_into(out, k, times(ab, c))
     return out
 
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .cyclofield import CyclotomicField, CyclotomicNumber, field
-from .exactlinalg import Poly
+from .exactlinalg import Poly, vec_add_into
 
 
 class MultiPoly:
@@ -58,18 +59,10 @@ class MultiPoly:
         return not self.terms
 
     def __add__(self, other):
-        other = self._coerce(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+        for e, c in self._coerce(other).terms.items():
+            vec_add_into(out, e, c)
         return MultiPoly(self.field, self.names, out)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return MultiPoly(self.field, self.names,
@@ -77,9 +70,6 @@ class MultiPoly:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -91,16 +81,8 @@ class MultiPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                vec_add_into(out, tuple(map(add, e1, e2)), c1 * c2)
         return MultiPoly(self.field, self.names, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -118,51 +100,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = self._coerce(other)
         return self.names == other.names and self.terms == other.terms
-
-    def compose(self, values) -> "MultiPoly":
-        """Substitute a MultiPoly (or scalar) for every variable.
-
-        The substituted polynomials may live over a different variable
-        tuple than this one; they only have to agree with each other, and
-        the result is expressed in their variables."""
-        vals = list(values)
-        if len(vals) != len(self.names):
-            raise ValueError(f"{len(vals)} values for {len(self.names)} "
-                             "variables")
-        names = self.names
-        for v in vals:
-            if isinstance(v, MultiPoly):
-                names = v.names
-                break
-        vals = [v if isinstance(v, MultiPoly)
-                else MultiPoly.constant(self.field, names, v) for v in vals]
-        if any(v.names != names for v in vals):
-            raise ValueError("substituted polynomials in different variables")
-        powers = [_powers(v, max((e[i] for e in self.terms), default=0))
-                  for i, v in enumerate(vals)]
-        out = MultiPoly(self.field, names, {})
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(self.field, names, c)
-            for pw, exp in zip(powers, e):
-                if exp:
-                    term = term * pw[exp]
-            out = out + term
-        return out
-
-    def eval_scalars(self, *values) -> CyclotomicNumber:
-        if len(values) != len(self.names):
-            raise ValueError(f"{len(values)} values for {len(self.names)} "
-                             "variables")
-        vals = [v if isinstance(v, CyclotomicNumber)
-                else self.field.from_rational(v) for v in values]
-        out = self.field.zero
-        for e, c in self.terms.items():
-            term = c
-            for v, exp in zip(vals, e):
-                for _ in range(exp):
-                    term = term * v
-            out = out + term
-        return out
 
     def __str__(self):
         if not self.terms:
@@ -195,19 +132,15 @@ def _powers(p: MultiPoly, n: int) -> list[MultiPoly]:
     return out
 
 
-def power_sum_P(n: int, fld=None) -> MultiPoly:
-    """P_n(s, t) with P_n(u+v, uv) = u^n + v^n; P_1 = s, P_2 = s^2 - 2t."""
+def power_sum_P(n: int, s, t):
+    """P_n(s, t), with P_n(u + v, uv) = u^n + v^n, by the recursion
+    P_0 = 2, P_1 = s, P_n = s P_{n-1} - t P_{n-2} in the ring of s and t:
+    MultiPoly variables give the polynomial P_n, (u + v, uv) the sum
+    u^n + v^n, and field scalars its value."""
     if n < 1:
         raise ValueError("power sums start at n = 1")
-    if fld is None:
-        fld = field(1)
-    names = ("s", "t")
-    s = MultiPoly.variable(fld, names, "s")
-    t = MultiPoly.variable(fld, names, "t")
-    if n == 1:
-        return s
-    prev, cur = s, s * s - t * 2
-    for _ in range(n - 2):
+    prev, cur = 2, s
+    for _ in range(n - 1):
         prev, cur = cur, s * cur - t * prev
     return cur
 

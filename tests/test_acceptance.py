@@ -215,8 +215,7 @@ def test_criterion_06_polynomial_identities():
     u = MultiPoly.variable(fld, names, "u")
     v = MultiPoly.variable(fld, names, "v")
     for n in range(1, 12):
-        P = power_sum_P(n, fld)
-        assert P.compose([u + v, u * v]) == u ** n + v ** n, n
+        assert power_sum_P(n, u + v, u * v) == u ** n + v ** n, n
     assert verify_min_pol_formula_consistency(3)
     assert verify_min_pol_formula_consistency(5)
     print("ACCEPTANCE 06 polynomial-identities: PASS")

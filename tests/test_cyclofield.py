@@ -383,6 +383,31 @@ def test_a_unit_factor_returns_the_other_operand(order):
             assert got.coeffs == ref_coeffs(ref_mul(rx, ([1], 2)), phi)
 
 
+def test_subtraction_is_addition_of_the_negative():
+    # dense, monomial and rational operands over different denominators,
+    # and int and Fraction on either side
+    fld = field(5)
+    rng = random.Random(37)
+    dense = fld.element([Fraction(rng.randint(-9, 9), 6)
+                         for _ in range(fld.degree)])
+    integral = fld.element([rng.randint(-9, 9) for _ in range(fld.degree)])
+    monomial = fld.q_power(3) * Fraction(-2, 9)
+    rational = fld.from_rational(Fraction(5, 4))
+    scalars = (dense, integral, monomial, rational)
+    for a in scalars:
+        for b in scalars + (3, Fraction(-7, 10)):
+            got = a - b
+            assert_normal_form(got, fld)
+            assert got == a + (-b)
+            bc = b.coeffs if isinstance(b, CyclotomicNumber) \
+                else fld.from_rational(b).coeffs
+            assert got.coeffs == tuple(x - y for x, y in zip(a.coeffs, bc))
+        for r in (3, Fraction(-7, 10)):
+            got = r - a
+            assert_normal_form(got, fld)
+            assert got == r + (-a) == -(a - r)
+
+
 def test_field_pickles_as_the_cached_field():
     q = pickle.loads(pickle.dumps(field(5).q))
     assert q.field is field(5) and q == field(5).q

@@ -381,6 +381,33 @@ def test_value_index_keys_exact_values(f3):
     assert vi.sums[i]
 
 
+def test_a_sum_is_computed_once_for_both_orders(f3, monkeypatch):
+    vi = f3.interned
+    added = []
+    add = CyclotomicNumber.__add__
+
+    def counting(x, y):
+        added.append(1)
+        return add(x, y)
+
+    monkeypatch.setattr(CyclotomicNumber, "__add__", counting)
+    i = vi.of(f3.from_rational(Fraction(2, 7)))
+    j = vi.of(f3.q * Fraction(3, 11))
+    t = vi.total(i, j)
+    assert vi.sums[j][i] == t and len(added) == 1
+    out = {"k": j}
+    vi.add(out, "k", i)
+    assert out["k"] == t and len(added) == 1
+    # a check's memo stores both orders of two indices of vi
+    part = _Partial(vi)
+    k = vi.of(f3.from_rational(Fraction(5, 13)))
+    p = part.total(i, k)
+    assert p < 0 and part.sums[k][i] == p and len(added) == 2
+    out = {"k": k}
+    part.add(out, "k", i)
+    assert out["k"] == p and len(added) == 2
+
+
 def test_partial_sums_stay_out_of_the_value_index(f3):
     vi = f3.interned
     third = f3.from_rational(Fraction(1, 3))

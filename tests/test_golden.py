@@ -1,5 +1,6 @@
 """Byte-for-byte output of the default report, a sampled N = 5 report, the
-zoo description and the exported structure constants.
+zoo description, a minimal polynomial and the exported structure
+constants.
 
 The files under tests/golden/ were written by
 
@@ -15,6 +16,8 @@ minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --output tests/golden/verify_n5_cocycle_exhaustive.json
     uqcomod verify --N 5 --format json \
         --output tests/golden/verify_n5_default.json
+    uqcomod minpoly --N 5 --alpha 1 --beta 2 --gamma q --format json \
+        --output tests/golden/minpoly_n5.json
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
 --format json`.  The first seven were written before the three table
@@ -37,7 +40,11 @@ CI compares it, under python -O (.github/workflows/tier1.yml); it was
 written before Delta's and the coactions' multiplicativity were checked on
 interned coefficient indices, and the kernel must reproduce it.
 classify_n9.txt was written before the families' parameters were read
-from one table, comodzoo._FAMILIES.
+from one table, comodzoo._FAMILIES.  minpoly_n5.json, the minimal
+polynomial next to the lemma whose constant term is the power sum
+P_5(gamma, alpha beta/(1 - q^2)), was written while P_n was still a
+polynomial substituted into by MultiPoly.compose and eval_scalars, before
+power_sum_P ran its recursion on the scalars themselves.
 """
 
 import hashlib
@@ -64,6 +71,8 @@ GOLDEN = Path(__file__).parent / "golden"
       "--format", "json"], "verify_n5_cocycle_exhaustive.json"),
     # the first order with a proper divisor: r_values [1, 3, 9]
     (["classify", "--N", "9"], "classify_n9.txt"),
+    (["minpoly", "--N", "5", "--alpha", "1", "--beta", "2", "--gamma", "q",
+      "--format", "json"], "minpoly_n5.json"),
 ])
 def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name

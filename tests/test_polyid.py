@@ -26,12 +26,14 @@ def rational_multipoly_oracle(fld, names, table):
 def test_power_sums_frozen_oracles():
     fld = field(1)
     names = ("s", "t")
+    s = MultiPoly.variable(fld, names, "s")
+    t = MultiPoly.variable(fld, names, "t")
     # P_3 = s^3 - 3st, P_4 = s^4 - 4 s^2 t + 2 t^2, P_5 = s^5 - 5 s^3 t + 5 s t^2
-    assert power_sum_P(3, fld) == rational_multipoly_oracle(
+    assert power_sum_P(3, s, t) == rational_multipoly_oracle(
         fld, names, {(3, 0): 1, (1, 1): -3})
-    assert power_sum_P(4, fld) == rational_multipoly_oracle(
+    assert power_sum_P(4, s, t) == rational_multipoly_oracle(
         fld, names, {(4, 0): 1, (2, 1): -4, (0, 2): 2})
-    assert power_sum_P(5, fld) == rational_multipoly_oracle(
+    assert power_sum_P(5, s, t) == rational_multipoly_oracle(
         fld, names, {(5, 0): 1, (3, 1): -5, (1, 2): 5})
 
 
@@ -40,9 +42,31 @@ def test_power_sum_specializes_to_actual_power_sums():
     u = fld.q_power(1)
     v = fld.q_power(2) + fld.one
     for n in range(1, 16):
-        P = power_sum_P(n, fld)
-        got = P.eval_scalars(u + v, u * v)
-        assert got == u ** n + v ** n, n
+        assert power_sum_P(n, u + v, u * v) == u ** n + v ** n, n
+
+
+def test_power_sum_polynomial_agrees_with_the_recursion_on_scalars():
+    # P_n on variables, evaluated term by term at (a, b), against the
+    # recursion run on the field scalars a and b themselves
+    fld = field(5)
+    names = ("s", "t")
+    s = MultiPoly.variable(fld, names, "s")
+    t = MultiPoly.variable(fld, names, "t")
+    rng = random.Random(11)
+    points = [(fld.element([rng.randint(-5, 5) for _ in range(fld.degree)]),
+               fld.from_rational(Fraction(rng.randint(-9, 9), 4)))
+              for _ in range(3)]
+    for n in range(1, 12):
+        P = power_sum_P(n, s, t)
+        for a, b in points:
+            at = fld.zero
+            for (i, j), c in P.terms.items():
+                for _ in range(i):
+                    c = c * a
+                for _ in range(j):
+                    c = c * b
+                at = at + c
+            assert at == power_sum_P(n, a, b), (n, str(a), str(b))
 
 
 def test_min_poly_coefficients_are_integers():
@@ -95,46 +119,3 @@ def test_consistency_for_odd_orders():
 def test_product_identity_rejects_non_primitive_root():
     with pytest.raises(ArithmeticError, match="primitive"):
         product_identity_sides(4, field(4), 2)  # q^2 has order 2, not 4
-
-
-def test_compose_into_other_variables():
-    fld = field(1)
-    P3 = power_sum_P(3, fld)
-    names = ("u", "v")
-    u = MultiPoly.variable(fld, names, "u")
-    v = MultiPoly.variable(fld, names, "v")
-    got = P3.compose([u + v, u * v])
-    assert got == u ** 3 + v ** 3
-
-
-def test_compose_with_scalars():
-    fld = field(1)
-    P2 = power_sum_P(2, fld)
-    two = fld.from_rational(2)
-    got = P2.compose([two, fld.one])
-    assert got == MultiPoly.constant(fld, ("s", "t"), 2)
-
-
-def test_compose_agrees_with_evaluation_at_scalar_points():
-    # P(f(u, v), g(u, v)) at (a, b) is P evaluated at (f(a, b), g(a, b));
-    # P has gaps in its exponents and reuses powers across terms
-    fld = field(5)
-    q = fld.q
-    rng = random.Random(5)
-    names = ("u", "v")
-    u = MultiPoly.variable(fld, names, "u")
-    v = MultiPoly.variable(fld, names, "v")
-    P = MultiPoly(fld, ("s", "t"), {
-        (0, 0): fld.from_rational(-2), (1, 0): q, (4, 0): fld.one,
-        (2, 3): q * 3 - 1, (0, 5): fld.from_rational(Fraction(1, 7)),
-        (3, 1): q.inverse()})
-    for vals in ([u + v * q, u * v - 2], [u * u, fld.one], [v, u + v + q]):
-        composed = P.compose(vals)
-        assert composed.names == names
-        for _ in range(4):
-            a = fld.element([rng.randint(-5, 5) for _ in range(fld.degree)])
-            b = fld.from_rational(Fraction(rng.randint(-9, 9), 4))
-            at = [w.eval_scalars(a, b) if isinstance(w, MultiPoly) else w
-                  for w in vals]
-            assert composed.eval_scalars(a, b) == P.eval_scalars(*at)
-    assert P.compose([u, v]) == MultiPoly(fld, names, P.terms)
