@@ -15,7 +15,8 @@ delta(Y) = y (x) 1 + g^{-1} (x) Y, delta(W) = (alpha x + beta y) (x) 1
 u_q; the same coaction tables serve both sides.
 
 Builders are cached per parameter tuple and their results are read-only:
-the tables and the coaction are held as mapping proxies.
+the tables are packed tables behind a read-only view (hopfcore._Table),
+and the coaction is held as a mapping proxy.
 """
 
 from __future__ import annotations

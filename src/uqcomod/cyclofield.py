@@ -485,6 +485,8 @@ class CyclotomicNumber:
                 k += 1
             c = num[k]
             scale = self.den if c > 0 else -self.den
+            if not k:
+                return CyclotomicNumber(fld, (scale, *num[1:]), abs(c))
             return CyclotomicNumber(
                 fld, tuple([scale * x for x in fld.q_power(-k).num]), abs(c))
         # extended Euclid in Z[t] against the monic modulus, keeping

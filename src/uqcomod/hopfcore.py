@@ -3,13 +3,17 @@
 Everything is held as sparse structure constants over a cyclotomic field:
 
 * algebra elements are dicts {basis index: coefficient},
+* a multiplication table is packed (_Table): one list of dim^2 slots, row
+  (i, j) in slot i * dim + j as a flat tuple of basis indices and value ids
+  of the field's value index, read as (k, coefficient) pairs through a
+  read-only mapping view,
 * tensors in H (x) H or H (x) A are dicts keyed by index pairs,
 * multilinear forms on H live in ConvForm and multiply by convolution.
 
-Built structures are read-only: multiplication, comultiplication, counit,
-antipode, coaction and form tables are held as mapping proxies.  Verifiers
-never mutate their arguments and report failures with explicit witnesses
-instead of raising.
+Built structures are read-only: multiplication tables through their view;
+comultiplication, counit, antipode, coaction and form tables are held as
+mapping proxies.  Verifiers never mutate their arguments and report
+failures with explicit witnesses instead of raising.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import itertools
 import json
 import operator
 import random
+from collections.abc import Mapping
 from types import MappingProxyType
 
 from .cyclofield import CyclotomicField, CyclotomicNumber, _Partial
@@ -39,45 +44,67 @@ def read_only(table):
     return MappingProxyType(table)
 
 
-class _Rows(dict):
-    """A multiplication table (i, j) -> tuple of (k, coeff) whose missing
-    rows read as (), the zero row.
+_ZERO = ()  # the zero row, one object shared by every table
 
-    With fill, a table over range(dim)^2 computes row (i, j) as fill(i, j)
-    on its first read and keeps it, zero rows included, so a hit stays a
-    plain dict lookup; a fill may keep further rows itself (the skew-PBW
-    fill keeps each row of its step chain).  Every whole-table view
-    (iteration, keys, values, items, len, ==, repr) first completes the
-    table: it fills every row, drops the zero rows and keeps the others in
-    row-major order, exactly the table an eager build makes.  get and `in` read through __missing__ too, so no read of any
-    kind can see a row that is merely not yet computed.
+
+class _Table(Mapping):
+    """A multiplication table on range(dim)^2, packed into one list: row
+    (i, j) is slot i * dim + j, a flat tuple (k0, v0, k1, v1, ...) of basis
+    indices k and value ids v of the field's value index
+    (CyclotomicField.interned), in the row's term order.  A slot is None
+    until its row is filled and _ZERO for a zero row.
+
+    With fill, row(i, j) computes a missing row as fill(i, j) on its first
+    read and keeps it; a fill may write further slots itself (the skew-PBW
+    fill keeps each row of its step chain).  Index kernels read rows and
+    slots; everything else reads the table as a read-only mapping,
+    table[(i, j)] a tuple of (k, value) pairs made on read, () for a zero
+    row or a key outside the basis.  Every whole-table view (iteration,
+    keys, values, items, len, ==, copy, repr) first fills every row and
+    lists the nonzero rows in row-major order.
     """
 
-    __slots__ = ("_fill", "_dim")
+    __slots__ = ("dim", "value_of", "slots", "_fill")
 
-    def __init__(self, rows=(), fill=None, dim=0):
-        super().__init__(rows)
-        self._fill = fill
-        self._dim = dim
+    def __init__(self, dim, value_of, fill=None):
+        self.dim, self.value_of, self._fill = dim, value_of, fill
+        self.slots = [_ZERO if fill is None else None] * (dim * dim)
 
-    def __missing__(self, key):
-        fill = self._fill
-        if fill is None:
-            return ()
-        i, j = key
-        if not (0 <= i < self._dim and 0 <= j < self._dim):
-            return ()
-        row = self[key] = fill(i, j)
+    @classmethod
+    def packed(cls, rows, dim, vi):
+        """The table of a mapping (i, j) -> iterable of (k, coeff)."""
+        table = cls(dim, vi.values)
+        of = vi.of
+        for (i, j), row in rows.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"row {(i, j)} outside a {dim}-dimensional "
+                                 f"basis")
+            table.slots[i * dim + j] = tuple(
+                [x for k, c in row for x in (k, of(c))]) or _ZERO
+        return table
+
+    def row(self, i, j):
+        """Row (i, j) as ids, filled on its first read."""
+        n = i * self.dim + j
+        row = self.slots[n]
+        if row is None:
+            row = self.slots[n] = self._fill(i, j) or _ZERO
         return row
 
     def _complete(self):
         if self._fill is not None:
-            rows = [(key, self[key]) for key in
-                    itertools.product(range(self._dim), repeat=2)]
-            dict.clear(self)
-            dict.update(self, [(key, row) for key, row in rows if row])
+            for n, row in enumerate(self.slots):
+                if row is None:
+                    self.row(*divmod(n, self.dim))
             self._fill = None
-        return self
+        return self.slots
+
+    def __getitem__(self, key):
+        i, j = key
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            return _ZERO
+        values, it = self.value_of, iter(self.row(i, j))
+        return tuple([(k, values[v]) for k, v in zip(it, it)])
 
     def get(self, key, default=None):
         return self[key] or default
@@ -86,34 +113,21 @@ class _Rows(dict):
         return bool(self[key])
 
     def __iter__(self):
-        return dict.__iter__(self._complete())
-
-    def __reversed__(self):
-        return dict.__reversed__(self._complete())
+        dim = self.dim
+        return (divmod(n, dim) for n, row in enumerate(self._complete())
+                if row)
 
     def __len__(self):
-        return dict.__len__(self._complete())
+        return len(self.slots) - self._complete().count(_ZERO)
 
-    def keys(self):
-        return dict.keys(self._complete())
+    def __reversed__(self):
+        return reversed(list(self))
 
-    def values(self):
-        return dict.values(self._complete())
-
-    def items(self):
-        return dict.items(self._complete())
-
-    def __eq__(self, other):
-        if isinstance(other, _Rows):
-            other._complete()
-        return dict.__eq__(self._complete(), other)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+    def copy(self):
+        return dict(self.items())
 
     def __repr__(self):
-        return dict.__repr__(self._complete())
+        return repr(self.copy())
 
 
 def vec_scale(v: dict, c) -> dict:
@@ -140,19 +154,30 @@ def vec_combine(images, terms, times=operator.mul) -> dict:
     return out
 
 
-def mul_into(out: dict, mul, left, right, times=operator.mul) -> dict:
+def mul_into(out: dict, mul: _Table, left, right, times=operator.mul) -> dict:
     """Add sum a b row(i, j) into out over the terms (i, a) of left and
-    (j, b) of right, the rows read from the multiplication table mul;
-    empty rows are skipped.  right is read once per term of left, so it
-    must be re-iterable; times multiplies as in vec_combine."""
+    (j, b) of right, the rows read from the table mul, each id mapped to
+    its value; empty rows are skipped.  right is read once per term of
+    left, so it must be re-iterable; times multiplies as in vec_combine."""
+    slots, values, row_of, dim = mul.slots, mul.value_of, mul.row, mul.dim
     for i, a in left:
+        base = i * dim
         for j, b in right:
-            row = mul[(i, j)]
+            row = slots[base + j]
+            if row is None:
+                row = row_of(i, j)
             if row:
                 ab = times(a, b)
-                for k, c in row:
-                    vec_add_into(out, k, times(ab, c))
+                it = iter(row)
+                for k, c in zip(it, it):
+                    vec_add_into(out, k, times(ab, values[c]))
     return out
+
+
+def _pairs(row: tuple) -> tuple:
+    """A packed row (k0, v0, k1, v1, ...) as its pairs ((k0, v0), ...)."""
+    it = iter(row)
+    return tuple(zip(it, it))
 
 
 def vec_str(v: dict, labels=None) -> str:
@@ -188,11 +213,14 @@ class FiniteAlgebra:
         self.field = fld
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        # (i, j) -> tuple of (k, coeff); missing = 0.  A view is another
-        # algebra's table, already a _Rows.
-        if not isinstance(mul, (_Rows, MappingProxyType)):
-            mul = _Rows(mul)
-        self.mul = read_only(mul)
+        # the packed table (_Table): row (i, j) in slot i * dim + j, as
+        # basis indices and value ids of fld's value index, shared with
+        # the algebra it comes from; any other mapping (i, j) -> tuple of
+        # (k, coeff), missing = 0, is packed
+        if not (isinstance(mul, _Table) and mul.dim == self.dim
+                and mul.value_of is fld.interned.values):
+            mul = _Table.packed(mul, self.dim, fld.interned)
+        self.mul = mul
         self.unit = read_only(
             {k: c for k, c in unit.items() if not c.is_zero()})
         self.steps = ()
@@ -205,6 +233,11 @@ class FiniteAlgebra:
         return dict(self.unit)
 
     def mul_vec(self, a: dict, b: dict) -> dict:
+        # a key outside the basis would read another row's slot
+        if a and b and (min(a) < 0 or min(b) < 0
+                        or max(a) >= self.dim or max(b) >= self.dim):
+            raise ValueError(f"a vector with a key outside the "
+                             f"{self.dim}-dimensional basis")
         return mul_into({}, self.mul, a.items(), b.items())
 
     def pow_vec(self, a: dict, n: int) -> dict:
@@ -332,16 +365,19 @@ def t2_mul(alg1: FiniteAlgebra, alg2: FiniteAlgebra, A: dict, B: dict,
            times) -> dict:
     """Multiply two elements of alg1 (x) alg2, keys are (i, j) pairs."""
     out: dict = {}
-    m1, m2 = alg1.mul, alg2.mul
+    row1, row2 = alg1.mul.row, alg2.mul.row
+    values1, values2 = alg1.mul.value_of, alg2.mul.value_of
     for (i1, j1), c1 in A.items():
         for (i2, j2), c2 in B.items():
-            e2 = m2[(j1, j2)]
+            e2 = row2(j1, j2)
             if e2:
                 c = times(c1, c2)
-                for k1, d1 in m1[(i1, i2)]:
-                    cd = times(c, d1)
-                    for k2, d2 in e2:
-                        vec_add_into(out, (k1, k2), times(cd, d2))
+                it1 = iter(row1(i1, i2))
+                for k1, d1 in zip(it1, it1):
+                    cd = times(c, values1[d1])
+                    it2 = iter(e2)
+                    for k2, d2 in zip(it2, it2):
+                        vec_add_into(out, (k1, k2), times(cd, values2[d2]))
     return out
 
 
@@ -414,12 +450,11 @@ def step_certificate(alg: FiniteAlgebra) -> tuple:
     if not steps or alg.unit != {0: alg.field.one} \
             or [m for m, _, _ in steps] != list(range(1, alg.dim)):
         return ()
-    mul = alg.mul
+    row_of = alg.mul.row
     for m, p, s in steps:
-        row = mul[(p, s)]
-        if not (0 <= p < m and row and row[-1][0] == m
-                and not row[-1][1].is_zero()
-                and all(k < m for k, _ in row[:-1])):
+        row = row_of(p, s) if 0 <= p < m and 0 <= s < alg.dim else ()
+        if not (row and row[-2] == m and row[-1]
+                and all(k < m for k in row[:-2:2])):
             return ()
     return tuple(sorted({s for _, _, s in steps}))
 
@@ -500,11 +535,11 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
     A sampled list multiplies out each triple's rows in field values
     (mul_into through the field's memoised CyclotomicField.interned.times),
     so it reads the rows of its triples only.  An exhaustive or generator
-    plan, every (a, b, s) with s in triples.last, reads each row into a
-    line, row (a, n) by n for the first slot and row (m, s) by m for the
-    last, on the field's value index; both sides multiply on the index and
-    sum inline on the call's own memo (_Partial), so they are dicts of
-    ints.  Every value is exact."""
+    plan, every (a, b, s) with s in triples.last, reads the packed rows'
+    value ids into lines of pairs, row (a, n) by n for the first slot and
+    row (m, s) by m for the last; both sides multiply on the field's value
+    index and sum inline on the call's own memo (_Partial), so they are
+    dicts of ints.  Every value is exact."""
     mul, dim, vi = alg.mul, alg.dim, alg.field.interned
     if isinstance(triples, list):
         one = alg.field.one
@@ -515,12 +550,11 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
                 yield (a, b, s), lhs, rhs
         return
     part = _Partial(vi)
-    products, indexed, product = vi.products, vi.of, vi.product
+    products, product, row = vi.products, vi.product, mul.row
     sums, total = part.sums, part.total
 
     def line(i, last):
-        return [tuple([(k, indexed(c)) for k, c in
-                       mul[(n, i) if last else (i, n)]]) for n in range(dim)]
+        return [_pairs(row(n, i) if last else row(i, n)) for n in range(dim)]
 
     rights = [(s, line(s, True)) for s in triples.last]
     for a in range(dim):
@@ -602,19 +636,21 @@ def _antipode_sides(H: HopfAlgebraData, i: int):
     sides of the antipode axioms on one basis element, the first two summed
     on the field's value index from the table rows (m, k) and (j, m)."""
     alg = H.algebra
-    mul, S, vi = alg.mul, H.antipode, alg.field.interned
-    of, product, add, ids = vi.of, vi.product, vi.add, vi.ids
+    row, S, vi = alg.mul.row, H.antipode, alg.field.interned
+    of, product, add = vi.of, vi.product, vi.add
     left, right = {}, {}
     for j, k, c in H.coalgebra.comul.get(i, ()):
         c = of(c)
         for m, a in S.get(j, {}).items():
             ac = product(of(a), c)
-            for t, d in mul[(m, k)]:
-                add(left, t, product(ac, ids.get(id(d)) or of(d)))
+            it = iter(row(m, k))
+            for t, d in zip(it, it):
+                add(left, t, product(ac, d))
         for m, a in S.get(k, {}).items():
             ca = product(c, of(a))
-            for t, d in mul[(j, m)]:
-                add(right, t, product(ca, ids.get(id(d)) or of(d)))
+            it = iter(row(j, m))
+            for t, d in zip(it, it):
+                add(right, t, product(ca, d))
     eps = H.coalgebra.counit.get(i, alg.field.zero)
     return ({t: vi.values[v] for t, v in left.items() if v},
             {t: vi.values[v] for t, v in right.items() if v},
@@ -908,19 +944,22 @@ def _cocycle_sides(sigma: ConvForm, twist: FiniteAlgebra):
     sigma(a1, b1) sigma(a2 b2, c) and sigma(b1, c1) sigma(a, b2 c2) of the
     2-cocycle identity."""
     zero = sigma.hopf.field.zero
-    sig, mul, times = sigma.coords, twist.mul, sigma.hopf.field.interned.times
+    sig, times = sigma.coords, sigma.hopf.field.interned.times
+    row, values = twist.mul.row, twist.mul.value_of
 
     def sides(a, b, c):
         lhs = zero
-        for m, t in mul[(a, b)]:
+        it = iter(row(a, b))
+        for m, t in zip(it, it):
             s = sig.get((m, c))
             if s is not None:
-                lhs = lhs + times(t, s)
+                lhs = lhs + times(values[t], s)
         rhs = zero
-        for m, t in mul[(b, c)]:
+        it = iter(row(b, c))
+        for m, t in zip(it, it):
             s = sig.get((a, m))
             if s is not None:
-                rhs = rhs + times(t, s)
+                rhs = rhs + times(values[t], s)
         return lhs, rhs
 
     return sides
@@ -1169,14 +1208,24 @@ def _sealed(acc: dict) -> dict:
             if (leg := tuple(sorted([(a, x) for a, x in v.items() if x])))}
 
 
-def _slice_table(mul, left, right, fld) -> _Rows:
+def _packed(out: dict) -> tuple:
+    """The packed row of a dict {k: value id}, by increasing k, without
+    the zero ids."""
+    row: list = []
+    for k in sorted(out):
+        if out[k]:
+            row += (k, out[k])
+    return tuple(row)
+
+
+def _slice_table(mul: _Table, left, right, fld) -> _Table:
     """The products e_i * e_j = sum_p left[i][p] right[j][p] in the table
     mul, for the contracted legs left[i] of e_i and right[j] of e_j
     (_sealed), as a table whose rows are computed on first read, summed
-    inline on the field's value index and kept as canonical objects."""
+    inline on the field's value index."""
     vi = fld.interned
-    values, products, sums, ids = vi.values, vi.products, vi.sums, vi.ids
-    of, product, total = vi.of, vi.product, vi.total
+    products, sums, product, total = vi.products, vi.sums, vi.product, vi.total
+    slots, row_of, dim = mul.slots, mul.row, mul.dim
     # left[i] as one tuple of (p, a, x)
     left = [tuple([(p, a, x) for p, leg in legs.items() for a, x in leg])
             for legs in left]
@@ -1186,22 +1235,25 @@ def _slice_table(mul, left, right, fld) -> _Rows:
         rj = right[j]
         for p, a, x in left[i]:
             for b, y in rj.get(p, ()):
-                row = mul[(a, b)]
+                row = slots[a * dim + b]
+                if row is None:
+                    row = row_of(a, b)
                 if not row:
                     continue
                 xy = products[x].get(y) or product(x, y)
-                for k, c in row:
-                    c = ids.get(id(c)) or of(c)
-                    v = products[xy].get(c) or product(xy, c)
+                pxy = products[xy]
+                it = iter(row)
+                for k, c in zip(it, it):
+                    v = pxy.get(c) or product(xy, c)
                     got = out.get(k)
                     if got is None:
                         out[k] = v
                     else:
                         t = sums[got].get(v)
                         out[k] = total(got, v) if t is None else t
-        return tuple(sorted([(k, values[v]) for k, v in out.items() if v]))
+        return _packed(out)
 
-    return _Rows(fill=fill, dim=len(left))
+    return _Table(len(left), vi.values, fill)
 
 
 def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
@@ -1273,6 +1325,10 @@ class ComoduleAlgebra:
 
     def __init__(self, algebra: FiniteAlgebra, over: HopfAlgebraData,
                  coaction: dict, params=None, side=None):
+        if algebra.field is not over.field:
+            # the kernels read both tables' value ids on one value index
+            raise ValueError("an algebra and a Hopf algebra over two field "
+                             "objects")
         if side is None:
             side = CoactionSide(algebra.field, algebra.dim,
                                 read_only(coaction), over, over.side)
@@ -1349,9 +1405,11 @@ def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
     index 0 is false, so `or` falls through to product only on a miss or a
     zero factor."""
     hmul, amul, labels = A.over.algebra.mul, A.algebra.mul, A.labels
+    hslots, hdim, hrow = hmul.slots, hmul.dim, hmul.row
+    aslots, adim, arow = amul.slots, amul.dim, amul.row
     vi = A.field.interned
     part = _Partial(vi)
-    products, ids, of, product = vi.products, vi.ids, vi.of, vi.product
+    products, of, product = vi.products, vi.of, vi.product
     sums, total, add = part.sums, part.total, part.add
     # delta(e_m) as ((h, x), index) items
     images = [tuple([(key, of(c)) for key, c in A.coaction.get(m, ())])
@@ -1360,24 +1418,32 @@ def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
     bad = []
     for i, j in pairs:
         lhs: dict = {}
-        for m, c in amul[(i, j)]:
-            x = ids.get(id(c)) or of(c)
+        it = iter(arow(i, j))
+        for m, x in zip(it, it):
             for key, y in images[m]:
                 add(lhs, key, products[x].get(y) or product(x, y))
         rhs: dict = {}
         for (h1, a1), x1 in images[i]:
             for (h2, a2), x2 in images[j]:
-                e1 = hmul[(h1, h2)]
-                e2 = amul[(a1, a2)] if e1 else ()
+                # slots read inline: a call per row read made sampled
+                # pairs at N = 5 about 8 % slower
+                e1 = hslots[h1 * hdim + h2]
+                if e1 is None:
+                    e1 = hrow(h1, h2)
+                if not e1:
+                    continue
+                e2 = aslots[a1 * adim + a2]
+                if e2 is None:
+                    e2 = arow(a1, a2)
                 if not e2:
                     continue
                 c = products[x1].get(x2) or product(x1, x2)
-                for k1, d1 in e1:
-                    y = ids.get(id(d1)) or of(d1)
+                it1 = iter(e1)
+                for k1, y in zip(it1, it1):
                     cd = products[c].get(y) or product(c, y)
                     pcd = products[cd]
-                    for k2, d2 in e2:
-                        z = ids.get(id(d2)) or of(d2)
+                    it2 = iter(e2)
+                    for k2, z in zip(it2, it2):
                         v = pcd.get(z) or product(cd, z)
                         got = rhs.get(key := (k1, k2))
                         if got is None:
@@ -1487,11 +1553,22 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
           == B.algebra.unit_vec())
     rep.add("morphism-unital", "algebra-map-unit", ok, None)
 
-    times = A.field.interned.times
+    times, row, values = (A.field.interned.times, A.algebra.mul.row,
+                          A.algebra.mul.value_of)
+
+    def image(i, j):
+        # f(e_i e_j), row (i, j) of A's table mapped through f
+        out: dict = {}
+        it = iter(row(i, j))
+        for m, c in zip(it, it):
+            c = values[c]
+            for k, d in images[m].items():
+                vec_add_into(out, k, times(c, d))
+        return out
+
     bad = [[A.labels[i], A.labels[j]]
            for i, j in check_plan(A.dim, 2, "exhaustive")
-           if vec_combine(images, A.algebra.mul[(i, j)], times)
-           != B.algebra.mul_vec(images[i], images[j])]
+           if image(i, j) != B.algebra.mul_vec(images[i], images[j])]
     rep.add("morphism-multiplicative", "algebra-map-products", not bad,
             {"examples": bad[:3], "failing": len(bad)} if bad else None)
 

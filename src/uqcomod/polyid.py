@@ -36,6 +36,14 @@ class MultiPoly:
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
 
     @classmethod
+    def _clean(cls, fld, names: tuple, terms: dict):
+        """The polynomial of terms that hold no zero coefficient, kept as
+        given: vec_add_into drops every term that cancels."""
+        out = object.__new__(cls)
+        out.field, out.names, out.terms = fld, names, terms
+        return out
+
+    @classmethod
     def constant(cls, fld, names, value):
         if not isinstance(value, CyclotomicNumber):
             value = fld.from_rational(value)
@@ -62,11 +70,11 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in self._coerce(other).terms.items():
             vec_add_into(out, e, c)
-        return MultiPoly(self.field, self.names, out)
+        return MultiPoly._clean(self.field, self.names, out)
 
     def __neg__(self):
-        return MultiPoly(self.field, self.names,
-                         {e: -c for e, c in self.terms.items()})
+        return MultiPoly._clean(self.field, self.names,
+                                {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -82,7 +90,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 vec_add_into(out, tuple(map(add, e1, e2)), c1 * c2)
-        return MultiPoly(self.field, self.names, out)
+        return MultiPoly._clean(self.field, self.names, out)
 
     def __pow__(self, n: int):
         if n < 0:

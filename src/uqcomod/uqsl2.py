@@ -27,7 +27,8 @@ from .hopfcore import (
     FiniteCoalgebra,
     HopfAlgebraData,
     _antipode_sides,
-    _Rows,
+    _packed,
+    _Table,
     _generator_plan,
     _plan_failures,
     check_plan,
@@ -69,19 +70,18 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
 
     The algebra's steps list (m, p, s) for every basis index m > 0 in
     increasing order, with e_m = e_p e_s and e_s one of the generators
-    X, Y, G.  The table computes row (i, m) on its first read, along the
-    step of m: e_i e_m = (e_i e_p) e_s, from the products e_k e_s
-    tabulated once per generator, on the field's value index
-    (CyclotomicField.interned), and keeps canonical objects.  The fill
-    walks m's step chain down to the first row already kept (row (i, 0)
-    is e_i itself), then computes and keeps every row on the way back up,
-    so a read stores only rows on its own chain and no recursion deepens
-    with N.
+    X, Y, G.  The packed table (hopfcore._Table) computes row (i, m) on
+    its first read, along the step of m: e_i e_m = (e_i e_p) e_s, from the
+    products e_k e_s tabulated once per generator, as value ids of the
+    field's value index (CyclotomicField.interned).  The fill walks m's
+    step chain down to the first row already kept (row (i, 0) is e_i
+    itself), then computes and keeps every row on the way back up, so a
+    read stores only rows on its own chain and no recursion deepens with
+    N.
     """
     fld = field(N)
     one = fld.one
-    values, of, product, add = (fld.interned.values, fld.interned.of,
-                                fld.interned.product, fld.interned.add)
+    of, product, add = fld.interned.of, fld.interned.product, fld.interned.add
     lam = 2 * N // r
     dim = nx * ny * r
 
@@ -115,9 +115,9 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
         gens[index(0, 1, 0)] = times_y
     if r > 1:
         gens[index(0, 0, 1)] = times_g
-    # e_k e_s for every basis element and generator, on indices
-    right = {s: [tuple((t, of(d)) for t, d in gen(*e) if not d.is_zero())
-                 for e in exps]
+    # e_k e_s for every basis element and generator, packed
+    right = {s: [tuple([x for t, d in gen(*e) if not d.is_zero()
+                        for x in (t, of(d))]) for e in exps]
              for s, gen in gens.items()}
     steps = []
     for m, (a, b, c) in enumerate(exps[1:], 1):
@@ -132,33 +132,35 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
     for m, p, s in steps:
         parent[m] = p
         column[m] = right[s]
-    kept, keep = dict.__contains__, dict.__setitem__
+    basis = list(range(dim))  # one int object per index, shared by rows
 
     def fill(i, m):
+        base = i * dim
         chain = []
-        while m and not kept(mul, (i, m)):
+        while m and slots[base + m] is None:
             chain.append(m)
             m = parent[m]
-        row = mul[(i, m)] if m else ((i, one),)
+        row = slots[base + m] if m else (basis[i], 1)  # id 1 is one
         for m in reversed(chain):
             if row:
                 rs = column[m]
-                if len(row) == 1 and len(rs[row[0][0]]) == 1:
-                    (t, d), = rs[row[0][0]]  # nonzero; index 1 is one
-                    c = row[0][1]
-                    row = ((t, c if d == 1 else values[product(of(c), d)]),)
+                if len(row) == 2 and len(rs[row[0]]) == 2:
+                    t, d = rs[row[0]]  # nonzero
+                    c = row[1]
+                    row = (t, c if d == 1 else product(c, d))
                 else:
                     out: dict = {}
-                    for k, c in row:
-                        c = of(c)
-                        for t, d in rs[k]:
+                    it = iter(row)
+                    for k, c in zip(it, it):
+                        ts = iter(rs[k])
+                        for t, d in zip(ts, ts):
                             add(out, t, product(c, d))
-                    row = tuple(sorted([(t, values[v])
-                                        for t, v in out.items() if v]))
-            keep(mul, (i, m), row)
+                    row = _packed(out)
+            slots[base + m] = row
         return row
 
-    mul = _Rows(fill=fill, dim=dim)
+    mul = _Table(dim, fld.interned.values, fill)
+    slots = mul.slots
     alg = FiniteAlgebra(fld, labels, mul, {0: one})
     alg.steps = tuple(steps)
     return alg

@@ -19,7 +19,6 @@ index.
 
 import itertools
 import random
-from types import MappingProxyType
 
 import pytest
 
@@ -142,11 +141,16 @@ def test_build_uq_computes_only_the_rows_it_reads(monkeypatch):
 
 def _fresh_table():
     """The deformed table of u_q(3) (dimension 27) with no row computed
-    yet, as a read-only view and as its raw storage, and the reference."""
+    yet, and the reference."""
     H, sigma, inv = build_gr_uq(3), build_sigma(3), build_sigma_inverse(3)
     left, right = _two_sided_legs(H, sigma, inv)
     rows = _slice_table(H.algebra.mul, left, right, H.field)
-    return MappingProxyType(rows), rows, reference_deformed_table(H, sigma, inv)
+    return rows, reference_deformed_table(H, sigma, inv)
+
+
+def _filled(table):
+    """The number of rows a packed table holds so far."""
+    return sum(row is not None for row in table.slots)
 
 
 def _valued(legs, fld):
@@ -175,13 +179,15 @@ def _row_major(table):
     repr,
 ])
 def test_whole_table_views_complete_the_table(view):
-    mul, rows, want = _fresh_table()
+    mul, want = _fresh_table()
     zero = next(key for key in itertools.product(range(27), repeat=2)
                 if key not in want)
     assert mul[zero] == () and mul[(1, 1)] == want[(1, 1)]
-    assert dict.__len__(rows) == 2  # read rows are kept, () included
+    assert _filled(mul) == 2  # read rows are kept, () included
     view(mul)
-    assert list(dict.items(rows)) == _row_major(want)
+    assert _filled(mul) == 27 ** 2
+    assert all((row is hopfcore._ZERO) == (divmod(n, 27) not in want)
+               for n, row in enumerate(mul.slots))
     assert list(mul.items()) == _row_major(want)
     assert len(mul) == len(want) and list(mul) == sorted(want)
     assert dict(mul) == want and mul == want and want == mul
@@ -189,20 +195,20 @@ def test_whole_table_views_complete_the_table(view):
 
 
 def test_get_and_in_read_rows_as_the_complete_table_does():
-    mul, rows, want = _fresh_table()
+    mul, want = _fresh_table()
     keys = list(itertools.product(range(27), repeat=2))
     random.Random(5).shuffle(keys)
     for key in keys:
         assert mul.get(key) == want.get(key)
         assert mul.get(key, ()) == want.get(key, ())
         assert (key in mul) == (key in want)
-    assert dict.__len__(rows) == 27 ** 2
+    assert _filled(mul) == 27 ** 2
     # two lazy tables compare by their complete contents
-    assert _fresh_table()[1] == rows and not _fresh_table()[1] != rows
+    assert _fresh_table()[0] == mul and not _fresh_table()[0] != mul
 
 
 def test_keys_outside_the_basis_read_as_the_zero_row():
-    mul, rows, want = _fresh_table()
+    mul, want = _fresh_table()
     last = max(i for i, _ in want)
     j = next(j for i, j in sorted(want) if i == last)
     outside = [(-1, j), (j, -1), (-27, 0), (27, 0), (0, 27), (27, 27)]
@@ -211,7 +217,7 @@ def test_keys_outside_the_basis_read_as_the_zero_row():
             assert table[key] == ()
             assert table.get(key) is None
             assert key not in table
-    assert dict.__len__(rows) == 0
+    assert _filled(mul) == 0
     assert dict(mul) == want
 
 
@@ -220,6 +226,41 @@ def test_deformed_tables_are_read_only():
                 deform_family(_zoo_tuples(3, True)[0]).algebra):
         with pytest.raises(TypeError):
             alg.mul[(0, 0)] = ()
+
+
+def _fresh_builds():
+    """(name, build) for gr(u_q(3)), u_q(3), sigma's one-sided twist and
+    every default zoo member at N = 3, plain and deformed; each build makes
+    a table with no row read by the test yet."""
+    out = [("gr", lambda: build_gr_uq.__wrapped__(3).algebra),
+           ("uq", lambda: build_uq.__wrapped__(3).algebra),
+           ("twist", lambda: _one_sided_twist(build_sigma(3)))]
+    for p in _zoo_tuples(3, small=True):
+        out.append((p.label(),
+                    lambda p=p: build_family.__wrapped__(p).algebra))
+        out.append((f"deformed {p.label()}",
+                    lambda p=p: deform_family.__wrapped__(p).algebra))
+    return out
+
+
+def test_packed_tables_read_in_any_order_as_a_fresh_row_major_read():
+    # the packed table against itself: rows read in a seeded random order
+    # equal the rows of a fresh build read in row-major order; the view
+    # refuses writes, and every zero row is the one shared sentinel
+    for name, build in _fresh_builds():
+        mul = build().mul
+        keys = list(itertools.product(range(mul.dim), repeat=2))
+        shuffled = list(keys)
+        random.Random(name).shuffle(shuffled)
+        got = {key: mul[key] for key in shuffled}
+        fresh = build().mul
+        assert [got[key] for key in keys] == [fresh[key] for key in keys], \
+            name
+        with pytest.raises(TypeError):
+            mul[(0, 0)] = ()
+        assert all(row or row is hopfcore._ZERO for row in mul.slots), name
+        assert sum(row is hopfcore._ZERO for row in mul.slots) \
+            == len(keys) - len(mul), name
 
 
 def _perturbed_forms(N):

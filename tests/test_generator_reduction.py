@@ -271,9 +271,11 @@ def test_a_sampled_plan_reads_only_its_rows(uq3):
 
         def fill(i, j):
             rows.append((i, j))
-            return uq3.algebra.mul[(i, j)]
+            return uq3.algebra.mul.row(i, j)
 
-        return _copy(uq3.algebra, hopfcore._Rows(fill=fill, dim=uq3.dim))
+        table = uq3.algebra.mul
+        return _copy(uq3.algebra, hopfcore._Table(uq3.dim, table.value_of,
+                                                  fill))
 
     want = _reference_defects(lazy(), plan)
     read = set(rows)

@@ -411,6 +411,17 @@ def test_mul_into_matches_the_nested_loop(table, gr3, sigma3, sigma3_inv):
         assert list(got.items()) == list(want.items())
 
 
+def test_mul_vec_refuses_keys_outside_the_basis(gr3):
+    # row (i, j) is slot i * dim + j of the packed table, so a key outside
+    # the basis would read another row
+    alg, one = gr3.algebra, gr3.field.one
+    assert alg.mul_vec({0: one}, {26: one}) == {26: one}
+    for a, b in (({0: one}, {27: one}), ({-1: one}, {0: one}),
+                 ({27: one}, {0: one}), ({0: one}, {-27: one})):
+        with pytest.raises(ValueError, match="outside the 27-dimensional"):
+            alg.mul_vec(a, b)
+
+
 def test_t2_mul_matches_componentwise_products():
     H = cyclic_group_hopf(3)
     fld = H.field

@@ -69,6 +69,25 @@ def test_power_sum_polynomial_agrees_with_the_recursion_on_scalars():
             assert at == power_sum_P(n, a, b), (n, str(a), str(b))
 
 
+def test_cancelled_terms_leave_no_zero_coefficient():
+    # sums and products drop the terms that cancel as they sum, so no
+    # zero coefficient survives in terms
+    fld = field(5)
+    names = ("u", "v")
+    u = MultiPoly.variable(fld, names, "u")
+    v = MultiPoly.variable(fld, names, "v")
+    p = u * fld.q + v * 3 - 2
+    diff = (u + v) * (u - v)
+    for got, want in ((p + (-p), {}), (p - p, {}),
+                      (diff, {(2, 0): fld.one, (0, 2): -fld.one}),
+                      (diff - u * u + v * v, {}),
+                      ((u + v) * (u - v) * (u * u + v * v),
+                       {(4, 0): fld.one, (0, 4): -fld.one})):
+        assert got.terms == want
+        assert not any(c.is_zero() for c in got.terms.values())
+    assert (p + (-p)).is_zero() and p + (-p) == 0
+
+
 def test_min_poly_coefficients_are_integers():
     for n in range(1, 13):
         for k in range(n // 2 + 1):

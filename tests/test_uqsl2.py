@@ -1,6 +1,5 @@
 """Oracles for the graded Hopf algebra, the cocycle and the deformation."""
 
-import gc
 import hashlib
 import json
 import random
@@ -8,6 +7,7 @@ import random
 import pytest
 
 from conftest import reference_skew_pbw_fill
+from uqcomod import hopfcore
 from uqcomod.comodzoo import build_family, zoo_params
 from uqcomod.cyclofield import field, q_factorial
 from uqcomod.hopfcore import (
@@ -365,10 +365,10 @@ def test_skew_pbw_fill_matches_the_plain_loop(N, nx, ny, r, xi, zeta, eta):
 
 
 def _stored(alg):
-    """The rows an algebra's table holds so far, read off its _Rows
-    storage behind the read-only view without filling anything."""
-    rows, = gc.get_referents(alg.mul)
-    return set(dict.keys(rows))
+    """The rows an algebra's packed table holds so far, read off its slots
+    without filling anything."""
+    return {divmod(n, alg.dim) for n, row in enumerate(alg.mul.slots)
+            if row is not None}
 
 
 def _step_chain(alg, m):
@@ -405,7 +405,8 @@ def test_a_partly_filled_table_completes_as_the_plain_loop(
         N, nx, ny, r, xi, zeta, eta):
     # rows read in a random order equal the plain loop's; then a whole-table
     # view fills every row still missing, each of them inside _complete,
-    # and lists the nonzero rows in row-major order
+    # and lists the nonzero rows in row-major order; every zero row is the
+    # one shared sentinel
     coeffs = [field(N).parse(c) for c in (xi, zeta, eta)]
     table, _ = reference_skew_pbw_fill(N, nx, ny, r, *coeffs)
     dim = nx * ny * r
@@ -415,5 +416,7 @@ def test_a_partly_filled_table_completes_as_the_plain_loop(
         assert alg.mul[key] == table.get(key, ())
     assert 0 < len(_stored(alg)) < len(keys)
     assert list(alg.mul.items()) == list(table.items())
-    assert _stored(alg) == set(table)
+    assert _stored(alg) == set(keys)
+    assert all((alg.mul.row(*key) is hopfcore._ZERO) == (key not in table)
+               for key in keys)
     assert all(alg.mul[key] == table.get(key, ()) for key in keys)
