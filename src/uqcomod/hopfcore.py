@@ -44,6 +44,15 @@ def read_only(table):
     return MappingProxyType(table)
 
 
+def _check_indices(what: str, dim: int, indices) -> None:
+    """ValueError unless every index is in range(dim): a table row is read
+    from slot i * dim + j, so an index outside would read another row."""
+    bad = next((i for i in indices if not 0 <= i < dim), None)
+    if bad is not None:
+        raise ValueError(f"{what} index {bad} outside the {dim}-dimensional "
+                         f"basis")
+
+
 _ZERO = ()  # the zero row, one object shared by every table
 
 
@@ -72,13 +81,12 @@ class _Table(Mapping):
 
     @classmethod
     def packed(cls, rows, dim, vi):
-        """The table of a mapping (i, j) -> iterable of (k, coeff)."""
+        """The table of a mapping (i, j) -> tuple of (k, coeff)."""
+        _check_indices("table", dim, (x for (i, j), row in rows.items()
+                                      for x in (i, j, *(k for k, _ in row))))
         table = cls(dim, vi.values)
         of = vi.of
         for (i, j), row in rows.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"row {(i, j)} outside a {dim}-dimensional "
-                                 f"basis")
             table.slots[i * dim + j] = tuple(
                 [x for k, c in row for x in (k, of(c))]) or _ZERO
         return table
@@ -256,6 +264,9 @@ class FiniteCoalgebra:
         self.field = fld
         self.labels = tuple(labels)
         self.dim = len(self.labels)
+        _check_indices("comultiplication", self.dim,
+                       (x for i, ent in comul.items()
+                        for j, k, _ in ent for x in (i, j, k)))
         self.comul = read_only(comul)  # i -> tuple of (j, k, coeff)
         self.counit = read_only(
             {k: c for k, c in counit.items() if not c.is_zero()})
@@ -292,6 +303,8 @@ class HopfAlgebraData:
         self.algebra = algebra
         self.coalgebra = coalgebra
         # i -> (j -> coeff)
+        _check_indices("antipode", algebra.dim,
+                       (x for i, v in antipode.items() for x in (i, *v)))
         self.antipode = read_only({i: read_only(v)
                                    for i, v in antipode.items()})
         self.degrees = tuple(degrees) if degrees is not None else None
@@ -1330,6 +1343,11 @@ class ComoduleAlgebra:
             raise ValueError("an algebra and a Hopf algebra over two field "
                              "objects")
         if side is None:
+            _check_indices("coaction", algebra.dim, (
+                x for i, ent in coaction.items()
+                for x in (i, *(a for (_, a), _ in ent))))
+            _check_indices("coaction", over.dim, (
+                h for ent in coaction.values() for (h, _), _ in ent))
             side = CoactionSide(algebra.field, algebra.dim,
                                 read_only(coaction), over, over.side)
         elif side.dim != algebra.dim or not side.serves(over) \

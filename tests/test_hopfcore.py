@@ -422,6 +422,25 @@ def test_mul_vec_refuses_keys_outside_the_basis(gr3):
             alg.mul_vec(a, b)
 
 
+def test_structures_refuse_indices_outside_the_basis(gr3):
+    # each of these indices would reach a table read as i * dim + j
+    fld, one, labels = gr3.field, gr3.field.one, gr3.labels
+    with pytest.raises(ValueError, match="table index 27 outside the 27-"):
+        FiniteAlgebra(fld, labels, {(0, 27): ((0, one),)}, {0: one})
+    with pytest.raises(ValueError, match="table index -1 outside"):
+        FiniteAlgebra(fld, labels, {(0, 0): ((-1, one),)}, {0: one})
+    comul = {**gr3.coalgebra.comul, 1: ((0, 27, one),)}
+    with pytest.raises(ValueError, match="comultiplication index 27"):
+        FiniteCoalgebra(fld, labels, comul, gr3.coalgebra.counit)
+    with pytest.raises(ValueError, match="antipode index -1"):
+        HopfAlgebraData(gr3.algebra, gr3.coalgebra,
+                        {**gr3.antipode, 1: {-1: one}})
+    coaction = dict(regular_comodule_algebra(gr3).coaction)
+    for bad in (((0, 27), one), ((27, 0), one)):
+        with pytest.raises(ValueError, match="coaction index 27"):
+            ComoduleAlgebra(gr3.algebra, gr3, {**coaction, 1: (bad,)})
+
+
 def test_t2_mul_matches_componentwise_products():
     H = cyclic_group_hopf(3)
     fld = H.field
