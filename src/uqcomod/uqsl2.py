@@ -115,9 +115,10 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
         gens[index(0, 1, 0)] = times_y
     if r > 1:
         gens[index(0, 0, 1)] = times_g
+    basis = list(range(dim))  # one int object per index, shared by rows
     # e_k e_s for every basis element and generator, packed
     right = {s: [tuple([x for t, d in gen(*e) if not d.is_zero()
-                        for x in (t, of(d))]) for e in exps]
+                        for x in (basis[t], of(d))]) for e in exps]
              for s, gen in gens.items()}
     steps = []
     for m, (a, b, c) in enumerate(exps[1:], 1):
@@ -132,7 +133,6 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
     for m, p, s in steps:
         parent[m] = p
         column[m] = right[s]
-    basis = list(range(dim))  # one int object per index, shared by rows
 
     def fill(i, m):
         base = i * dim

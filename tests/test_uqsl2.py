@@ -364,6 +364,23 @@ def test_skew_pbw_fill_matches_the_plain_loop(N, nx, ny, r, xi, zeta, eta):
     assert alg.steps == steps
 
 
+def test_rows_share_one_int_object_per_basis_index():
+    # above 256 every arithmetic result is a new int object; the fill
+    # takes each basis index from one list, so rows cost no int per term
+    fld = field(7)
+    coeffs = [fld.parse(c) for c in ("1", "2", "q")]
+    alg = skew_pbw_algebra(7, 7, 7, 7, *coeffs, [str(m) for m in range(343)])
+    for i in random.Random(7).sample(range(343), 12):
+        for j in range(343):
+            alg.mul.row(i, j)
+    objects = {}
+    for row in alg.mul.slots:
+        for k in row[::2] if row else ():
+            objects.setdefault(k, set()).add(id(k))
+    assert max(objects) > 256
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
 def _stored(alg):
     """The rows an algebra's packed table holds so far, read off its slots
     without filling anything."""
