@@ -11,8 +11,10 @@ Reports are byte-identical across runs unless --timings is given.
 """
 
 import argparse
+import itertools
 import json
 import os
+import random
 import sys
 import time
 
@@ -20,6 +22,7 @@ from .cyclofield import field
 from .exactlinalg import minimal_polynomial_of_element
 from .hopfcore import (
     ConvForm,
+    ExhaustivePlan,
     check_comodule_algebra_morphism,
     coinvariants,
     comodule_to_json,
@@ -56,33 +59,47 @@ def _zoo_tuples(N, small):
     return tuples
 
 
+def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
+    """The index tuples a suite hands to a verifier: for "exhaustive" every
+    tuple over range(dim), made lazily (ExhaustivePlan); for "sampled" a
+    list of every tuple over `always`, then `sample_count` tuples drawn from
+    random.Random(seed).  An unknown mode raises ValueError; a verifier
+    refuses an empty list (hopfcore._planned)."""
+    if mode == "exhaustive":
+        return ExhaustivePlan(dim, arity)
+    if mode != "sampled":
+        raise ValueError(
+            f"unknown check mode {mode!r}; use 'exhaustive' or 'sampled'")
+    rng = random.Random(seed)
+    return list(itertools.product(always, repeat=arity)) + [
+        tuple(rng.randrange(dim) for _ in range(arity))
+        for _ in range(sample_count)]
+
+
 def _gr_generators(N):
-    """Basis indices of x, y and g, which every sampled plan checks first."""
-    return [uqsl2.monomial_index(N, 1, 0, 0),
-            uqsl2.monomial_index(N, 0, 1, 0),
-            uqsl2.monomial_index(N, 0, 0, 1)]
+    """x, y and g as basis indices, the lead of gr(u_q)'s sampled plans."""
+    return [uqsl2.monomial_index(N, *e)
+            for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
 
 def suite_hopf_axioms(N, mode, sample_count, seed) -> VerificationReport:
-    gens = _gr_generators(N)
-    rep = verify_hopf(uqsl2.build_gr_uq(N), mode=mode,
-                      sample_count=sample_count, seed=seed,
-                      always_indices=gens)
+    # gr(u_q) and u_q share one basis, so one plan per arity: half the
+    # samples for associativity, the other half (seed + 1) for the pairs
+    gens, dim, half = _gr_generators(N), N ** 3, sample_count // 2
+    triples = check_plan(dim, 3, mode, half, seed, gens)
+    pairs = check_plan(dim, 2, mode, sample_count - half, seed + 1, gens)
+    rep = verify_hopf(uqsl2.build_gr_uq(N), triples, pairs)
     rep.extend(uqsl2.closed_comultiplication_report(N))
-    rep.extend(uqsl2.verify_dual_relations(N, mode=mode,
-                                           sample_count=sample_count,
-                                           seed=seed))
-    rep.extend(verify_hopf(uqsl2.build_uq(N), mode=mode,
-                           sample_count=sample_count, seed=seed,
-                           always_indices=gens))
+    rep.extend(uqsl2.verify_dual_relations(
+        N, check_plan(dim, 2, mode, sample_count, seed)))
+    rep.extend(verify_hopf(uqsl2.build_uq(N), triples, pairs))
     return rep
 
 
 def suite_cocycle(N, mode, sample_count, seed) -> VerificationReport:
     sigma = uqsl2.build_sigma(N)
-    rep = verify_hopf_2cocycle(sigma, mode=mode,
-                               sample_count=sample_count, seed=seed,
-                               always_indices=_gr_generators(N))
+    rep = verify_hopf_2cocycle(sigma, check_plan(
+        sigma.hopf.dim, 3, mode, sample_count, seed, _gr_generators(N)))
     closed = uqsl2.sigma_closed_coords(N)
     rep.add("sigma-closed-coordinates", "cocycle-exponential-form",
             sigma.coords == closed, None)
@@ -104,12 +121,11 @@ def suite_families(N, mode, sample_count, seed) -> VerificationReport:
     for p in _zoo_tuples(N, small=N == 3):
         rep.extend(comodzoo.verify_family_presentation(p))
         rep.extend(comodzoo.verify_deformed_presentation(p))
-        rep.extend(verify_comodule_algebra(
-            comodzoo.build_family(p), mode=mode,
-            sample_count=sample_count // 4, seed=seed))
-        rep.extend(verify_comodule_algebra(
-            comodzoo.deform_family(p), mode=mode,
-            sample_count=sample_count // 4, seed=seed))
+        # one plan for a member and its deformed twin, on one basis
+        A = comodzoo.build_family(p)
+        pairs = check_plan(A.dim, 2, mode, sample_count // 4, seed)
+        rep.extend(verify_comodule_algebra(A, pairs))
+        rep.extend(verify_comodule_algebra(comodzoo.deform_family(p), pairs))
     return rep
 
 

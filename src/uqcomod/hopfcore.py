@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-import random
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -229,6 +228,7 @@ class FiniteAlgebra:
                 and mul.value_of is fld.interned.values):
             mul = _Table.packed(mul, self.dim, fld.interned)
         self.mul = mul
+        _check_indices("unit", self.dim, unit)
         self.unit = read_only(
             {k: c for k, c in unit.items() if not c.is_zero()})
         self.steps = ()
@@ -415,8 +415,7 @@ class ExhaustivePlan:
     __slots__ = ("dim", "arity", "last")
 
     def __init__(self, dim: int, arity: int, last=None):
-        self.dim = dim
-        self.arity = arity
+        self.dim, self.arity = dim, arity
         self.last = range(dim) if last is None else last
 
     def __len__(self):
@@ -427,26 +426,31 @@ class ExhaustivePlan:
                                  self.last)
 
 
-def check_plan(dim, arity, mode, sample_count=0, seed=0, always=()):
-    """The index tuples a verifier checks, as a sized iterable.
+def _is_full(plan) -> bool:
+    """Whether plan is an ExhaustivePlan with every index in its last slot."""
+    return isinstance(plan, ExhaustivePlan) and plan.last == range(plan.dim)
 
-    "exhaustive" gives every tuple over range(dim) in lexicographic order,
-    made lazily (ExhaustivePlan); "sampled" gives a list of every tuple over
-    `always` first, then `sample_count` tuples drawn from
-    random.Random(seed).  An unknown mode, or a sampled plan with no tuples
-    (which would pass vacuously), raises ValueError.
-    """
-    if mode == "exhaustive":
+
+def _planned(plan, dim: int, arity: int):
+    """The tuples a verifier checks: ExhaustivePlan(dim, arity) for None,
+    else plan, an ExhaustivePlan or a list of tuples, once it fits.
+    ValueError for a plan not over range(dim)^arity (an index outside would
+    read another row's slot) or with no tuples (it would pass vacuously)."""
+    if plan is None:
         return ExhaustivePlan(dim, arity)
-    if mode != "sampled":
-        raise ValueError(
-            f"unknown check mode {mode!r}; use 'exhaustive' or 'sampled'")
-    rng = random.Random(seed)
-    plan = list(itertools.product(always, repeat=arity))
-    plan += [tuple(rng.randrange(dim) for _ in range(arity))
-             for _ in range(sample_count)]
-    if not plan:
+    if isinstance(plan, ExhaustivePlan):
+        fits, indices = (plan.dim, plan.arity) == (dim, arity), plan.last
+    elif isinstance(plan, list):
+        fits = all(len(t) == arity for t in plan)
+        indices = (i for t in plan for i in t)
+    else:
+        raise TypeError(f"a plan is an ExhaustivePlan or a list of tuples, "
+                        f"not {type(plan).__name__}")
+    if not fits:
+        raise ValueError(f"a plan not over range({dim})^{arity}")
+    if not len(plan):
         raise ValueError("a sampled check needs at least one tuple")
+    _check_indices("plan", dim, indices)
     return plan
 
 
@@ -492,7 +496,7 @@ def _generator_plan(alg: FiniteAlgebra, plan, lead=(), proved=()):
     m >= 1 with step (m, p, s), p < m, row (p, s) is c e_m plus terms of
     lower index with c != 0, so C(e_p), the step identity and C at the
     lower terms give C(e_m).  So the claim holds on every tuple of plan."""
-    if not isinstance(plan, ExhaustivePlan) or plan.last != range(plan.dim):
+    if not _is_full(plan):
         return None
     gens = step_certificate(alg)
     if not gens or not all(_proved_algebra(a) for a in proved):
@@ -612,23 +616,22 @@ def _unit_failures(alg: FiniteAlgebra) -> list:
     return bad
 
 
-def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
-                   seed=0, always_indices=()) -> VerificationReport:
-    """The unit and associativity of alg's table, on the planned triples.
+def verify_algebra(alg: FiniteAlgebra, triples=None) -> VerificationReport:
+    """The unit and associativity of alg's table, on the planned triples
+    (_planned; None is every triple).
 
-    Once the unit claim passes, an exhaustive plan is proved on the triples
+    Once the unit claim passes, a full plan is proved on the triples
     (a, b, s) (_generator_plan), by the step identity (x y)(e_p e_s) =
     ((x y) e_p) e_s = (x (y e_p)) e_s = x ((y e_p) e_s) = x (y (e_p e_s)).
-    An exhaustive run records in alg.verified whether both claims passed.
+    Only a full plan records in alg.verified whether both claims passed.
     """
-    rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim})
+    triples = _planned(triples, alg.dim, 3)
+    rep = VerificationReport({"dim": alg.dim})
     labels = alg.labels
     bad_unit = _unit_failures(alg)
     rep.add("algebra-unit", "unital-multiplication", not bad_unit,
             {"elements": bad_unit[:5], "failing": len(bad_unit)}
             if bad_unit else None)
-
-    triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
 
     def failures(plan):
         return [_witness(labels, tup, lhs, rhs) for tup, lhs, rhs
@@ -639,18 +642,19 @@ def verify_algebra(alg: FiniteAlgebra, mode="exhaustive", sample_count=10000,
     rep.add("algebra-associativity", "associative-multiplication", not bad,
             {"examples": bad[:3], "failing": len(bad),
              "checked": len(triples)} if bad else None)
-    if isinstance(triples, ExhaustivePlan):
+    if _is_full(triples):
         alg.verified = not bad_unit and not bad
     return rep
 
 
-def _antipode_sides(H: HopfAlgebraData, i: int):
+def _antipode_sides(H: HopfAlgebraData, i: int, part: _Partial):
     """m(S x id)Delta(e_i), m(id x S)Delta(e_i) and eps(e_i) 1, the three
-    sides of the antipode axioms on one basis element, the first two summed
-    on the field's value index from the table rows (m, k) and (j, m)."""
+    sides of the antipode axioms on one basis element, the first two from
+    the table rows (m, k) and (j, m), summed on part, the memo (_Partial)
+    of the check that calls, so no partial sum enters the value index."""
     alg = H.algebra
     row, S, vi = alg.mul.row, H.antipode, alg.field.interned
-    of, product, add = vi.of, vi.product, vi.add
+    of, product, add = vi.of, vi.product, part.add
     left, right = {}, {}
     for j, k, c in H.coalgebra.comul.get(i, ()):
         c = of(c)
@@ -665,14 +669,15 @@ def _antipode_sides(H: HopfAlgebraData, i: int):
             for t, d in zip(it, it):
                 add(right, t, product(ca, d))
     eps = H.coalgebra.counit.get(i, alg.field.zero)
-    return ({t: vi.values[v] for t, v in left.items() if v},
-            {t: vi.values[v] for t, v in right.items() if v},
+    return (part.values_of(left), part.values_of(right),
             vec_scale(alg.unit_vec(), eps))
 
 
-def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
-                seed=0, always_indices=()) -> VerificationReport:
-    """Associativity, the coalgebra and bialgebra axioms, the antipode.
+def verify_hopf(H: HopfAlgebraData, triples=None,
+                pairs=None) -> VerificationReport:
+    """Associativity on the planned triples, the coalgebra and bialgebra
+    axioms, multiplicativity on the planned pairs, the antipode (_planned;
+    None is every tuple).
 
     Coassociativity, the left counit, Delta(1) = 1 (x) 1 and the
     multiplicativity of Delta are the coaction axioms of H as a comodule
@@ -682,19 +687,16 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
     once per coalgebra side (sides.coalgebra_failures), which deform_hopf
     hands on.
 
-    An exhaustive plan proves the counit's multiplicativity on the pairs
-    (a, s), s = 0 or a generator (_generator_plan), by the step identity
+    A full plan proves the counit's multiplicativity on the pairs (a, s),
+    s = 0 or a generator (_generator_plan), by the step identity
     eps(x (e_p e_s)) = eps(x e_p) eps(e_s) = eps(x) eps(e_p) eps(e_s)."""
     alg, co = H.algebra, H.coalgebra
     labels = alg.labels
-    rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim})
-
-    n_assoc = sample_count // 2
-    n_pairs = sample_count - n_assoc
-    rep.extend(verify_algebra(alg, mode, n_assoc, seed, always_indices))
+    pairs = _planned(pairs, alg.dim, 2)
+    rep = VerificationReport({"dim": alg.dim})
+    rep.extend(verify_algebra(alg, triples))
 
     times = alg.field.interned.times
-    pairs = check_plan(alg.dim, 2, mode, n_pairs, seed + 1, always_indices)
     bad_co, bad_left, delta_1, bad_mult = _coaction_failures(
         regular_comodule_algebra(H), pairs)
     rep.add("coalgebra-coassociativity", "coassociative-comultiplication",
@@ -733,8 +735,9 @@ def verify_hopf(H: HopfAlgebraData, mode="exhaustive", sample_count=10000,
 
     # the antipode axioms on every basis element
     bad = []
+    part = _Partial(alg.field.interned)
     for i in range(alg.dim):
-        left, right, target = _antipode_sides(H, i)
+        left, right, target = _antipode_sides(H, i, part)
         if left != target or right != target:
             bad.append({"element": labels[i],
                         "m(S x id)Delta": vec_str(left, labels),
@@ -978,10 +981,9 @@ def _cocycle_sides(sigma: ConvForm, twist: FiniteAlgebra):
     return sides
 
 
-def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
-                         sample_count=10000, seed=0,
-                         always_indices=()) -> VerificationReport:
-    """Unitality and the 2-cocycle identity
+def verify_hopf_2cocycle(sigma: ConvForm, triples=None) -> VerificationReport:
+    """Unitality, and the 2-cocycle identity on the planned triples
+    (_planned; None is every triple)
 
     sigma(a1, b1) sigma(a2 b2, c) = sigma(b1, c1) sigma(a, b2 c2),
 
@@ -991,16 +993,15 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
     An exhaustive plan is proved when eps(a.b) = sigma(a, b) on every pair
     and verify_algebra proves T associative (_proved_algebra): the two sides
     are then eps((a.b).c) and eps(a.(b.c)), and no Hopf axiom is assumed.
-    Otherwise every triple is enumerated.
+    Otherwise every planned triple is checked.
     """
     _require_bilinear(sigma)
     H = sigma.hopf
     alg, co = H.algebra, H.coalgebra
     labels = alg.labels
     zero = H.field.zero
-    rep = VerificationReport({"mode": mode, "seed": seed,
-                              "sample_count": None if mode == "exhaustive"
-                              else sample_count})
+    triples = _planned(triples, alg.dim, 3)
+    rep = VerificationReport()
 
     # sigma(e_i, 1) and sigma(1, e_i), summed over the unit's terms
     sig, unit = sigma.coords, alg.unit.items()
@@ -1014,7 +1015,6 @@ def verify_hopf_2cocycle(sigma: ConvForm, mode="exhaustive",
     rep.add("cocycle-unital", "cocycle-unitality", not bad,
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
-    triples = check_plan(alg.dim, 3, mode, sample_count, seed, always_indices)
     twist = _one_sided_twist(sigma)
     proved = isinstance(triples, ExhaustivePlan) \
         and all(co.counit_vec(dict(twist.mul[key])) == sigma(*key)
@@ -1474,17 +1474,18 @@ def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
     return bad
 
 
-def verify_comodule_algebra(A: ComoduleAlgebra, mode="exhaustive",
-                            sample_count=10000, seed=0) -> VerificationReport:
+def verify_comodule_algebra(A: ComoduleAlgebra,
+                            pairs=None) -> VerificationReport:
     """The coaction axioms of A: coassociativity, the counit, delta(1) =
-    1 (x) 1 and delta(ab) = delta(a) delta(b) on the planned pairs.
+    1 (x) 1 and delta(ab) = delta(a) delta(b) on the planned pairs
+    (_planned; None is every pair).
 
-    An exhaustive plan proves multiplicativity on the generator pairs
-    (a, s) (_coaction_failures)."""
+    A full plan proves multiplicativity on the generator pairs (a, s)
+    (_coaction_failures)."""
     alg = A.algebra
-    rep = VerificationReport({"mode": mode, "seed": seed, "dim": alg.dim,
+    pairs = _planned(pairs, alg.dim, 2)
+    rep = VerificationReport({"dim": alg.dim,
                               "params": {k: str(v) for k, v in A.params.items()}})
-    pairs = check_plan(alg.dim, 2, mode, sample_count, seed)
     bad_co, bad_eps, unit, bad = _coaction_failures(A, pairs)
     rep.add("comodule-coassociativity", "coaction-coassociativity", not bad_co,
             {"elements": bad_co[:5], "failing": len(bad_co)} if bad_co else None)
@@ -1551,6 +1552,8 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
     equal tables); otherwise colinearity is ill-posed and ValueError is
     raised.
     """
+    if expect not in ("bijective", "injective"):
+        raise ValueError("expect must be 'bijective' or 'injective'")
     if len(images) != A.dim:
         raise ValueError(f"{len(images)} images cannot map a "
                          f"{A.dim}-dimensional algebra")
@@ -1571,22 +1574,11 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
           == B.algebra.unit_vec())
     rep.add("morphism-unital", "algebra-map-unit", ok, None)
 
-    times, row, values = (A.field.interned.times, A.algebra.mul.row,
-                          A.algebra.mul.value_of)
-
-    def image(i, j):
-        # f(e_i e_j), row (i, j) of A's table mapped through f
-        out: dict = {}
-        it = iter(row(i, j))
-        for m, c in zip(it, it):
-            c = values[c]
-            for k, d in images[m].items():
-                vec_add_into(out, k, times(c, d))
-        return out
-
-    bad = [[A.labels[i], A.labels[j]]
-           for i, j in check_plan(A.dim, 2, "exhaustive")
-           if image(i, j) != B.algebra.mul_vec(images[i], images[j])]
+    # f(e_i e_j), row (i, j) of A's table mapped through f
+    times, mul = A.field.interned.times, A.algebra.mul
+    bad = [[A.labels[i], A.labels[j]] for i, j in ExhaustivePlan(A.dim, 2)
+           if vec_combine(images, mul[(i, j)], times)
+           != B.algebra.mul_vec(images[i], images[j])]
     rep.add("morphism-multiplicative", "algebra-map-products", not bad,
             {"examples": bad[:3], "failing": len(bad)} if bad else None)
 
@@ -1603,12 +1595,7 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
     r = rank(B.field, images)
-    if expect == "bijective":
-        ok = r == A.dim and A.dim == B.dim
-    elif expect == "injective":
-        ok = r == A.dim
-    else:
-        raise ValueError("expect must be 'bijective' or 'injective'")
+    ok = r == A.dim and (expect == "injective" or A.dim == B.dim)
     rep.add(f"morphism-{expect}", "linear-rank", ok,
             None if ok else
             {"rank": r, "source_dim": A.dim, "target_dim": B.dim})
@@ -1673,18 +1660,14 @@ def direct_sum_comodule_algebras(A: ComoduleAlgebra,
     fld = A.field
     labels = [f"l.{s}" for s in A.labels] + [f"r.{s}" for s in B.labels]
     off = A.dim
-    table: dict = {}
-    for (i, j), ent in A.algebra.mul.items():
-        table[(i, j)] = ent
+    table = dict(A.algebra.mul)
     for (i, j), ent in B.algebra.mul.items():
         table[(i + off, j + off)] = tuple((k + off, c) for k, c in ent)
-    unit: dict = dict(A.algebra.unit)
+    unit = dict(A.algebra.unit)
     for k, c in B.algebra.unit.items():
         unit[k + off] = c
     alg = FiniteAlgebra(fld, labels, table, unit)
-    coaction: dict = {}
-    for i, ent in A.coaction.items():
-        coaction[i] = ent
+    coaction = dict(A.coaction)
     for i, ent in B.coaction.items():
         coaction[i + off] = tuple(((h, a + off), c) for (h, a), c in ent)
     return ComoduleAlgebra(alg, A.over, coaction,

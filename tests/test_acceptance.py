@@ -25,7 +25,7 @@ from uqcomod.comodzoo import (
     verify_min_pol_lemma,
     zoo_params,
 )
-from uqcomod.cli import main
+from uqcomod.cli import check_plan, main
 from uqcomod.cyclofield import field
 from uqcomod.hopfcore import (
     ComoduleAlgebra,
@@ -69,18 +69,19 @@ def _failing(rep):
 
 def test_criterion_01_hopf_axioms():
     for H in (build_gr_uq(3), build_uq(3)):
-        rep = verify_hopf(H, mode="exhaustive")
+        rep = verify_hopf(H)
         assert rep.ok, _failing(rep)
     for H in (build_gr_uq(5), build_uq(5)):
-        rep = verify_hopf(H, mode="sampled", sample_count=10000, seed=11,
-                          always_indices=_gen_indices(5))
+        gens = _gen_indices(5)
+        rep = verify_hopf(H, check_plan(H.dim, 3, "sampled", 5000, 11, gens),
+                          check_plan(H.dim, 2, "sampled", 5000, 12, gens))
         assert rep.ok, _failing(rep)
     print("ACCEPTANCE 01 hopf-axioms: PASS")
 
 
 def test_criterion_02_cocycle():
     sigma = build_sigma(3)
-    rep = verify_hopf_2cocycle(sigma, mode="exhaustive")
+    rep = verify_hopf_2cocycle(sigma)
     assert rep.ok, _failing(rep)
     inv = build_sigma_inverse(3)
     unit = ConvForm.unit(sigma.hopf, 2)
@@ -89,8 +90,8 @@ def test_criterion_02_cocycle():
     assert sigma.coords == sigma_closed_coords(3)
     for N in (5, 7):
         sN = build_sigma(N)
-        rep = verify_hopf_2cocycle(sN, mode="sampled", sample_count=10000,
-                                   seed=13 + N)
+        rep = verify_hopf_2cocycle(sN, check_plan(sN.hopf.dim, 3, "sampled",
+                                                  10000, 13 + N))
         assert rep.ok, (N, _failing(rep))
         inv = build_sigma_inverse(N)
         unit = ConvForm.unit(sN.hopf, 2)
@@ -139,12 +140,12 @@ def test_criterion_04_family_presentations():
     seen_claims = set()
     for p in tuples3:
         A = build_family(p)
-        rep = verify_comodule_algebra(A, mode="exhaustive")
+        rep = verify_comodule_algebra(A)
         assert rep.ok, (p.label(), _failing(rep))
         rep = verify_family_presentation(p)
         assert rep.ok, (p.label(), _failing(rep))
         D = deform_family(p)
-        rep = verify_comodule_algebra(D, mode="exhaustive")
+        rep = verify_comodule_algebra(D)
         assert rep.ok, (p.label(), _failing(rep))
         rep = verify_deformed_presentation(p)
         assert rep.ok, (p.label(), _failing(rep))
@@ -164,8 +165,8 @@ def test_criterion_04_family_presentations():
         A, D = build_family(p), deform_family(p)
         mode = "exhaustive" if A.dim <= 27 else "sampled"
         for inst in (A, D):
-            rep = verify_comodule_algebra(inst, mode=mode,
-                                          sample_count=10000, seed=17)
+            rep = verify_comodule_algebra(inst, check_plan(
+                inst.dim, 2, mode, 10000, 17))
             assert rep.ok, (p.label(), _failing(rep))
         rep = verify_deformed_presentation(p)
         assert rep.ok, (p.label(), _failing(rep))

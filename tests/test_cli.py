@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, exports."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -70,16 +71,18 @@ def test_families_with_fewer_than_four_samples_is_rejected(count, capsys):
 def test_cocycle_suite_samples_the_generators_first(monkeypatch):
     seen = []
 
-    def spy(sigma, **kw):
-        seen.append(kw)
-        return verify_hopf_2cocycle(sigma, **kw)
+    def spy(sigma, triples):
+        seen.append(triples)
+        return verify_hopf_2cocycle(sigma, triples)
 
     monkeypatch.setattr(cli, "verify_hopf_2cocycle", spy)
     assert main(["verify", "--N", "3", "--suites", "cocycle",
                  "--mode", "sampled", "--sample-count", "10"]) == 0
     x, y, g = (monomial_index(3, 1, 0, 0), monomial_index(3, 0, 1, 0),
                monomial_index(3, 0, 0, 1))
-    assert [kw["always_indices"] for kw in seen] == [[x, y, g]]
+    [triples] = seen
+    assert len(triples) == 27 + 10
+    assert triples[:27] == list(itertools.product((x, y, g), repeat=3))
 
 
 def test_a_wrong_sigma_inverse_fails_claims_instead_of_raising(monkeypatch,

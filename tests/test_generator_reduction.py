@@ -18,11 +18,12 @@ from fractions import Fraction
 import pytest
 
 from uqcomod import cli, hopfcore, uqsl2
+from uqcomod.cli import check_plan
 from uqcomod.cyclofield import CyclotomicNumber, _Partial
 from uqcomod.comodzoo import build_family, deform_family, zoo_params
 from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, ExhaustivePlan,
                               FiniteAlgebra, FiniteCoalgebra, HopfAlgebraData,
-                              check_plan, solve_antipode, step_certificate,
+                              solve_antipode, step_certificate,
                               verify_algebra, verify_comodule_algebra,
                               verify_hopf, verify_hopf_2cocycle)
 from uqcomod.sides import coalgebra_failures
@@ -93,7 +94,7 @@ def test_only_exhaustive_runs_record_a_verdict():
     gr = build_gr_uq(3).algebra
     alg = _copy(gr, steps=gr.steps)
     assert alg.verified is None
-    verify_algebra(alg, mode="sampled", sample_count=20)
+    verify_algebra(alg, check_plan(alg.dim, 3, "sampled", 20))
     assert alg.verified is None
     verify_algebra(alg)
     assert alg.verified is True
@@ -433,12 +434,27 @@ def test_check_kernels_add_no_sums_to_the_value_index():
     vi = uq.field.interned
     sums = sum(map(len, vi.sums))
     for seed in (1, 2):
-        verify_algebra(uq.algebra, mode="sampled", sample_count=400,
-                       seed=seed)
+        verify_algebra(uq.algebra, check_plan(uq.dim, 3, "sampled", 400,
+                                              seed))
         verify_comodule_algebra(hopfcore.regular_comodule_algebra(uq),
-                                mode="sampled", sample_count=400, seed=seed)
+                                check_plan(uq.dim, 2, "sampled", 400, seed))
     coalgebra_failures(uq.side)
     assert sum(map(len, vi.sums)) == sums
+
+
+def test_the_antipode_check_adds_no_sums_to_the_value_index():
+    # verify_hopf and uq_relation_report sum the antipode sides on a memo
+    # of their own call: once u_q(3)'s table is complete, they leave the
+    # index's sum memo empty.  It is emptied first (a memo only, refilled
+    # on demand), so sums an earlier test left there cannot hide a leak
+    uq = build_uq(3)
+    dict(uq.algebra.mul)
+    vi = uq.field.interned
+    for memo in vi.sums:
+        memo.clear()
+    assert verify_hopf(uq).ok
+    assert uq_relation_report(3, uq).ok
+    assert not any(vi.sums)
 
 
 def test_multiplicativity_kernel_keys_coefficients_by_value():
@@ -628,23 +644,29 @@ def test_a_sampled_run_proves_nothing_exhaustively(monkeypatch, N):
     for alg in (gr.algebra, uq.algebra, *(A.algebra for A in members)):
         monkeypatch.setattr(alg, "verified", None)
     signature = inspect.signature(verify_algebra)
-    modes = []
+    plans = []
 
     def spy(*args, **kwargs):
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
-        modes.append(call.arguments["mode"])
+        plans.append(call.arguments["triples"])
         return verify_algebra(*args, **kwargs)
 
+    def sampled(dim, arity, count=20, seed=0):
+        return check_plan(dim, arity, "sampled", count, seed)
+
     monkeypatch.setattr(hopfcore, "verify_algebra", spy)
-    sampled = {"mode": "sampled", "sample_count": 20}
-    reports = [verify_hopf(gr, **sampled), verify_hopf(uq, **sampled),
-               verify_hopf_2cocycle(build_sigma(N), **sampled),
-               verify_dual_relations(N, **sampled)]
-    reports += [verify_comodule_algebra(A, **sampled) for A in members]
+    hopf = (sampled(gr.dim, 3, 10), sampled(gr.dim, 2, 10, 1))
+    reports = [verify_hopf(gr, *hopf), verify_hopf(uq, *hopf),
+               verify_hopf_2cocycle(build_sigma(N), sampled(gr.dim, 3)),
+               verify_dual_relations(N, sampled(gr.dim, 2))]
+    reports += [verify_comodule_algebra(A, sampled(A.dim, 2))
+                for A in members]
     assert all(rep.ok for rep in reports)
     # verify_hopf's own associativity check, on gr and on u_q
-    assert modes == ["sampled", "sampled"]
+    assert plans == [hopf[0], hopf[0]]
+    assert gr.algebra.verified is uq.algebra.verified is None
+    assert all(A.algebra.verified is None for A in members)
 
 
 # -- a broken certificate fails closed ----------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (bicharacter_form, cyclic_group_hopf, parsed_rows,
                       random_scalar, reference_mul_into)
+from uqcomod.cli import check_plan
 from uqcomod.cyclofield import field
 from uqcomod.hopfcore import (
     ComoduleAlgebra,
@@ -40,6 +41,7 @@ from uqcomod.hopfcore import (
     check_comodule_algebra_morphism,
     conjugate_comodule_algebra,
     _coaction_failures,
+    _Table,
     factor_form,
 )
 from uqcomod.comodzoo import build_family, zoo_params
@@ -322,6 +324,29 @@ def test_morphism_checker_accepts_identity_and_rejects_junk():
     assert [c.claim_id for c in rep.failures()][-1] == "morphism-bijective"
 
 
+def test_morphism_checker_refuses_an_unknown_kind_before_any_product():
+    # a bad expect is refused before a row of the source's table is filled
+    H = cyclic_group_hopf(3)
+    R = regular_comodule_algebra(H)
+    filled = []
+
+    def fill(i, j):
+        filled.append((i, j))
+        return R.algebra.mul.row(i, j)
+
+    lazy = FiniteAlgebra(H.field, R.labels,
+                         _Table(R.dim, R.algebra.mul.value_of, fill),
+                         dict(R.algebra.unit))
+    A = ComoduleAlgebra(lazy, H, R.coaction)
+    identity = [{i: H.field.one} for i in range(3)]
+    with pytest.raises(ValueError, match="expect must be"):
+        check_comodule_algebra_morphism(identity, A, R, expect="surjective")
+    assert filled == []
+    assert check_comodule_algebra_morphism(identity, A, R,
+                                           expect="injective").ok
+    assert filled
+
+
 def test_conjugation_needs_a_grouplike():
     H = cyclic_group_hopf(3)
     R = regular_comodule_algebra(H)
@@ -439,6 +464,13 @@ def test_structures_refuse_indices_outside_the_basis(gr3):
     for bad in (((0, 27), one), ((27, 0), one)):
         with pytest.raises(ValueError, match="coaction index 27"):
             ComoduleAlgebra(gr3.algebra, gr3, {**coaction, 1: (bad,)})
+    # a unit key outside the basis, refused before verify_algebra could
+    # reach mul_vec with it
+    table = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)}
+    with pytest.raises(ValueError, match="unit index 5 outside the 2-"):
+        FiniteAlgebra(fld, ["a", "b"], table, {5: one})
+    with pytest.raises(ValueError, match="unit index -1"):
+        FiniteAlgebra(fld, ["a", "b"], table, {0: one, -1: one})
 
 
 def test_t2_mul_matches_componentwise_products():
@@ -546,11 +578,12 @@ def test_uq_shares_the_coalgebra_side_of_gr(N):
 
 def test_a_corrupted_delta_gets_no_shared_side():
     gr = build_gr_uq(3)
-    verify_hopf(gr, mode="sampled", sample_count=20)  # fills gr's side
+    plans = (check_plan(gr.dim, 3, "sampled", 10),
+             check_plan(gr.dim, 2, "sampled", 10, 1))
+    verify_hopf(gr, *plans)  # fills gr's side
     bad = _corrupted_delta(gr)
     assert bad.side is not gr.side
-    fails = {c.claim_id for c in verify_hopf(
-        bad, mode="sampled", sample_count=20).failures()}
+    fails = {c.claim_id for c in verify_hopf(bad, *plans).failures()}
     assert "coalgebra-coassociativity" in fails
     with pytest.raises(ValueError, match="another coalgebra"):
         HopfAlgebraData(gr.algebra, bad.coalgebra, gr.antipode,
