@@ -367,21 +367,39 @@ class LoewyFiltration:
         filtration, b of degree k when A_k is the first layer holding b; it
         is enough that b_i b_j lies in A_{deg i + deg j} for every pair.
         """
-        A = self.comodule
-        ech = SparseEchelon(A.field)
-        basis, layers = [], []
-        for k, space in enumerate(self.spaces):
-            for row in space.basis:
-                b = ech.add(row)
-                if b is not None:
-                    basis.append((k, b))
-            if ech.rank != space.dim:
-                raise ValueError("the layers of a filtration must be nested")
-            layers.append(SparseEchelon(A.field, ech.rows))
-        top = len(layers) - 1
-        mul = A.algebra.mul_vec
-        return not any(layers[min(m + n, top)].reduce(mul(u, w))
-                       for m, u in basis for n, w in basis)
+        return _respects_products(self.comodule, self.spaces)
+
+
+def _respects_products(A: ComoduleAlgebra, spaces, coordinate=True) -> bool:
+    """LoewyFiltration.respects_products.  When every adapted basis vector
+    is one basis element e_i (each layer a coordinate subspace, as every
+    member's is), index i gets the degree of its layer and b_i b_j is row
+    (i, j) of the table, which lies in A_l exactly when each of its indices
+    has degree at most l.  Otherwise, or with coordinate false (the tests'
+    oracle), each product is reduced against its layer's echelon."""
+    ech = SparseEchelon(A.field)
+    basis, layers = [], []
+    for k, space in enumerate(spaces):
+        for row in space.basis:
+            b = ech.add(row)
+            if b is not None:
+                basis.append((k, b))
+        if ech.rank != space.dim:
+            raise ValueError("the layers of a filtration must be nested")
+        layers.append(SparseEchelon(A.field, ech.rows))
+    top = len(layers) - 1
+    if coordinate and all(len(b) == 1 for _, b in basis):
+        basis = [(k, min(b)) for k, b in basis]
+        degree = [top + 1] * A.dim  # outside every layer
+        for k, i in basis:
+            degree[i] = k
+        row = A.algebra.mul.row
+        return not any(degree[t] > min(m + n, top)
+                       for m, i in basis for n, j in basis
+                       for t in row(i, j)[::2])
+    mul = A.algebra.mul_vec
+    return not any(layers[min(m + n, top)].reduce(mul(u, w))
+                   for m, u in basis for n, w in basis)
 
 
 def loewy_filtration(A: ComoduleAlgebra) -> LoewyFiltration:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from conftest import random_scalar
 
 from uqcomod.comodzoo import (
+    LoewyFiltration,
     build_family,
     coefficient_coalgebra,
     conjugation_invariance_report,
@@ -47,6 +48,7 @@ from uqcomod.polyid import (
     verify_min_pol_formula_consistency,
 )
 from uqcomod.polyid import MultiPoly
+from uqcomod.reporting import VerificationReport
 from uqcomod.uqsl2 import (
     build_gr_uq,
     build_sigma,
@@ -528,6 +530,33 @@ def _injected_failures():
 
     # 8. cocycle unitality: sigma(x, 1) = 1, where eps(x) = 0
     out["cocycle-unit"] = failing(verify_hopf_2cocycle(_non_unital_sigma()))
+
+    # 9. filtration: X0G1 X0G1 = X0G2 of degree 0 moved to X1G2 of degree
+    # 1, in L1's table; its layers are coordinate subspaces, so the degree
+    # test decides it
+    F = loewy_filtration(A)
+    g1, g2, xg2 = (A.labels.index(s) for s in ("X0G1", "X0G2", "X1G2"))
+    mul = dict(A.algebra.mul)
+    assert mul[(g1, g1)] == ((g2, fld.one),)
+    mul[(g1, g1)] = ((xg2, fld.one),)
+    bad = ComoduleAlgebra(FiniteAlgebra(fld, A.labels, mul,
+                                        dict(A.algebra.unit)),
+                          A.over, A.coaction, A.params)
+    bad = LoewyFiltration(bad, F.spaces)
+    rep = VerificationReport({"suite": "filtration"})
+    rep.add("filtration-products-L1-plain", "filtered-algebra",
+            bad.respects_products(), {"dims": list(bad.dims)})
+    out["filtration-row"] = failing(rep)
+
+    # 10. morphism: the morita suite's eta-rotation isomorphism with q^2
+    # in place of q on G alone, a diagonal map read on value ids
+    src = zoo_params("L3N", 3, xi=1, zeta=2, eta=fld.q * fld.q_power(2))
+    dst = zoo_params("L3N", 3, xi=1, zeta=2, eta=fld.q)
+    images, S, T = diagonal_family_map(src, dst, g_scale=fld.q)
+    g1 = S.labels.index("X0Y0G1")
+    images[g1] = {g1: fld.q_power(2)}
+    out["diagonal-scale"] = failing(
+        check_comodule_algebra_morphism(images, S, T))
     return out
 
 
@@ -565,6 +594,10 @@ def test_criterion_10_mutation_sensitivity():
               for c in failures["cocycle-unit"]}["cocycle-unital"]
     assert unital == {"elements": ["x1y0g0"], "failing": 1}
     assert unital == _unital_reference(_non_unital_sigma())
+    assert [c["claim_id"] for c in failures["filtration-row"]] == [
+        "filtration-products-L1-plain"]
+    assert "morphism-multiplicative" in {
+        c["claim_id"] for c in failures["diagonal-scale"]}
 
     assert len(caught) >= 5
     print("ACCEPTANCE 10 mutation-sensitivity: PASS "

@@ -39,7 +39,7 @@ from uqcomod.comodzoo import (
     zoo_params,
 )
 from uqcomod import hopfcore
-from uqcomod.cli import _zoo_tuples
+from uqcomod.cli import _zoo_tuples, suite_morita
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import Subspace
 from uqcomod.hopfcore import (
@@ -241,6 +241,167 @@ def test_products_check_rejects_a_shifted_filtration():
         swapped = LoewyFiltration(F.comodule, (F.spaces[1], F.spaces[0]))
         with pytest.raises(ValueError):
             swapped.respects_products()
+
+
+def _count_mul_vec(monkeypatch):
+    """A list that gains one entry per FiniteAlgebra.mul_vec call."""
+    calls, real = [], FiniteAlgebra.mul_vec
+
+    def counted(self, a, b):
+        calls.append(None)
+        return real(self, a, b)
+
+    monkeypatch.setattr(FiniteAlgebra, "mul_vec", counted)
+    return calls
+
+
+def test_coordinate_filtrations_match_the_echelon_path(monkeypatch):
+    # every member's layers are coordinate subspaces, so the degree test
+    # decides them without a product; the echelon path is the oracle, on
+    # the Loewy filtration and on its shifted and dropped corruptions
+    calls = _count_mul_vec(monkeypatch)
+    rejected = 0
+    for N in (3, 5):
+        for p in _zoo_tuples(N, small=True):
+            for build in (build_family, deform_family):
+                F = loewy_filtration(build(p))
+                variants = [(F.spaces, True)]
+                if len(F.spaces) > 1:
+                    variants.append(((F.spaces[1],) + F.spaces[1:], None))
+                if len(F.spaces) > 2:
+                    variants.append((F.spaces[:1] + F.spaces[2:], None))
+                for spaces, want in variants:
+                    calls.clear()
+                    got = LoewyFiltration(F.comodule,
+                                          spaces).respects_products()
+                    assert calls == [], p.label()
+                    oracle = comodzoo._respects_products(
+                        F.comodule, spaces, coordinate=False)
+                    assert calls, p.label()
+                    assert got == oracle, (p.label(), [s.dim for s in spaces])
+                    assert want is None or got == want, p.label()
+                    rejected += not got
+    assert rejected == 56  # of the 64 shifted or dropped filtrations
+
+
+def test_a_filtration_in_a_non_coordinate_basis_takes_the_echelon_path(
+        monkeypatch):
+    A = build_family(zoo_params("L1", 3, r=3, xi=2))
+    one = A.field.one
+    full = Subspace.from_vectors(A.field, A.dim,
+                                 [{i: one} for i in range(A.dim)])
+    unit = Subspace.from_vectors(A.field, A.dim, [{0: one}])
+    g = A.labels.index("X0G1")
+    x = A.labels.index("X1G0")
+    mixed = Subspace.from_vectors(A.field, A.dim, [{0: one}, {g: one,
+                                                               x: one}])
+    calls = _count_mul_vec(monkeypatch)
+    # the unit at degree 0 and anything at degree 1 below A is a filtration
+    assert LoewyFiltration(A, (unit, mixed, full)).respects_products()
+    assert calls
+    calls.clear()
+    # G + X at degree 0: (G + X)^2 has a G^2 and an X^2 part outside it
+    bottom = Subspace.from_vectors(A.field, A.dim, [{g: one, x: one}])
+    assert not LoewyFiltration(A, (bottom, full)).respects_products()
+    assert calls
+
+
+def _product_oracle(monkeypatch):
+    """Spy on hopfcore._product_failures: for each call, the failing pairs
+    of the monomial path and of the general path, with the mul_vec calls
+    each made."""
+    seen, real = [], hopfcore._product_failures
+    calls = _count_mul_vec(monkeypatch)
+
+    def spy(images, A, B, monomial=True):
+        calls.clear()
+        got = real(images, A, B, monomial)
+        fast = len(calls)
+        want = real(images, A, B, monomial=False)
+        seen.append((got, fast, want, len(calls) - fast))
+        return got
+
+    monkeypatch.setattr(hopfcore, "_product_failures", spy)
+    return seen
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_monomial_maps_of_the_morita_suite_match_the_general_path(
+        monkeypatch, N):
+    # the eta-rotation and L4-rescale maps, plain and deformed, and the two
+    # conjugations: each image is one nonzero term, so no product is taken
+    seen = _product_oracle(monkeypatch)
+    assert suite_morita(N, "exhaustive", 0, 0).ok
+    assert len(seen) == 6
+    for got, fast, want, general in seen:
+        assert got == want == [] and fast == 0 and general > 0
+
+
+def test_conjugation_maps_match_the_general_path(monkeypatch):
+    seen = _product_oracle(monkeypatch)
+    for p in (zoo_params("L4", 3, alpha=1, beta=1, xi=3),
+              zoo_params("L3N", 3, xi=1, zeta=2, eta="q")):
+        for power in (1, 2):
+            for deformed in (False, True):
+                assert conjugation_invariance_report(p, power,
+                                                     deformed=deformed).ok
+    assert len(seen) == 8
+    assert all(got == want == [] and fast == 0 and general > 0
+               for got, fast, want, general in seen)
+
+
+def _failing(rep):
+    return [c.as_dict() for c in rep.failures()]
+
+
+def test_a_wrong_scale_fails_alike_on_both_paths(monkeypatch):
+    fld = field(3)
+    src = zoo_params("L3N", 3, xi=1, zeta=2, eta=fld.q * fld.q_power(2))
+    dst = zoo_params("L3N", 3, xi=1, zeta=2, eta=fld.q)
+    wrong = []
+    for deformed in (False, True):
+        # g-scale q^2 on every power of G
+        wrong.append(diagonal_family_map(src, dst, g_scale=fld.q_power(2),
+                                         deformed=deformed))
+        # g-scale q on G but 1 on G^2
+        images, A, B = diagonal_family_map(src, dst, g_scale=fld.q_power(1),
+                                           deformed=deformed)
+        g2 = A.labels.index("X0Y0G2")
+        wrong.append(([{g2: fld.one} if i == g2 else v
+                       for i, v in enumerate(images)], A, B))
+    calls = _count_mul_vec(monkeypatch)
+    fast = [_failing(check_comodule_algebra_morphism(*case))
+            for case in wrong]
+    assert calls == []
+    real = hopfcore._product_failures
+    monkeypatch.setattr(hopfcore, "_product_failures",
+                        lambda images, A, B: real(images, A, B, False))
+    assert [_failing(check_comodule_algebra_morphism(*case))
+            for case in wrong] == fast
+    assert calls
+    for failed in fast:
+        assert failed[0]["claim_id"] == "morphism-multiplicative"
+        assert failed[0]["witness"]["failing"] > 0
+    assert fast[0][0]["witness"]["failing"] == 324
+
+
+def test_zero_scales_and_non_injective_maps_take_the_general_path(
+        monkeypatch):
+    fld = field(3)
+    A = build_family(zoo_params("L1", 3, r=3, xi=2))
+    identity = [{i: fld.one} for i in range(A.dim)]
+    x = A.labels.index("X1G0")
+    zero = identity[:x] + [{x: fld.zero}] + identity[x + 1:]
+    folded = identity[:x] + [{0: fld.one}] + identity[x + 1:]
+    seen = _product_oracle(monkeypatch)
+    assert check_comodule_algebra_morphism(identity, A, A).ok
+    for images in (zero, folded):
+        assert not check_comodule_algebra_morphism(images, A, A).ok
+    (ok, fast, _, _), *fallbacks = seen
+    assert ok == [] and fast == 0
+    assert len(fallbacks) == 2
+    for got, fast, want, general in fallbacks:
+        assert got == want and got and fast == general == A.dim ** 2
 
 
 def test_loewy_filtration_needs_degree_data():

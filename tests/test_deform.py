@@ -263,6 +263,20 @@ def test_packed_tables_read_in_any_order_as_a_fresh_row_major_read():
             == len(keys) - len(mul), name
 
 
+def test_packed_rows_hold_no_zero_coefficient():
+    # a table given with explicit zeros packs without them: an all-zero row
+    # is the zero row, so len counts only nonzero rows and the indices of
+    # a packed row are its support
+    fld = field(3)
+    one, zero = fld.one, fld.zero
+    table = {(0, 0): ((0, one),), (0, 1): ((0, zero), (1, one)),
+             (1, 0): ((1, one),), (1, 1): ((0, zero),)}
+    mul = hopfcore.FiniteAlgebra(fld, ["1", "t"], table, {0: one}).mul
+    assert mul.slots == [(0, 1), (1, 1), (1, 1), hopfcore._ZERO]
+    assert len(mul) == 3 and (1, 1) not in mul
+    assert mul[(0, 1)] == ((1, one),) and mul[(1, 1)] == ()
+
+
 def _perturbed_forms(N):
     """sigma and sigma^{-1} of gr(u_q) with a few coordinates changed: some
     rows stop being multiples of their slice, one row gains an entry off

@@ -18,6 +18,8 @@ minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --output tests/golden/verify_n5_default.json
     uqcomod minpoly --N 5 --alpha 1 --beta 2 --gamma q --format json \
         --output tests/golden/minpoly_n5.json
+    uqcomod verify --N 5 --suites morita --format json \
+        --output tests/golden/verify_n5_morita.json
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
 --format json`.  The first seven were written before the three table
@@ -45,6 +47,9 @@ polynomial next to the lemma whose constant term is the power sum
 P_5(gamma, alpha beta/(1 - q^2)), was written while P_n was still a
 polynomial substituted into by MultiPoly.compose and eval_scalars, before
 power_sum_P ran its recursion on the scalars themselves.
+verify_n5_morita.json was written while every product of the morita
+suite's isomorphisms was checked by multiplying images in the target, before
+monomial maps were compared on value ids.
 """
 
 import hashlib
@@ -73,6 +78,9 @@ GOLDEN = Path(__file__).parent / "golden"
     (["classify", "--N", "9"], "classify_n9.txt"),
     (["minpoly", "--N", "5", "--alpha", "1", "--beta", "2", "--gamma", "q",
       "--format", "json"], "minpoly_n5.json"),
+    # the morita suite, whose eta-rotation maps are 125-dimensional
+    (["verify", "--N", "5", "--suites", "morita", "--format", "json"],
+     "verify_n5_morita.json"),
 ])
 def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name
