@@ -17,6 +17,7 @@ import os
 import random
 import sys
 import time
+from functools import cache
 
 from .cyclofield import field
 from .exactlinalg import minimal_polynomial_of_element
@@ -426,6 +427,7 @@ def _positive_int(text: str) -> int:
     return n
 
 
+@cache  # built once per process, which may call main many times
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="uqcomod",
@@ -485,8 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,18 +1,11 @@
 """The zoo of exact comodule algebras over gr(u_q) and their deformations.
 
-Undeformed families (all over H = gr(u_q), q of odd order N, r | N):
-
-  L0(r):          G^r = 1
-  L1(r; xi):      + X^N = xi, G X = q^{2N/r} X G
-  L2(r; zeta):    + Y^N = zeta, G Y = q^{-2N/r} Y G
-  L3(r; xi,zeta): X and Y together, X Y = q^2 Y X
-  L3N(xi,zeta,eta): r = N and X Y - q^2 Y X = -eta G^{-2}
-  L4(alpha,beta; xi): one generator W, W^N = xi, (alpha,beta) != (0,0)
-
-with coactions delta(G) = g^{N/r} (x) G, delta(X) = x (x) 1 + g^{-1} (x) X,
-delta(Y) = y (x) 1 + g^{-1} (x) Y, delta(W) = (alpha x + beta y) (x) 1
-+ g^{-1} (x) W.  Deforming by the cocycle sigma gives the A-versions over
-u_q; the same coaction tables serve both sides.
+The families L0 to L4 (over H = gr(u_q), q of odd order N, r | N) are
+written once, as data, in _FAMILIES: generators, relations over gr(u_q)
+and u_q, and the coaction on generators.  uqsl2.skew_pbw_algebra fills
+the products without reading it, so the presentation claims compare two
+independent transcriptions.  Deforming by sigma gives the A-versions
+over u_q; the same coaction tables serve both sides.
 
 Builders are cached per parameter tuple and their results are read-only:
 the tables are packed tables behind a read-only view (hopfcore._Table),
@@ -21,6 +14,7 @@ and the coaction is held as a mapping proxy.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -46,9 +40,7 @@ from .hopfcore import (
     t2_mul,
     vec_add_into,
     vec_combine,
-    vec_scale,
     vec_str,
-    vec_sub,
 )
 from .polyid import phi_polynomial, power_sum_P
 from .reporting import VerificationReport
@@ -62,16 +54,52 @@ from .uqsl2 import (
     uq_z_element,
 )
 
-# Each family's parameters, in the order zoo_params coerces them, and its
-# skew-PBW generators besides G (X stands for W in L4).
-_FAMILIES = {
-    "L0": ((), ""),
-    "L1": (("xi",), "X"),
-    "L2": (("zeta",), "Y"),
-    "L3": (("xi", "zeta"), "XY"),
-    "L3N": (("xi", "zeta", "eta"), "XY"),
-    "L4": (("alpha", "beta", "xi"), "X"),
-}
+# _FAMILIES writes each family once, as data, in the paper's notation:
+#   params      its parameters, in the order zoo_params coerces them;
+#   generators  (letter, order, label) in the order X, Y, G: the letter in
+#               skew_pbw_algebra's basis X^a Y^b G^c, the order N or r, and
+#               the letter of the basis labels (W for L4's X);
+#   plain, deformed  its relations (claim, lhs, rhs) over gr(u_q) and u_q;
+#   coaction    delta of each generator: (term, a) pairs for term (x) a,
+#               term's word in x, y, g of H and a a label or "1".
+# A side is a tuple of _Term(sign, q, param, word), param a parameter name
+# or None and word a tuple of (letter, power); powers and q-exponents are
+# sums of multiples of 1, N, r and N/r (_in_N_r), and phi(W) stands for
+# phi_polynomial(alpha, beta, xi, N) at W.
+_Term = namedtuple("_Term", "sign q param word")
+_Family = namedtuple("_Family", "params generators plain deformed coaction")
+
+
+def _side(text: str) -> tuple:
+    """Parse one side of a relation, such as "X Y - q^2 Y X", "1" or
+    "-eta G^(N-2)"; "0" is the empty sum."""
+    parts = re.split(r"\s+([+-])\s+(?![^(]*\))", text)
+    terms = []
+    for op, term in zip(["+"] + parts[1::2], parts[::2]):
+        q, param, word = "0", None, []
+        for token in re.findall(r"\S*\([^)]*\)|\S+", term.lstrip("-")):
+            letter, _, power = token.partition("^")
+            if letter == "q":
+                q = power
+            elif letter in FamilyParams._fields[3:]:
+                param = letter
+            elif letter.startswith("phi("):
+                word.append((letter[4:-1], "phi"))
+            elif letter != "1":
+                word.append((letter, power or "1"))
+        sign = -1 if (op == "-") != term.startswith("-") else 1
+        terms.append(_Term(sign, q, param, tuple(word)))
+    return () if text == "0" else tuple(terms)
+
+
+def _in_N_r(expr: str, N: int, r: int) -> int:
+    """The integer an exponent such as "N", "-2" or "(2N/r + 1)" stands for."""
+    text = expr.strip("()").replace(" ", "")
+    if not re.fullmatch(r"([+-]?(\d+|\d*(N/r|N|r)))+", text):
+        raise ValueError(f"not an exponent in N and r: {expr!r}")
+    units = {"": 1, "N": N, "r": r, "N/r": N // r}
+    return sum(int(sign + (k or "1")) * units[unit] for sign, k, unit
+               in re.findall(r"([+-]?)(\d*)(N/r|N|r|)", text) if k or unit)
 
 
 class FamilyParams(namedtuple("FamilyParams",
@@ -84,16 +112,8 @@ class FamilyParams(namedtuple("FamilyParams",
     __slots__ = ()
 
     def expected_dim(self) -> int:
-        f = self.family
-        if f == "L0":
-            return self.r
-        if f in ("L1", "L2"):
-            return self.N * self.r
-        if f == "L3":
-            return self.N * self.N * self.r
-        if f == "L3N":
-            return self.N ** 3
-        return self.N  # L4
+        nx, ny, r = _pbw_shape(self)
+        return nx * ny * r
 
     def normalized(self) -> "FamilyParams":
         """Fold coincidences: L1/L2 at r = 1 are L4 instances, L3 at r = N
@@ -118,6 +138,42 @@ class FamilyParams(namedtuple("FamilyParams",
             if v is not None:
                 parts.append(f"{name}={v}")
         return f"{self.family}({', '.join(parts)})"
+
+
+def _family(params, generators, plain, deformed=None, coaction=None):
+    def relations(rows):
+        return tuple((claim, _side(a), _side(b)) for claim, a, b in rows)
+    coaction = coaction or _DELTA
+    return _Family(params, generators, relations(plain),
+                   relations(deformed or plain),
+                   {g: tuple((_side(h)[0], a) for h, a in re.findall(
+                       r"(.+?) \(x\) (\S+)(?: \+ |$)", coaction[g]))
+                    for _, _, g in generators})
+
+
+_X, _Y, _G = ("X", "N", "X"), ("Y", "N", "Y"), ("G", "r", "G")
+_DELTA = {"X": "x (x) 1 + g^(N-1) (x) X", "Y": "y (x) 1 + g^(N-1) (x) Y",
+          "G": "g^(N/r) (x) G"}
+_G_ORDER = [("G-order", "G^r", "1")]
+_X_RELS = [("X-power", "X^N", "xi"), ("G-X", "G X", "q^(2N/r) X G")]
+_Y_RELS = [("Y-power", "Y^N", "zeta"), ("G-Y", "G Y", "q^(-2N/r) Y G")]
+_L3 = _G_ORDER + _X_RELS + _Y_RELS
+_XY = "X Y - q^2 Y X"
+
+_FAMILIES = {
+    "L0": _family((), (_G,), _G_ORDER),
+    "L1": _family(("xi",), (_X, _G), _G_ORDER + _X_RELS),
+    "L2": _family(("zeta",), (_Y, _G), _G_ORDER + _Y_RELS),
+    "L3": _family(("xi", "zeta"), (_X, _Y, _G),
+                  _L3 + [("XY-commutation", _XY, "0")],
+                  _L3 + [("XY-commutation", _XY, "1")]),
+    "L3N": _family(("xi", "zeta", "eta"), (_X, _Y, _G),
+                   _L3 + [("XY-commutation", _XY, "-eta G^(N-2)")],
+                   _L3 + [("XY-commutation", _XY, "1 - eta G^(N-2)")]),
+    "L4": _family(("alpha", "beta", "xi"), (("X", "N", "W"),),
+                  [("W-power", "W^N", "xi")], [("phi-of-W", "phi(W)", "0")],
+                  {"W": "alpha x (x) 1 + beta y (x) 1 + g^(N-1) (x) W"}),
+}
 
 
 def _coerce(fld, value, default=None):
@@ -155,7 +211,7 @@ def zoo_params(family: str, N: int, r: int = None, xi=None, zeta=None,
         if not (isinstance(r, int) and 1 <= r <= N and N % r == 0):
             raise ValueError(f"r must divide N, got r={r}, N={N}")
 
-    names = _FAMILIES[family][0]
+    names = _FAMILIES[family].params
     given = dict(zip(FamilyParams._fields[3:], (xi, zeta, eta, alpha, beta)))
     for name, value in given.items():
         if value is not None and name not in names:
@@ -168,59 +224,83 @@ def zoo_params(family: str, N: int, r: int = None, xi=None, zeta=None,
 
 
 def _pbw_shape(params: FamilyParams) -> tuple:
-    """(nx, ny, r) of the member's skew-PBW basis X^a Y^b G^c; L4 is the
-    X-only shape (N, 1, 1) with W in place of X."""
-    N, gens = params.N, _FAMILIES[params.family][1]
-    return (N if "X" in gens else 1), (N if "Y" in gens else 1), params.r
+    """(nx, ny, r) of the member's skew-PBW basis X^a Y^b G^c, each the
+    order of that generator in the member's row, or 1 if it has none."""
+    order = {letter: getattr(params, o)
+             for letter, o, _ in _FAMILIES[params.family].generators}
+    return tuple(order.get(letter, 1) for letter in "XYG")
 
 
 def family_basis_exponents(params: FamilyParams):
-    """Exponent tuples of the monomial basis, in index order."""
+    """Exponent tuples (a, b, c) of the monomial basis X^a Y^b G^c, in
+    index order; L4's W^a is (a, 0, 0)."""
     nx, ny, r = _pbw_shape(params)
-    if params.family == "L4":
-        return [(a,) for a in range(nx)]
     return [(a, b, c) for a in range(nx) for b in range(ny) for c in range(r)]
 
 
 def _family_label(f, exp):
-    if f == "L4":
-        return f"W{exp[0]}"
-    gens = _FAMILIES[f][1] + "G"
-    return "".join(f"{g}{e}" for g, e in zip("XYG", exp) if g in gens)
+    return "".join(f"{label}{exp['XYG'.index(letter)]}"
+                   for letter, _, label in _FAMILIES[f].generators)
+
+
+def _family_generators(params: FamilyParams) -> dict:
+    """{label: basis index} of the generators of order above 1 (one of
+    order 1 is the unit); X^a Y^b G^c has index (a ny + b) r + c."""
+    _, ny, r = _pbw_shape(params)
+    index = {"X": ny * r, "Y": r, "G": 1}
+    return {label: index[letter]
+            for letter, o, label in _FAMILIES[params.family].generators
+            if getattr(params, o) > 1}
+
+
+def _value(side, params: FamilyParams, alg, gen: dict) -> dict:
+    """The element of alg that a side stands for, gen giving each letter's
+    element."""
+    N, r = params.N, params.r
+    out: dict = {}
+    for sign, q, param, word in side:
+        c = field(N).q_power(_in_N_r(q, N, r))
+        c = -c if sign < 0 else c
+        if param:
+            c = c * getattr(params, param)
+        if c.is_zero():
+            continue
+        v = None
+        for letter, power in word:
+            if power == "phi":
+                u = eval_poly_in_algebra(alg, phi_polynomial(
+                    params.alpha, params.beta, params.xi, N), gen[letter])
+            else:
+                n = _in_N_r(power, N, r)
+                u = gen[letter] if n == 1 else alg.pow_vec(gen[letter], n)
+            v = u if v is None else alg.mul_vec(v, u)
+        for k, d in (alg.unit_vec() if v is None else v).items():
+            vec_add_into(out, k, c * d)
+    return out
 
 
 @lru_cache(maxsize=None)
 def build_family(params: FamilyParams) -> ComoduleAlgebra:
     """The undeformed family member as a comodule algebra over gr(u_q);
     its table and coaction keep canonical objects (field(N).interned)."""
-    N, f = params.N, params.family
+    N, row = params.N, _FAMILIES[params.family]
     fld = field(N)
-    zero, one = fld.zero, fld.one
     H = build_gr_uq(N)
-    nx, ny, r = _pbw_shape(params)
-    labels = [_family_label(f, e) for e in family_basis_exponents(params)]
-    alg = skew_pbw_algebra(N, nx, ny, r, params.xi or zero,
-                           params.zeta or zero, params.eta or zero, labels)
+    labels = [_family_label(params.family, e)
+              for e in family_basis_exponents(params)]
+    alg = skew_pbw_algebra(N, *_pbw_shape(params), params.xi or fld.zero,
+                           params.zeta or fld.zero, params.eta or fld.zero,
+                           labels)
 
-    # coactions of the generators X (or W), Y and G, by basis index
-    ginv = monomial_index(N, 0, 0, N - 1)
-    gens = {}
-    if f == "L4":
-        gens[1] = {(h, 0): c for h, c in
-                   ((monomial_index(N, 1, 0, 0), params.alpha),
-                    (monomial_index(N, 0, 1, 0), params.beta))
-                   if not c.is_zero()}
-        gens[1][(ginv, 1)] = one
-    else:
-        if nx > 1:
-            gens[ny * r] = {(monomial_index(N, 1, 0, 0), 0): one,
-                            (ginv, ny * r): one}
-        if ny > 1:
-            gens[r] = {(monomial_index(N, 0, 1, 0), 0): one, (ginv, r): one}
-        if r > 1:
-            gens[1] = {(monomial_index(N, 0, 0, N // r), 1): one}
+    # the coaction on each generator, read from the row
+    hgen = {h: H.algebra.basis_vec(monomial_index(N, *e)) for h, e in
+            zip("xyg", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))}
+    index = _family_generators(params)
+    gens = {i: {(h, {"1": 0, **index}[a]): c for term, a in row.coaction[label]
+                for h, c in _value((term,), params, H.algebra, hgen).items()}
+            for label, i in index.items()}
     # delta(e_m) = delta(e_p) delta(e_s) along the builder's steps
-    deltas = [{(monomial_index(N, 0, 0, 0), 0): one}]
+    deltas = [{(monomial_index(N, 0, 0, 0), 0): fld.one}]
     times, canonical = fld.interned.times, fld.interned.canonical
     for m, p, s in alg.steps:
         deltas.append(t2_mul(H.algebra, alg, deltas[p], gens[s], times))
@@ -236,95 +316,37 @@ def _params_dict(params: FamilyParams) -> dict:
 @lru_cache(maxsize=None)
 def deform_family(params: FamilyParams) -> ComoduleAlgebra:
     """The sigma-deformed family member, a comodule algebra over u_q."""
-    L = build_family(params)
-    return deform_comodule_algebra(L, build_sigma(params.N),
-                                   build_uq(params.N))
-
-
-def _family_generators(params: FamilyParams, A: ComoduleAlgebra) -> dict:
-    exps = family_basis_exponents(params)
-    index = {e: i for i, e in enumerate(exps)}
-    fld = A.field
-    out = {"one": A.algebra.unit_vec()}
-    if params.family == "L4":
-        out["W"] = {1: fld.one}
-        return out
-    for g, e in zip("XYG", ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        if e in index:
-            out[g] = {index[e]: fld.one}
-    return out
+    return deform_comodule_algebra(build_family(params),
+                                   build_sigma(params.N), build_uq(params.N))
 
 
 def verify_family_presentation(params: FamilyParams) -> VerificationReport:
     """Dimension and defining relations of the undeformed family member."""
-    A = build_family(params)
-    return _presentation_report(params, A, deformed=False)
+    return _presentation_report(params, build_family(params), deformed=False)
 
 
 def verify_deformed_presentation(params: FamilyParams) -> VerificationReport:
     """Defining relations of the deformed member (the A-version)."""
-    A = deform_family(params)
-    return _presentation_report(params, A, deformed=True)
+    return _presentation_report(params, deform_family(params), deformed=True)
 
 
 def _presentation_report(params, A, deformed) -> VerificationReport:
-    N, r, f = params.N, params.r, params.family
-    fld = A.field
-    alg = A.algebra
+    """The dimension, then each relation of the member's row in turn; a
+    relation that names a generator of order 1 (G at r = 1) is skipped."""
+    f, alg = params.family, A.algebra
     tag = "deformed" if deformed else "plain"
     rep = VerificationReport({"params": params.label(), "deformed": deformed})
-    gen = _family_generators(params, A)
-    one = gen["one"]
-
-    def check(claim, lhs, rhs):
-        ok = lhs == rhs
-        rep.add(f"{f}-{tag}-{claim}", f"presentation-{claim}", ok,
-                None if ok else {"lhs": vec_str(lhs, alg.labels),
-                                 "rhs": vec_str(rhs, alg.labels)})
-
-    rep.add(f"{f}-{tag}-dim", "family-dimension",
-            alg.dim == params.expected_dim(),
-            None if alg.dim == params.expected_dim() else
-            {"dim": alg.dim, "expected": params.expected_dim()})
-
-    if f == "L4":
-        W = gen["W"]
-        if deformed:
-            phi = phi_polynomial(params.alpha, params.beta, params.xi, N)
-            check("phi-of-W", eval_poly_in_algebra(alg, phi, W), {})
-        else:
-            check("W-power", alg.pow_vec(W, N), vec_scale(one, params.xi))
-        return rep
-
-    if "G" in gen:
-        check("G-order", alg.pow_vec(gen["G"], r), one)
-    if "X" in gen:
-        check("X-power", alg.pow_vec(gen["X"], N),
-              vec_scale(one, params.xi))
-        if "G" in gen:
-            check("G-X", alg.mul_vec(gen["G"], gen["X"]),
-                  vec_scale(alg.mul_vec(gen["X"], gen["G"]),
-                            fld.q_power(2 * N // r)))
-    if "Y" in gen:
-        check("Y-power", alg.pow_vec(gen["Y"], N),
-              vec_scale(one, params.zeta))
-        if "G" in gen:
-            check("G-Y", alg.mul_vec(gen["G"], gen["Y"]),
-                  vec_scale(alg.mul_vec(gen["Y"], gen["G"]),
-                            fld.q_power(-2 * N // r)))
-    if "X" in gen and "Y" in gen:
-        comm = vec_sub(alg.mul_vec(gen["X"], gen["Y"]),
-                       vec_scale(alg.mul_vec(gen["Y"], gen["X"]),
-                                 fld.q_power(2)))
-        if deformed:
-            target = dict(one)
-        else:
-            target = {}
-        if f == "L3N" and not params.eta.is_zero():
-            gm2 = alg.pow_vec(gen["G"], N - 2)
-            for k, c in vec_scale(gm2, params.eta).items():
-                vec_add_into(target, k, -c)
-        check("XY-commutation", comm, target)
+    gen = {label: alg.basis_vec(i)
+           for label, i in _family_generators(params).items()}
+    dim = params.expected_dim()
+    rep.add(f"{f}-{tag}-dim", "family-dimension", alg.dim == dim,
+            None if alg.dim == dim else {"dim": alg.dim, "expected": dim})
+    for claim, lhs, rhs in getattr(_FAMILIES[f], tag):
+        if all(letter in gen for t in lhs + rhs for letter, _ in t.word):
+            lhs, rhs = (_value(x, params, alg, gen) for x in (lhs, rhs))
+            rep.add(f"{f}-{tag}-{claim}", f"presentation-{claim}", lhs == rhs,
+                    None if lhs == rhs else {"lhs": vec_str(lhs, alg.labels),
+                                             "rhs": vec_str(rhs, alg.labels)})
     return rep
 
 
@@ -333,8 +355,8 @@ def eval_poly_in_algebra(alg, poly: Poly, v: dict) -> dict:
     out: dict = {}
     for c in reversed(poly.coeffs):
         out = alg.mul_vec(out, v)
-        for k, d in vec_scale(alg.unit_vec(), c).items():
-            vec_add_into(out, k, d)
+        for k, d in alg.unit.items():
+            vec_add_into(out, k, c * d)
     return out
 
 
@@ -510,14 +532,11 @@ def l4_params_from_uv(N: int, u, v, alpha=1) -> FamilyParams:
     """L4 parameters on the (u, v) chart: uv = alpha beta/(1-q^2) and
     xi = u^N + v^N."""
     fld = field(N)
-    u = _coerce(fld, u)
-    v = _coerce(fld, v)
-    alpha = _coerce(fld, alpha)
+    u, v, alpha = (_coerce(fld, x) for x in (u, v, alpha))
     if alpha.is_zero():
         raise ValueError("the (u, v) chart needs alpha != 0")
-    beta = u * v * (fld.one - fld.q_power(2)) / alpha
-    xi = u ** N + v ** N
-    return zoo_params("L4", N, alpha=alpha, beta=beta, xi=xi)
+    return zoo_params("L4", N, alpha=alpha, xi=u ** N + v ** N,
+                      beta=u * v * (fld.one - fld.q_power(2)) / alpha)
 
 
 def embed_A4_into_uq(N: int, u, v, alpha=1) -> VerificationReport:
@@ -527,21 +546,17 @@ def embed_A4_into_uq(N: int, u, v, alpha=1) -> VerificationReport:
     minimal polynomial phi."""
     params = l4_params_from_uv(N, u, v, alpha)
     fld = field(N)
-    u = _coerce(fld, u)
-    v = _coerce(fld, v)
+    u, v = _coerce(fld, u), _coerce(fld, v)
     A = deform_family(params)
     uq = build_uq(N)
-    R = regular_comodule_algebra(uq)
     Z = uq_z_element(N, params.alpha, params.beta, u + v)
 
     # W^b in the deformed product maps to Z^b; the basis vector W^a maps to
     # sum x_b Z^b for the x solving sum x_b W^b = W^a
     W = {1: fld.one}
-    star_powers = [A.algebra.unit_vec()]
+    star_powers, zpow = [A.algebra.unit_vec()], [uq.algebra.unit_vec()]
     for _ in range(N - 1):
         star_powers.append(A.algebra.mul_vec(star_powers[-1], W))
-    zpow = [uq.algebra.unit_vec()]
-    for _ in range(N - 1):
         zpow.append(uq.algebra.mul_vec(zpow[-1], Z))
 
     images = []
@@ -551,7 +566,8 @@ def embed_A4_into_uq(N: int, u, v, alpha=1) -> VerificationReport:
             raise ArithmeticError("star powers of W do not span")
         images.append(vec_combine(zpow, coords.items()))
 
-    rep = check_comodule_algebra_morphism(images, A, R, expect="injective")
+    rep = check_comodule_algebra_morphism(
+        images, A, regular_comodule_algebra(uq), expect="injective")
     rep.config["params"] = params.label()
     phi = phi_polynomial(params.alpha, params.beta, params.xi, N)
     minp = minimal_polynomial_of_element(uq.algebra, Z)
@@ -565,13 +581,10 @@ def verify_min_pol_lemma(N: int, alpha, beta, gamma) -> VerificationReport:
     """Minimal polynomial of Z = alpha Et + beta F + gamma K^{-1} in u_q:
     phi-shaped with constant term P_N(gamma, alpha beta/(1-q^2))."""
     fld = field(N)
-    alpha = _coerce(fld, alpha)
-    beta = _coerce(fld, beta)
-    gamma = _coerce(fld, gamma)
+    alpha, beta, gamma = (_coerce(fld, x) for x in (alpha, beta, gamma))
     uq = build_uq(N)
     Z = uq_z_element(N, alpha, beta, gamma)
-    t_val = alpha * beta / (fld.one - fld.q_power(2))
-    const = power_sum_P(N, gamma, t_val)
+    const = power_sum_P(N, gamma, alpha * beta / (fld.one - fld.q_power(2)))
     formula = phi_polynomial(alpha, beta, const, N)
     rep = VerificationReport({"N": N, "alpha": str(alpha),
                               "beta": str(beta), "gamma": str(gamma)})
@@ -584,10 +597,7 @@ def verify_min_pol_lemma(N: int, alpha, beta, gamma) -> VerificationReport:
     rep.add("minpoly-divides", "minimal-divides-formula", rem.is_zero(),
             None if rem.is_zero() else {"remainder": str(rem)})
     trivial = alpha.is_zero() and beta.is_zero() and gamma.is_zero()
-    if trivial:
-        expect_equal = minp.degree == 1
-    else:
-        expect_equal = minp == formula
+    expect_equal = minp.degree == 1 if trivial else minp == formula
     rep.add("minpoly-equals", "minimal-equals-formula", expect_equal,
             None if expect_equal else
             {"minimal": str(minp), "formula": str(formula)})
@@ -599,8 +609,7 @@ def one_dim_reps_A4(N: int, u, v, alpha=1) -> VerificationReport:
     mu_k = u q^{2k} + v q^{-2k}; these are exactly the roots of phi."""
     params = l4_params_from_uv(N, u, v, alpha)
     fld = field(N)
-    u = _coerce(fld, u)
-    v = _coerce(fld, v)
+    u, v = _coerce(fld, u), _coerce(fld, v)
     phi = phi_polynomial(params.alpha, params.beta, params.xi, N)
     rep = VerificationReport({"params": params.label()})
 
@@ -645,9 +654,8 @@ def semisimplicity_A4(params: FamilyParams) -> dict:
     disc = params.xi ** 2 - fld.from_rational(4) * t_val ** N
     closed = not disc.is_zero()
     if sf != closed:
-        raise ArithmeticError(
-            "squarefree test and closed criterion disagree at "
-            + params.label())
+        raise ArithmeticError("squarefree test and closed criterion "
+                              f"disagree at {params.label()}")
     return {"semisimple": sf, "squarefree": sf,
             "criterion_nonzero": closed, "params": params.label()}
 
@@ -672,24 +680,19 @@ def morita_equivalent_params(p1: FamilyParams, p2: FamilyParams) -> bool:
         return False
     if a.family not in ("L3N", "L4"):
         return a.r == b.r and all(getattr(a, name) == getattr(b, name)
-                                  for name in _FAMILIES[a.family][0])
+                                  for name in _FAMILIES[a.family].params)
     if a.family == "L3N":
         if a.xi != b.xi or a.zeta != b.zeta:
             return False
         return any(b.eta == a.eta * fld.q_power(2 * k) for k in range(N))
-    # L4: (alpha', beta', xi') = (l q^{2k} alpha, l q^{-2k} beta, l^N xi)
+    # L4: (alpha', beta', xi') = (l q^{2k} alpha, l q^{-2k} beta, l^N xi),
+    # l read off alpha, or off beta when alpha = 0
     for k in range(N):
-        if not a.alpha.is_zero():
-            lam = b.alpha / (a.alpha * fld.q_power(2 * k))
-        elif not b.alpha.is_zero():
-            continue
-        else:
-            lam = b.beta / (a.beta * fld.q_power(-2 * k))
-        if lam.is_zero():
-            continue
-        if b.alpha == lam * fld.q_power(2 * k) * a.alpha \
-                and b.beta == lam * fld.q_power(-2 * k) * a.beta \
-                and b.xi == lam ** N * a.xi:
+        up, down = fld.q_power(2 * k), fld.q_power(-2 * k)
+        lam = b.beta / (a.beta * down) if a.alpha.is_zero() \
+            else b.alpha / (a.alpha * up)
+        if not lam.is_zero() and b.alpha == lam * up * a.alpha \
+                and b.beta == lam * down * a.beta and b.xi == lam ** N * a.xi:
             return True
     return False
 
@@ -697,8 +700,9 @@ def morita_equivalent_params(p1: FamilyParams, p2: FamilyParams) -> bool:
 def diagonal_family_map(src: FamilyParams, dst: FamilyParams,
                         x_scale=None, y_scale=None, g_scale=None,
                         w_scale=None, deformed=False):
-    """The monomial map X^a Y^b G^c -> sx^a sy^b sg^c X^a Y^b G^c (or
-    W^a -> sw^a W^a) between two members with the same basis shape.
+    """The monomial map X^a Y^b G^c -> sx^a sy^b sg^c X^a Y^b G^c between
+    two members with the same basis shape; L4's W^a, in X's place, takes
+    sw^a.
 
     Returns (images, A_src, A_dst) ready for the morphism checker."""
     build = deform_family if deformed else build_family
@@ -707,15 +711,9 @@ def diagonal_family_map(src: FamilyParams, dst: FamilyParams,
     if exps != family_basis_exponents(dst):
         raise ValueError("a monomial map needs two members of one basis shape")
     one = A.field.one
-    images = []
-    for i, e in enumerate(exps):
-        if len(e) == 1:
-            s = (w_scale or one) ** e[0]
-        else:
-            s = ((x_scale or one) ** e[0]) * ((y_scale or one) ** e[1]) \
-                * ((g_scale or one) ** e[2])
-        images.append({i: s})
-    return images, A, B
+    sx, sy, sg = x_scale or w_scale or one, y_scale or one, g_scale or one
+    return [{i: sx ** a * sy ** b * sg ** c}
+            for i, (a, b, c) in enumerate(exps)], A, B
 
 
 def conjugation_invariance_report(params: FamilyParams, power: int,
@@ -726,9 +724,8 @@ def conjugation_invariance_report(params: FamilyParams, power: int,
     N = params.N
     fld = field(N)
     build = deform_family if deformed else build_family
-    A = build(params)
-    gidx = monomial_index(N, 0, 0, power % N)
-    conj = conjugate_comodule_algebra(A, gidx)
+    conj = conjugate_comodule_algebra(build(params),
+                                      monomial_index(N, 0, 0, power % N))
     if params.family == "L4":
         # conj(L4(alpha,beta;xi)) = L4(q^{2m}alpha, q^{-2m}beta; xi)
         rot = zoo_params("L4", N,
@@ -756,25 +753,25 @@ def classify(N: int) -> dict:
         "N": N,
         "families": [
             {"name": "F0", "source": "L0", "r_values": divisors,
-             "dim": "r", "parameters": list(_FAMILIES["L0"][0]),
+             "dim": "r", "parameters": list(_FAMILIES["L0"].params),
              "relations": ["G^r = 1"]},
             {"name": "F1", "source": "L1",
              "r_values": [d for d in divisors if d > 1],
-             "dim": "N*r", "parameters": list(_FAMILIES["L1"][0]),
+             "dim": "N*r", "parameters": list(_FAMILIES["L1"].params),
              "relations": ["X^N = xi", "G^r = 1", "G X = q^(2N/r) X G"]},
             {"name": "F2", "source": "L2",
              "r_values": [d for d in divisors if d > 1],
-             "dim": "N*r", "parameters": list(_FAMILIES["L2"][0]),
+             "dim": "N*r", "parameters": list(_FAMILIES["L2"].params),
              "relations": ["Y^N = zeta", "G^r = 1", "G Y = q^(-2N/r) Y G"]},
             {"name": "F3", "source": "L3/L3N", "r_values": divisors,
-             "dim": "N^2*r", "parameters": list(_FAMILIES["L3"][0]),
+             "dim": "N^2*r", "parameters": list(_FAMILIES["L3"].params),
              "eta_parameter_when_r_equals_N": True,
              "eta_identification": "eta ~ q^(2k) eta",
              "relations": ["X^N = xi", "Y^N = zeta", "G^r = 1",
                            "G X = q^(2N/r) X G", "G Y = q^(-2N/r) Y G",
                            "X Y - q^2 Y X = -eta G^-2 (eta = 0 unless r = N)"]},
             {"name": "F4", "source": "L4", "r_values": [1],
-             "dim": "N", "parameters": list(_FAMILIES["L4"][0]),
+             "dim": "N", "parameters": list(_FAMILIES["L4"].params),
              "constraint": "(alpha, beta) != (0, 0)",
              "identification":
                  "(alpha, beta, xi) ~ (l q^(2k) alpha, l q^(-2k) beta, l^N xi)",

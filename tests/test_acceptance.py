@@ -6,10 +6,12 @@ fixed so every run checks the identical sample.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import random_scalar
 
+from uqcomod import comodzoo
 from uqcomod.comodzoo import (
     LoewyFiltration,
     build_family,
@@ -557,7 +559,52 @@ def _injected_failures():
     images[g1] = {g1: fld.q_power(2)}
     out["diagonal-scale"] = failing(
         check_comodule_algebra_morphism(images, S, T))
+
+    # 11. relation data: a copy of L1's row with G X = q^(2N/r + 1) X G,
+    # plain and deformed; the skew-PBW table, filled without the row's
+    # relations, stays the same and fails both G-X claims
+    p = zoo_params("L1", 3, r=3, xi=2)
+    table = dict(build_family(p).algebra.mul)
+    row = comodzoo._FAMILIES["L1"]
+
+    def steeper_gx(relations):
+        return tuple((claim, lhs, tuple(t._replace(q="(2N/r + 1)")
+                                        for t in rhs) if claim == "G-X"
+                      else rhs) for claim, lhs, rhs in relations)
+
+    with _family_row("L1", row._replace(plain=steeper_gx(row.plain),
+                                        deformed=steeper_gx(row.deformed))):
+        assert dict(build_family(p).algebra.mul) == table
+        rep = verify_family_presentation(p)
+        rep.extend(verify_deformed_presentation(p))
+        out["relation-coefficient"] = failing(rep)
+
+    # 12. coaction data: a copy of L1's row whose delta(X) has the leg g in
+    # place of g^-1 = g^(N-1)
+    delta_x = tuple((t._replace(word=(("g", "1"),)) if a == "X" else t, a)
+                    for t, a in row.coaction["X"])
+    assert delta_x != row.coaction["X"]
+    with _family_row("L1", row._replace(
+            coaction={**row.coaction, "X": delta_x})):
+        out["coaction-row"] = failing(verify_comodule_algebra(
+            build_family(p)))
     return out
+
+
+@contextmanager
+def _family_row(family, row):
+    """comodzoo._FAMILIES with the family's row replaced by row, on
+    emptied builder caches; the row and the caches are restored after."""
+    saved = comodzoo._FAMILIES[family]
+    comodzoo._FAMILIES[family] = row
+    comodzoo.build_family.cache_clear()
+    comodzoo.deform_family.cache_clear()
+    try:
+        yield
+    finally:
+        comodzoo._FAMILIES[family] = saved
+        comodzoo.build_family.cache_clear()
+        comodzoo.deform_family.cache_clear()
 
 
 def _non_unital_sigma():
@@ -598,6 +645,10 @@ def test_criterion_10_mutation_sensitivity():
         "filtration-products-L1-plain"]
     assert "morphism-multiplicative" in {
         c["claim_id"] for c in failures["diagonal-scale"]}
+    assert [c["claim_id"] for c in failures["relation-coefficient"]] == [
+        "L1-plain-G-X", "L1-deformed-G-X"]
+    assert "comodule-coassociativity" in {
+        c["claim_id"] for c in failures["coaction-row"]}
 
     assert len(caught) >= 5
     print("ACCEPTANCE 10 mutation-sensitivity: PASS "

@@ -116,6 +116,32 @@ def _oracle_label(f, exp):
     return f"X{exp[0]}Y{exp[1]}G{exp[2]}"
 
 
+def _oracle_generator_coactions(p):
+    """delta of each generator of the member, by basis index, spelt out per
+    family: x (x) 1 + g^-1 (x) X, y (x) 1 + g^-1 (x) Y, g^(N/r) (x) G, and
+    (alpha x + beta y) (x) 1 + g^-1 (x) W for L4."""
+    N = p.N
+    one = field(N).one
+    nx, ny, r = _oracle_pbw_shape(p)
+    ginv = monomial_index(N, 0, 0, N - 1)
+    gens = {}
+    if p.family == "L4":
+        gens[1] = {(h, 0): c for h, c in
+                   ((monomial_index(N, 1, 0, 0), p.alpha),
+                    (monomial_index(N, 0, 1, 0), p.beta))
+                   if not c.is_zero()}
+        gens[1][(ginv, 1)] = one
+        return gens
+    if nx > 1:
+        gens[ny * r] = {(monomial_index(N, 1, 0, 0), 0): one,
+                        (ginv, ny * r): one}
+    if ny > 1:
+        gens[r] = {(monomial_index(N, 0, 1, 0), 0): one, (ginv, r): one}
+    if r > 1:
+        gens[1] = {(monomial_index(N, 0, 0, N // r), 1): one}
+    return gens
+
+
 def _oracle_params_dict(p):
     out = {"family": p.family, "N": p.N, "r": p.r}
     for name in ("xi", "zeta", "eta", "alpha", "beta"):
@@ -143,8 +169,12 @@ def test_family_table_matches_the_written_out_families():
         assert labels == [_oracle_label(p.family, e)
                           for e in family_basis_exponents(p)], p.label()
         assert comodzoo._params_dict(p) == _oracle_params_dict(p), p.label()
+        A = build_family(p)
+        want = _oracle_generator_coactions(p)
+        assert {i: dict(A.coaction[i]) for i in want} == want, p.label()
+        assert sorted(want) == sorted(
+            comodzoo._family_generators(p).values()), p.label()
         if p.N == 3:
-            A = build_family(p)
             assert list(A.labels) == labels, p.label()
             assert dict(A.params) == _oracle_params_dict(p), p.label()
 
@@ -155,6 +185,8 @@ def test_expected_dims_and_basis_shapes():
         assert len(exps) == p.expected_dim(), p.label()
         A = build_family(p)
         assert A.dim == p.expected_dim(), p.label()
+        want = _oracle_generator_coactions(p)
+        assert {i: dict(A.coaction[i]) for i in want} == want, p.label()
 
 
 def test_all_sample_presentations_hold():
@@ -744,6 +776,7 @@ cases = [
     (ValueError, lambda: hc.conjugate_comodule_algebra(R, 99)),
     (ValueError, lambda: comodzoo._coerce(f, field(5).one)),
     (ValueError, lambda: comodzoo.l4_params_from_uv(3, 1, 2, alpha=0)),
+    (ValueError, lambda: comodzoo._in_N_r("(2N/x)", 3, 3)),
     (ValueError, lambda: comodzoo.semisimplicity_A4(zp("L1", 3, r=3, xi=1))),
     (ValueError, lambda: comodzoo.morita_equivalent_params(
         zp("L0", 3, r=3), zp("L0", 5, r=5))),
