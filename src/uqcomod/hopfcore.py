@@ -53,6 +53,8 @@ def _check_indices(what: str, dim: int, indices) -> None:
 
 
 _ZERO = ()  # the zero row, one object shared by every table
+# _Table.written; the fills add to the global list, which is faster
+_WRITTEN = [0, 0]
 
 
 class _Table(Mapping):
@@ -62,20 +64,33 @@ class _Table(Mapping):
     (CyclotomicField.interned), in the row's term order.  A slot is None
     until its row is filled and _ZERO for a zero row.
 
-    With fill, row(i, j) computes a missing row as fill(i, j) on its first
-    read and keeps it; a fill may write further slots itself (the skew-PBW
-    fill keeps each row of its step chain).  Index kernels read rows and
-    slots; everything else reads the table as a read-only mapping,
-    table[(i, j)] a tuple of (k, value) pairs made on read, () for a zero
-    row or a key outside the basis.  Every whole-table view (iteration,
-    keys, values, items, len, ==, copy, repr) first fills every row and
-    lists the nonzero rows in row-major order.
+    A lazy table fills rows two ways, and never writes a slot already
+    written.  The row fill, row(i, j), computes a missing row as fill(i, j)
+    on its first read and keeps it; fill may write further slots itself
+    (the skew-PBW fill keeps each row of its step chain).  The line fill,
+    line(i), fills every missing row (i, 0..dim-1) in one pass of lines(i):
+    the slice fill indexes its right legs by slice once per table, the
+    skew-PBW fill steps along the line in step order.  Readers of whole
+    lines take line (the plan path of _associativity_defects,
+    _unit_failures, the monomial path of _product_failures, the exhaustive
+    cocycle proof's counit check, _complete);
+    readers of scattered rows take row (mul_into, the multiplicativity
+    kernel, the slice fill's source reads), as a line fill would compute
+    rows they never read.  written is [rows written by row fills, rows
+    written by line fills], counted for the whole process.  Index kernels
+    read rows, lines and slots; everything else reads the table as a
+    read-only mapping, table[(i, j)] a tuple of (k, value) pairs made on
+    read, () for a zero row or a key outside the basis.  Every whole-table
+    view (iteration, keys, values, items, len, ==, copy, repr) first fills
+    every row and lists the nonzero rows in row-major order.
     """
 
-    __slots__ = ("dim", "value_of", "slots", "_fill")
+    __slots__ = ("dim", "value_of", "slots", "_fill", "_lines")
+    written = _WRITTEN
 
-    def __init__(self, dim, value_of, fill=None):
+    def __init__(self, dim, value_of, fill=None, lines=None):
         self.dim, self.value_of, self._fill = dim, value_of, fill
+        self._lines = lines
         self.slots = [_ZERO if fill is None else None] * (dim * dim)
 
     @classmethod
@@ -98,13 +113,27 @@ class _Table(Mapping):
         row = self.slots[n]
         if row is None:
             row = self.slots[n] = self._fill(i, j) or _ZERO
+            _WRITTEN[0] += 1
         return row
+
+    def line(self, i):
+        """Rows (i, 0), ..., (i, dim - 1) as a list of ids, the missing ones
+        filled in one line fill (row fills without one)."""
+        a = i * self.dim
+        line = self.slots[a:a + self.dim]
+        missing = line.count(None)
+        if missing:
+            if self._lines is None:
+                return [self.row(i, j) for j in range(self.dim)]
+            self._lines(i)
+            _WRITTEN[1] += missing
+            line = self.slots[a:a + self.dim]
+        return line
 
     def _complete(self):
         if self._fill is not None:
-            for n, row in enumerate(self.slots):
-                if row is None:
-                    self.row(*divmod(n, self.dim))
+            for i in range(self.dim):
+                self.line(i)
             self._fill = None
         return self.slots
 
@@ -555,10 +584,11 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
     (mul_into through the field's memoised CyclotomicField.interned.times),
     so it reads the rows of its triples only.  An exhaustive or generator
     plan, every (a, b, s) with s in triples.last, reads the packed rows'
-    value ids into lines of pairs, row (a, n) by n for the first slot and
-    row (m, s) by m for the last; both sides multiply on the field's value
+    value ids as pairs, line a (_Table.line) for the first slot and row
+    (m, s) by m for the last; both sides multiply on the field's value
     index and sum inline on the call's own memo (_Partial), so they are
-    dicts of ints.  Every value is exact."""
+    dicts of ints.  A triple whose four rows are single terms passes when
+    both sides have one index and one product id.  Every value is exact."""
     mul, dim, vi = alg.mul, alg.dim, alg.field.interned
     if isinstance(triples, list):
         one = alg.field.one
@@ -572,15 +602,25 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
     products, product, row = vi.products, vi.product, mul.row
     sums, total = part.sums, part.total
 
-    def line(i, last):
-        return [_pairs(row(n, i) if last else row(i, n)) for n in range(dim)]
-
-    rights = [(s, line(s, True)) for s in triples.last]
+    rights = [(s, [_pairs(row(n, s)) for n in range(dim)])
+              for s in triples.last]
     for a in range(dim):
-        left = line(a, False)
+        left = [_pairs(r) for r in mul.line(a)]
         for b in range(dim):
             ab = left[b]
             for s, right in rights:
+                bs = right[b]
+                if len(ab) == 1 == len(bs):
+                    # single terms: (index, product id) on each side; any
+                    # mismatch falls through to the sums and their witness
+                    (m, c), = ab
+                    (n, d), = bs
+                    if len(right[m]) == 1 == len(left[n]):
+                        (k, x), = right[m]
+                        (t, y), = left[n]
+                        if k == t and (products[c].get(x) or product(c, x)) \
+                                == (products[d].get(y) or product(d, y)):
+                            continue
                 # inline: one call per side made gr(u_q)'s generator
                 # triples at N = 5 take about 1.8x as long
                 lhs: dict = {}
@@ -594,7 +634,7 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
                             t = sums[got].get(v)
                             lhs[k] = total(got, v) if t is None else t
                 rhs: dict = {}
-                for n, d in right[b]:
+                for n, d in bs:
                     for k, y in left[n]:
                         v = products[d].get(y) or product(d, y)
                         got = rhs.get(k)
@@ -608,10 +648,16 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
 
 
 def _unit_failures(alg: FiniteAlgebra) -> list:
-    """The labels of the basis elements e with 1 e != e or e 1 != e."""
-    one = alg.unit_vec()
+    """The labels of the basis elements e with 1 e != e or e 1 != e.  When
+    the unit is e_0, e_i passes when rows (0, i) and (i, 0) are both
+    (i, 1), id 1 being one; any other e_i, or unit, multiplies out."""
+    one, maybe = alg.unit_vec(), range(alg.dim)
+    if one == {0: alg.field.one}:
+        first, row = alg.mul.line(0), alg.mul.row
+        maybe = [i for i in maybe
+                 if first[i] != (i, 1) or row(i, 0) != (i, 1)]
     bad = []
-    for i in range(alg.dim):
+    for i in maybe:
         e = alg.basis_vec(i)
         if alg.mul_vec(one, e) != e or alg.mul_vec(e, one) != e:
             bad.append(alg.labels[i])
@@ -1018,9 +1064,11 @@ def verify_hopf_2cocycle(sigma: ConvForm, triples=None) -> VerificationReport:
             {"elements": bad[:5], "failing": len(bad)} if bad else None)
 
     twist = _one_sided_twist(sigma)
+    values = twist.mul.value_of
     proved = isinstance(triples, ExhaustivePlan) \
-        and all(co.counit_vec(dict(twist.mul[key])) == sigma(*key)
-                for key in itertools.product(range(twist.dim), repeat=2)) \
+        and all(co.counit_vec({k: values[v] for k, v in _pairs(row)})
+                == sigma(a, b) for a in range(twist.dim)
+                for b, row in enumerate(twist.mul.line(a))) \
         and _proved_algebra(twist)
     bad = []
     if not proved:
@@ -1237,13 +1285,20 @@ def _slice_table(mul: _Table, left, right, fld) -> _Table:
     """The products e_i * e_j = sum_p left[i][p] right[j][p] in the table
     mul, for the contracted legs left[i] of e_i and right[j] of e_j
     (_sealed), as a table whose rows are computed on first read, summed
-    inline on the field's value index."""
+    inline on the field's value index.  The line fill reads the right legs
+    indexed by slice once per table, so each term of left[i] meets only the
+    rows j whose leg has its slice."""
     vi = fld.interned
     products, sums, product, total = vi.products, vi.sums, vi.product, vi.total
     slots, row_of, dim = mul.slots, mul.row, mul.dim
-    # left[i] as one tuple of (p, a, x)
+    # left[i] as one tuple of (p, a, x), the right legs as
+    # {p: [(j, b, y), ...]}
     left = [tuple([(p, a, x) for p, leg in legs.items() for a, x in leg])
             for legs in left]
+    by_slice: dict = {}
+    for j, legs in enumerate(right):
+        for p, leg in legs.items():
+            by_slice.setdefault(p, []).extend((j, b, y) for b, y in leg)
 
     def fill(i, j):
         out: dict = {}
@@ -1268,7 +1323,38 @@ def _slice_table(mul: _Table, left, right, fld) -> _Table:
                         out[k] = total(got, v) if t is None else t
         return _packed(out)
 
-    return _Table(len(left), vi.values, fill)
+    def lines(i):
+        # fill's sums for every missing row j of line i at once
+        base = i * n
+        outs = {j: {} for j in range(n) if own[base + j] is None}
+        for p, a, x in left[i]:
+            for j, b, y in by_slice.get(p, ()):
+                out = outs.get(j)
+                if out is None:
+                    continue
+                row = slots[a * dim + b]
+                if row is None:
+                    row = row_of(a, b)
+                if not row:
+                    continue
+                xy = products[x].get(y) or product(x, y)
+                pxy = products[xy]
+                it = iter(row)
+                for k, c in zip(it, it):
+                    v = pxy.get(c) or product(xy, c)
+                    got = out.get(k)
+                    if got is None:
+                        out[k] = v
+                    else:
+                        t = sums[got].get(v)
+                        out[k] = total(got, v) if t is None else t
+        for j, out in outs.items():
+            own[base + j] = _packed(out)
+
+    n = len(left)
+    table = _Table(n, vi.values, fill, lines)
+    own = table.slots
+    return table
 
 
 def _two_sided_legs(H: HopfAlgebraData, sigma: ConvForm,
@@ -1616,13 +1702,15 @@ def _product_failures(images, A: ComoduleAlgebra, B: ComoduleAlgebra,
             and not any(c.is_zero() for _, c in terms)):
         pos, ids = [p for p, _ in terms], [vi.of(c) for _, c in terms]
         product, bad = vi.product, []
-        a_row, b_row = A.algebra.mul.row, B.algebra.mul.row
-        for i, j in ExhaustivePlan(A.dim, 2):
-            cd, it = product(ids[i], ids[j]), iter(a_row(i, j))
-            lhs = {pos[k]: product(v, ids[k]) for k, v in zip(it, it)}
-            it = iter(b_row(pos[i], pos[j]))
-            if lhs != {k: product(cd, v) for k, v in zip(it, it)}:
-                bad.append((i, j))
+        for i in range(A.dim):
+            # line i of A against line p(i) of B
+            a_line, b_line = A.algebra.mul.line(i), B.algebra.mul.line(pos[i])
+            for j in range(A.dim):
+                cd, it = product(ids[i], ids[j]), iter(a_line[j])
+                lhs = {pos[k]: product(v, ids[k]) for k, v in zip(it, it)}
+                it = iter(b_line[pos[j]])
+                if lhs != {k: product(cd, v) for k, v in zip(it, it)}:
+                    bad.append((i, j))
         return bad
     times, mul = vi.times, A.algebra.mul
     return [(i, j) for i, j in ExhaustivePlan(A.dim, 2)

@@ -70,14 +70,15 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
 
     The algebra's steps list (m, p, s) for every basis index m > 0 in
     increasing order, with e_m = e_p e_s and e_s one of the generators
-    X, Y, G.  The packed table (hopfcore._Table) computes row (i, m) on
-    its first read, along the step of m: e_i e_m = (e_i e_p) e_s, from the
-    products e_k e_s tabulated once per generator, as value ids of the
-    field's value index (CyclotomicField.interned).  The fill walks m's
-    step chain down to the first row already kept (row (i, 0) is e_i
-    itself), then computes and keeps every row on the way back up, so a
-    read stores only rows on its own chain and no recursion deepens with
-    N.
+    X, Y, G.  The packed table (hopfcore._Table) fills row (i, m) along
+    the step of m: e_i e_m = (e_i e_p) e_s, from the products e_k e_s
+    tabulated once per generator, as value ids of the field's value index
+    (CyclotomicField.interned).  Its row fill walks m's step chain down to
+    the first row already kept (row (i, 0), unless kept, is e_i itself),
+    then computes and keeps every row on the way back up, so a read stores
+    only rows on its own chain and no recursion deepens with N.  Its line fill computes the
+    missing rows of line i in step order, each from row (i, p), which p < m
+    has already written.
     """
     fld = field(N)
     one = fld.one
@@ -130,18 +131,29 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
             steps.append((m, m - ny * r, index(1, 0, 0)))
     parent = [0] * dim
     column = [()] * dim
+    written = _Table.written
     for m, p, s in steps:
         parent[m] = p
         column[m] = right[s]
 
-    def fill(i, m):
+    def fill(i, m, ms=None):
+        # row (i, m), along m's step chain from the first row kept; or,
+        # given ms, the rows (i, m) of a line fill for m in ms, in step order
         base = i * dim
-        chain = []
-        while m and slots[base + m] is None:
-            chain.append(m)
-            m = parent[m]
-        row = slots[base + m] if m else (basis[i], 1)  # id 1 is one
-        for m in reversed(chain):
+        if ms is None:
+            if not m:
+                return (basis[i], 1)  # e_i itself, id 1 is one
+            ms = []
+            while m and slots[base + m] is None:
+                ms.append(m)
+                m = parent[m]
+            written[0] += len(ms) - 1  # the rows below the one read
+            ms.reverse()
+        row = None
+        for m in ms:
+            row = slots[base + parent[m]]
+            if row is None:  # p = 0 and row (i, 0) not kept: e_i
+                row = (basis[i], 1)
             if row:
                 rs = column[m]
                 if len(row) == 2 and len(rs[row[0]]) == 2:
@@ -159,7 +171,13 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
             slots[base + m] = row
         return row
 
-    mul = _Table(dim, fld.interned.values, fill)
+    def lines(i):
+        base = i * dim
+        if slots[base] is None:
+            slots[base] = (basis[i], 1)
+        fill(i, 0, [m for m in range(1, dim) if slots[base + m] is None])
+
+    mul = _Table(dim, fld.interned.values, fill, lines)
     slots = mul.slots
     alg = FiniteAlgebra(fld, labels, mul, {0: one})
     alg.steps = tuple(steps)

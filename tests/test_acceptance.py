@@ -588,6 +588,18 @@ def _injected_failures():
             coaction={**row.coaction, "X": delta_x})):
         out["coaction-row"] = failing(verify_comodule_algebra(
             build_family(p)))
+
+    # 13. single-term row: G X = q X G in gr(3)'s row (g, x), where q^2
+    # belongs; the associativity kernel decides one-term triples on (index,
+    # product id), so this must fall through to the sums; with the steps
+    # attached the generator triples run first
+    mul = dict(gr.algebra.mul)
+    (k, c), = mul[(g, x)]
+    assert c == fld.q_power(2)
+    mul[(g, x)] = ((k, fld.q),)
+    bad = FiniteAlgebra(fld, gr.labels, mul, dict(gr.algebra.unit))
+    bad.steps = gr.algebra.steps
+    out["single-term-power"] = failing(verify_algebra(bad))
     return out
 
 
@@ -649,6 +661,8 @@ def test_criterion_10_mutation_sensitivity():
         "L1-plain-G-X", "L1-deformed-G-X"]
     assert "comodule-coassociativity" in {
         c["claim_id"] for c in failures["coaction-row"]}
+    assert [c["claim_id"] for c in failures["single-term-power"]] == [
+        "algebra-associativity"]
 
     assert len(caught) >= 5
     print("ACCEPTANCE 10 mutation-sensitivity: PASS "

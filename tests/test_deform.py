@@ -10,8 +10,9 @@ contracts one slot at a time, read as values, must equal `reference_legs`
 check reads its two sides off rows of the one-sided twist, and
 `reference_cocycle_sides` (conftest) evaluates them over Delta (x) Delta.
 
-The kernel's tables compute each row on its first read.  Rows read in any
-order must equal the reference, and every whole-table view must first
+The kernel's tables compute each row on its first read, or each line of
+rows at once.  Rows read in any order must equal the reference, a line fill
+must equal row fills slot for slot, and every whole-table view must first
 complete the table, so that it lists exactly the reference's nonzero rows.
 Every coefficient a fill stores is the canonical object of the field's value
 index.
@@ -275,6 +276,50 @@ def test_packed_rows_hold_no_zero_coefficient():
     assert mul.slots == [(0, 1), (1, 1), (1, 1), hopfcore._ZERO]
     assert len(mul) == 3 and (1, 1) not in mul
     assert mul[(0, 1)] == ((1, one),) and mul[(1, 1)] == ()
+
+
+def _line_builds():
+    """_fresh_builds, and gr(u_q), u_q and L3N at N = 5."""
+    L3N = zoo_params("L3N", 5, xi=1, zeta=2, eta=field(5).q)
+    return _fresh_builds() + [
+        ("gr 5", lambda: build_gr_uq.__wrapped__(5).algebra),
+        ("uq 5", lambda: build_uq.__wrapped__(5).algebra),
+        ("L3N 5", lambda: build_family.__wrapped__(L3N).algebra)]
+
+
+def _planted(alg):
+    """Corrupt rows for the slots (dim // 2, 0) and (dim // 3, dim - 1),
+    written before any fill reads them: 7 e_(dim - 1) and 7 e_0."""
+    seven = alg.field.interned.of(alg.field.from_rational(7))
+    return {(alg.dim // 2, 0): (alg.dim - 1, seven),
+            (alg.dim // 3, alg.dim - 1): (0, seven)}
+
+
+@pytest.mark.parametrize("plant", [False, True])
+def test_a_line_fill_equals_row_fills_slot_for_slot(plant):
+    # one table filled a row at a time in a seeded random order, another
+    # of the same build a line at a time; a slot written before either
+    # fill is never overwritten, and both fills build on it alike (the
+    # skew-PBW fills read row (i, p) for row (i, m))
+    for name, build in _line_builds():
+        by_row, by_line = build(), build()
+        rows, lines, dim = by_row.mul, by_line.mul, by_row.dim
+        assert lines._lines is not None, name
+        planted = _planted(by_row) if plant else {}
+        for (i, j), row in planted.items():
+            rows.slots[i * dim + j] = lines.slots[i * dim + j] = row
+        keys = list(itertools.product(range(dim), repeat=2))
+        random.Random(name).shuffle(keys)
+        for key in keys:
+            rows.row(*key)
+        for (i, j), row in planted.items():
+            assert lines.line(i)[j] is row, name
+        for i in random.Random(name).sample(range(dim), dim):
+            assert lines.line(i) == rows.slots[i * dim:(i + 1) * dim], name
+        lines._complete()
+        assert lines.slots == rows.slots and None not in rows.slots, name
+        assert all(lines.slots[i * dim + j] is row
+                   for (i, j), row in planted.items()), name
 
 
 def _perturbed_forms(N):

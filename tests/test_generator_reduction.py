@@ -260,6 +260,29 @@ def test_associativity_kernel_matches_mul_vec(name, case):
         assert bool(want) == (case != "valid")
 
 
+@pytest.mark.parametrize("name", ["gr", "uq", "L3N"])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_single_term_triples_match_the_list_path(name, corrupt):
+    # the plan path decides a triple whose four rows have one term each on
+    # (index, product id) and sums any other, or any mismatch; the list path
+    # multiplies every triple out in field values.  The corruption is a
+    # wrong q-power in the one-term row (g, x): q g x in place of q^2 g x
+    alg = _kernel_table(name) if name != "L3N" else build_family(zoo_params(
+        "L3N", 3, xi=1, zeta=2, eta=build_gr_uq(3).field.q)).algebra
+    if corrupt:
+        g, x = monomial_index(3, 0, 0, 1), monomial_index(3, 1, 0, 0)
+        mul = dict(alg.mul)
+        (k, c), = mul[(g, x)]
+        assert c == alg.field.q_power(2)
+        mul[(g, x)] = ((k, alg.field.q),)
+        alg = _copy(alg, mul)
+    plan = ExhaustivePlan(alg.dim, 3)
+    want = [(tup, lhs, rhs) for tup, lhs, rhs
+            in hopfcore._associativity_defects(alg, list(plan))]
+    assert list(hopfcore._associativity_defects(alg, plan)) == want
+    assert bool(want) == corrupt
+
+
 def test_a_sampled_plan_reads_only_its_rows(uq3):
     # u_q's rows are filled on first read: on a sampled plan the kernel
     # must fill the rows that mul_vec reads for the same triples, no more

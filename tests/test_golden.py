@@ -20,6 +20,8 @@ minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --output tests/golden/minpoly_n5.json
     uqcomod verify --N 5 --suites morita --format json \
         --output tests/golden/verify_n5_morita.json
+    uqcomod verify --N 7 --mode exhaustive --format json \
+        --output tests/golden/verify_n7_exhaustive.json
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
 --format json`.  The first seven were written before the three table
@@ -49,7 +51,10 @@ polynomial substituted into by MultiPoly.compose and eval_scalars, before
 power_sum_P ran its recursion on the scalars themselves.
 verify_n5_morita.json was written while every product of the morita
 suite's isomorphisms was checked by multiplying images in the target, before
-monomial maps were compared on value ids.
+monomial maps were compared on value ids.  verify_n7_exhaustive.json, every
+suite proved at N = 7 (about 10 s on a 2-vCPU VM, so only CI compares it,
+under python -O), was written while every table was filled a row at a time,
+before whole-line readers took line fills.
 """
 
 import hashlib

@@ -41,7 +41,9 @@ from uqcomod.hopfcore import (
     check_comodule_algebra_morphism,
     conjugate_comodule_algebra,
     _coaction_failures,
+    _product_failures,
     _Table,
+    _unit_failures,
     factor_form,
 )
 from uqcomod.comodzoo import build_family, zoo_params
@@ -322,6 +324,51 @@ def test_morphism_checker_accepts_identity_and_rejects_junk():
     rep = check_comodule_algebra_morphism(
         [{0: fld.one}, {1: fld.one}, {}], R, R)
     assert [c.claim_id for c in rep.failures()][-1] == "morphism-bijective"
+
+
+def test_permuting_monomial_maps_match_the_general_path():
+    # on k[Z/5]: e_i -> q^i e_2i is an algebra automorphism, and swapping
+    # e_1 and e_2 alone is not; the monomial path reads line i of the source
+    # against line p(i) of the target
+    fld = field(5)
+    R = regular_comodule_algebra(cyclic_group_hopf(5, fld))
+    doubling = [{2 * i % 5: fld.q_power(i)} for i in range(5)]
+    swap = [{[0, 2, 1, 3, 4][i]: fld.one} for i in range(5)]
+    assert _product_failures(doubling, R, R) == [] \
+        == _product_failures(doubling, R, R, monomial=False)
+    bad = _product_failures(swap, R, R)
+    assert bad and bad == _product_failures(swap, R, R, monomial=False)
+
+
+def _unit_reference(alg):
+    """The unit claim's elements, every product taken by mul_vec."""
+    one = alg.unit_vec()
+    return [alg.labels[i] for i in range(alg.dim)
+            if alg.mul_vec(one, alg.basis_vec(i)) != alg.basis_vec(i)
+            or alg.mul_vec(alg.basis_vec(i), one) != alg.basis_vec(i)]
+
+
+def test_unit_rows_decide_as_mul_vec_does():
+    # with the unit e_0 the claim reads rows (0, i) and (i, 0): a
+    # corruption of either alone fails, and a row that sums to e_i in two
+    # terms passes; a unit other than e_0 multiplies out
+    gr = build_gr_uq(3)
+    fld, x = gr.field, monomial_index(3, 1, 0, 0)
+    two = fld.from_rational(2)
+    cases = {"left": {(0, x): ((x, two),)}, "right": {(x, 0): ((x, fld.q),)},
+             "two terms": {(0, x): ((x, two), (x, -fld.one))}}
+    for name, rows in cases.items():
+        alg = FiniteAlgebra(fld, gr.labels, {**dict(gr.algebra.mul), **rows},
+                            dict(gr.algebra.unit))
+        want = _unit_reference(alg)
+        assert _unit_failures(alg) == want == (
+            [] if name == "two terms" else [gr.labels[x]]), name
+    one = fld.one
+    idempotents = {(0, 0): ((0, one),), (1, 1): ((1, one),)}
+    for rows, want in ((idempotents, []),
+                       ({**idempotents, (1, 1): ((1, two),)}, ["b"])):
+        alg = FiniteAlgebra(fld, ["a", "b"], rows, {0: one, 1: one})
+        assert _unit_failures(alg) == _unit_reference(alg) == want
 
 
 def test_morphism_checker_refuses_an_unknown_kind_before_any_product():
