@@ -53,8 +53,6 @@ def _check_indices(what: str, dim: int, indices) -> None:
 
 
 _ZERO = ()  # the zero row, one object shared by every table
-# _Table.written; the fills add to the global list, which is faster
-_WRITTEN = [0, 0]
 
 
 class _Table(Mapping):
@@ -73,20 +71,17 @@ class _Table(Mapping):
     skew-PBW fill steps along the line in step order.  Readers of whole
     lines take line (the plan path of _associativity_defects,
     _unit_failures, the monomial path of _product_failures, the exhaustive
-    cocycle proof's counit check, _complete);
-    readers of scattered rows take row (mul_into, the multiplicativity
-    kernel, the slice fill's source reads), as a line fill would compute
-    rows they never read.  written is [rows written by row fills, rows
-    written by line fills], counted for the whole process.  Index kernels
-    read rows, lines and slots; everything else reads the table as a
-    read-only mapping, table[(i, j)] a tuple of (k, value) pairs made on
-    read, () for a zero row or a key outside the basis.  Every whole-table
-    view (iteration, keys, values, items, len, ==, copy, repr) first fills
-    every row and lists the nonzero rows in row-major order.
+    cocycle proof's counit check, _complete); readers of scattered rows
+    take row (mul_into, the multiplicativity kernel, the slice fill's
+    source reads), as a line fill would compute rows they never read.
+    Index kernels read rows, lines and slots; everything else reads the
+    table as a read-only mapping, table[(i, j)] a tuple of (k, value) pairs
+    made on read, () for a zero row or a key outside the basis.  Every
+    whole-table view (iteration, keys, values, items, len, ==, copy, repr)
+    first fills every row and lists the nonzero rows in row-major order.
     """
 
     __slots__ = ("dim", "value_of", "slots", "_fill", "_lines")
-    written = _WRITTEN
 
     def __init__(self, dim, value_of, fill=None, lines=None):
         self.dim, self.value_of, self._fill = dim, value_of, fill
@@ -113,7 +108,6 @@ class _Table(Mapping):
         row = self.slots[n]
         if row is None:
             row = self.slots[n] = self._fill(i, j) or _ZERO
-            _WRITTEN[0] += 1
         return row
 
     def line(self, i):
@@ -121,12 +115,10 @@ class _Table(Mapping):
         filled in one line fill (row fills without one)."""
         a = i * self.dim
         line = self.slots[a:a + self.dim]
-        missing = line.count(None)
-        if missing:
+        if None in line:
             if self._lines is None:
                 return [self.row(i, j) for j in range(self.dim)]
             self._lines(i)
-            _WRITTEN[1] += missing
             line = self.slots[a:a + self.dim]
         return line
 
@@ -134,7 +126,7 @@ class _Table(Mapping):
         if self._fill is not None:
             for i in range(self.dim):
                 self.line(i)
-            self._fill = None
+            self._fill = self._lines = None
         return self.slots
 
     def __getitem__(self, key):
@@ -1287,7 +1279,9 @@ def _slice_table(mul: _Table, left, right, fld) -> _Table:
     (_sealed), as a table whose rows are computed on first read, summed
     inline on the field's value index.  The line fill reads the right legs
     indexed by slice once per table, so each term of left[i] meets only the
-    rows j whose leg has its slice."""
+    rows j whose leg has its slice.  The row fill stays for scattered
+    readers: a core-n5 round fills 11 073 rows of its slice tables, where
+    the lines those rows lie on hold 42 875 (zoo-n5: 2 132 of 14 450)."""
     vi = fld.interned
     products, sums, product, total = vi.products, vi.sums, vi.product, vi.total
     slots, row_of, dim = mul.slots, mul.row, mul.dim

@@ -76,9 +76,9 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
     (CyclotomicField.interned).  Its row fill walks m's step chain down to
     the first row already kept (row (i, 0), unless kept, is e_i itself),
     then computes and keeps every row on the way back up, so a read stores
-    only rows on its own chain and no recursion deepens with N.  Its line fill computes the
-    missing rows of line i in step order, each from row (i, p), which p < m
-    has already written.
+    only rows on its own chain and no recursion deepens with N.  Its line
+    fill computes the missing rows of line i in step order, each from row
+    (i, p), which p < m has already written.
     """
     fld = field(N)
     one = fld.one
@@ -131,7 +131,6 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
             steps.append((m, m - ny * r, index(1, 0, 0)))
     parent = [0] * dim
     column = [()] * dim
-    written = _Table.written
     for m, p, s in steps:
         parent[m] = p
         column[m] = right[s]
@@ -147,7 +146,6 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
             while m and slots[base + m] is None:
                 ms.append(m)
                 m = parent[m]
-            written[0] += len(ms) - 1  # the rows below the one read
             ms.reverse()
         row = None
         for m in ms:

@@ -4,18 +4,12 @@ perfbench/tracer.py wraps functions by (module, attribute) name, and
 perfbench/worker.py and checks.py call the package through `uq.<name>`.
 A rename in the package would break the benchmark only when it runs, so
 these tests read those files (parsing them, without importing or writing
-anything there) and resolve every name on the package.  The package's own
-per-process counters, which a harness can read without patching, are
-tested here too.
+anything there) and resolve every name on the package.
 """
 
 import ast
 import importlib
 import inspect
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import uqcomod
@@ -71,32 +65,3 @@ def test_names_the_worker_and_checks_call_exist():
     for name in called:
         assert hasattr(uqcomod, name), name
     assert callable(uqcomod.cli.main)
-
-
-_FAMILIES_ROUND = """
-import contextlib, gc, io, json
-from uqcomod.cli import main
-from uqcomod.hopfcore import _Table
-with contextlib.redirect_stdout(io.StringIO()):
-    main(["verify", "--N", "3", "--suites", "families", "--format", "json"])
-lazy = [t for t in gc.get_objects()
-        if isinstance(t, _Table) and t._lines is not None]
-print(json.dumps([_Table.written, sum(len(t.slots) - t.slots.count(None)
-                                      for t in lazy)]))
-"""
-
-
-def test_fill_counters_after_an_n3_families_suite():
-    # hopfcore._Table.written counts, for the whole process, the rows
-    # written by row fills and by line fills, in that order.  A fresh
-    # interpreter runs the N = 3 families suite: the exhaustive proofs read
-    # whole lines, so most rows come from line fills, and the two counts
-    # add up to the rows the lazy tables hold.  A change of what the suite
-    # reads, or in which order, moves the pinned counts.
-    src = str(Path(uqcomod.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
-    out = subprocess.run([sys.executable, "-c", _FAMILIES_ROUND], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    (rows, lines), held = json.loads(out)
-    assert (rows, lines) == (1118, 5256)
-    assert rows + lines == held

@@ -318,6 +318,8 @@ def test_a_line_fill_equals_row_fills_slot_for_slot(plant):
             assert lines.line(i) == rows.slots[i * dim:(i + 1) * dim], name
         lines._complete()
         assert lines.slots == rows.slots and None not in rows.slots, name
+        # a complete table lets go of both fills and what they hold
+        assert lines._fill is None and lines._lines is None, name
         assert all(lines.slots[i * dim + j] is row
                    for (i, j), row in planted.items()), name
 
