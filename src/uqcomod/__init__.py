@@ -75,7 +75,6 @@ from .comodzoo import (
     zoo_params,
 )
 from .polyid import (
-    MultiPoly,
     min_poly_coefficient,
     phi_polynomial,
     power_sum_P,

@@ -20,7 +20,7 @@ import time
 from functools import cache
 
 from .cyclofield import field
-from .exactlinalg import minimal_polynomial_of_element
+from .exactlinalg import Poly, minimal_polynomial_of_element
 from .hopfcore import (
     ConvForm,
     ExhaustivePlan,
@@ -162,8 +162,8 @@ def suite_chebyshev(N, mode, sample_count, seed) -> VerificationReport:
             polyid.verify_min_pol_formula_consistency(N), None)
     fld0 = field(1)
     names = ("u", "v")
-    u = polyid.MultiPoly.variable(fld0, names, "u")
-    v = polyid.MultiPoly.variable(fld0, names, "v")
+    u = Poly.variable(fld0, names, "u")
+    v = Poly.variable(fld0, names, "v")
     for n in range(1, 12):
         lhs = polyid.power_sum_P(n, u + v, u * v)
         rep.add(f"power-sum-{n}", "power-sum-recursion",

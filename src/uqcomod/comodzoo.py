@@ -621,7 +621,7 @@ def one_dim_reps_A4(N: int, u, v, alpha=1) -> VerificationReport:
 
     prod = Poly.from_rationals(fld, [1])
     for mu in mus:
-        prod = prod * Poly(fld, [-mu, fld.one])
+        prod = prod * Poly.from_coeffs(fld, [-mu, fld.one])
     rep.add("phi-factorisation", "phi-product-of-roots", prod == phi,
             None if prod == phi else {"product": str(prod),
                                       "phi": str(phi)})

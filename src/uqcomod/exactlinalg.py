@@ -3,12 +3,17 @@
 One sparse-vector layer: vectors are dicts {key: coeff} with no zero
 coefficients, a linear map is the list of its basis images, and one
 incremental echelon serves RREF, rank, solve, kernels, canonical subspaces
-and minimal polynomials.  Univariate polynomials serve squarefree work.
-Everything is exact; no pivot thresholds.
+and minimal polynomials.  One sparse polynomial class, Poly, keys its
+terms by exponent tuples in the same way: in one variable it serves
+minimal polynomials, division, gcd and squarefree tests, in several the
+power sums and product identity of polyid.  Everything is exact; no pivot
+thresholds.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 
 from .cyclofield import CyclotomicNumber
@@ -221,83 +226,142 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over the field (variable printed as T)
+# polynomials over the field
 # ---------------------------------------------------------------------------
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    """A sparse polynomial over the field in the variables names (one
+    variable, T, unless given): terms maps exponent tuples to nonzero
+    coefficients.  The ring operations take any names; coeffs, divmod,
+    monic, derivative and eval need exactly one variable."""
 
-    def __init__(self, fld, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
+    __slots__ = ("field", "names", "terms")
+
+    def __init__(self, fld, terms: dict, names=("T",)):
         self.field = fld
-        self.coeffs = tuple(cs)
+        self.names = tuple(names)
+        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+
+    @classmethod
+    def _clean(cls, fld, names: tuple, terms: dict):
+        """The polynomial of terms as given, which hold no zero coefficient."""
+        out = object.__new__(cls)
+        out.field, out.names, out.terms = fld, names, terms
+        return out
+
+    @classmethod
+    def from_coeffs(cls, fld, coeffs):
+        """The univariate polynomial with coeffs, lowest degree first."""
+        return cls(fld, {(e,): c for e, c in enumerate(coeffs)})
 
     @classmethod
     def from_rationals(cls, fld, coeffs):
-        return cls(fld, [fld.from_rational(c) for c in coeffs])
+        return cls.from_coeffs(fld, [fld.from_rational(c) for c in coeffs])
+
+    @classmethod
+    def constant(cls, fld, names, value):
+        if not isinstance(value, CyclotomicNumber):
+            value = fld.from_rational(value)
+        return cls(fld, {(0,) * len(names): value}, names)
+
+    @classmethod
+    def variable(cls, fld, names, name):
+        idx = tuple(names).index(name)
+        e = tuple(1 if i == idx else 0 for i in range(len(names)))
+        return cls(fld, {e: fld.one}, names)
+
+    def _coerce(self, other):
+        if isinstance(other, Poly):
+            if other.names != self.names:
+                raise ValueError("polynomials in different variables")
+            return other
+        return Poly.constant(self.field, self.names, other)
+
+    def _univariate(self) -> None:
+        if len(self.names) != 1:
+            raise ValueError(f"not univariate: a polynomial in {self.names}")
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        """The total degree; -1 for the zero polynomial."""
+        return max(map(sum, self.terms), default=-1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficients, lowest degree first."""
+        self._univariate()
+        z, terms = self.field.zero, self.terms
+        return tuple(terms.get((e,), z) for e in range(self.degree + 1))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return Poly(self.field, [x + y for x, y in zip(a, b)])
+        out = dict(self.terms)
+        for e, c in self._coerce(other).terms.items():
+            vec_add_into(out, e, c)
+        return Poly._clean(self.field, self.names, out)
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._clean(self.field, self.names,
+                           {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        if isinstance(other, CyclotomicNumber):
-            return Poly(self.field, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        other = self._coerce(other)
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                vec_add_into(out, tuple(map(add, e1, e2)), c1 * c2)
+        return Poly._clean(self.field, self.names, out)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out, base = Poly.constant(self.field, self.names, 1), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, CyclotomicNumber)):
+            other = Poly.constant(self.field, self.names, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return self.names == other.names and self.terms == other.terms
 
     def divmod(self, other):
+        """Quotient and remainder of long division by other."""
+        self._univariate()
+        other._univariate()
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
         dd = other.degree
-        lead = other.coeffs[-1]
-        q = [self.field.zero] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c.is_zero():
-                f = c / lead
-                q[i - dd] = f
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - dd + j] = rem[i - dd + j] - f * oc
-        return Poly(self.field, q), Poly(self.field, rem[:dd])
+        inv, quo, rem = other.terms[(dd,)].inverse(), {}, dict(self.terms)
+        for top in range(self.degree, dd - 1, -1):
+            c = rem.get((top,))
+            if c is not None:
+                f = quo[(top - dd,)] = c * inv
+                for (e,), d in other.terms.items():
+                    vec_add_into(rem, (top - dd + e,), -(f * d))
+        return (Poly._clean(self.field, self.names, quo),
+                Poly._clean(self.field, self.names, rem))
 
     def monic(self) -> "Poly":
+        self._univariate()
         if self.is_zero():
             return self
-        inv = self.coeffs[-1].inverse()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return self * self.terms[(self.degree,)].inverse()
 
     def derivative(self) -> "Poly":
-        return Poly(
-            self.field,
-            [c * i for i, c in enumerate(self.coeffs)][1:],
-        )
+        self._univariate()
+        return Poly(self.field,
+                    {(e - 1,): c * e for (e,), c in self.terms.items() if e})
 
     def eval(self, x: CyclotomicNumber) -> CyclotomicNumber:
         out = self.field.zero
@@ -305,36 +369,27 @@ class Poly:
             out = out * x + c
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __str__(self):
-        if self.is_zero():
+        """Terms by falling total degree, then falling exponents; a
+        coefficient of several terms prints in parentheses."""
+        if not self.terms:
             return "0"
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            neg = cs.startswith("-") and "+" not in cs and "- " not in cs[1:]
-            mono = "1" if e == 0 else ("T" if e == 1 else f"T^{e}")
-            if e == 0:
-                body = cs if len(cs.split()) == 1 else f"({cs})"
-            elif cs == "1":
-                body = mono
-            elif cs == "-1":
-                body = f"-{mono}"
-            elif len(cs.split()) == 1:
-                body = f"{cs}*{mono}"
+        for e in sorted(self.terms, key=lambda e: (-sum(e), [-x for x in e])):
+            cs = str(self.terms[e])
+            if len(cs.split()) > 1:
+                cs = f"({cs})"
+            mono = "*".join(n if x == 1 else f"{n}^{x}"
+                            for n, x in zip(self.names, e) if x)
+            if not mono:
+                body = cs
+            elif cs in ("1", "-1"):
+                body = cs[:-1] + mono
             else:
-                body = f"({cs})*{mono}"
+                body = f"{cs}*{mono}"
             if not parts:
                 parts.append(body)
-            elif body.startswith("-") and not body.startswith("(-"):
+            elif body.startswith("-"):
                 parts.append(f"- {body[1:]}")
             else:
                 parts.append(f"+ {body}")
@@ -345,6 +400,8 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    a._univariate()
+    b._univariate()
     while not b.is_zero():
         _, r = a.divmod(b)
         a, b = b, r
@@ -353,6 +410,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def squarefree_check(p: Poly) -> bool:
     """True when p has no repeated roots (gcd with its derivative is 1)."""
+    p._univariate()
     if p.is_zero():
         raise ValueError("squarefree_check of the zero polynomial")
     if p.degree == 0:
@@ -377,7 +435,7 @@ def minimal_polynomial_of_element(alg, w: dict) -> Poly:
         v[(1, k)] = fld.one
         r = ech.reduce(v)
         if min(r)[0] == 1:
-            return Poly(fld, [r.get((1, j), fld.zero) for j in range(k + 1)])
+            return Poly(fld, {(j,): c for (_, j), c in r.items()})
         ech.add(r)
         p = alg.mul_vec(p, w)
     raise ArithmeticError("no dependence found below dim+1 powers")

@@ -73,7 +73,8 @@ class _Table(Mapping):
     _unit_failures, the monomial path of _product_failures, the exhaustive
     cocycle proof's counit check, _complete); readers of scattered rows
     take row (mul_into, the multiplicativity kernel, the slice fill's
-    source reads), as a line fill would compute rows they never read.
+    source reads): with line fills alone core-n5 set up 42 % and ran 25 %
+    slower, and with one fill for both it ran 117 % slower (BENCH_38.json).
     Index kernels read rows, lines and slots; everything else reads the
     table as a read-only mapping, table[(i, j)] a tuple of (k, value) pairs
     made on read, () for a zero row or a key outside the basis.  Every
@@ -604,7 +605,9 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
                 bs = right[b]
                 if len(ab) == 1 == len(bs):
                     # single terms: (index, product id) on each side; any
-                    # mismatch falls through to the sums and their witness
+                    # mismatch falls through to the sums and their witness.
+                    # Without this path verify-n3 ran 2.2 % slower (10 of
+                    # 10 pairs, BENCH_38.json)
                     (m, c), = ab
                     (n, d), = bs
                     if len(right[m]) == 1 == len(left[n]):
@@ -644,6 +647,8 @@ def _unit_failures(alg: FiniteAlgebra) -> list:
     the unit is e_0, e_i passes when rows (0, i) and (i, 0) are both
     (i, 1), id 1 being one; any other e_i, or unit, multiplies out."""
     one, maybe = alg.unit_vec(), range(alg.dim)
+    # multiplying every e_i out made verify-n3 1.4 % slower (10 of 10
+    # pairs, BENCH_38.json)
     if one == {0: alg.field.one}:
         first, row = alg.mul.line(0), alg.mul.row
         maybe = [i for i in maybe

@@ -154,6 +154,8 @@ def skew_pbw_algebra(N: int, nx: int, ny: int, r: int, xi, zeta, eta,
                 row = (basis[i], 1)
             if row:
                 rs = column[m]
+                # one term by one: summing it as below made verify-n3
+                # 3.2 % slower (10 of 10 pairs, BENCH_38.json)
                 if len(row) == 2 and len(rs[row[0]]) == 2:
                     t, d = rs[row[0]]  # nonzero
                     c = row[1]

@@ -30,6 +30,7 @@ from uqcomod.comodzoo import (
 )
 from uqcomod.cli import check_plan, main
 from uqcomod.cyclofield import field
+from uqcomod.exactlinalg import Poly
 from uqcomod.hopfcore import (
     ComoduleAlgebra,
     ConvForm,
@@ -49,7 +50,6 @@ from uqcomod.polyid import (
     verify_chebyshev_identity,
     verify_min_pol_formula_consistency,
 )
-from uqcomod.polyid import MultiPoly
 from uqcomod.reporting import VerificationReport
 from uqcomod.uqsl2 import (
     build_gr_uq,
@@ -217,8 +217,8 @@ def test_criterion_06_polynomial_identities():
         assert verify_chebyshev_identity(n), n
     fld = field(1)
     names = ("u", "v")
-    u = MultiPoly.variable(fld, names, "u")
-    v = MultiPoly.variable(fld, names, "v")
+    u = Poly.variable(fld, names, "u")
+    v = Poly.variable(fld, names, "v")
     for n in range(1, 12):
         assert power_sum_P(n, u + v, u * v) == u ** n + v ** n, n
     assert verify_min_pol_formula_consistency(3)

@@ -753,15 +753,15 @@ shorter = hc.FiniteCoalgebra(f, H.labels[:26], {}, {})
 comodzoo.squarefree_check = lambda phi: False
 zp = comodzoo.zoo_params
 st = ("s", "t")
-s_var = polyid.MultiPoly.variable(f, st, "s")
-u_var = polyid.MultiPoly.variable(f, ("u",), "u")
+s_var = Poly.variable(f, st, "s")
+u_var = Poly.variable(f, ("u",), "u")
 identity = [{i: f.one} for i in range(27)]
 cases = [
     (ValueError, lambda: Subspace.from_vectors(f, 2, [{0: f.one, 2: f.one}])),
     (ValueError, lambda: Subspace.from_vectors(f, 2, [{0: f.one}]).contains(
         {-1: f.one})),
     (ZeroDivisionError,
-     lambda: Poly.from_rationals(f, [1, 1]).divmod(Poly(f, []))),
+     lambda: Poly.from_rationals(f, [1, 1]).divmod(Poly.from_coeffs(f, []))),
     (ArithmeticError, lambda: comodzoo.semisimplicity_A4(
         comodzoo.zoo_params("L4", 3, alpha=1, beta=1, xi=2))),
     (ArithmeticError, lambda: polyid.product_identity_sides(4, field(4), 2)),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqcomod.cyclofield import field
+from uqcomod.cyclofield import CyclotomicNumber, field
 from uqcomod.exactlinalg import (
     Poly,
     SparseEchelon,
@@ -191,12 +191,29 @@ def test_poly_divmod_and_gcd():
     assert g == Poly.from_rationals(f, [1, 1])
 
 
+def test_poly_divmod_identity():
+    # sparse long division: a = quo b + rem with deg rem < deg b, on random
+    # polynomials whose terms are sparse
+    f = field(5)
+    rng = random.Random(5)
+    for _ in range(40):
+        a, b = (Poly.from_coeffs(f, [random_scalar(f, rng, span=2)
+                                     if rng.random() < 0.5 else f.zero
+                                     for _ in range(rng.randint(0, 7))])
+                for _ in range(2))
+        if b.is_zero():
+            continue
+        quo, rem = a.divmod(b)
+        assert quo * b + rem == a
+        assert rem.degree < b.degree
+
+
 def test_out_of_range_key_and_zero_divisor_raise():
     f = field(1)
     with pytest.raises(ValueError, match="F\\^2"):
         Subspace.from_vectors(f, 2, [{0: f.one}, {2: f.one}])
     with pytest.raises(ZeroDivisionError):
-        Poly.from_rationals(f, [1, 1]).divmod(Poly(f, []))
+        Poly.from_rationals(f, [1, 1]).divmod(Poly.from_coeffs(f, []))
 
 
 def test_squarefree_check_oracles():
@@ -206,7 +223,86 @@ def test_squarefree_check_oracles():
     assert not squarefree_check(p)
     assert squarefree_check(Poly.from_rationals(f, [-1, 0, 0, 1]))
     with pytest.raises(ValueError):
-        squarefree_check(Poly(f, []))
+        squarefree_check(Poly.from_coeffs(f, []))
+
+
+_UV = ("u", "v")
+
+
+@pytest.mark.parametrize("op", [
+    lambda p, t: p.coeffs,
+    lambda p, t: p.divmod(t),
+    lambda p, t: t.divmod(p),
+    lambda p, t: p.monic(),
+    lambda p, t: p.derivative(),
+    lambda p, t: p.eval(t.field.one),
+    lambda p, t: poly_gcd(p, t),
+    lambda p, t: poly_gcd(t, p),
+    lambda p, t: poly_gcd(t, Poly(t.field, {}, _UV)),
+    lambda p, t: squarefree_check(p),
+    lambda p, t: squarefree_check(Poly.constant(t.field, _UV, 3)),
+], ids=["coeffs", "divmod", "divmod-by", "monic", "derivative", "eval",
+        "gcd", "gcd-by", "gcd-by-zero", "squarefree", "squarefree-constant"])
+def test_univariate_operations_refuse_several_variables(op):
+    f = field(3)
+    u = Poly.variable(f, _UV, "u")
+    p = u * u - Poly.variable(f, _UV, "v")
+    with pytest.raises(ValueError, match="univariate"):
+        op(p, Poly.from_rationals(f, [1, 1]))
+
+
+def test_poly_equality():
+    # a scalar is the constant polynomial; anything else is unequal
+    f = field(3)
+    p = Poly.from_rationals(f, [2, 1])
+    assert p == Poly.from_coeffs(f, [f.from_rational(2), f.one])
+    assert Poly.from_rationals(f, [3]) == 3 == Poly.constant(f, _UV, 3)
+    assert Poly.from_coeffs(f, []) == 0 and Poly.from_coeffs(f, [f.q]) == f.q
+    assert p != Poly(p.field, p.terms, ("S",))
+    assert p != None and p != "T + 2" and p != [2, 1]  # noqa: E711
+
+
+def test_division_by_the_zero_polynomial_raises():
+    f = field(3)
+    p = Poly.from_rationals(f, [1, 0, 1])
+    for zero in (Poly.from_coeffs(f, []), Poly(f, {}),
+                 Poly.from_rationals(f, [0, 0])):
+        with pytest.raises(ZeroDivisionError):
+            p.divmod(zero)
+
+
+_F5 = field(5)
+_Q, _ONE = _F5.q, _F5.one
+
+
+def _poly(*coeffs):
+    """A polynomial over Q(q), q of order 5, from field values or
+    rationals, lowest degree first."""
+    return Poly.from_coeffs(_F5, [c if isinstance(c, CyclotomicNumber)
+                                  else _F5.from_rational(c) for c in coeffs])
+
+
+# captured from the dense univariate printer before Poly became sparse
+@pytest.mark.parametrize("poly, want", [
+    (_poly(-2, -3, 0, 1), "T^3 - 3*T - 2"),
+    (_poly(1, 0, 3), "3*T^2 + 1"),
+    (_poly(5, 2, -1, -4), "-4*T^3 - T^2 + 2*T + 5"),
+    (_poly(1, 1, -1), "-T^2 + T + 1"),
+    (_poly(_Q + _ONE, -_Q * _Q - _ONE, _Q),
+     "q*T^2 + (-1 - q^2)*T + (1 + q)"),
+    (_poly(_Q, -_Q - _ONE), "(-1 - q)*T + q"),
+    (_poly(0, -1, 0, 1), "T^3 - T"),
+    (_poly(0, -_Q, 1), "T^2 - q*T"),
+    (_poly(_ONE - _Q), "(1 - q)"),
+    (_poly(Fraction(1, 2), Fraction(-3, 4), 1), "T^2 - 3/4*T + 1/2"),
+    (_poly(-7), "-7"),
+    (_poly(), "0"),
+], ids=["monic", "non-monic", "negative-lead", "minus-one-lead",
+        "several-term-coefficients", "several-term-lead", "zero-constant",
+        "q-coefficient", "several-term-constant", "fractions", "constant",
+        "zero"])
+def test_univariate_printer(poly, want):
+    assert str(poly) == want
 
 
 class _TruncatedPowerAlgebra:

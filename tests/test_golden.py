@@ -22,6 +22,8 @@ minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --output tests/golden/verify_n5_morita.json
     uqcomod verify --N 7 --mode exhaustive --format json \
         --output tests/golden/verify_n7_exhaustive.json
+    uqcomod minpoly --N 7 --alpha q --beta 2 --gamma 1/3 --format json \
+        --output tests/golden/minpoly_n7.json
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
 --format json`.  The first seven were written before the three table
@@ -54,7 +56,10 @@ suite's isomorphisms was checked by multiplying images in the target, before
 monomial maps were compared on value ids.  verify_n7_exhaustive.json, every
 suite proved at N = 7 (about 10 s on a 2-vCPU VM, so only CI compares it,
 under python -O), was written while every table was filled a row at a time,
-before whole-line readers took line fills.
+before whole-line readers took line fills.  minpoly_n7.json, a minimal
+polynomial of degree 7 whose coefficients have up to six terms and
+rational constants, was written while univariate polynomials were dense
+coefficient lists, before one sparse Poly served them and the power sums.
 """
 
 import hashlib
@@ -86,6 +91,9 @@ GOLDEN = Path(__file__).parent / "golden"
     # the morita suite, whose eta-rotation maps are 125-dimensional
     (["verify", "--N", "5", "--suites", "morita", "--format", "json"],
      "verify_n5_morita.json"),
+    # a printed minimal polynomial of degree 7 (about 0.3 s)
+    (["minpoly", "--N", "7", "--alpha", "q", "--beta", "2", "--gamma", "1/3",
+      "--format", "json"], "minpoly_n7.json"),
 ])
 def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name

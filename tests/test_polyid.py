@@ -8,7 +8,6 @@ import pytest
 from uqcomod.cyclofield import field
 from uqcomod.exactlinalg import Poly
 from uqcomod.polyid import (
-    MultiPoly,
     min_poly_coefficient,
     phi_polynomial,
     power_sum_P,
@@ -20,14 +19,14 @@ from uqcomod.polyid import (
 
 def rational_multipoly_oracle(fld, names, table):
     terms = {e: fld.from_rational(c) for e, c in table.items()}
-    return MultiPoly(fld, names, terms)
+    return Poly(fld, terms, names)
 
 
 def test_power_sums_frozen_oracles():
     fld = field(1)
     names = ("s", "t")
-    s = MultiPoly.variable(fld, names, "s")
-    t = MultiPoly.variable(fld, names, "t")
+    s = Poly.variable(fld, names, "s")
+    t = Poly.variable(fld, names, "t")
     # P_3 = s^3 - 3st, P_4 = s^4 - 4 s^2 t + 2 t^2, P_5 = s^5 - 5 s^3 t + 5 s t^2
     assert power_sum_P(3, s, t) == rational_multipoly_oracle(
         fld, names, {(3, 0): 1, (1, 1): -3})
@@ -50,8 +49,8 @@ def test_power_sum_polynomial_agrees_with_the_recursion_on_scalars():
     # recursion run on the field scalars a and b themselves
     fld = field(5)
     names = ("s", "t")
-    s = MultiPoly.variable(fld, names, "s")
-    t = MultiPoly.variable(fld, names, "t")
+    s = Poly.variable(fld, names, "s")
+    t = Poly.variable(fld, names, "t")
     rng = random.Random(11)
     points = [(fld.element([rng.randint(-5, 5) for _ in range(fld.degree)]),
                fld.from_rational(Fraction(rng.randint(-9, 9), 4)))
@@ -74,8 +73,8 @@ def test_cancelled_terms_leave_no_zero_coefficient():
     # zero coefficient survives in terms
     fld = field(5)
     names = ("u", "v")
-    u = MultiPoly.variable(fld, names, "u")
-    v = MultiPoly.variable(fld, names, "v")
+    u = Poly.variable(fld, names, "u")
+    v = Poly.variable(fld, names, "v")
     p = u * fld.q + v * 3 - 2
     diff = (u + v) * (u - v)
     for got, want in ((p + (-p), {}), (p - p, {}),
@@ -107,7 +106,7 @@ def test_phi_polynomial_frozen_oracles():
     alpha, beta, xi = fld.one, fld.q_power(1), fld.from_rational(2)
     c = alpha * beta / (fld.q_power(2) - fld.one)
     phi = phi_polynomial(alpha, beta, xi, 3)
-    assert phi == Poly(fld, [-xi, c * 3, fld.zero, fld.one])
+    assert phi == Poly.from_coeffs(fld, [-xi, c * 3, fld.zero, fld.one])
 
     # N = 5: phi = T^5 + 5c T^3 + 5c^2 T - xi
     fld5 = field(5)
@@ -115,7 +114,7 @@ def test_phi_polynomial_frozen_oracles():
     xi5 = fld5.one
     c5 = a5 * b5 / (fld5.q_power(2) - fld5.one)
     phi5 = phi_polynomial(a5, b5, xi5, 5)
-    assert phi5 == Poly(
+    assert phi5 == Poly.from_coeffs(
         fld5, [-xi5, c5 * c5 * 5, fld5.zero, c5 * 5, fld5.zero, fld5.one])
 
 
