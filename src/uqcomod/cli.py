@@ -28,7 +28,6 @@ from .hopfcore import (
     coinvariants,
     comodule_to_json,
     direct_sum_comodule_algebras,
-    dumps_sorted,
     form_to_json,
     hopf_to_json,
     verify_comodule_algebra,
@@ -122,9 +121,9 @@ def suite_families(N, mode, sample_count, seed) -> VerificationReport:
     for p in _zoo_tuples(N, small=N == 3):
         rep.extend(comodzoo.verify_family_presentation(p))
         rep.extend(comodzoo.verify_deformed_presentation(p))
-        # one plan for a member and its deformed twin, on one basis
+        # one plan, of at least one pair, for a member and its deformed twin
         A = comodzoo.build_family(p)
-        pairs = check_plan(A.dim, 2, mode, sample_count // 4, seed)
+        pairs = check_plan(A.dim, 2, mode, max(sample_count // 4, 1), seed)
         rep.extend(verify_comodule_algebra(A, pairs))
         rep.extend(verify_comodule_algebra(comodzoo.deform_family(p), pairs))
     return rep
@@ -297,7 +296,11 @@ _SUITE_FUNCS = {
 SUITES = tuple(_SUITE_FUNCS)
 
 
-def _emit(args, payload: str) -> None:
+def _emit(args, payload) -> None:
+    """Write a text payload as it is, and any other as sorted, indented
+    JSON, to --output or stdout."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2)
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -312,18 +315,6 @@ def _emit(args, payload: str) -> None:
     else:
         # flushed here, so a closed pipe raises inside main, not at exit
         print(payload, flush=True)
-
-
-def _report_text(rep: VerificationReport) -> str:
-    lines = []
-    for c in rep.checks:
-        if c.ok:
-            lines.append(f"PASS {c.claim_id}")
-        else:
-            lines.append(f"FAIL {c.claim_id} :: {json.dumps(c.witness, sort_keys=True, default=str)}")
-    s = rep.summary()
-    lines.append(f"{s['passed']}/{s['total']} checks passed")
-    return "\n".join(lines)
 
 
 def cmd_verify(args) -> int:
@@ -351,16 +342,15 @@ def cmd_verify(args) -> int:
         data = merged.as_dict(include_timings=args.timings)
         if args.timings:
             data["suite_elapsed_ms"] = suite_ms
-        _emit(args, json.dumps(data, sort_keys=True, indent=2))
+        _emit(args, data)
     else:
-        _emit(args, _report_text(merged))
+        _emit(args, merged.as_text())
     return 0 if merged.ok else 1
 
 
 def cmd_classify(args) -> int:
     uqsl2.check_order(args.N)
-    _emit(args, json.dumps(comodzoo.classify(args.N), indent=2,
-                           sort_keys=True))
+    _emit(args, comodzoo.classify(args.N))
     return 0
 
 
@@ -382,11 +372,11 @@ def cmd_minpoly(args) -> int:
         "report": rep.as_dict(include_timings=args.timings),
     }
     if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+        _emit(args, payload)
     else:
         lines = [f"element: {payload['element']}",
                  f"minimal polynomial: {payload['minimal_polynomial']}",
-                 _report_text(rep)]
+                 rep.as_text()]
         _emit(args, "\n".join(lines))
     return 0 if rep.ok else 1
 
@@ -416,7 +406,7 @@ def cmd_export(args) -> int:
         data = comodule_to_json(A)
     else:
         raise ValueError(f"unknown export target {what!r}")
-    _emit(args, dumps_sorted(data))
+    _emit(args, data)
     return 0
 
 

@@ -19,7 +19,6 @@ failures with explicit witnesses instead of raising.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -674,9 +673,7 @@ def verify_algebra(alg: FiniteAlgebra, triples=None) -> VerificationReport:
     rep = VerificationReport({"dim": alg.dim})
     labels = alg.labels
     bad_unit = _unit_failures(alg)
-    rep.add("algebra-unit", "unital-multiplication", not bad_unit,
-            {"elements": bad_unit[:5], "failing": len(bad_unit)}
-            if bad_unit else None)
+    rep.add_failures("algebra-unit", "unital-multiplication", bad_unit)
 
     def failures(plan):
         return [_witness(labels, tup, lhs, rhs) for tup, lhs, rhs
@@ -684,9 +681,8 @@ def verify_algebra(alg: FiniteAlgebra, triples=None) -> VerificationReport:
 
     bad = _plan_failures(failures, triples,
                          None if bad_unit else _generator_plan(alg, triples))
-    rep.add("algebra-associativity", "associative-multiplication", not bad,
-            {"examples": bad[:3], "failing": len(bad),
-             "checked": len(triples)} if bad else None)
+    rep.add_failures("algebra-associativity", "associative-multiplication",
+                     bad, triples)
     if _is_full(triples):
         alg.verified = not bad_unit and not bad
     return rep
@@ -744,16 +740,14 @@ def verify_hopf(H: HopfAlgebraData, triples=None,
     times = alg.field.interned.times
     bad_co, bad_left, delta_1, bad_mult = _coaction_failures(
         regular_comodule_algebra(H), pairs)
-    rep.add("coalgebra-coassociativity", "coassociative-comultiplication",
-            not bad_co,
-            {"elements": bad_co[:5], "failing": len(bad_co)} if bad_co else None)
+    rep.add_failures("coalgebra-coassociativity",
+                     "coassociative-comultiplication", bad_co)
 
     # the right counit, (id x eps)Delta = id, is not a left-coaction axiom
     bad_right = H.side.once("coalgebra", coalgebra_failures)[2]
     bad = [labels[i] for i in range(alg.dim)
            if labels[i] in bad_left or i in bad_right]
-    rep.add("coalgebra-counit", "counit-axiom", not bad,
-            {"elements": bad[:5], "failing": len(bad)} if bad else None)
+    rep.add_failures("coalgebra-counit", "counit-axiom", bad)
 
     one = alg.unit_vec()
     rep.add("bialgebra-unit", "comultiplication-of-unit", delta_1 is None,
@@ -771,12 +765,10 @@ def verify_hopf(H: HopfAlgebraData, triples=None,
     bad_counit = _plan_failures(
         counit_failures, pairs,
         _generator_plan(alg, pairs, lead=(0,), proved=(alg,)))
-    rep.add("bialgebra-multiplicativity", "comultiplication-algebra-map",
-            not bad_mult, {"examples": bad_mult[:3], "failing": len(bad_mult),
-                           "checked": len(pairs)} if bad_mult else None)
-    rep.add("bialgebra-counit-multiplicative", "counit-algebra-map",
-            not bad_counit, {"examples": bad_counit[:3],
-                             "failing": len(bad_counit)} if bad_counit else None)
+    rep.add_failures("bialgebra-multiplicativity",
+                     "comultiplication-algebra-map", bad_mult, pairs)
+    rep.add_failures("bialgebra-counit-multiplicative", "counit-algebra-map",
+                     bad_counit, pairs)
 
     # the antipode axioms on every basis element
     bad = []
@@ -788,8 +780,7 @@ def verify_hopf(H: HopfAlgebraData, triples=None,
                         "m(S x id)Delta": vec_str(left, labels),
                         "m(id x S)Delta": vec_str(right, labels),
                         "expected": vec_str(target, labels)})
-    rep.add("hopf-antipode", "antipode-axioms", not bad,
-            {"examples": bad[:3], "failing": len(bad)} if bad else None)
+    rep.add_failures("hopf-antipode", "antipode-axioms", bad)
     return rep
 
 
@@ -1057,8 +1048,7 @@ def verify_hopf_2cocycle(sigma: ConvForm, triples=None) -> VerificationReport:
         rhs = sum((c * sig.get((u, i), zero) for u, c in unit), zero)
         if lhs != eps or rhs != eps:
             bad.append(labels[i])
-    rep.add("cocycle-unital", "cocycle-unitality", not bad,
-            {"elements": bad[:5], "failing": len(bad)} if bad else None)
+    rep.add_failures("cocycle-unital", "cocycle-unitality", bad)
 
     twist = _one_sided_twist(sigma)
     values = twist.mul.value_of
@@ -1075,9 +1065,8 @@ def verify_hopf_2cocycle(sigma: ConvForm, triples=None) -> VerificationReport:
             if lhs != rhs:
                 bad.append({"triple": [labels[a], labels[b], labels[c]],
                             "lhs": str(lhs), "rhs": str(rhs)})
-    rep.add("cocycle-identity", "hopf-2-cocycle-identity", not bad,
-            {"examples": bad[:3], "failing": len(bad),
-             "checked": len(triples)} if bad else None)
+    rep.add_failures("cocycle-identity", "hopf-2-cocycle-identity", bad,
+                     triples)
     return rep
 
 
@@ -1574,14 +1563,12 @@ def verify_comodule_algebra(A: ComoduleAlgebra,
     rep = VerificationReport({"dim": alg.dim,
                               "params": {k: str(v) for k, v in A.params.items()}})
     bad_co, bad_eps, unit, bad = _coaction_failures(A, pairs)
-    rep.add("comodule-coassociativity", "coaction-coassociativity", not bad_co,
-            {"elements": bad_co[:5], "failing": len(bad_co)} if bad_co else None)
-    rep.add("comodule-counit", "coaction-counit", not bad_eps,
-            {"elements": bad_eps[:5], "failing": len(bad_eps)} if bad_eps else None)
+    rep.add_failures("comodule-coassociativity", "coaction-coassociativity",
+                     bad_co)
+    rep.add_failures("comodule-counit", "coaction-counit", bad_eps)
     rep.add("comodule-unit", "coaction-of-unit", unit is None, unit)
-    rep.add("comodule-multiplicativity", "coaction-algebra-map", not bad,
-            {"examples": bad[:3], "failing": len(bad),
-             "checked": len(pairs)} if bad else None)
+    rep.add_failures("comodule-multiplicativity", "coaction-algebra-map", bad,
+                     pairs)
     return rep
 
 
@@ -1663,8 +1650,7 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
 
     bad = [[A.labels[i], A.labels[j]]
            for i, j in _product_failures(images, A, B)]
-    rep.add("morphism-multiplicative", "algebra-map-products", not bad,
-            {"examples": bad[:3], "failing": len(bad)} if bad else None)
+    rep.add_failures("morphism-multiplicative", "algebra-map-products", bad)
 
     bad = []
     for i in range(A.dim):
@@ -1675,8 +1661,7 @@ def check_comodule_algebra_morphism(images, A: ComoduleAlgebra,
                 vec_add_into(rhs, (h, j), c * d)
         if lhs != rhs:
             bad.append(A.labels[i])
-    rep.add("morphism-colinear", "comodule-map", not bad,
-            {"elements": bad[:5], "failing": len(bad)} if bad else None)
+    rep.add_failures("morphism-colinear", "comodule-map", bad)
 
     r = rank(B.field, images)
     ok = r == A.dim and (expect == "injective" or A.dim == B.dim)
@@ -1850,6 +1835,3 @@ def form_to_json(f: ConvForm) -> dict:
         "entries": [list(k) + [str(c)] for k, c in sorted(f.coords.items())],
     }
 
-
-def dumps_sorted(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 
 
@@ -48,6 +49,20 @@ class VerificationReport:
         self._since = now
         return ok
 
+    def add_failures(self, claim_id, anchor, bad, plan=None):
+        """A claim that passes when bad, its list of failures, is empty.
+        The witness shows the first 5 failures as "elements" when they are
+        basis labels, else the first 3 as "examples", with "failing", their
+        count, and for a claim checked on a plan, "checked", its size."""
+        witness = None
+        if bad:
+            witness = ({"elements": bad[:5]} if isinstance(bad[0], str)
+                       else {"examples": bad[:3]})
+            witness["failing"] = len(bad)
+            if plan is not None:
+                witness["checked"] = len(plan)
+        return self.add(claim_id, anchor, not bad, witness)
+
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)
         self._since = time.perf_counter()
@@ -73,6 +88,15 @@ class VerificationReport:
             "claims": [c.as_dict(include_timings) for c in self.checks],
             "summary": self.summary(),
         }
+
+    def as_text(self) -> str:
+        lines = [f"PASS {c.claim_id}" if c.ok else
+                 f"FAIL {c.claim_id} :: "
+                 f"{json.dumps(c.witness, sort_keys=True, default=str)}"
+                 for c in self.checks]
+        s = self.summary()
+        lines.append(f"{s['passed']}/{s['total']} checks passed")
+        return "\n".join(lines)
 
     def __repr__(self):
         s = self.summary()

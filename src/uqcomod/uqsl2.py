@@ -544,9 +544,8 @@ def verify_dual_relations(N: int, pairs=None) -> VerificationReport:
 
     reduced = _generator_plan(alg, pairs, lead=(0,), proved=(alg,))
     bad = _plan_failures(failures, pairs, reduced)
-    rep.add("dual-product-rules", "functionals-on-products", not bad,
-            {"examples": bad[:3], "failing": len(bad),
-             "checked": len(pairs)} if bad else None)
+    rep.add_failures("dual-product-rules", "functionals-on-products", bad,
+                     pairs)
     return rep
 
 
@@ -584,6 +583,6 @@ def closed_comultiplication_report(N: int) -> VerificationReport:
                     vec_add_into(want, (jj, kk), c)
                 if got != want:
                     bad.append(H.labels[m])
-    rep.add("gr-comultiplication-closed-form", "closed-coproduct-vs-product",
-            not bad, {"elements": bad[:5], "failing": len(bad)} if bad else None)
+    rep.add_failures("gr-comultiplication-closed-form",
+                     "closed-coproduct-vs-product", bad)
     return rep

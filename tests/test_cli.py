@@ -15,7 +15,8 @@ from uqcomod.cli import SUITES, build_parser, main
 from uqcomod.comodzoo import build_family, zoo_params
 from uqcomod.cyclofield import field
 from conftest import parsed_rows
-from uqcomod.hopfcore import ConvForm, verify_hopf_2cocycle
+from uqcomod.hopfcore import (ConvForm, verify_comodule_algebra,
+                               verify_hopf_2cocycle)
 from uqcomod.uqsl2 import monomial_index
 
 
@@ -59,13 +60,22 @@ def test_sample_count_below_one_is_an_argparse_error(count, capsys):
     assert "--sample-count" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("count", ["1", "3"])
-def test_families_with_fewer_than_four_samples_is_rejected(count, capsys):
-    # sample_count // 4 = 0 pairs per member: a vacuous check, refused
+@pytest.mark.parametrize("count", ["1", "2", "3"])
+def test_families_with_fewer_than_four_samples_checks_one_pair_per_member(
+        monkeypatch, count, capsys):
+    # sample_count // 4 = 0 would be a vacuous plan, which the verifier
+    # refuses; each member is handed one pair instead
+    planned = []
+
+    def verify(A, pairs):
+        planned.append(len(pairs))
+        return verify_comodule_algebra(A, pairs)
+
+    monkeypatch.setattr(cli, "verify_comodule_algebra", verify)
     code = main(["verify", "--N", "3", "--suites", "families",
                  "--mode", "sampled", "--sample-count", count])
-    assert code == 2
-    assert "at least one tuple" in capsys.readouterr().err
+    assert code == 0, capsys.readouterr().err
+    assert planned == [1] * 20
 
 
 def test_cocycle_suite_samples_the_generators_first(monkeypatch):

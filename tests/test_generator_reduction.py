@@ -584,13 +584,16 @@ def test_dual_product_rule_reports_equal_the_enumeration(monkeypatch, gr3,
 @pytest.mark.parametrize("label", ["x0y0g1", "x1y0g0"])
 def test_corrupted_counit_reports_equal_the_enumeration(gr3, label):
     # eps(g) = 2 breaks eps(g g) = eps(g)^2 and eps(x) = 2 breaks
-    # eps(x x) = eps(x)^2
+    # eps(x x) = eps(x)^2; the witness counts the planned pairs, as every
+    # planned claim's does
     counit = dict(gr3.coalgebra.counit)
     counit[gr3.labels.index(label)] = gr3.field.from_rational(2)
     co = FiniteCoalgebra(gr3.field, gr3.labels, gr3.coalgebra.comul, counit)
     rep = _same_reports(verify_hopf, (_hopf_on(gr3, gr3.algebra, co),),
                         (_hopf_on(gr3, _copy(gr3.algebra), co),))
-    assert "bialgebra-counit-multiplicative" in _failing(rep)
+    witness = _failing(rep)["bialgebra-counit-multiplicative"]
+    failing = {"x0y0g1": 4, "x1y0g0": 9}[label]
+    assert (witness["failing"], witness["checked"]) == (failing, 27 ** 2)
 
 
 def test_valid_data_never_enumerates(monkeypatch, gr3, uq3, sigma3):

@@ -24,6 +24,7 @@ minpoly,chebyshev,filtration --sample-count 200 --seed 1 --format json \
         --output tests/golden/verify_n7_exhaustive.json
     uqcomod minpoly --N 7 --alpha q --beta 2 --gamma 1/3 --format json \
         --output tests/golden/minpoly_n7.json
+    uqcomod verify --N 3 --output tests/golden/verify_n3.txt
 
 and the sha256 digests below are of the stdout of `uqcomod export ...
 --format json`.  The first seven were written before the three table
@@ -60,6 +61,9 @@ before whole-line readers took line fills.  minpoly_n7.json, a minimal
 polynomial of degree 7 whose coefficients have up to six terms and
 rational constants, was written while univariate polynomials were dense
 coefficient lists, before one sparse Poly served them and the power sums.
+verify_n3.txt, the default text report, was written while cli rendered it
+and every verifier spelled out its own failure witnesses, before
+VerificationReport.as_text and add_failures did.
 """
 
 import hashlib
@@ -94,6 +98,8 @@ GOLDEN = Path(__file__).parent / "golden"
     # a printed minimal polynomial of degree 7 (about 0.3 s)
     (["minpoly", "--N", "7", "--alpha", "q", "--beta", "2", "--gamma", "1/3",
       "--format", "json"], "minpoly_n7.json"),
+    # the default --format text
+    (["verify", "--N", "3"], "verify_n3.txt"),
 ])
 def test_output_matches_golden(tmp_path, argv, name):
     out = tmp_path / name
