@@ -429,11 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--N", type=int, default=3,
                         help="odd root-of-unity order (default 3)")
     common.add_argument("--output", default=None, help="write to file")
-    common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--timings", action="store_true",
-                        help="include elapsed times per claim and, in a "
-                             "verify JSON report, per suite (breaks "
-                             "byte-for-byte reproducibility)")
 
     v = sub.add_parser("verify", parents=[common],
                        help="run verification suites")
@@ -473,6 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument(f"--{name}", default=None)
     e.add_argument("--deformed", action="store_true")
     e.set_defaults(func=cmd_export)
+
+    for p in (v, m):
+        p.add_argument("--format", choices=("json", "text"), default="text")
+        p.add_argument("--timings", action="store_true",
+                       help="include elapsed times per claim and, in a "
+                            "verify JSON report, per suite (breaks "
+                            "byte-for-byte reproducibility)")
+    for p in (c, e):  # classify and export write JSON only
+        p.add_argument("--format", choices=("json",), default="json")
     return ap
 
 

@@ -20,7 +20,6 @@ convention for quantum-group work is enforced by the callers that need it.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -239,16 +238,29 @@ class _ValueIndex:
     canonical object, which values keeps alive, to its index; any other
     object is looked up by value.  products[i][j] and sums[i][j], each
     stored under both orders, are the indices of values[i] * values[j] and
-    values[i] + values[j], filled on a miss.  The memos map values to
-    values only, so no verdict carries from one check to the next; a check
-    sums on its own memo (_Partial), so none of its partial sums enters
-    the index, which keeps the values of tables, builders and products."""
+    values[i] + values[j], filled on a miss.  The memos map values to values
+    only, so no verdict carries from one check to the next.  The builders
+    sum on sums (add), as they need canonical ids.
 
-    __slots__ = ("values", "index", "ids", "products", "sums")
+    The checks sum packed integer images (Kronecker substitution), so none
+    of their partial sums enters the index.  The image of num/den is
+    sum_t (num_t * scale // den) << (width * t): scale is the lcm of every
+    den held and width - 64 bounds the bit length of every scaled
+    coefficient.  A sum of fewer than 2^63 images is the image of its
+    slotwise sums, each below 2^(width - 1) in absolute value, which the
+    integer determines (decoded); so equal sums are equal values and a sum
+    of 0 is zero.  images() packs on first call, and then of() packs each
+    new value; one that does not fit repacks every image in place, with a
+    new scale or a wider width (from 96 bits, in steps of 32), and bumps
+    layout.  A check decides again whatever it summed while layout moved."""
+
+    __slots__ = ("values", "index", "ids", "products", "sums", "packed",
+                 "scale", "width", "layout")
 
     def __init__(self, zero, one):
         self.values, self.products, self.sums = [], [], []
         self.index, self.ids = {}, {}  # by (num, den), by id(canonical)
+        self.packed, self.scale, self.width, self.layout = None, 1, 96, 0
         self.of(zero)
         self.of(one)
 
@@ -262,7 +274,56 @@ class _ValueIndex:
                 self.values.append(v)
                 self.products.append({})
                 self.sums.append({})
+                if self.packed is not None:
+                    self.packed.append(self._image(v))
+                    if self.packed[-1] is None:
+                        self._repack()
         return i
+
+    def images(self) -> list:
+        """The packed image of each value, by index."""
+        if self.packed is None:
+            self.packed = []
+            self._repack()
+        return self.packed
+
+    def _image(self, v):
+        """v's image in the current layout, or None if v does not fit it."""
+        s, r = divmod(self.scale, v.den)
+        cs = [c * s for c in v.num]
+        if r or max(cs, key=abs).bit_length() > self.width - 64:
+            return None
+        return sum(c << (self.width * t) for t, c in enumerate(cs))
+
+    def _repack(self) -> None:
+        self.scale = lcm(*(v.den for v in self.values))
+        top = max(abs(c) * (self.scale // v.den)
+                  for v in self.values for c in v.num).bit_length()
+        self.width = max(96, -(-(top + 64) // 32) * 32)
+        self.packed[:] = map(self._image, self.values)
+        self.layout += 1
+
+    def decoded(self, side: dict) -> dict:
+        """The values {k: v} of a side {k: sum of images}, without its
+        zeros, in the current layout."""
+        w, fld = self.width, self.values[0].field
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        out = {}
+        for k, x in side.items():
+            if x:
+                num = []
+                for _ in range(fld.degree):
+                    num.append(((x + half) & mask) - half)
+                    x = (x - num[-1]) >> w
+                out[k] = _normalised(fld, num, self.scale)
+        return out
+
+    @staticmethod
+    def same(lhs: dict, rhs: dict) -> bool:
+        """Whether two sides of summed images are equal; a sum that cancels
+        is 0 and compares as absent."""
+        return lhs == rhs or ({k: x for k, x in lhs.items() if x}
+                              == {k: x for k, x in rhs.items() if x})
 
     def canonical(self, v):
         """The canonical object equal to v."""
@@ -295,43 +356,11 @@ class _ValueIndex:
             out[key] = self.total(got, v) if t is None else t
 
 
-class _Partial:
-    """The sums of one check on the value index vi, memoised for that check
-    only, so its partial sums never enter vi.  An id is an index of vi, or
-    ~k for the k-th sum vi does not hold; value(i) is its value, sums[i][j]
-    the id of value(i) + values[j], stored under both orders when i is an
-    index of vi.  Equal ids are equal values, but a sum that vi learns
-    later in the check carries both ids, so sides that differ as ids are
-    compared again as values (same)."""
-
-    __slots__ = ("vi", "extra", "local", "sums")
-
-    def __init__(self, vi: _ValueIndex):
-        self.vi, self.extra, self.local = vi, [], {}
-        self.sums = defaultdict(dict)
-
-    def value(self, i: int):
-        return self.vi.values[i] if i >= 0 else self.extra[~i]
-
-    def total(self, i: int, j: int) -> int:
-        v = self.value(i) + self.vi.values[j]
-        key = (v.num, v.den)
-        t = self.vi.index.get(key, self.local.get(key))
-        if t is None:
-            t = self.local[key] = ~len(self.extra)
-            self.extra.append(v)
-        self.sums[i][j] = t
-        if i >= 0:
-            self.sums[j][i] = t
-        return t
-
-    add = _ValueIndex.add
-
-    def values_of(self, side: dict) -> dict:
-        return {k: self.value(i) for k, i in side.items() if i}
-
-    def same(self, lhs: dict, rhs: dict) -> bool:
-        return lhs == rhs or self.values_of(lhs) == self.values_of(rhs)
+def add_image(out: dict, key, x: int) -> None:
+    """out[key] += x on packed images; a sum is never started from 0, so
+    no first term is copied."""
+    got = out.get(key)
+    out[key] = x if got is None else got + x
 
 
 def _compile_product(d: int, red):

@@ -23,7 +23,7 @@ import operator
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .cyclofield import CyclotomicField, CyclotomicNumber, _Partial
+from .cyclofield import CyclotomicField, CyclotomicNumber, add_image
 from .exactlinalg import (SparseEchelon, Subspace, kernel_of_sparse_columns,
                           rank, vec_add_into)
 from .reporting import VerificationReport
@@ -578,9 +578,11 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
     plan, every (a, b, s) with s in triples.last, reads the packed rows'
     value ids as pairs, line a (_Table.line) for the first slot and row
     (m, s) by m for the last; both sides multiply on the field's value
-    index and sum inline on the call's own memo (_Partial), so they are
-    dicts of ints.  A triple whose four rows are single terms passes when
-    both sides have one index and one product id.  Every value is exact."""
+    index and sum its packed images inline (_ValueIndex.images), so they
+    are dicts of ints; a line during which a new value repacked the images
+    is decided again.  A triple whose four rows are single terms passes
+    when both sides have one index and one product id.  Every value is
+    exact."""
     mul, dim, vi = alg.mul, alg.dim, alg.field.interned
     if isinstance(triples, list):
         one = alg.field.one
@@ -590,14 +592,15 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
             if lhs != rhs:
                 yield (a, b, s), lhs, rhs
         return
-    part = _Partial(vi)
-    products, product, row = vi.products, vi.product, mul.row
-    sums, total = part.sums, part.total
+    img, products, product = vi.images(), vi.products, vi.product
+    row, same = mul.row, vi.same
 
     rights = [(s, [_pairs(row(n, s)) for n in range(dim)])
               for s in triples.last]
-    for a in range(dim):
+    a = 0
+    while a < dim:
         left = [_pairs(r) for r in mul.line(a)]
+        layout, found = vi.layout, []
         for b in range(dim):
             ab = left[b]
             for s, right in rights:
@@ -620,25 +623,23 @@ def _associativity_defects(alg: FiniteAlgebra, triples):
                 lhs: dict = {}
                 for m, c in ab:
                     for k, x in right[m]:
-                        v = products[c].get(x) or product(c, x)
+                        v = img[products[c].get(x) or product(c, x)]
                         got = lhs.get(k)
-                        if got is None:
-                            lhs[k] = v
-                        else:
-                            t = sums[got].get(v)
-                            lhs[k] = total(got, v) if t is None else t
+                        lhs[k] = v if got is None else got + v
                 rhs: dict = {}
                 for n, d in bs:
                     for k, y in left[n]:
-                        v = products[d].get(y) or product(d, y)
+                        v = img[products[d].get(y) or product(d, y)]
                         got = rhs.get(k)
-                        if got is None:
-                            rhs[k] = v
-                        else:
-                            t = sums[got].get(v)
-                            rhs[k] = total(got, v) if t is None else t
-                if not part.same(lhs, rhs):
-                    yield (a, b, s), part.values_of(lhs), part.values_of(rhs)
+                        rhs[k] = v if got is None else got + v
+                if not same(lhs, rhs):
+                    found.append(((a, b, s), lhs, rhs))
+        if vi.layout != layout:
+            continue  # a new value repacked the images: line a again
+        # decoded before a consumer can intern a value
+        yield from [(t, vi.decoded(lhs), vi.decoded(rhs))
+                    for t, lhs, rhs in found]
+        a += 1
 
 
 def _unit_failures(alg: FiniteAlgebra) -> list:
@@ -688,14 +689,15 @@ def verify_algebra(alg: FiniteAlgebra, triples=None) -> VerificationReport:
     return rep
 
 
-def _antipode_sides(H: HopfAlgebraData, i: int, part: _Partial):
+def _antipode_sides(H: HopfAlgebraData, i: int):
     """m(S x id)Delta(e_i), m(id x S)Delta(e_i) and eps(e_i) 1, the three
     sides of the antipode axioms on one basis element, the first two from
-    the table rows (m, k) and (j, m), summed on part, the memo (_Partial)
-    of the check that calls, so no partial sum enters the value index."""
+    the table rows (m, k) and (j, m), summed on packed images
+    (_ValueIndex.images), so no partial sum enters the value index; summed
+    again if a new value repacked the images."""
     alg = H.algebra
     row, S, vi = alg.mul.row, H.antipode, alg.field.interned
-    of, product, add = vi.of, vi.product, part.add
+    of, product, img, layout = vi.of, vi.product, vi.images(), vi.layout
     left, right = {}, {}
     for j, k, c in H.coalgebra.comul.get(i, ()):
         c = of(c)
@@ -703,15 +705,16 @@ def _antipode_sides(H: HopfAlgebraData, i: int, part: _Partial):
             ac = product(of(a), c)
             it = iter(row(m, k))
             for t, d in zip(it, it):
-                add(left, t, product(ac, d))
+                add_image(left, t, img[product(ac, d)])
         for m, a in S.get(k, {}).items():
             ca = product(c, of(a))
             it = iter(row(j, m))
             for t, d in zip(it, it):
-                add(right, t, product(ca, d))
+                add_image(right, t, img[product(ca, d)])
+    if vi.layout != layout:
+        return _antipode_sides(H, i)
     eps = H.coalgebra.counit.get(i, alg.field.zero)
-    return (part.values_of(left), part.values_of(right),
-            vec_scale(alg.unit_vec(), eps))
+    return vi.decoded(left), vi.decoded(right), vec_scale(alg.unit_vec(), eps)
 
 
 def verify_hopf(H: HopfAlgebraData, triples=None,
@@ -772,9 +775,8 @@ def verify_hopf(H: HopfAlgebraData, triples=None,
 
     # the antipode axioms on every basis element
     bad = []
-    part = _Partial(alg.field.interned)
     for i in range(alg.dim):
-        left, right, target = _antipode_sides(H, i, part)
+        left, right, target = _antipode_sides(H, i)
         if left != target or right != target:
             bad.append({"element": labels[i],
                         "m(S x id)Delta": vec_str(left, labels),
@@ -1493,32 +1495,32 @@ def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
     """[label_a, label_b] for each planned pair (a, b), in plan order, with
     delta(e_a e_b) != delta(e_a) delta(e_b).
 
-    Both sides are dicts (h, x) -> id, as in _associativity_defects: the
-    left sums c delta(e_m) over row (a, b) of A's table, the right, summed
-    inline, multiplies in H (x) A.  A product memo miss reads as None, and
-    index 0 is false, so `or` falls through to product only on a miss or a
-    zero factor."""
+    Both sides are dicts (h, x) -> packed image, summed inline as in
+    _associativity_defects: the left sums c delta(e_m) over row (a, b) of
+    A's table, the right multiplies in H (x) A.  A product memo miss reads
+    as None, and index 0 is false, so `or` falls through to product only
+    on a miss or a zero factor.  A check during which a new value
+    repacked the images runs again, on memoised products."""
     hmul, amul, labels = A.over.algebra.mul, A.algebra.mul, A.labels
     hslots, hdim, hrow = hmul.slots, hmul.dim, hmul.row
     aslots, adim, arow = amul.slots, amul.dim, amul.row
     vi = A.field.interned
-    part = _Partial(vi)
-    products, of, product = vi.products, vi.of, vi.product
-    sums, total, add = part.sums, part.total, part.add
+    products, of, product, same = vi.products, vi.of, vi.product, vi.same
     # delta(e_m) as ((h, x), index) items
-    images = [tuple([(key, of(c)) for key, c in A.coaction.get(m, ())])
-              for m in range(A.dim)]
+    terms = [tuple([(key, of(c)) for key, c in A.coaction.get(m, ())])
+             for m in range(A.dim)]
+    img, layout = vi.images(), vi.layout
 
     bad = []
     for i, j in pairs:
         lhs: dict = {}
         it = iter(arow(i, j))
         for m, x in zip(it, it):
-            for key, y in images[m]:
-                add(lhs, key, products[x].get(y) or product(x, y))
+            for key, y in terms[m]:
+                add_image(lhs, key, img[products[x].get(y) or product(x, y)])
         rhs: dict = {}
-        for (h1, a1), x1 in images[i]:
-            for (h2, a2), x2 in images[j]:
+        for (h1, a1), x1 in terms[i]:
+            for (h2, a2), x2 in terms[j]:
                 # slots read inline: a call per row read made sampled
                 # pairs at N = 5 about 8 % slower
                 e1 = hslots[h1 * hdim + h2]
@@ -1538,15 +1540,13 @@ def _multiplicativity_failures(A: ComoduleAlgebra, pairs) -> list:
                     pcd = products[cd]
                     it2 = iter(e2)
                     for k2, z in zip(it2, it2):
-                        v = pcd.get(z) or product(cd, z)
+                        v = img[pcd.get(z) or product(cd, z)]
                         got = rhs.get(key := (k1, k2))
-                        if got is None:
-                            rhs[key] = v
-                        else:
-                            t = sums[got].get(v)
-                            rhs[key] = total(got, v) if t is None else t
-        if not part.same(lhs, rhs):
+                        rhs[key] = v if got is None else got + v
+        if not same(lhs, rhs):
             bad.append([labels[i], labels[j]])
+    if vi.layout != layout:
+        return _multiplicativity_failures(A, pairs)
     return bad
 
 

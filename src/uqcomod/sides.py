@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .cyclofield import _Partial
+from .cyclofield import add_image
 
 
 def _same(a, b) -> bool:
@@ -74,10 +74,12 @@ def coalgebra_failures(side) -> tuple:
     """The basis indices failing (Delta x id)delta = (id x delta)delta,
     those failing (eps x id)delta = id and, on a Hopf algebra's own side
     (its coaction is Delta), those failing (id x eps)Delta = id, as three
-    tuples; every side is a dict of ids on the call's memo (_Partial)."""
+    tuples; every side is a dict of summed packed images
+    (_ValueIndex.images), and a check during which a new value repacked
+    the images runs again."""
     vi = side.field.interned
-    part = _Partial(vi)
-    of, add, times, ids, same = vi.of, part.add, vi.product, vi.ids, part.same
+    of, times, ids, same = vi.of, vi.product, vi.ids, vi.same
+    img, layout = vi.images(), vi.layout
     coaction, comul, counit = side.coaction, side.comul, side.counit
     regular = side.base is side
     bad_co, bad_left, bad_right = [], [], []
@@ -86,19 +88,23 @@ def coalgebra_failures(side) -> tuple:
         for (h, a), c in coaction.get(i, ()):
             x = of(c)
             for h1, h2, d in comul.get(h, ()):
-                add(lhs, (h1, h2, a), times(x, ids.get(id(d)) or of(d)))
+                add_image(lhs, (h1, h2, a),
+                          img[times(x, ids.get(id(d)) or of(d))])
             for (h2, a2), d in coaction.get(a, ()):
-                add(rhs, (h, h2, a2), times(x, ids.get(id(d)) or of(d)))
+                add_image(rhs, (h, h2, a2),
+                          img[times(x, ids.get(id(d)) or of(d))])
             e = counit.get(h)
             if e is not None:
-                add(left, a, times(x, of(e)))
+                add_image(left, a, img[times(x, of(e))])
             e = counit.get(a) if regular else None
             if e is not None:
-                add(right, h, times(x, of(e)))
+                add_image(right, h, img[times(x, of(e))])
         if not same(lhs, rhs):
             bad_co.append(i)
-        if not same(left, {i: 1}):
+        if not same(left, {i: img[1]}):
             bad_left.append(i)
-        if regular and not same(right, {i: 1}):
+        if regular and not same(right, {i: img[1]}):
             bad_right.append(i)
+    if vi.layout != layout:
+        return coalgebra_failures(side)
     return tuple(bad_co), tuple(bad_left), tuple(bad_right)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclofield import _Partial, field, q_binomial, q_factorial, q_int
+from .cyclofield import field, q_binomial, q_factorial, q_int
 from .hopfcore import (
     ConvForm,
     FiniteAlgebra,
@@ -290,11 +290,16 @@ def build_sigma(N: int) -> ConvForm:
 def sigma_closed_coords(N: int) -> dict:
     """Closed form: sigma(x^i y^j g^k, x^i' y^j' g^k')
     = [j=0][i'=0][j'=i] (i)_{q^2}! q^{-2ik}."""
+    lam = field(N).q_power(2)
+    return _sigma_shaped(N, [q_factorial(i, lam) for i in range(N)])
+
+
+def _sigma_shaped(N: int, scalars) -> dict:
+    """The coordinates (x^i g^k, y^i g^k') -> scalars[i] q^{-2ik}, the shape
+    of sigma and of its inverse."""
     fld = field(N)
-    lam = fld.q_power(2)
     coords = {}
-    for i in range(N):
-        c = q_factorial(i, lam)
+    for i, c in enumerate(scalars):
         for k1 in range(N):
             left = monomial_index(N, i, 0, k1)
             cc = c * fld.q_power(-2 * i * k1)
@@ -309,8 +314,7 @@ def build_sigma_inverse(N: int) -> ConvForm:
     exp_{q^2}.  The two-sided law is not checked here: the cocycle suite
     proves it as the claims sigma-inverse-left and sigma-inverse-right."""
     sigma = build_sigma(N)
-    H = sigma.hopf
-    fld = H.field
+    fld = sigma.hopf.field
     lam = fld.q_power(2)
     # coefficients of the series inverse of sum_r u^r / (r)_lam! in k[u]/u^N
     c = [fld.one]
@@ -319,15 +323,8 @@ def build_sigma_inverse(N: int) -> ConvForm:
         for a in range(r):
             acc = acc + c[a] / q_factorial(r - a, lam)
         c.append(-acc)
-    coords = {}
-    for i in range(N):
-        base = c[i] * q_factorial(i, lam) ** 2
-        for k1 in range(N):
-            left = monomial_index(N, i, 0, k1)
-            cc = base * fld.q_power(-2 * i * k1)
-            for k2 in range(N):
-                coords[(left, monomial_index(N, 0, i, k2))] = cc
-    return ConvForm(H, 2, coords)
+    return ConvForm(sigma.hopf, 2, _sigma_shaped(
+        N, [c[i] * q_factorial(i, lam) ** 2 for i in range(N)]))
 
 
 def uq_labels(N: int):
@@ -442,9 +439,8 @@ def uq_relation_report(N: int, uq=None) -> VerificationReport:
 
     # the antipode axioms on each basis element of a generator's support,
     # then the closed forms of the solved antipode
-    part = _Partial(fld.interned)
     for name, v in (("Et", Et), ("F", F), ("K", K), ("E", E)):
-        sides = (_antipode_sides(uq, i, part) for i in v)
+        sides = (_antipode_sides(uq, i) for i in v)
         rep.add(f"uq-antipode-axiom-{name}", "antipode-axiom-generators",
                 all(left == target and right == target
                     for left, right, target in sides), None)

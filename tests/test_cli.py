@@ -187,6 +187,27 @@ def test_classify_json(tmp_path):
         "F0", "F1", "F2", "F3", "F4"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--format", "text"], ["classify", "--timings"],
+    ["export", "--what", "sigma", "--format", "text"],
+    ["export", "--what", "sigma", "--timings"],
+], ids=["classify-text", "classify-timings", "export-text",
+        "export-timings"])
+def test_classify_and_export_refuse_options_they_ignore(argv, capsys):
+    # both write JSON only and time nothing
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-1] in capsys.readouterr().err
+
+
+def test_classify_writes_json_by_default(tmp_path):
+    code, text = run(tmp_path, "classify", "--N", "3")
+    assert (code, text) == run(tmp_path, "classify", "--N", "3",
+                               "--format", "json")
+    assert json.loads(text)["families"]
+
+
 def test_minpoly_command(tmp_path):
     code, text = run(tmp_path, "minpoly", "--N", "3",
                      "--alpha", "1", "--beta", "1", "--gamma", "0")

@@ -16,10 +16,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqcomod import cli, hopfcore, uqsl2
 from uqcomod.cli import check_plan
-from uqcomod.cyclofield import CyclotomicNumber, _Partial
+from uqcomod.cyclofield import CyclotomicNumber, _ValueIndex, field
 from uqcomod.comodzoo import build_family, deform_family, zoo_params
 from uqcomod.hopfcore import (ComoduleAlgebra, ConvForm, ExhaustivePlan,
                               FiniteAlgebra, FiniteCoalgebra, HopfAlgebraData,
@@ -415,60 +417,165 @@ def test_a_sum_is_computed_once_for_both_orders(f3, monkeypatch):
     out = {"k": j}
     vi.add(out, "k", i)
     assert out["k"] == t and len(added) == 1
-    # a check's memo stores both orders of two indices of vi
-    part = _Partial(vi)
-    k = vi.of(f3.from_rational(Fraction(5, 13)))
-    p = part.total(i, k)
-    assert p < 0 and part.sums[k][i] == p and len(added) == 2
-    out = {"k": k}
-    part.add(out, "k", i)
-    assert out["k"] == p and len(added) == 2
 
 
-def test_partial_sums_stay_out_of_the_value_index(f3):
+# -- packed images: the check kernels' sums ----------------------------------
+
+
+def _exact_sum(terms):
+    out = terms[0]
+    for v in terms[1:]:
+        out = out + v
+    return out
+
+
+_coefficient = st.integers(-(1 << 40), 1 << 40) | st.integers(-3, 3)
+_value = st.builds(
+    lambda num, den: field(5).element([Fraction(c, den) for c in num]),
+    st.lists(_coefficient, min_size=4, max_size=4),
+    st.sampled_from([1, 1, 2, 3, 9, 35]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_value, min_size=1, max_size=6),
+       st.lists(_value, min_size=1, max_size=6),
+       st.sampled_from(["apart", "equal", "zero"]))
+def test_packed_sums_are_equal_exactly_when_the_values_are(lhs, rhs, case):
+    # a fresh index over order 5, so widths and scales start at their least
+    fld = field(5)
+    vi = _ValueIndex(fld.zero, fld.one)
+    img = vi.images()
+    if case == "equal":
+        # the same sum in another order, with terms that cancel
+        rhs = lhs[::-1] + rhs + [-v for v in rhs]
+    elif case == "zero":
+        lhs = lhs + [-v for v in lhs[::-1]]
+    for v in lhs + rhs:
+        vi.of(v)
+    layout = vi.layout
+
+    def packed(terms):
+        return sum(img[vi.of(v)] for v in terms)
+
+    assert vi.layout == layout
+    left, right = _exact_sum(lhs), _exact_sum(rhs)
+    sl, sr = packed(lhs), packed(rhs)
+    assert (sl == sr) == (left == right)
+    assert (sl == 0) == left.is_zero()
+    # a zero sum reads as absent, in a comparison and in a witness
+    assert vi.same({"k": sl, "z": 0}, {"k": sr}) == (left == right)
+    assert vi.decoded({"k": sl, "z": 0}) == (
+        {} if left.is_zero() else {"k": left})
+
+
+def test_a_value_that_does_not_fit_repacks_every_image(f3):
+    vi = _ValueIndex(f3.zero, f3.one)
+    img = vi.images()
+    half = vi.of(f3.from_rational(Fraction(1, 2)))
+    assert (vi.scale, vi.width, vi.layout) == (2, 96, 2)
+    assert img[:3] == [0, 2, 1]
+    # a 96-bit slot holds a scaled coefficient of at most 32 bits; 2^41
+    # needs 128, 2^71 160
+    vi.of(f3.element([1 << 40, -1]))
+    assert vi.width == 128 and vi.layout == 3 and img[half] == 1
+    big = vi.of(f3.q * (1 << 70))
+    assert vi.width == 160 and img[big] == 1 << 231
+    assert vi.decoded({0: img[big] - img[half]}) == {
+        0: f3.q * (1 << 70) - Fraction(1, 2)}
+
+
+def _relayouts(vi, monkeypatch, every, count):
+    """Makes vi.product forget each product it computes, so every product a
+    kernel reads comes through it, and intern, before each of its next
+    `count` calls whose number is a multiple of `every`, a value that
+    changes the layout: 1/(2 scale) doubles the index's scale.  Returns the
+    function that starts the next `count`."""
+    product = _ValueIndex.product
+    left = {"calls": 0, "moves": 0}
+
+    def relayout_first(self, i, j):
+        if self is not vi:
+            return product(self, i, j)
+        left["calls"] += 1
+        if left["moves"] and left["calls"] % every == 0:
+            left["moves"] -= 1
+            self.of(self.values[1].field.from_rational(
+                Fraction(1, 2 * self.scale)))
+        p = product(self, i, j)
+        self.products[i].clear()
+        self.products[j].clear()
+        return p
+
+    def arm():
+        left["moves"] = count
+
+    for memo in vi.products:
+        memo.clear()
+    monkeypatch.setattr(_ValueIndex, "product", relayout_first)
+    return arm
+
+
+def test_a_layout_change_mid_check_is_decided_again(f3, monkeypatch):
+    # a corrupted u_q(3) table, its Delta and the antipode sides, each
+    # checked while the layout moves every 40 products; verdicts and
+    # witnesses must be the exact oracle's (the list path of
+    # _associativity_defects multiplies out in field values)
+    uq = build_uq(3)
+    x, y = monomial_index(3, 1, 0, 0), monomial_index(3, 0, 1, 0)
+    alg = _copy(uq.algebra, _scaled_row(uq.algebra, x, y,
+                                        f3.from_rational(Fraction(3, 2))))
+    plan = ExhaustivePlan(alg.dim, 3, step_certificate(uq.algebra))
+    want = list(hopfcore._associativity_defects(alg, list(plan)))
+    A = _regular(uq, alg)
+    pairs = ExhaustivePlan(alg.dim, 2)
+    bad = reference_multiplicativity_failures(A, pairs)
+    assert want and bad
+
+    def antipode():
+        return [hopfcore._antipode_sides(uq, i) for i in range(uq.dim)]
+
+    sides = antipode()
+    assert all(left == right == target for left, right, target in sides)
     vi = f3.interned
-    third = f3.from_rational(Fraction(1, 3))
-    i = vi.of(third)
-    size = len(vi.values)
-    part = _Partial(vi)
-    lhs: dict = {}
-    rhs: dict = {}
-    for _ in range(7):
-        part.add(lhs, "k", i)
-    # 7/3 is a new value: a negative id of the memo, not an index of vi
-    assert lhs["k"] < 0 and part.value(lhs["k"]) == 7 * third
-    assert len(vi.values) == size
-    # a sum vi learns later carries both ids, and compares as values
-    rhs["k"] = vi.of(7 * third)
-    assert lhs != rhs and part.same(lhs, rhs)
-    # a sum that cancels stays as index 0 and compares as absent
-    part.add(lhs, "z", i)
-    part.add(lhs, "z", vi.of(-third))
-    assert lhs["z"] == 0 and part.same(lhs, rhs)
-    assert not part.same(lhs, {"k": i})
+    arm = _relayouts(vi, monkeypatch, 40, 6)
+    for check, oracle in (
+            (lambda: list(hopfcore._associativity_defects(alg, plan)), want),
+            (lambda: hopfcore._multiplicativity_failures(A, pairs), bad),
+            (lambda: coalgebra_failures(uq.side), ((), (), ())),
+            (antipode, sides)):
+        arm()
+        layout = vi.layout
+        assert check() == oracle
+        assert vi.layout > layout, oracle
 
 
-def test_check_kernels_add_no_sums_to_the_value_index():
-    # the associativity, multiplicativity and coalgebra kernels sum on
-    # their own memo: once u_q(5)'s table is complete, they leave the
-    # index's sums as they were
+def test_check_kernels_add_no_sums_to_the_value_index(uq3):
+    # the associativity, multiplicativity, coalgebra and antipode kernels
+    # sum packed images: once a table is complete, they leave the index's
+    # sums as they were, and every value they add to it is a product.
+    # u_q(3) takes every exhaustive path, u_q(5) sampled plans
     uq = build_uq(5)
-    dict(uq.algebra.mul)
-    vi = uq.field.interned
-    sums = sum(map(len, vi.sums))
-    for seed in (1, 2):
-        verify_algebra(uq.algebra, check_plan(uq.dim, 3, "sampled", 400,
-                                              seed))
-        verify_comodule_algebra(hopfcore.regular_comodule_algebra(uq),
-                                check_plan(uq.dim, 2, "sampled", 400, seed))
-    coalgebra_failures(uq.side)
-    assert sum(map(len, vi.sums)) == sums
+    for H in (uq3, uq):
+        dict(H.algebra.mul)
+    for H, plans in ((uq3, [None]), (uq, [1, 2])):
+        vi = H.field.interned
+        sums, size = sum(map(len, vi.sums)), len(vi.values)
+        for seed in plans:
+            pairs = seed and check_plan(H.dim, 2, "sampled", 400, seed)
+            verify_hopf(H, seed and check_plan(H.dim, 3, "sampled", 400,
+                                               seed), pairs)
+            verify_comodule_algebra(hopfcore.regular_comodule_algebra(H),
+                                    pairs)
+        coalgebra_failures(H.side)
+        made = {p for memo in vi.products for p in memo.values()}
+        assert sum(map(len, vi.sums)) == sums
+        assert set(range(size, len(vi.values))) <= made
 
 
 def test_the_antipode_check_adds_no_sums_to_the_value_index():
-    # verify_hopf and uq_relation_report sum the antipode sides on a memo
-    # of their own call: once u_q(3)'s table is complete, they leave the
-    # index's sum memo empty.  It is emptied first (a memo only, refilled
+    # verify_hopf and uq_relation_report sum the antipode sides on packed
+    # images: once u_q(3)'s table is complete, they leave the index's sum
+    # memo empty.  It is emptied first (a memo only, refilled
     # on demand), so sums an earlier test left there cannot hide a leak
     uq = build_uq(3)
     dict(uq.algebra.mul)
@@ -478,6 +585,51 @@ def test_the_antipode_check_adds_no_sums_to_the_value_index():
     assert verify_hopf(uq).ok
     assert uq_relation_report(3, uq).ok
     assert not any(vi.sums)
+
+
+_RATIONAL = [("L1", {"xi": Fraction(1, 2)}), ("L3", {"zeta": Fraction(1, 3)})]
+
+
+@pytest.mark.parametrize("family, kw", _RATIONAL, ids=["L1", "L3"])
+@pytest.mark.parametrize("deformed", [False, True], ids=["plain", "deformed"])
+def test_a_rational_member_passes_every_packed_kernel(family, kw, deformed):
+    # a rational parameter puts denominators into the member's table, so its
+    # sums are packed on a scale above one; a copy without steps runs every
+    # triple and pair through the kernels
+    p = zoo_params(family, 3, **kw)
+    A = (deform_family if deformed else build_family)(p)
+    assert any(c.den > 1 for row in dict(A.algebra.mul).values()
+               for _, c in row)
+    bare = _copy(A.algebra)
+    assert verify_algebra(bare).ok
+    rep = _same_reports(verify_comodule_algebra, (A,),
+                        (_comodule_on(A, bare),))
+    assert all(c["status"] == "pass" for c in rep["claims"])
+
+
+def test_a_corrupted_rational_member_keeps_its_witness():
+    # deformed L3 with zeta = 1/3, row X0Y1G0 * X0Y2G0 = zeta X0Y0G0
+    # times 3/2; the witnesses are those the checks gave when they summed
+    # on value ids, before packed images
+    A = deform_family(zoo_params("L3", 3, zeta=Fraction(1, 3)))
+    y1, y2 = A.labels.index("X0Y1G0"), A.labels.index("X0Y2G0")
+    bare = _copy(A.algebra, _scaled_row(A.algebra, y1, y2, A.field.element(
+        [Fraction(3, 2)])))
+    failing = {**_failing(verify_algebra(bare).as_dict()), **_failing(
+        verify_comodule_algebra(_comodule_on(A, bare)).as_dict())}
+    g1, g2 = "X0Y0G1", "X0Y0G2"
+    assert failing == {
+        "algebra-associativity": {"checked": 19683, "failing": 83, "examples": [
+            {"lhs": f"(1/3)*{g1}", "rhs": f"(1/2)*{g1}",
+             "tuple": [g1, "X0Y1G0", "X0Y2G0"]},
+            {"lhs": "(1/2*q)*X0Y0G0", "rhs": "(1/3*q)*X0Y0G0",
+             "tuple": [g1, "X0Y1G2", "X0Y2G0"]},
+            {"lhs": f"(1/3)*{g2}", "rhs": f"(1/2)*{g2}",
+             "tuple": [g2, "X0Y1G0", "X0Y2G0"]}]},
+        "comodule-multiplicativity": {"checked": 729, "failing": 11,
+                                      "examples": [["X0Y1G0", "X1Y2G0"],
+                                                   ["X0Y1G0", "X2Y2G0"],
+                                                   ["X0Y2G0", "X0Y2G0"]]}}
 
 
 def test_multiplicativity_kernel_keys_coefficients_by_value():
